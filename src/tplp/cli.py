@@ -22,17 +22,7 @@ from .compression import (
     solve_profile,
     verify_evolution,
 )
-from .errors import (
-    BaseTooLarge,
-    InconsistentProgram,
-    LPNumericalFailure,
-    MissingTimeSlice,
-    NonConvergence,
-    NonNormalConstraint,
-    TimePointOutsideCalendar,
-    TplpError,
-    UniverseEmpty,
-)
+from .errors import BaseTooLarge, InconsistentProgram, NonConvergence, TplpError
 from .grounder import (
     GroundingMode,
     ground_program,
@@ -94,6 +84,16 @@ def _witness_json(dist) -> list[dict]:
 
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _program_payload(args, text: str) -> str:
+    return _dump({"program": text}) if args.json else text.rstrip("\n")
+
+
+def _inconsistent_program(args) -> CommandResult:
+    return CommandResult(
+        1, _dump({"verdict": "INCONSISTENT_PROGRAM"}) if args.json else "INCONSISTENT_PROGRAM"
+    )
 
 
 def _read(path: str) -> str:
@@ -168,8 +168,7 @@ def _cmd_validate(args) -> CommandResult:
 def _cmd_ground(args) -> CommandResult:
     program = _load_program(args.file)
     text = render_program(ground_program(program, GroundingMode(args.grounding)))
-    payload = _dump({"program": text}) if args.json else text.rstrip("\n")
-    return CommandResult(0, payload)
+    return CommandResult(0, _program_payload(args, text))
 
 
 def _cmd_unfold(args) -> CommandResult:
@@ -177,8 +176,7 @@ def _cmd_unfold(args) -> CommandResult:
     normalized = ground_temporal_variables(program)
     pp = unfold(normalized, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     text = render_program(pprogram_to_ptprogram(pp, program.calendar))
-    payload = _dump({"program": text}) if args.json else text.rstrip("\n")
-    return CommandResult(0, payload)
+    return CommandResult(0, _program_payload(args, text))
 
 
 def _cmd_consistent(args) -> CommandResult:
@@ -220,12 +218,7 @@ def _cmd_entail(args) -> CommandResult:
     try:
         outcome = entails(pp, query, program.calendar, opts)
     except InconsistentProgram:
-        payload = (
-            _dump({"verdict": "INCONSISTENT_PROGRAM"})
-            if args.json
-            else "INCONSISTENT_PROGRAM"
-        )
-        return CommandResult(1, payload)
+        return _inconsistent_program(args)
     if outcome.vacuous:
         print("warning: the query constraint has an empty solution set", file=sys.stderr)
     verdict = "ENTAILED" if outcome.entailed else "NOT_ENTAILED"
@@ -279,12 +272,7 @@ def _cmd_tighten(args) -> CommandResult:
             sensitive = sensitive or result.boundary_sensitive
             branch_count = max(branch_count, result.branch_count)
     except InconsistentProgram:
-        payload = (
-            _dump({"verdict": "INCONSISTENT_PROGRAM"})
-            if args.json
-            else "INCONSISTENT_PROGRAM"
-        )
-        return CommandResult(1, payload)
+        return _inconsistent_program(args)
     if args.json:
         payload = _dump(
             {
@@ -306,12 +294,7 @@ def _cmd_maxent(args) -> CommandResult:
     try:
         outcome = max_entropy_model(pp, opts)
     except InconsistentProgram:
-        payload = (
-            _dump({"verdict": "INCONSISTENT_PROGRAM"})
-            if args.json
-            else "INCONSISTENT_PROGRAM"
-        )
-        return CommandResult(1, payload)
+        return _inconsistent_program(args)
     if args.json:
         payload = _dump(
             {
@@ -366,8 +349,7 @@ def _cmd_evolve(args) -> CommandResult:
     program = build_evolution_program(skeleton, per_time, delta)
     text = render_program(program)
     if not args.verify:
-        payload = _dump({"program": text}) if args.json else text.rstrip("\n")
-        return CommandResult(0, payload)
+        return CommandResult(0, _program_payload(args, text))
     opts = _options(args)
     mode = VerificationMode(args.verify)
     try:
@@ -501,15 +483,6 @@ def run(argv) -> CommandResult:
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(3, "")
-    except (
-        UniverseEmpty,
-        NonNormalConstraint,
-        MissingTimeSlice,
-        TimePointOutsideCalendar,
-        LPNumericalFailure,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2, "")
     except TplpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, "")

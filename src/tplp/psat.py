@@ -23,12 +23,13 @@ completion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BaseTooLarge, InconsistentProgram, NonConvergence
+from .errors import BaseTooLarge, InconsistentProgram, LPNumericalFailure, NonConvergence
 from .grounder import HerbrandBase, PProgram
 from .intervals import ONE, ZERO, ProbInterval
 from .model import BasicFormula, Calendar, Connective, solve_constraint, substitute_time
@@ -122,6 +123,8 @@ class MaxEntResult:
 class _Component:
     """One connected block of atoms; worlds are local bitstrings over them."""
 
+    __slots__ = ("cid", "atoms", "k", "space", "full", "_atom_masks", "classes")
+
     def __init__(self, cid: int, atom_indices: tuple[int, ...]):
         self.cid = cid
         self.atoms = atom_indices  # global base indices, ascending
@@ -185,11 +188,66 @@ class _Component:
         return lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Row:
     fid: int
     sense: str  # "<=" or ">="
     rhs: Fraction
+
+
+def _inside_rows(fid: int, iv: ProbInterval) -> list[_Row] | None:
+    """Rows keeping formula fid's mass inside iv, or None when iv is empty."""
+    if iv.lo > iv.hi:
+        return None
+    rows = []
+    if iv.lo > 0:
+        rows.append(_Row(fid, ">=", iv.lo))
+    if iv.hi < 1:
+        rows.append(_Row(fid, "<=", iv.hi))
+    return rows
+
+
+@functools.cache
+def _clause_choices(body_size: int) -> tuple[BranchChoice, ...]:
+    out = [BranchChoice(ChoiceKind.HEAD_IN)]
+    for k in range(body_size):
+        out.append(BranchChoice(ChoiceKind.BODY_LOW, k))
+        out.append(BranchChoice(ChoiceKind.BODY_HIGH, k))
+    return tuple(out)
+
+
+def _unit_sum(x) -> list[Fraction]:
+    """Exact class masses summing to one; float-mode LP solutions may be off
+    by rounding, so they are rescaled exactly."""
+    q = [Fraction(v) for v in x]
+    total = sum(q, ZERO)
+    if total == 0:
+        raise LPNumericalFailure("a component's class masses sum to zero")
+    return q if total == 1 else [v / total for v in q]
+
+
+def _narrow(boxes: dict, rows: list[_Row]) -> list | None:
+    """Intersect the formula boxes with rows; the replaced values, or None
+    (boxes unchanged) when some box becomes empty."""
+    undo = []
+    for row in rows:
+        old = boxes.get(row.fid, (ZERO, ONE))
+        lo, hi = old
+        if row.sense == ">=":
+            lo = max(lo, row.rhs)
+        else:
+            hi = min(hi, row.rhs)
+        if lo > hi:
+            _restore(boxes, undo)
+            return None
+        undo.append((row.fid, old))
+        boxes[row.fid] = (lo, hi)
+    return undo
+
+
+def _restore(boxes: dict, undo: list) -> None:
+    for fid, old in reversed(undo):
+        boxes[fid] = old
 
 
 class _Engine:
@@ -283,25 +341,16 @@ class _Engine:
             self.components[self._fid_comp[fid]].coefficients(self._fid_mask[fid])
             for fid in range(len(self._formula_atoms))
         ]
-        self._feasible_cache: dict = {}
-        self._optimum_cache: dict = {}
+        self._lp_cache: dict = {}
         self._maxent_cache: dict = {}
-        self.last_branch_count = 0
 
     # -- branch enumeration --
 
     def _choice_rows(self, clause, choice: BranchChoice, eps: Fraction) -> list[_Row] | None:
         """LP rows for one clause choice, or None when impossible outright."""
         head_fid, head_iv, body = clause
-        rows: list[_Row] = []
         if choice.kind is ChoiceKind.HEAD_IN:
-            if head_iv.lo > head_iv.hi:
-                return None
-            if head_iv.lo > 0:
-                rows.append(_Row(head_fid, ">=", head_iv.lo))
-            if head_iv.hi < 1:
-                rows.append(_Row(head_fid, "<=", head_iv.hi))
-            return rows
+            return _inside_rows(head_fid, head_iv)
         fid, iv = body[choice.conjunct]
         if choice.kind is ChoiceKind.BODY_LOW:
             bound = iv.lo - eps
@@ -313,64 +362,66 @@ class _Engine:
             return None
         return [_Row(fid, ">=", bound)]
 
-    def _clause_choices(self, clause) -> list[BranchChoice]:
-        _, _, body = clause
-        out = [BranchChoice(ChoiceKind.HEAD_IN)]
-        for k in range(len(body)):
-            out.append(BranchChoice(ChoiceKind.BODY_LOW, k))
-            out.append(BranchChoice(ChoiceKind.BODY_HIGH, k))
-        return out
-
-    def _branches(self, eps: Fraction):
-        """Yield (choices, rows-per-component) for every box-consistent leaf.
+    def leaves(self, eps: Fraction):
+        """Yield solve_rows' (rows per component, solution or None) for every
+        box-consistent leaf, depth first in clause and choice order.
 
         Boxes track the running interval each formula mass is pinned to; an
         empty box prunes the subtree, which subsumes fact-vs-body-violation
-        conflicts without an LP call.
+        conflicts without an LP call.  The walk keeps its own stack, so the
+        tree's depth (one level per clause) has no recursion limit.
         """
         clauses = self.clauses
+        if not clauses:
+            yield self.solve_rows(())
+            return
         boxes: dict[int, tuple[Fraction, Fraction]] = {}
-        chosen_rows: list[list[_Row]] = []
-        choices: list[BranchChoice] = []
+        # Per clause with a choice in force: its rows and the box values they replaced.
+        path: list[tuple[list[_Row], list]] = []
+        # Per open clause: the index of its next choice to try.
+        tries = [0]
+        while tries:
+            depth = len(tries) - 1
+            if len(path) > depth:
+                _restore(boxes, path.pop()[1])
+            clause = clauses[depth]
+            choices = _clause_choices(len(clause[2]))
+            k = tries[-1]
+            if k == len(choices):
+                tries.pop()
+                continue
+            tries[-1] = k + 1
+            rows = self._choice_rows(clause, choices[k], eps)
+            undo = None if rows is None else _narrow(boxes, rows)
+            if undo is None:
+                continue
+            path.append((rows, undo))
+            if depth + 1 < len(clauses):
+                tries.append(0)
+            else:
+                yield self.solve_rows(row for taken, _ in path for row in taken)
 
-        def rec(ci: int):
-            if ci == len(clauses):
-                by_comp: dict[int, set[_Row]] = {}
-                for rows in chosen_rows:
-                    for row in rows:
-                        by_comp.setdefault(self._fid_comp[row.fid], set()).add(row)
-                yield tuple(choices), {
-                    cid: frozenset(rows) for cid, rows in by_comp.items()
-                }
-                return
-            for choice in self._clause_choices(clauses[ci]):
-                rows = self._choice_rows(clauses[ci], choice, eps)
-                if rows is None:
-                    continue
-                touched: list[tuple[int, tuple[Fraction, Fraction]]] = []
-                ok = True
-                for row in rows:
-                    key = row.fid
-                    lo, hi = boxes.get(key, (ZERO, ONE))
-                    if row.sense == ">=":
-                        lo = max(lo, row.rhs)
-                    else:
-                        hi = min(hi, row.rhs)
-                    if lo > hi:
-                        ok = False
-                        break
-                    touched.append((key, boxes.get(key, (ZERO, ONE))))
-                    boxes[key] = (lo, hi)
-                if ok:
-                    chosen_rows.append(rows)
-                    choices.append(choice)
-                    yield from rec(ci + 1)
-                    choices.pop()
-                    chosen_rows.pop()
-                for key, old in reversed(touched):
-                    boxes[key] = old
+    def solve_rows(self, rows):
+        """Group rows by component and solve each component's system in
+        component order: (rows per component, class masses per component, or
+        None as soon as one component is infeasible)."""
+        by_comp: dict[int, set[_Row]] = {}
+        for row in rows:
+            by_comp.setdefault(self._fid_comp[row.fid], set()).add(row)
+        rows_by_comp = {cid: frozenset(rs) for cid, rs in by_comp.items()}
+        solution: dict[int, list] = {}
+        for cid, rs in sorted(rows_by_comp.items()):
+            x = self._lp(cid, rs)
+            if x is None:
+                return rows_by_comp, None
+            solution[cid] = x
+        return rows_by_comp, solution
 
-        yield from rec(0)
+    def mass_range(self, rows_by_comp, fid: int) -> tuple[Fraction, Fraction]:
+        """Least and greatest mass of formula fid under one feasible leaf."""
+        cid = self._fid_comp[fid]
+        rows = rows_by_comp.get(cid, frozenset())
+        return self._lp(cid, rows, fid, False), self._lp(cid, rows, fid, True)
 
     # -- per-component LPs --
 
@@ -380,95 +431,26 @@ class _Engine:
             out.append((list(self._fid_coeffs[row.fid]), row.sense, row.rhs))
         return out
 
-    def _feasible(self, cid: int, rows: frozenset[_Row]):
-        """Feasible class masses for one component, or None."""
-        key = (cid, rows)
-        if key in self._feasible_cache:
-            return self._feasible_cache[key]
-        comp = self.components[cid]
-        result = solve_lp(
-            len(comp.classes), self._lp_rows(comp, rows), mode=self.opts.lp_mode
-        )
-        x = None if result.status == INFEASIBLE else result.x
-        self._feasible_cache[key] = x
-        return x
-
-    def _branch_solution(self, rows_by_comp) -> dict[int, list] | None:
-        solution: dict[int, list] = {}
-        for cid, rows in sorted(rows_by_comp.items()):
-            x = self._feasible(cid, rows)
-            if x is None:
-                return None
-            solution[cid] = x
-        return solution
-
-    def _optimum(self, cid: int, rows: frozenset[_Row], fid: int, maximize: bool):
+    def _lp(self, cid: int, rows: frozenset[_Row], fid: int | None = None, maximize: bool = False):
+        """One component's LP, cached: with fid None some feasible class masses,
+        else the least (greatest) mass of formula fid; None when infeasible."""
         key = (cid, rows, fid, maximize)
-        if key in self._optimum_cache:
-            return self._optimum_cache[key]
+        if key in self._lp_cache:
+            return self._lp_cache[key]
         comp = self.components[cid]
         result = solve_lp(
             len(comp.classes),
             self._lp_rows(comp, rows),
-            objective=list(self._fid_coeffs[fid]),
+            objective=None if fid is None else list(self._fid_coeffs[fid]),
             maximize=maximize,
             mode=self.opts.lp_mode,
         )
-        value = None if result.status == INFEASIBLE else result.value
-        self._optimum_cache[key] = value
-        return value
-
-    # -- public-facing passes --
-
-    def first_feasible(self, eps: Fraction):
-        count = 0
-        for choices, rows_by_comp in self._branches(eps):
-            count += 1
-            solution = self._branch_solution(rows_by_comp)
-            if solution is not None:
-                self.last_branch_count = count
-                return choices, rows_by_comp, solution
-        self.last_branch_count = count
-        return None
-
-    def optimize_formulas(self, fids, eps: Fraction):
-        """Min/max mass per formula over every feasible branch; None if no branch."""
-        bounds: dict[int, tuple[Fraction, Fraction] | None] = {fid: None for fid in fids}
-        count = 0
-        any_feasible = False
-        for _, rows_by_comp in self._branches(eps):
-            count += 1
-            if self._branch_solution(rows_by_comp) is None:
-                continue
-            any_feasible = True
-            for fid in fids:
-                cid = self._fid_comp[fid]
-                rows = rows_by_comp.get(cid, frozenset())
-                lo = self._optimum(cid, rows, fid, maximize=False)
-                hi = self._optimum(cid, rows, fid, maximize=True)
-                cur = bounds[fid]
-                if cur is None:
-                    bounds[fid] = (lo, hi)
-                else:
-                    bounds[fid] = (min(cur[0], lo), max(cur[1], hi))
-        self.last_branch_count = count
-        return (bounds if any_feasible else None), count
-
-    def feasible_rowsets(self, eps: Fraction):
-        """Distinct feasible branch row systems, in first-seen order."""
-        seen = []
-        keys = set()
-        count = 0
-        for _, rows_by_comp in self._branches(eps):
-            count += 1
-            if self._branch_solution(rows_by_comp) is None:
-                continue
-            key = frozenset((cid, rows) for cid, rows in rows_by_comp.items())
-            if key not in keys:
-                keys.add(key)
-                seen.append(rows_by_comp)
-        self.last_branch_count = count
-        return seen
+        if result.status == INFEASIBLE:
+            out = None
+        else:
+            out = result.x if fid is None else result.value
+        self._lp_cache[key] = out
+        return out
 
     # -- witnesses --
 
@@ -488,13 +470,8 @@ class _Engine:
                 zero_cls = next(i for i, (_, _, rep) in enumerate(comp.classes) if rep == 0)
                 x = [ONE if i == zero_cls else ZERO for i in range(len(comp.classes))]
             cum = [ZERO]
-            for v in x:
-                cum.append(cum[-1] + Fraction(v))
-            # Float-mode solutions may be off by rounding; rescale exactly.
-            if cum[-1] != 1:
-                if cum[-1] == 0:
-                    raise ValueError("component solution sums to zero")
-                cum = [c / cum[-1] for c in cum]
+            for v in _unit_sum(x):
+                cum.append(cum[-1] + v)
             cumulatives.append((comp, cum))
             points.update(cum)
         masses: dict[int, Fraction] = {}
@@ -515,12 +492,12 @@ class _Engine:
         each class (the entropy-maximal completion of the marginals)."""
         masses: dict[int, Fraction] = {0: ONE}
         for comp in self.components:
-            q = comp_qs[comp.cid]
+            q = _unit_sum(comp_qs[comp.cid])
             expanded: list[tuple[int, Fraction]] = []
             for (members, size, _), qc in zip(comp.classes, q):
                 if qc == 0:
                     continue
-                share = Fraction(qc) / size
+                share = qc / size
                 left = members
                 while left:
                     low = left & -left
@@ -564,7 +541,7 @@ class _Engine:
             self._maxent_cache[key] = result
             return result
 
-        q = self._feasible(cid, rows)
+        q = self._lp(cid, rows)
         if q is None:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
         q = [Fraction(v) for v in q]
@@ -619,16 +596,41 @@ class _Engine:
 # --- public operations --------------------------------------------------------------
 
 
+def _first_solution(engine: _Engine, eps: Fraction):
+    """(class masses of the first feasible leaf or None, leaves visited)."""
+    count = 0
+    for _, solution in engine.leaves(eps):
+        count += 1
+        if solution is not None:
+            return solution, count
+    return None, count
+
+
+def _mass_bounds(engine: _Engine, fids, eps: Fraction):
+    """(least and greatest mass per formula over every feasible leaf, or None
+    when no leaf is feasible; leaves visited)."""
+    bounds: dict[int, tuple[Fraction, Fraction]] = {}
+    count = 0
+    for rows_by_comp, solution in engine.leaves(eps):
+        count += 1
+        if solution is None:
+            continue
+        for fid in fids:
+            lo, hi = engine.mass_range(rows_by_comp, fid)
+            if fid in bounds:
+                lo, hi = min(bounds[fid][0], lo), max(bounds[fid][1], hi)
+            bounds[fid] = (lo, hi)
+    return bounds or None, count
+
+
 def check_consistency(pp: PProgram, opts: SolveOptions = SolveOptions()) -> ConsistencyResult:
     """Search the clause branches for a feasible world distribution."""
     engine = _Engine(pp, opts)
-    found = engine.first_feasible(opts.epsilon)
-    count = engine.last_branch_count
-    if found is not None:
-        _, _, solution = found
+    solution, count = _first_solution(engine, opts.epsilon)
+    if solution is not None:
         witness = engine.couple(solution)
         return ConsistencyResult(Verdict.CONSISTENT, witness, count, opts.epsilon)
-    if engine.first_feasible(ZERO) is not None:
+    if _first_solution(engine, ZERO)[0] is not None:
         return ConsistencyResult(Verdict.UNKNOWN_EPS, None, count, opts.epsilon)
     return ConsistencyResult(Verdict.INCONSISTENT, None, count, opts.epsilon)
 
@@ -639,11 +641,11 @@ def tighten(
     """Tightest probability interval for f across all models (epsilon-closed)."""
     engine = _Engine(pp, opts, extra_formulas=[f])
     fid = engine.extra_fids[0]
-    bounds, count = engine.optimize_formulas([fid], opts.epsilon)
+    bounds, count = _mass_bounds(engine, [fid], opts.epsilon)
     if bounds is None:
         raise InconsistentProgram("tighten requires a consistent program")
     lo, hi = bounds[fid]
-    probe, _ = engine.optimize_formulas([fid], opts.epsilon / 2)
+    probe, _ = _mass_bounds(engine, [fid], opts.epsilon / 2)
     sensitive = probe is None or probe[fid] != (lo, hi)
     return TightenResult(ProbInterval(lo, hi), count, sensitive, opts.epsilon)
 
@@ -660,15 +662,13 @@ def entails(
         raise ValueError("entailment needs an annotated query")
     sol = solve_constraint(query.annot.constraint, calendar)
     if not sol:
-        engine = _Engine(pp, opts)
-        if engine.first_feasible(opts.epsilon) is None:
+        solution, count = _first_solution(_Engine(pp, opts), opts.epsilon)
+        if solution is None:
             raise InconsistentProgram("entailment is undefined for an inconsistent program")
-        return EntailmentResult(
-            True, True, [], engine.last_branch_count, opts.epsilon
-        )
+        return EntailmentResult(True, True, [], count, opts.epsilon)
     instances = [substitute_time(query.formula, t) for t in sol]
     engine = _Engine(pp, opts, extra_formulas=instances)
-    bounds, count = engine.optimize_formulas(list(engine.extra_fids), opts.epsilon)
+    bounds, count = _mass_bounds(engine, engine.extra_fids, opts.epsilon)
     if bounds is None:
         raise InconsistentProgram("entailment is undefined for an inconsistent program")
     per_time: list[TimeVerdict] = []
@@ -692,16 +692,11 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
     rows: list[_Row] = []
     for head_fid, head_iv, body in engine.clauses:
         for fid, iv in [(head_fid, head_iv)] + body:
-            if iv.lo > iv.hi:
+            inside = _inside_rows(fid, iv)
+            if inside is None:
                 return None
-            if iv.lo > 0:
-                rows.append(_Row(fid, ">=", iv.lo))
-            if iv.hi < 1:
-                rows.append(_Row(fid, "<=", iv.hi))
-    by_comp: dict[int, set[_Row]] = {}
-    for row in rows:
-        by_comp.setdefault(engine._fid_comp[row.fid], set()).add(row)
-    solution = engine._branch_solution({cid: frozenset(rs) for cid, rs in by_comp.items()})
+            rows.extend(inside)
+    _, solution = engine.solve_rows(rows)
     if solution is None:
         return None
     return engine.couple(solution)
@@ -710,13 +705,18 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
 def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxEntResult:
     """The model with the greatest entropy among all feasible branches."""
     engine = _Engine(pp, opts)
-    rowsets = engine.feasible_rowsets(opts.epsilon)
-    count = engine.last_branch_count
+    # Distinct feasible row systems, in first-seen order.
+    rowsets: dict[frozenset, dict[int, frozenset[_Row]]] = {}
+    count = 0
+    for rows_by_comp, solution in engine.leaves(opts.epsilon):
+        count += 1
+        if solution is not None:
+            rowsets.setdefault(frozenset(rows_by_comp.items()), rows_by_comp)
     if not rowsets:
         raise InconsistentProgram("no feasible branch to maximize entropy over")
     best_qs: dict[int, list[Fraction]] | None = None
     best_h = -1.0
-    for rows_by_comp in rowsets:
+    for rows_by_comp in rowsets.values():
         total = 0.0
         qs: dict[int, list[Fraction]] = {}
         for comp in engine.components:

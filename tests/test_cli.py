@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -207,6 +208,11 @@ class TestMaxent:
     def test_inconsistent(self, fixtures):
         res = invoke("maxent", str(fixtures / "p1.tpl"))
         assert res.exit_code == 1
+
+    def test_float_lp_mode(self, fixtures):
+        res = invoke("maxent", str(fixtures / "mx.tpl"), "--json", "--lp", "float")
+        assert res.exit_code == 0
+        assert abs(jpayload(res)["entropy"] - math.log(2)) < 1e-6
 
 
 class TestEvolve:

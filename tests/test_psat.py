@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from tplp.model import BasicFormula, TAtom
 from tplp.parser import parse_program, parse_query
 from tplp.psat import (
     SolveOptions,
+    _Engine,
     Verdict,
     check_consistency,
     entails,
@@ -82,6 +84,47 @@ class TestCheckConsistency:
                 assert ki_satisfies(pp, res.witness)
                 consistent_seen += 1
         assert consistent_seen >= 20
+
+    def test_program_deeper_than_the_recursion_limit(self):
+        # One level of the clause-choice tree per unfolded clause.
+        lines = ["calendar 1..1."]
+        for i in range(620):
+            lines.append(f"a{i}@Y : <Y=1, [0.5], [0.5]>.")
+            lines.append(f"b{i}@Y : <Y=1, [0.6], [0.7]> :- a{i}@Y1 : <Y1=1, [0.4], [0.6]>.")
+        pp = unfold(parse_program("\n".join(lines)).program)
+        assert len(pp.clauses) > max(1200, sys.getrecursionlimit())
+        res = check_consistency(pp, SolveOptions(max_world_atoms=2 * len(pp.clauses)))
+        assert res.verdict is Verdict.CONSISTENT
+        assert ki_satisfies(pp, res.witness)
+
+
+class TestLeafWalk:
+    # The rule keeps all three of its choices: head in [0.9, 1], or the body
+    # atom below 0.4 or above 0.6, each compatible with the fact.
+    TEXT = (
+        "calendar 1..1.\n"
+        "a@Y : <Y=1, [0.2], [0.8]>.\n"
+        "b@Y : <Y=1, [0.9], [1]> :- a@Y1 : <Y1=1, [0.4], [0.6]>.\n"
+    )
+
+    def test_leaves_in_clause_then_choice_order(self):
+        pp = unfold(parse_program(self.TEXT).program)
+        eps = F(1, 10**6)
+        walked = list(_Engine(pp, SolveOptions()).leaves(eps))
+        assert all(solution is not None for _, solution in walked)
+        leaves = [set().union(*rows_by_comp.values()) for rows_by_comp, _ in walked]
+        fact = set.intersection(*leaves)
+        assert [{(r.sense, r.rhs) for r in leaf - fact} for leaf in leaves] == [
+            {(">=", F(9, 10))},
+            {("<=", F(2, 5) - eps)},
+            {(">=", F(3, 5) + eps)},
+        ]
+
+    def test_branch_count_is_leaves_consumed(self):
+        pp = unfold(parse_program(self.TEXT).program)
+        assert check_consistency(pp).branch_count == 1
+        assert tighten(pp, single("b")).branch_count == 3
+        assert max_entropy_model(pp).branch_count == 3
 
 
 class TestGridOracle:
