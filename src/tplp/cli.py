@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 semantic negative (inconsistent, not entailed,
 unknown at the epsilon boundary), 2 usage or input error, 3 resource limit
-(world cap or iteration cap).  JSON payloads serialize rationals as "num/den"
-strings and are byte-deterministic for identical invocations in exact mode.
+(world cap or iteration cap); a TplpError carries its own as exit_code.  JSON
+payloads serialize rationals as "num/den" strings and are byte-deterministic
+for identical invocations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .compression import (
     solve_profile,
     verify_evolution,
 )
-from .errors import BaseTooLarge, InconsistentProgram, NonConvergence, TplpError
+from .errors import InconsistentProgram, TplpError
 from .grounder import (
     GroundingMode,
     ground_program,
@@ -47,7 +48,6 @@ from .psat import (
     max_entropy_model,
     tighten,
 )
-from .simplex import LPMode
 from .model import substitute_time
 
 ENV_MAX_WORLD_ATOMS = "TPLP_MAX_WORLD_ATOMS"
@@ -59,11 +59,8 @@ class CommandResult:
     payload: str
 
 
-class _CliError(Exception):
-    def __init__(self, exit_code: int, message: str):
-        super().__init__(message)
-        self.exit_code = exit_code
-        self.message = message
+class _CliError(TplpError):
+    """A usage or input error found by the command line itself."""
 
 
 def _rat(q: Fraction) -> str:
@@ -82,18 +79,12 @@ def _witness_json(dist) -> list[dict]:
     ]
 
 
+def _witness_lines(witness: list[dict]) -> list[str]:
+    return ["  {" + ", ".join(e["world"]) + "}: " + e["p"] for e in witness]
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _program_payload(args, text: str) -> str:
-    return _dump({"program": text}) if args.json else text.rstrip("\n")
-
-
-def _inconsistent_program(args) -> CommandResult:
-    return CommandResult(
-        1, _dump({"verdict": "INCONSISTENT_PROGRAM"}) if args.json else "INCONSISTENT_PROGRAM"
-    )
 
 
 def _read(path: str) -> str:
@@ -101,7 +92,7 @@ def _read(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(2, f"cannot read {path}: {exc}") from None
+        raise _CliError(f"cannot read {path}: {exc}") from None
 
 
 def _emit_diagnostics(diags):
@@ -109,12 +100,27 @@ def _emit_diagnostics(diags):
         print(str(d), file=sys.stderr)
 
 
+def _warn(msg: str):
+    print(f"warning: {msg}", file=sys.stderr)
+
+
 def _load_program(path: str):
     result = parse_program(_read(path))
     _emit_diagnostics(result.diagnostics)
     if not result.ok:
-        raise _CliError(2, f"{path}: {len(result.errors)} error(s)")
+        raise _CliError(f"{path}: {len(result.errors)} error(s)")
     return result.program
+
+
+def _load_query(args, kind: QueryKind):
+    result = parse_query(_read(args.queryfile))
+    _emit_diagnostics(result.diagnostics)
+    if not result.ok:
+        raise _CliError(f"{args.queryfile}: invalid query")
+    if result.query.kind is not kind:
+        article = "an" if kind is QueryKind.ENTAIL else "a"
+        raise _CliError(f"the {kind.value} command needs {article} '?{kind.value}' query")
+    return result.query
 
 
 def _options(args) -> SolveOptions:
@@ -122,195 +128,143 @@ def _options(args) -> SolveOptions:
     if cap is None:
         env = os.environ.get(ENV_MAX_WORLD_ATOMS)
         cap = int(env) if env else 16
-    return SolveOptions(
-        epsilon=parse_rational(args.epsilon),
-        max_world_atoms=cap,
-        lp_mode=LPMode(args.lp),
-    )
+    return SolveOptions(epsilon=parse_rational(args.epsilon), max_world_atoms=cap)
 
 
 def _grounded_pp(args):
     program = _load_program(args.file)
-    mode = GroundingMode(args.grounding)
-    ground = ground_program(program, mode)
-    pp = unfold(ground, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    return program, pp
+    ground = ground_program(program, GroundingMode(args.grounding))
+    return program, unfold(ground, warn=_warn)
 
 
 # --- subcommand handlers -------------------------------------------------------------
+#
+# Each handler returns (exit code, JSON body, text form); run() picks the form.
+# A text form of None makes the answer JSON-only.
 
 
-def _cmd_validate(args) -> CommandResult:
+def _cmd_validate(args):
     result = parse_program(_read(args.file))
     _emit_diagnostics(result.diagnostics)
     errors = [d for d in result.diagnostics if d.is_error]
     warnings = [d for d in result.diagnostics if not d.is_error]
-    if args.json:
-        payload = _dump(
-            {
-                "verdict": "ok" if not errors else "error",
-                "errors": [
-                    {"kind": d.kind.value, "message": d.message, "at": str(d.span or "")}
-                    for d in errors
-                ],
-                "warnings": [
-                    {"kind": d.kind.value, "message": d.message, "at": str(d.span or "")}
-                    for d in warnings
-                ],
-            }
-        )
-    else:
-        verdict = "ok" if not errors else f"{len(errors)} error(s)"
-        payload = f"{verdict} ({len(warnings)} warning(s))"
-    return CommandResult(0 if not errors else 2, payload)
+    body = {
+        "verdict": "ok" if not errors else "error",
+        "errors": [
+            {"kind": d.kind.value, "message": d.message, "at": str(d.span or "")}
+            for d in errors
+        ],
+        "warnings": [
+            {"kind": d.kind.value, "message": d.message, "at": str(d.span or "")}
+            for d in warnings
+        ],
+    }
+    verdict = "ok" if not errors else f"{len(errors)} error(s)"
+    return 0 if not errors else 2, body, f"{verdict} ({len(warnings)} warning(s))"
 
 
-def _cmd_ground(args) -> CommandResult:
+def _program_answer(program):
+    text = render_program(program)
+    return 0, {"program": text}, text.rstrip("\n")
+
+
+def _cmd_ground(args):
     program = _load_program(args.file)
-    text = render_program(ground_program(program, GroundingMode(args.grounding)))
-    return CommandResult(0, _program_payload(args, text))
+    return _program_answer(ground_program(program, GroundingMode(args.grounding)))
 
 
-def _cmd_unfold(args) -> CommandResult:
+def _cmd_unfold(args):
     program = _load_program(args.file)
-    normalized = ground_temporal_variables(program)
-    pp = unfold(normalized, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
-    text = render_program(pprogram_to_ptprogram(pp, program.calendar))
-    return CommandResult(0, _program_payload(args, text))
+    pp = unfold(ground_temporal_variables(program), warn=_warn)
+    return _program_answer(pprogram_to_ptprogram(pp, program.calendar))
 
 
-def _cmd_consistent(args) -> CommandResult:
+def _cmd_consistent(args):
     _, pp = _grounded_pp(args)
-    opts = _options(args)
-    outcome = check_consistency(pp, opts)
+    outcome = check_consistency(pp, _options(args))
+    witness = _witness_json(outcome.witness) if outcome.witness else None
     body = {
         "verdict": outcome.verdict.value,
         "branch_count": outcome.branch_count,
         "eps": _rat(outcome.epsilon),
-        "witness": _witness_json(outcome.witness) if outcome.witness else None,
+        "witness": witness,
     }
-    if args.json:
-        payload = _dump(body)
-    else:
-        lines = [outcome.verdict.value]
-        if outcome.witness is not None:
-            for w, p in outcome.witness.items():
-                lines.append(f"  {w}: {_rat(p)}")
-        payload = "\n".join(lines)
-    code = 0 if outcome.verdict is Verdict.CONSISTENT else 1
-    return CommandResult(code, payload)
+    text = "\n".join([outcome.verdict.value, *_witness_lines(witness or [])])
+    return 0 if outcome.verdict is Verdict.CONSISTENT else 1, body, text
 
 
-def _cmd_entail(args) -> CommandResult:
+def _cmd_entail(args):
     program, pp = _grounded_pp(args)
-    qresult = parse_query(_read(args.queryfile))
-    _emit_diagnostics(qresult.diagnostics)
-    if not qresult.ok:
-        raise _CliError(2, f"{args.queryfile}: invalid query")
-    query = qresult.query
-    if query.kind is not QueryKind.ENTAIL:
-        raise _CliError(2, "the entail command needs an '?entail' query")
+    query = _load_query(args, QueryKind.ENTAIL)
     annot_diags = validate_annotation(query.annot, program.calendar)
     _emit_diagnostics(annot_diags)
     if any(d.is_error for d in annot_diags):
-        raise _CliError(2, "invalid query annotation")
-    opts = _options(args)
-    try:
-        outcome = entails(pp, query, program.calendar, opts)
-    except InconsistentProgram:
-        return _inconsistent_program(args)
+        raise _CliError("invalid query annotation")
+    outcome = entails(pp, query, program.calendar, _options(args))
     if outcome.vacuous:
-        print("warning: the query constraint has an empty solution set", file=sys.stderr)
+        _warn("the query constraint has an empty solution set")
     verdict = "ENTAILED" if outcome.entailed else "NOT_ENTAILED"
-    if args.json:
-        payload = _dump(
+    body = {
+        "verdict": verdict,
+        "vacuous": outcome.vacuous,
+        "branch_count": outcome.branch_count,
+        "eps": _rat(outcome.epsilon),
+        "per_time": [
             {
-                "verdict": verdict,
-                "vacuous": outcome.vacuous,
-                "branch_count": outcome.branch_count,
-                "eps": _rat(outcome.epsilon),
-                "per_time": [
-                    {
-                        "time": v.time,
-                        "bounds": _interval_json(v.bounds),
-                        "target": _interval_json(v.target),
-                        "holds": v.holds,
-                    }
-                    for v in outcome.per_time
-                ],
+                "time": v.time,
+                "bounds": _interval_json(v.bounds),
+                "target": _interval_json(v.target),
+                "holds": v.holds,
             }
-        )
-    else:
-        lines = [verdict]
-        for v in outcome.per_time:
-            lines.append(f"  t={v.time}: tightened {v.bounds} target {v.target} -> {v.holds}")
-        payload = "\n".join(lines)
-    return CommandResult(0 if outcome.entailed else 1, payload)
+            for v in outcome.per_time
+        ],
+    }
+    lines = [verdict]
+    for v in outcome.per_time:
+        lines.append(f"  t={v.time}: tightened {v.bounds} target {v.target} -> {v.holds}")
+    return 0 if outcome.entailed else 1, body, "\n".join(lines)
 
 
-def _cmd_tighten(args) -> CommandResult:
+def _cmd_tighten(args):
     program, pp = _grounded_pp(args)
-    qresult = parse_query(_read(args.queryfile))
-    _emit_diagnostics(qresult.diagnostics)
-    if not qresult.ok:
-        raise _CliError(2, f"{args.queryfile}: invalid query")
-    query = qresult.query
-    if query.kind is not QueryKind.TIGHTEN:
-        raise _CliError(2, "the tighten command needs a '?tighten' query")
+    query = _load_query(args, QueryKind.TIGHTEN)
     opts = _options(args)
     if query.at is not None and query.at not in program.calendar:
-        raise _CliError(2, f"time point {query.at} is outside the calendar")
+        raise _CliError(f"time point {query.at} is outside the calendar")
     times = [query.at] if query.at is not None else list(program.calendar.points)
     intervals: dict[str, ProbInterval] = {}
     sensitive = False
     branch_count = 0
-    try:
-        for t in times:
-            instance = substitute_time(query.formula, t)
-            result = tighten(pp, instance, opts)
-            intervals[str(instance)] = result.interval
-            sensitive = sensitive or result.boundary_sensitive
-            branch_count = max(branch_count, result.branch_count)
-    except InconsistentProgram:
-        return _inconsistent_program(args)
-    if args.json:
-        payload = _dump(
-            {
-                "verdict": "OK",
-                "intervals": {k: _interval_json(iv) for k, iv in intervals.items()},
-                "branch_count": branch_count,
-                "eps": _rat(opts.epsilon),
-                "boundary_sensitive": sensitive,
-            }
-        )
-    else:
-        payload = "\n".join(f"{k}: {iv}" for k, iv in intervals.items())
-    return CommandResult(0, payload)
+    for t in times:
+        instance = substitute_time(query.formula, t)
+        result = tighten(pp, instance, opts)
+        intervals[str(instance)] = result.interval
+        sensitive = sensitive or result.boundary_sensitive
+        branch_count = max(branch_count, result.branch_count)
+    body = {
+        "verdict": "OK",
+        "intervals": {k: _interval_json(iv) for k, iv in intervals.items()},
+        "branch_count": branch_count,
+        "eps": _rat(opts.epsilon),
+        "boundary_sensitive": sensitive,
+    }
+    return 0, body, "\n".join(f"{k}: {iv}" for k, iv in intervals.items())
 
 
-def _cmd_maxent(args) -> CommandResult:
+def _cmd_maxent(args):
     _, pp = _grounded_pp(args)
     opts = _options(args)
-    try:
-        outcome = max_entropy_model(pp, opts)
-    except InconsistentProgram:
-        return _inconsistent_program(args)
-    if args.json:
-        payload = _dump(
-            {
-                "verdict": "OK",
-                "entropy": outcome.entropy,
-                "branch_count": outcome.branch_count,
-                "eps": _rat(opts.epsilon),
-                "witness": _witness_json(outcome.distribution),
-            }
-        )
-    else:
-        lines = [f"entropy {outcome.entropy:.6f} nats"]
-        for w, p in outcome.distribution.items():
-            lines.append(f"  {w}: {_rat(p)}")
-        payload = "\n".join(lines)
-    return CommandResult(0, payload)
+    outcome = max_entropy_model(pp, opts)
+    witness = _witness_json(outcome.distribution)
+    body = {
+        "verdict": "OK",
+        "entropy": outcome.entropy,
+        "branch_count": outcome.branch_count,
+        "eps": _rat(opts.epsilon),
+        "witness": witness,
+    }
+    text = "\n".join([f"entropy {outcome.entropy:.6f} nats", *_witness_lines(witness)])
+    return 0, body, text
 
 
 def _load_profile_csv(path: str):
@@ -324,77 +278,63 @@ def _load_profile_csv(path: str):
                 if lineno == 1 and row[0].strip().lower() in ("formula", "formula_id", "id"):
                     continue
                 if len(row) != 4:
-                    raise _CliError(2, f"{path}:{lineno}: expected formula_id,time,lo,hi")
+                    raise _CliError(f"{path}:{lineno}: expected formula_id,time,lo,hi")
                 slot, t_text, lo_text, hi_text = (c.strip() for c in row)
                 try:
                     t = int(t_text)
                     iv = ProbInterval(parse_rational(lo_text), parse_rational(hi_text))
                 except ValueError as exc:
-                    raise _CliError(2, f"{path}:{lineno}: {exc}") from None
+                    raise _CliError(f"{path}:{lineno}: {exc}") from None
                 per_time.setdefault(slot, {})[t] = iv
                 times.add(t)
     except OSError as exc:
-        raise _CliError(2, f"cannot read {path}: {exc}") from None
+        raise _CliError(f"cannot read {path}: {exc}") from None
     if not times:
-        raise _CliError(2, f"{path}: no annotation slices found")
+        raise _CliError(f"{path}: no annotation slices found")
     return per_time, sorted(times)
 
 
-def _cmd_evolve(args) -> CommandResult:
+def _cmd_evolve(args):
     skeleton, diags = parse_skeleton(_read(args.skeleton))
     _emit_diagnostics(diags)
     if skeleton is None:
-        raise _CliError(2, f"{args.skeleton}: invalid skeleton")
+        raise _CliError(f"{args.skeleton}: invalid skeleton")
     per_time, delta = _load_profile_csv(args.profile)
     program = build_evolution_program(skeleton, per_time, delta)
-    text = render_program(program)
     if not args.verify:
-        return CommandResult(0, _program_payload(args, text))
-    opts = _options(args)
+        return _program_answer(program)
     mode = VerificationMode(args.verify)
     try:
-        profile = solve_profile(skeleton, per_time, delta, opts)
+        profile = solve_profile(skeleton, per_time, delta, _options(args))
     except InconsistentProgram as exc:
-        payload = _dump({"verdict": "INCONSISTENT_SLICE", "detail": str(exc)})
-        return CommandResult(1, payload)
+        return 1, {"verdict": "INCONSISTENT_SLICE", "detail": str(exc)}, None
     report = verify_evolution(profile, program, mode)
-    payload = _dump(
-        {
-            "program": text,
-            "mode": mode.value,
-            "all_inside": report.all_inside,
-            "literal_model": report.literal_model,
-            "checks": [
-                {
-                    "formula": c.formula,
-                    "time": c.time,
-                    "mass": _rat(c.mass),
-                    "interval": _interval_json(c.interval),
-                    "inside": c.inside,
-                }
-                for c in report.checks
-            ],
-        }
-    )
-    return CommandResult(0, payload)
+    body = {
+        "program": render_program(program),
+        "mode": mode.value,
+        "all_inside": report.all_inside,
+        "literal_model": report.literal_model,
+        "checks": [
+            {
+                "formula": c.formula,
+                "time": c.time,
+                "mass": _rat(c.mass),
+                "interval": _interval_json(c.interval),
+                "inside": c.inside,
+            }
+            for c in report.checks
+        ],
+    }
+    return 0, body, None
 
 
-def _cmd_ialg(args) -> CommandResult:
-    try:
-        result = eval_interval_expr(args.expr)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from None
+def _cmd_ialg(args):
+    result = eval_interval_expr(args.expr)
     if isinstance(result, bool):
-        payload = _dump({"value": result}) if args.json else str(result).lower()
-        return CommandResult(0, payload)
-    if args.json:
-        payload = _dump(
-            {"interval": _interval_json(result), "consistent": is_consistent(result)}
-        )
-    else:
-        note = "" if is_consistent(result) else " (inconsistent)"
-        payload = f"{result}{note}"
-    return CommandResult(0, payload)
+        return 0, {"value": result}, str(result).lower()
+    consistent = is_consistent(result)
+    body = {"interval": _interval_json(result), "consistent": consistent}
+    return 0, body, f"{result}{'' if consistent else ' (inconsistent)'}"
 
 
 # --- argument wiring -----------------------------------------------------------------
@@ -412,7 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--grounding", choices=["full", "relevant"], default="full", help="grounding mode"
     )
-    common.add_argument("--lp", choices=["exact", "float"], default="exact", help="LP arithmetic")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     parser = argparse.ArgumentParser(
@@ -473,28 +412,28 @@ def run(argv) -> CommandResult:
     except SystemExit as exc:
         return CommandResult(2 if exc.code not in (0, None) else 0, "")
     try:
-        return args.handler(args)
-    except _CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return CommandResult(exc.exit_code, "")
-    except BaseTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(3, "")
-    except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(3, "")
+        code, body, text = args.handler(args)
+    except InconsistentProgram:
+        code, body, text = 1, {"verdict": "INCONSISTENT_PROGRAM"}, "INCONSISTENT_PROGRAM"
     except TplpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return CommandResult(2, "")
+        return CommandResult(exc.exit_code, "")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, "")
+    return CommandResult(code, _dump(body) if args.json or text is None else text)
 
 
 def main():
     result = run(sys.argv[1:])
     if result.payload:
-        print(result.payload)
+        try:
+            print(result.payload, flush=True)
+        except BrokenPipeError:
+            # The reader closed early.  Python flushes stdout again at exit, so
+            # point it at devnull to keep that flush quiet (Python docs, "Note
+            # on SIGPIPE").
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(result.exit_code)
 
 

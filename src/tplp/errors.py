@@ -2,7 +2,13 @@
 
 
 class TplpError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    exit_code is the command-line exit status: 2 for input errors, 3 for
+    resource limits.
+    """
+
+    exit_code = 2
 
 
 class NonNormalConstraint(TplpError):
@@ -15,6 +21,8 @@ class UniverseEmpty(TplpError):
 
 class BaseTooLarge(TplpError):
     """The world space 2^|base| exceeds the configured atom cap."""
+
+    exit_code = 3
 
     def __init__(self, size: int, cap: int):
         super().__init__(
@@ -39,6 +47,8 @@ class InconsistentProgram(TplpError):
 
 class NonConvergence(TplpError):
     """The entropy maximizer hit its iteration cap before converging."""
+
+    exit_code = 3
 
 
 class LPNumericalFailure(TplpError):

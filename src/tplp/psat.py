@@ -29,13 +29,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BaseTooLarge, InconsistentProgram, LPNumericalFailure, NonConvergence
+from .errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from .grounder import HerbrandBase, PProgram
 from .intervals import ONE, ZERO, ProbInterval
 from .model import BasicFormula, Calendar, Connective, solve_constraint, substitute_time
 from .parser import Query
-from .simplex import INFEASIBLE, LPMode, solve_lp
+from .simplex import INFEASIBLE, solve_lp
 from .worlds import WorldDistribution
+
+# Frank-Wolfe stops once a sweep raises the entropy (nats) by less than this.
+MAXENT_IMPROVEMENT = 1e-8
 
 
 class Verdict(Enum):
@@ -65,8 +68,6 @@ class BranchChoice:
 class SolveOptions:
     epsilon: Fraction = Fraction(1, 10**6)
     max_world_atoms: int = 16
-    lp_mode: LPMode = LPMode.EXACT
-    maxent_improvement: float = 1e-8
     maxent_max_iter: int = 100_000
 
     def __post_init__(self):
@@ -214,16 +215,6 @@ def _clause_choices(body_size: int) -> tuple[BranchChoice, ...]:
         out.append(BranchChoice(ChoiceKind.BODY_LOW, k))
         out.append(BranchChoice(ChoiceKind.BODY_HIGH, k))
     return tuple(out)
-
-
-def _unit_sum(x) -> list[Fraction]:
-    """Exact class masses summing to one; float-mode LP solutions may be off
-    by rounding, so they are rescaled exactly."""
-    q = [Fraction(v) for v in x]
-    total = sum(q, ZERO)
-    if total == 0:
-        raise LPNumericalFailure("a component's class masses sum to zero")
-    return q if total == 1 else [v / total for v in q]
 
 
 def _narrow(boxes: dict, rows: list[_Row]) -> list | None:
@@ -443,7 +434,6 @@ class _Engine:
             self._lp_rows(comp, rows),
             objective=None if fid is None else list(self._fid_coeffs[fid]),
             maximize=maximize,
-            mode=self.opts.lp_mode,
         )
         if result.status == INFEASIBLE:
             out = None
@@ -470,7 +460,7 @@ class _Engine:
                 zero_cls = next(i for i, (_, _, rep) in enumerate(comp.classes) if rep == 0)
                 x = [ONE if i == zero_cls else ZERO for i in range(len(comp.classes))]
             cum = [ZERO]
-            for v in _unit_sum(x):
+            for v in x:
                 cum.append(cum[-1] + v)
             cumulatives.append((comp, cum))
             points.update(cum)
@@ -492,7 +482,7 @@ class _Engine:
         each class (the entropy-maximal completion of the marginals)."""
         masses: dict[int, Fraction] = {0: ONE}
         for comp in self.components:
-            q = _unit_sum(comp_qs[comp.cid])
+            q = comp_qs[comp.cid]
             expanded: list[tuple[int, Fraction]] = []
             for (members, size, _), qc in zip(comp.classes, q):
                 if qc == 0:
@@ -544,7 +534,6 @@ class _Engine:
         q = self._lp(cid, rows)
         if q is None:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
-        q = [Fraction(v) for v in q]
         lp_rows = self._lp_rows(comp, rows)
         current = entropy(q)
         for _ in range(self.opts.maxent_max_iter):
@@ -553,14 +542,10 @@ class _Engine:
                 for qc, ln_n in zip(q, log_counts)
             ]
             objective = [Fraction(g).limit_denominator(10**9) for g in grad]
-            lp = solve_lp(
-                len(comp.classes), lp_rows, objective=objective, maximize=True,
-                mode=self.opts.lp_mode,
-            )
+            lp = solve_lp(len(comp.classes), lp_rows, objective=objective, maximize=True)
             if lp.status == INFEASIBLE:
                 raise InconsistentProgram("entropy maximization lost feasibility")
-            s = [Fraction(v) for v in lp.x]
-            direction = [sv - qv for sv, qv in zip(s, q)]
+            direction = [sv - qv for sv, qv in zip(lp.x, q)]
             qf = [float(v) for v in q]
             df = [float(v) for v in direction]
 
@@ -582,7 +567,7 @@ class _Engine:
             if gain > 0:
                 q = candidate
                 current += gain
-            if gain < self.opts.maxent_improvement:
+            if gain < MAXENT_IMPROVEMENT:
                 break
         else:
             raise NonConvergence(

@@ -1,10 +1,11 @@
 import json
-import math
 import subprocess
 import sys
 
 import pytest
 
+import tplp.cli
+from tplp import errors
 from tplp.cli import run
 
 
@@ -76,10 +77,6 @@ class TestConsistent:
     def test_flag_beats_env(self, fixtures, monkeypatch):
         monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", "1")
         res = invoke("consistent", str(fixtures / "p0.tpl"), "--max-world-atoms", "16")
-        assert res.exit_code == 0
-
-    def test_float_lp_mode(self, fixtures):
-        res = invoke("consistent", str(fixtures / "p0.tpl"), "--lp", "float")
         assert res.exit_code == 0
 
 
@@ -208,11 +205,6 @@ class TestMaxent:
     def test_inconsistent(self, fixtures):
         res = invoke("maxent", str(fixtures / "p1.tpl"))
         assert res.exit_code == 1
-
-    def test_float_lp_mode(self, fixtures):
-        res = invoke("maxent", str(fixtures / "mx.tpl"), "--json", "--lp", "float")
-        assert res.exit_code == 0
-        assert abs(jpayload(res)["entropy"] - math.log(2)) < 1e-6
 
 
 class TestEvolve:
@@ -367,10 +359,61 @@ class TestConsoleScript:
         assert proc.returncode == 1
         assert proc.stdout.strip() == "INCONSISTENT"
 
+    def test_reader_closing_early_is_quiet(self, fixtures):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tplp.cli", "maxent", str(fixtures / "mx.tpl"), "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in stderr
+
+
+class TestErrorExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (errors.BaseTooLarge(20, 16), 3),
+            (errors.NonConvergence("sweep cap"), 3),
+            (errors.NonNormalConstraint("x"), 2),
+            (errors.UniverseEmpty("x"), 2),
+            (errors.AtomNotInBase("x"), 2),
+            (errors.TimePointOutsideCalendar("x"), 2),
+            (errors.LPNumericalFailure("x"), 2),
+            (errors.MissingTimeSlice("x"), 2),
+            (errors.TplpError("x"), 2),
+            (ValueError("x"), 2),
+        ],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+    )
+    def test_error_maps_to_exit_code(self, fixtures, monkeypatch, capsys, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(tplp.cli, "check_consistency", fail)
+        res = invoke("consistent", str(fixtures / "p0.tpl"), "--json")
+        assert (res.exit_code, res.payload) == (code, "")
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_inconsistent_program_is_a_verdict(self, fixtures, monkeypatch):
+        def fail(*args, **kwargs):
+            raise errors.InconsistentProgram("x")
+
+        monkeypatch.setattr(tplp.cli, "check_consistency", fail)
+        res = invoke("consistent", str(fixtures / "p0.tpl"))
+        assert (res.exit_code, res.payload) == (1, "INCONSISTENT_PROGRAM")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert invoke("frobnicate").exit_code == 2
+
+    def test_lp_option_removed(self, fixtures):
+        res = invoke("consistent", str(fixtures / "p0.tpl"), "--lp", "float")
+        assert res.exit_code == 2 and res.payload == ""
 
     def test_bad_epsilon(self, fixtures):
         res = invoke("consistent", str(fixtures / "p0.tpl"), "--epsilon", "abc")

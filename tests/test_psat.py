@@ -22,7 +22,6 @@ from tplp.psat import (
     max_entropy_model,
     tighten,
 )
-from tplp.simplex import LPMode
 from tplp.worlds import WorldDistribution, atom_mass, ki_satisfies
 
 
@@ -371,26 +370,6 @@ class TestMaxEnt:
         res = max_entropy_model(pp)
         pr = atom_mass(res.distribution, TAtom("a", (), 1))
         assert abs(float(pr) - 0.2) < 1e-6
-
-
-class TestFloatMode:
-    def test_verdicts_match_exact_on_fixtures(self):
-        for name, expected in (
-            ("p0.tpl", Verdict.CONSISTENT),
-            ("p1.tpl", Verdict.INCONSISTENT),
-            ("mx.tpl", Verdict.CONSISTENT),
-        ):
-            pp = load_unfolded(name)
-            res = check_consistency(pp, SolveOptions(lp_mode=LPMode.FLOAT))
-            assert res.verdict is expected
-
-    def test_tighten_matches_exact_within_tolerance(self):
-        pp = load_unfolded("shipping.tpl")
-        f = BasicFormula.single(TAtom("arrived", ("letter", "paris"), 3))
-        exact = tighten(pp, f)
-        approx = tighten(pp, f, SolveOptions(lp_mode=LPMode.FLOAT))
-        assert abs(float(exact.interval.lo) - float(approx.interval.lo)) < 1e-6
-        assert abs(float(exact.interval.hi) - float(approx.interval.hi)) < 1e-6
 
 
 class TestSolveOptions:
