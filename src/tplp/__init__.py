@@ -108,8 +108,6 @@ from .parser import (
     render_program,
 )
 from .psat import (
-    BranchChoice,
-    ChoiceKind,
     ConsistencyResult,
     EntailmentResult,
     MaxEntResult,

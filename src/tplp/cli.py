@@ -127,7 +127,12 @@ def _options(args) -> SolveOptions:
     cap = args.max_world_atoms
     if cap is None:
         env = os.environ.get(ENV_MAX_WORLD_ATOMS)
-        cap = int(env) if env else 16
+        try:
+            cap = int(env) if env else 16
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise _CliError(f"{ENV_MAX_WORLD_ATOMS} must be a positive integer, not {env!r}")
     return SolveOptions(epsilon=parse_rational(args.epsilon), max_world_atoms=cap)
 
 

@@ -23,8 +23,10 @@ completion.
 
 from __future__ import annotations
 
-import functools
+import bisect
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -45,23 +47,6 @@ class Verdict(Enum):
     CONSISTENT = "CONSISTENT"
     INCONSISTENT = "INCONSISTENT"
     UNKNOWN_EPS = "UNKNOWN_EPS"
-
-
-class ChoiceKind(Enum):
-    HEAD_IN = "HEAD_IN"
-    BODY_LOW = "BODY_LOW"
-    BODY_HIGH = "BODY_HIGH"
-
-
-@dataclass(frozen=True)
-class BranchChoice:
-    kind: ChoiceKind
-    conjunct: int | None = None
-
-    def __str__(self):
-        if self.kind is ChoiceKind.HEAD_IN:
-            return "HEAD_IN"
-        return f"{self.kind.value}({self.conjunct})"
 
 
 @dataclass(frozen=True)
@@ -196,38 +181,75 @@ class _Row:
     rhs: Fraction
 
 
-def _inside_rows(fid: int, iv: ProbInterval) -> list[_Row] | None:
+def _inside_rows(fid: int, iv: ProbInterval) -> tuple[_Row, ...] | None:
     """Rows keeping formula fid's mass inside iv, or None when iv is empty."""
     if iv.lo > iv.hi:
         return None
-    rows = []
+    rows = ()
     if iv.lo > 0:
-        rows.append(_Row(fid, ">=", iv.lo))
+        rows += (_Row(fid, ">=", iv.lo),)
     if iv.hi < 1:
-        rows.append(_Row(fid, "<=", iv.hi))
+        rows += (_Row(fid, "<=", iv.hi),)
     return rows
 
 
-@functools.cache
-def _clause_choices(body_size: int) -> tuple[BranchChoice, ...]:
-    out = [BranchChoice(ChoiceKind.HEAD_IN)]
-    for k in range(body_size):
-        out.append(BranchChoice(ChoiceKind.BODY_LOW, k))
-        out.append(BranchChoice(ChoiceKind.BODY_HIGH, k))
+def _body_rows(body, eps: Fraction) -> tuple:
+    """The rows of each of a clause's body choices in choice order (BODY_LOW,
+    then BODY_HIGH per conjunct), None for a choice impossible outright."""
+    out = []
+    for fid, iv in body:
+        low, high = iv.lo - eps, iv.hi + eps
+        out.append(None if low < 0 else (_Row(fid, "<=", low),))
+        out.append(None if high > 1 else (_Row(fid, ">=", high),))
     return tuple(out)
 
 
-def _narrow(boxes: dict, rows: list[_Row]) -> list | None:
-    """Intersect the formula boxes with rows; the replaced values, or None
-    (boxes unchanged) when some box becomes empty."""
+class _BodyRows(dict):
+    """Clause index -> the clause's _body_rows at one epsilon, built the first
+    time a walk asks for them."""
+
+    __slots__ = ("clauses", "eps")
+
+    def __init__(self, clauses, eps: Fraction):
+        super().__init__()
+        self.clauses = clauses
+        self.eps = eps
+
+    def __missing__(self, j: int) -> tuple:
+        rows = self[j] = _body_rows(self.clauses[j][2], self.eps)
+        return rows
+
+
+def _fits(boxes: dict, rows: tuple[_Row, ...] | None) -> bool:
+    """Whether a choice's rows (all on one formula; None when impossible
+    outright) narrow the boxes without emptying one: the test _narrow makes,
+    without narrowing."""
+    if rows is None:
+        return False
+    if not rows:
+        return True
+    lo, hi = boxes.get(rows[0].fid, (ZERO, ONE))
+    for row in rows:
+        if (row.rhs > hi) if row.sense == ">=" else (row.rhs < lo):
+            return False
+    return True
+
+
+def _narrow(boxes: dict, rows: tuple[_Row, ...]) -> list | None:
+    """Intersect the formula boxes with rows; the values of the boxes that
+    changed, or None (boxes unchanged) when some box becomes empty."""
     undo = []
     for row in rows:
         old = boxes.get(row.fid, (ZERO, ONE))
         lo, hi = old
         if row.sense == ">=":
-            lo = max(lo, row.rhs)
+            if row.rhs <= lo:
+                continue
+            lo = row.rhs
         else:
-            hi = min(hi, row.rhs)
+            if row.rhs >= hi:
+                continue
+            hi = row.rhs
         if lo > hi:
             _restore(boxes, undo)
             return None
@@ -281,6 +303,24 @@ class _Engine:
             body = [(register(f), iv) for f, iv in cl.body]
             self.clauses.append((head_fid, cl.head_iv, body))
         self.extra_fids = [register(f) for f in extra_formulas]
+
+        # The leaf walk's epsilon-free tables.  Per clause, the rows of its
+        # HEAD_IN choice (None when the head interval is empty).  Per formula,
+        # the ascending indices of the clauses a change of its box can leave
+        # without a choice (a row-free HEAD_IN choice always fits), flattened:
+        # formula fid's are _watch[_watch_start[fid]:_watch_start[fid + 1]].
+        self._head_rows = [_inside_rows(fid, iv) for fid, iv, _ in self.clauses]
+        watchers: list[list[int]] = [[] for _ in self._formula_atoms]
+        for j, ((head_fid, _, body), head_rows) in enumerate(zip(self.clauses, self._head_rows)):
+            if head_rows == ():
+                continue
+            fids = {fid for fid, _ in body}
+            if head_rows:
+                fids.add(head_fid)
+            for fid in fids:
+                watchers[fid].append(j)
+        self._watch_start = array("i", itertools.accumulate(map(len, watchers), initial=0))
+        self._watch = array("i", itertools.chain.from_iterable(watchers))
 
         # Connected components over atoms, via the registered formulas.
         n = len(self.base)
@@ -337,60 +377,73 @@ class _Engine:
 
     # -- branch enumeration --
 
-    def _choice_rows(self, clause, choice: BranchChoice, eps: Fraction) -> list[_Row] | None:
-        """LP rows for one clause choice, or None when impossible outright."""
-        head_fid, head_iv, body = clause
-        if choice.kind is ChoiceKind.HEAD_IN:
-            return _inside_rows(head_fid, head_iv)
-        fid, iv = body[choice.conjunct]
-        if choice.kind is ChoiceKind.BODY_LOW:
-            bound = iv.lo - eps
-            if bound < 0:
-                return None
-            return [_Row(fid, "<=", bound)]
-        bound = iv.hi + eps
-        if bound > 1:
-            return None
-        return [_Row(fid, ">=", bound)]
-
     def leaves(self, eps: Fraction):
         """Yield solve_rows' (rows per component, solution or None) for every
         box-consistent leaf, depth first in clause and choice order.
 
         Boxes track the running interval each formula mass is pinned to; an
         empty box prunes the subtree, which subsumes fact-vs-body-violation
-        conflicts without an LP call.  The walk keeps its own stack, so the
-        tree's depth (one level per clause) has no recursion limit.
+        conflicts without an LP call.  The walk also checks ahead: a choice
+        whose narrowing leaves some later clause on the changed formula with
+        no choice that fits the boxes is pruned as if its own box were empty.
+        Boxes only shrink down a path, so no leaf below it was box-consistent
+        and the leaves yielded are those of the walk without the check.  The
+        walk keeps its own stack, so the tree's depth (one level per clause)
+        has no recursion limit.
         """
-        clauses = self.clauses
-        if not clauses:
+        if not self.clauses:
             yield self.solve_rows(())
             return
+        head_rows = self._head_rows
+        body_rows = _BodyRows(self.clauses, eps)
+        # At the root every box is [0, 1], which every possible choice fits.
+        for j, rows in enumerate(head_rows):
+            if rows is None and all(choice is None for choice in body_rows[j]):
+                return
         boxes: dict[int, tuple[Fraction, Fraction]] = {}
         # Per clause with a choice in force: its rows and the box values they replaced.
-        path: list[tuple[list[_Row], list]] = []
-        # Per open clause: the index of its next choice to try.
+        path: list[tuple[tuple[_Row, ...], list]] = []
+        # Per open clause: the index of its next choice to try (0 is HEAD_IN,
+        # k > 0 the body choice k - 1).
         tries = [0]
+        last = len(self.clauses) - 1
         while tries:
             depth = len(tries) - 1
             if len(path) > depth:
                 _restore(boxes, path.pop()[1])
-            clause = clauses[depth]
-            choices = _clause_choices(len(clause[2]))
             k = tries[-1]
-            if k == len(choices):
-                tries.pop()
-                continue
+            if k:
+                body = body_rows[depth]
+                if k > len(body):
+                    tries.pop()
+                    continue
+                rows = body[k - 1]
+            else:
+                rows = head_rows[depth]
             tries[-1] = k + 1
-            rows = self._choice_rows(clause, choices[k], eps)
             undo = None if rows is None else _narrow(boxes, rows)
             if undo is None:
                 continue
+            if undo and self._dead_end(boxes, body_rows, undo[0][0], depth):
+                _restore(boxes, undo)
+                continue
             path.append((rows, undo))
-            if depth + 1 < len(clauses):
+            if depth < last:
                 tries.append(0)
             else:
                 yield self.solve_rows(row for taken, _ in path for row in taken)
+
+    def _dead_end(self, boxes: dict, body_rows: _BodyRows, fid: int, depth: int) -> bool:
+        """Whether some clause after depth that formula fid's box can leave
+        without a choice has no choice left that fits the boxes."""
+        watch, stop = self._watch, self._watch_start[fid + 1]
+        for i in range(bisect.bisect_right(watch, depth, self._watch_start[fid], stop), stop):
+            j = watch[i]
+            if not _fits(boxes, self._head_rows[j]) and not any(
+                _fits(boxes, rows) for rows in body_rows[j]
+            ):
+                return True
+        return False
 
     def solve_rows(self, rows):
         """Group rows by component and solve each component's system in

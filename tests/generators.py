@@ -135,6 +135,30 @@ def rand_pprogram(
     return PProgram(clauses, base)
 
 
+def facts_last_pprogram(rng: random.Random, n_rules: int) -> PProgram:
+    """n_rules rules, each on its own body atom, then one fact per body atom,
+    the order shipping.tpl unfolds in.  Most facts pin their atom inside the
+    rule's body interval, so both of that conjunct's violations conflict with
+    a clause the walk reaches only after every rule."""
+    base = small_base(2 * n_rules)
+    body_atoms, head_atoms = base.atoms[:n_rules], base.atoms[n_rules:]
+    rules, facts = [], []
+    for atom, head in zip(body_atoms, head_atoms):
+        iv = rand_interval(rng)
+        body = [(BasicFormula.single(atom), iv)]
+        if rng.random() < 0.3:
+            conn = Connective.AND if rng.random() < 0.5 else Connective.OR
+            other = BasicFormula.of(conn, (atom, rng.choice(body_atoms)))
+            body.append((other, rand_interval(rng)))
+        rules.append(PClause(head, rand_interval(rng), tuple(body)))
+        if rng.random() < 0.8:
+            value = iv.lo + (iv.hi - iv.lo) * Fraction(rng.randint(0, 4), 4)
+            facts.append(PClause(atom, ProbInterval.point(value), ()))
+        else:
+            facts.append(PClause(atom, rand_interval(rng), ()))
+    return PProgram(tuple(rules + facts), base)
+
+
 def small_base(n_atoms: int, cal: Calendar | None = None) -> HerbrandBase:
     cal = cal or Calendar.from_range(1, max(1, (n_atoms + len(_PREDS) - 1) // len(_PREDS)))
     atoms = []

@@ -305,3 +305,82 @@ def grid_distributions(n_worlds: int, step_denominator: int = 20):
 
     for combo in compositions(step_denominator, n_worlds):
         yield [Fraction(k, step_denominator) for k in combo]
+
+
+# --- reference leaf walk ------------------------------------------------------------
+
+
+def reference_leaves(engine, eps: Fraction):
+    """The engine's leaf walk as it was before its look-ahead: depth first in
+    clause and choice order (HEAD_IN, then BODY_LOW and BODY_HIGH per
+    conjunct), pruning only where a choice's own rows empty a formula's box,
+    with each choice's rows built at the node that tries it.
+
+    engine.leaves(eps) must yield exactly what this yields, in the same order.
+    """
+    from tplp.psat import _Row
+
+    def choice_rows(clause, k):
+        head_fid, head_iv, body = clause
+        if k == 0:
+            if head_iv.lo > head_iv.hi:
+                return None
+            rows = []
+            if head_iv.lo > 0:
+                rows.append(_Row(head_fid, ">=", head_iv.lo))
+            if head_iv.hi < 1:
+                rows.append(_Row(head_fid, "<=", head_iv.hi))
+            return rows
+        fid, iv = body[(k - 1) // 2]
+        if k % 2:
+            bound = iv.lo - eps
+            return None if bound < 0 else [_Row(fid, "<=", bound)]
+        bound = iv.hi + eps
+        return None if bound > 1 else [_Row(fid, ">=", bound)]
+
+    def narrow(boxes, rows):
+        undo = []
+        for row in rows:
+            old = boxes.get(row.fid, (Fraction(0), Fraction(1)))
+            lo, hi = old
+            if row.sense == ">=":
+                lo = max(lo, row.rhs)
+            else:
+                hi = min(hi, row.rhs)
+            if lo > hi:
+                restore(boxes, undo)
+                return None
+            undo.append((row.fid, old))
+            boxes[row.fid] = (lo, hi)
+        return undo
+
+    def restore(boxes, undo):
+        for fid, old in reversed(undo):
+            boxes[fid] = old
+
+    clauses = engine.clauses
+    if not clauses:
+        yield engine.solve_rows(())
+        return
+    boxes = {}
+    path = []
+    tries = [0]
+    while tries:
+        depth = len(tries) - 1
+        if len(path) > depth:
+            restore(boxes, path.pop()[1])
+        clause = clauses[depth]
+        k = tries[-1]
+        if k == 1 + 2 * len(clause[2]):
+            tries.pop()
+            continue
+        tries[-1] = k + 1
+        rows = choice_rows(clause, k)
+        undo = None if rows is None else narrow(boxes, rows)
+        if undo is None:
+            continue
+        path.append((rows, undo))
+        if depth + 1 < len(clauses):
+            tries.append(0)
+        else:
+            yield engine.solve_rows(row for taken, _ in path for row in taken)

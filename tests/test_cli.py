@@ -74,6 +74,14 @@ class TestConsistent:
         res = invoke("consistent", str(fixtures / "p0.tpl"))
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_env_cap_invalid(self, fixtures, monkeypatch, capsys, value):
+        monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", value)
+        res = invoke("consistent", str(fixtures / "p0.tpl"))
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert "TPLP_MAX_WORLD_ATOMS" in err and repr(value) in err
+
     def test_flag_beats_env(self, fixtures, monkeypatch):
         monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", "1")
         res = invoke("consistent", str(fixtures / "p0.tpl"), "--max-world-atoms", "16")

@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import tplp.psat
 from conftest import load_program, load_unfolded
-from generators import rand_pprogram, small_base
-from oracles import grid_distributions
+from generators import facts_last_pprogram, rand_pprogram, small_base
+from oracles import grid_distributions, reference_leaves
+from tplp.cli import run
 from tplp.errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from tplp.grounder import GroundingMode, HerbrandBase, PClause, PProgram, ground_program, unfold
 from tplp.intervals import ProbInterval
@@ -124,6 +126,93 @@ class TestLeafWalk:
         assert check_consistency(pp).branch_count == 1
         assert tighten(pp, single("b")).branch_count == 3
         assert max_entropy_model(pp).branch_count == 3
+
+
+@pytest.fixture
+def narrowings(monkeypatch):
+    """The number of box narrowings made so far: calls to psat._narrow."""
+    calls = []
+    narrow = tplp.psat._narrow
+
+    def counting(boxes, rows):
+        calls.append(None)
+        return narrow(boxes, rows)
+
+    monkeypatch.setattr(tplp.psat, "_narrow", counting)
+    return calls
+
+
+class TestLookAhead:
+    """The walk's look-ahead prunes only subtrees without a box-consistent
+    leaf: it yields the leaves of the reference walk, in the same order."""
+
+    EPSILONS = (SolveOptions().epsilon, F(0))
+
+    def assert_reference_leaves(self, pp):
+        engine = _Engine(pp, SolveOptions())
+        for eps in self.EPSILONS:
+            assert list(engine.leaves(eps)) == list(reference_leaves(engine, eps))
+
+    def test_random_programs(self):
+        rng = random.Random(409)
+        for _ in range(120):
+            base = small_base(rng.randint(2, 5))
+            self.assert_reference_leaves(rand_pprogram(rng, base, n_clauses=rng.randint(1, 5)))
+
+    def test_facts_after_conflicting_rules(self):
+        rng = random.Random(410)
+        for _ in range(40):
+            self.assert_reference_leaves(facts_last_pprogram(rng, rng.randint(2, 5)))
+
+    def test_clause_without_a_choice_at_the_root(self):
+        # With eps > 0 the middle clause has no choice: its head interval is
+        # empty and neither body violation fits in [0, 1].
+        a, b, c = (TAtom(p, (), 1) for p in "abc")
+        dead = PClause(b, ProbInterval(F(3, 4), F(1, 4)), ((single("a"), ProbInterval(0, 1)),))
+        pp = PProgram(
+            (
+                PClause(a, ProbInterval(0, F(3, 4)), ()),
+                dead,
+                PClause(c, ProbInterval(F(1, 2), 1), ((single("a"), ProbInterval(F(1, 2), 1)),)),
+            ),
+            HerbrandBase([a, b, c]),
+        )
+        engine = _Engine(pp, SolveOptions())
+        assert list(engine.leaves(SolveOptions().epsilon)) == []
+        assert list(engine.leaves(F(0))) != []
+        self.assert_reference_leaves(pp)
+
+    def test_conflicting_facts_prune_at_the_rules(self, narrowings):
+        # Every rule's body violations conflict with its fact; the reference
+        # walk tries all 3**6 choice combinations of the rules before the
+        # facts, the look-ahead drops each violation as soon as it is taken.
+        n = 6
+        base = small_base(2 * n)
+        body_iv = ProbInterval(F(1, 4), F(3, 4))
+        rules = [
+            PClause(head, ProbInterval(F(1, 2), 1), ((BasicFormula.single(atom), body_iv),))
+            for atom, head in zip(base.atoms[:n], base.atoms[n:])
+        ]
+        facts = [PClause(atom, ProbInterval.point(F(1, 2)), ()) for atom in base.atoms[:n]]
+        engine = _Engine(PProgram(tuple(rules + facts), base), SolveOptions())
+        eps = SolveOptions().epsilon
+        walked = list(engine.leaves(eps))
+        assert len(walked) == 1 and walked[0][1] is not None
+        assert len(narrowings) <= 4 * n
+        assert walked == list(reference_leaves(engine, eps))
+
+    def test_shipping_tighten_narrowing_count(self, fixtures, narrowings):
+        res = run(
+            [
+                "tighten",
+                str(fixtures / "shipping.tpl"),
+                str(fixtures / "arrival_tighten.tpq"),
+                "--grounding",
+                "relevant",
+            ]
+        )
+        assert res.exit_code == 0
+        assert 0 < len(narrowings) <= 200
 
 
 class TestGridOracle:
