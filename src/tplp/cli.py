@@ -133,7 +133,15 @@ def _options(args) -> SolveOptions:
             cap = 0
         if cap < 1:
             raise _CliError(f"{ENV_MAX_WORLD_ATOMS} must be a positive integer, not {env!r}")
-    return SolveOptions(epsilon=parse_rational(args.epsilon), max_world_atoms=cap)
+    elif cap < 1:
+        raise _CliError(f"--max-world-atoms must be a positive integer, not '{cap}'")
+    try:
+        epsilon = parse_rational(args.epsilon)
+    except ValueError:
+        epsilon = 0
+    if epsilon <= 0:
+        raise _CliError(f"--epsilon must be a positive rational, not {args.epsilon!r}")
+    return SolveOptions(epsilon=epsilon, max_world_atoms=cap)
 
 
 def _grounded_pp(args):

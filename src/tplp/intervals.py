@@ -21,6 +21,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     if "." in text:
         whole, frac = text.split(".", 1)

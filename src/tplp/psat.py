@@ -36,7 +36,7 @@ from .grounder import HerbrandBase, PProgram
 from .intervals import ONE, ZERO, ProbInterval
 from .model import BasicFormula, Calendar, Connective, solve_constraint, substitute_time
 from .parser import Query
-from .simplex import INFEASIBLE, solve_lp
+from .simplex import INFEASIBLE, LPResult, solve_lp
 from .worlds import WorldDistribution
 
 # Frank-Wolfe stops once a sweep raises the entropy (nats) by less than this.
@@ -266,7 +266,7 @@ def _restore(boxes: dict, undo: list) -> None:
 class _Engine:
     """Shared state for one solving session over a ground unfolded program."""
 
-    def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=()):
+    def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=(), entropy=False):
         if not pp.is_ground:
             raise ValueError("the solver needs a ground program; ground it first")
         atoms = list(pp.base.atoms) if pp.base is not None else []
@@ -372,7 +372,23 @@ class _Engine:
             self.components[self._fid_comp[fid]].coefficients(self._fid_mask[fid])
             for fid in range(len(self._formula_atoms))
         ]
+        # The components whose row systems get objectives: those holding an
+        # extra formula (tighten, entails), or every one when the entropy is
+        # maximized.  Only their feasibility solves are held as starts.
+        self._extra_by_comp: dict[int, list[int]] = {}
+        for fid in dict.fromkeys(self.extra_fids):
+            self._extra_by_comp.setdefault(self._fid_comp[fid], []).append(fid)
+        if entropy:
+            self._optimized = {comp.cid for comp in self.components}
+        else:
+            self._optimized = set(self._extra_by_comp)
         self._lp_cache: dict = {}
+        # (cid, rows) -> the feasibility LPResult, from the walk's solve until
+        # the first optimization over the rows takes it; a later leaf with the
+        # same rows finds its answer cached instead.
+        self._starts: dict = {}
+        # (cid, rows) -> {extra fid: (least, greatest mass)}
+        self._ranges: dict = {}
         self._maxent_cache: dict = {}
 
     # -- branch enumeration --
@@ -461,11 +477,23 @@ class _Engine:
             solution[cid] = x
         return rows_by_comp, solution
 
-    def mass_range(self, rows_by_comp, fid: int) -> tuple[Fraction, Fraction]:
-        """Least and greatest mass of formula fid under one feasible leaf."""
-        cid = self._fid_comp[fid]
-        rows = rows_by_comp.get(cid, frozenset())
-        return self._lp(cid, rows, fid, False), self._lp(cid, rows, fid, True)
+    def mass_ranges(self, rows_by_comp) -> dict[int, tuple[Fraction, Fraction]]:
+        """Least and greatest mass of every extra formula under one feasible
+        leaf, all of a component's from one start."""
+        out = {}
+        for cid, fids in self._extra_by_comp.items():
+            key = (cid, rows_by_comp.get(cid, frozenset()))
+            if key not in self._ranges:
+                start = self._take_start(key)
+                self._ranges[key] = {
+                    fid: (
+                        start.optimum(self._fid_coeffs[fid], maximize=False).value,
+                        start.optimum(self._fid_coeffs[fid], maximize=True).value,
+                    )
+                    for fid in fids
+                }
+            out.update(self._ranges[key])
+        return out
 
     # -- per-component LPs --
 
@@ -475,25 +503,28 @@ class _Engine:
             out.append((list(self._fid_coeffs[row.fid]), row.sense, row.rhs))
         return out
 
-    def _lp(self, cid: int, rows: frozenset[_Row], fid: int | None = None, maximize: bool = False):
-        """One component's LP, cached: with fid None some feasible class masses,
-        else the least (greatest) mass of formula fid; None when infeasible."""
-        key = (cid, rows, fid, maximize)
-        if key in self._lp_cache:
-            return self._lp_cache[key]
+    def _solve(self, cid: int, rows: frozenset[_Row]) -> LPResult:
         comp = self.components[cid]
-        result = solve_lp(
-            len(comp.classes),
-            self._lp_rows(comp, rows),
-            objective=None if fid is None else list(self._fid_coeffs[fid]),
-            maximize=maximize,
-        )
-        if result.status == INFEASIBLE:
-            out = None
-        else:
-            out = result.x if fid is None else result.value
-        self._lp_cache[key] = out
-        return out
+        return solve_lp(len(comp.classes), self._lp_rows(comp, rows))
+
+    def _lp(self, cid: int, rows: frozenset[_Row]):
+        """Some feasible class masses of one component, or None when its rows
+        are infeasible; cached.  An optimized component's feasible solve is
+        also held as the rows' start."""
+        key = (cid, rows)
+        if key not in self._lp_cache:
+            result = self._solve(cid, rows)
+            if cid in self._optimized and result.x is not None:
+                self._starts[key] = result
+            self._lp_cache[key] = result.x
+        return self._lp_cache[key]
+
+    def _take_start(self, key) -> LPResult:
+        """The feasibility solve of (cid, rows), whose optimum() starts every
+        objective over the rows from the tableau phase one left: the walk's,
+        released to the caller, or a new one for rows the walk did not solve
+        (a component without rows in the leaf)."""
+        return self._starts.pop(key, None) or self._solve(*key)
 
     # -- witnesses --
 
@@ -559,8 +590,9 @@ class _Engine:
     def maxent_component(self, cid: int, rows: frozenset[_Row]):
         """Frank-Wolfe ascent of sum q*ln(n/q) over one component polytope.
 
-        Directions come from exact LPs, steps from a float ternary line search
-        rationalized back onto the segment, so iterates stay exactly feasible.
+        Directions come from exact LPs, all started from the rows' one
+        phase-one tableau, steps from a float ternary line search rationalized
+        back onto the segment, so iterates stay exactly feasible.
         """
         key = (cid, rows)
         if key in self._maxent_cache:
@@ -584,10 +616,10 @@ class _Engine:
             self._maxent_cache[key] = result
             return result
 
-        q = self._lp(cid, rows)
-        if q is None:
+        start = self._take_start(key)
+        if start.status == INFEASIBLE:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
-        lp_rows = self._lp_rows(comp, rows)
+        q = start.x
         current = entropy(q)
         for _ in range(self.opts.maxent_max_iter):
             grad = [
@@ -595,10 +627,8 @@ class _Engine:
                 for qc, ln_n in zip(q, log_counts)
             ]
             objective = [Fraction(g).limit_denominator(10**9) for g in grad]
-            lp = solve_lp(len(comp.classes), lp_rows, objective=objective, maximize=True)
-            if lp.status == INFEASIBLE:
-                raise InconsistentProgram("entropy maximization lost feasibility")
-            direction = [sv - qv for sv, qv in zip(lp.x, q)]
+            vertex = start.optimum(objective, maximize=True).x
+            direction = [sv - qv for sv, qv in zip(vertex, q)]
             qf = [float(v) for v in q]
             df = [float(v) for v in direction]
 
@@ -644,17 +674,16 @@ def _first_solution(engine: _Engine, eps: Fraction):
     return None, count
 
 
-def _mass_bounds(engine: _Engine, fids, eps: Fraction):
-    """(least and greatest mass per formula over every feasible leaf, or None
-    when no leaf is feasible; leaves visited)."""
+def _mass_bounds(engine: _Engine, eps: Fraction):
+    """(least and greatest mass per extra formula over every feasible leaf, or
+    None when no leaf is feasible; leaves visited)."""
     bounds: dict[int, tuple[Fraction, Fraction]] = {}
     count = 0
     for rows_by_comp, solution in engine.leaves(eps):
         count += 1
         if solution is None:
             continue
-        for fid in fids:
-            lo, hi = engine.mass_range(rows_by_comp, fid)
+        for fid, (lo, hi) in engine.mass_ranges(rows_by_comp).items():
             if fid in bounds:
                 lo, hi = min(bounds[fid][0], lo), max(bounds[fid][1], hi)
             bounds[fid] = (lo, hi)
@@ -679,11 +708,11 @@ def tighten(
     """Tightest probability interval for f across all models (epsilon-closed)."""
     engine = _Engine(pp, opts, extra_formulas=[f])
     fid = engine.extra_fids[0]
-    bounds, count = _mass_bounds(engine, [fid], opts.epsilon)
+    bounds, count = _mass_bounds(engine, opts.epsilon)
     if bounds is None:
         raise InconsistentProgram("tighten requires a consistent program")
     lo, hi = bounds[fid]
-    probe, _ = _mass_bounds(engine, [fid], opts.epsilon / 2)
+    probe, _ = _mass_bounds(engine, opts.epsilon / 2)
     sensitive = probe is None or probe[fid] != (lo, hi)
     return TightenResult(ProbInterval(lo, hi), count, sensitive, opts.epsilon)
 
@@ -706,7 +735,7 @@ def entails(
         return EntailmentResult(True, True, [], count, opts.epsilon)
     instances = [substitute_time(query.formula, t) for t in sol]
     engine = _Engine(pp, opts, extra_formulas=instances)
-    bounds, count = _mass_bounds(engine, engine.extra_fids, opts.epsilon)
+    bounds, count = _mass_bounds(engine, opts.epsilon)
     if bounds is None:
         raise InconsistentProgram("entailment is undefined for an inconsistent program")
     per_time: list[TimeVerdict] = []
@@ -742,7 +771,7 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
 
 def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxEntResult:
     """The model with the greatest entropy among all feasible branches."""
-    engine = _Engine(pp, opts)
+    engine = _Engine(pp, opts, entropy=True)
     # Distinct feasible row systems, in first-seen order.
     rowsets: dict[frozenset, dict[int, frozenset[_Row]]] = {}
     count = 0

@@ -5,11 +5,16 @@ Bland's rule, so it terminates and feasibility verdicts are exact.  FLOAT mode
 runs the same tableau arithmetic on doubles with a 1e-9 feasibility tolerance
 and raises LPNumericalFailure when phase one lands in the ambiguous band
 between the tolerance and 1e-6.
+
+Phase one (a first feasible basis) does not depend on the objective.  A
+feasibility-only solve keeps the tableau phase one left, and
+LPResult.optimum starts phase two for any objective from a copy of it, so a
+row system's phase one runs once however many objectives it is optimized for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -31,6 +36,19 @@ class LPResult:
     status: str
     x: list | None = None
     value: object = None
+    # A feasible feasibility-only solve keeps the tableau phase one left.
+    _start: _Tableau | None = field(default=None, repr=False, compare=False)
+
+    def optimum(self, objective: Sequence, maximize: bool = False) -> LPResult:
+        """The min (max) of objective . x over this feasibility solve's rows:
+        solve_lp's answer with this objective, by phase two alone from a copy
+        of the phase-one tableau.  The start is left as it was, so it serves
+        any number of objectives."""
+        if self.status == INFEASIBLE:
+            return LPResult(INFEASIBLE)
+        if self._start is None:
+            raise ValueError("optimum() starts from a feasibility-only solve")
+        return _phase_two(self._start.copy(), objective, maximize)
 
 
 _FLOAT_TOL = 1e-9
@@ -39,12 +57,25 @@ _MAX_PIVOTS = 50_000
 
 
 class _Tableau:
-    def __init__(self, rows, basis, ncols, tol):
+    __slots__ = ("rows", "basis", "ncols", "num_vars", "art_start", "conv", "tol", "obj")
+
+    def __init__(self, rows, basis, ncols, num_vars, art_start, conv, tol):
         self.rows = rows  # list of lists, last entry is the rhs
         self.basis = basis  # basic variable per row
         self.ncols = ncols  # number of structural+slack+artificial columns
+        self.num_vars = num_vars  # structural columns come first
+        self.art_start = art_start  # artificial columns come last
+        self.conv = conv  # Fraction or float
         self.tol = tol
         self.obj: list | None = None  # reduced cost row, last entry is -value
+
+    def copy(self) -> _Tableau:
+        # pivot() replaces row lists and never writes into one, so a copy may
+        # share them; only the lists of rows and of basic variables are its own.
+        return _Tableau(
+            list(self.rows), list(self.basis), self.ncols, self.num_vars,
+            self.art_start, self.conv, self.tol,
+        )
 
     def set_objective(self, costs):
         zero = costs[0] - costs[0] if costs else 0
@@ -62,6 +93,7 @@ class _Tableau:
         return -self.obj[self.ncols]
 
     def pivot(self, i, j):
+        # Changed rows get new lists; no row list is written into (see copy).
         row = self.rows[i]
         piv = row[j]
         inv = 1 / piv if isinstance(piv, float) else Fraction(1) / piv
@@ -114,7 +146,8 @@ def solve_lp(
     """Solve min/max objective . x subject to rows (coeffs, sense, rhs) and x >= 0.
 
     With objective None only feasibility is decided; x is then some feasible
-    basic solution.
+    basic solution, and the result's optimum() optimizes objectives over the
+    same rows without repeating phase one.
     """
     if mode is LPMode.EXACT:
         conv = Fraction
@@ -171,15 +204,14 @@ def solve_lp(
         tableau_rows.append(body + extra + [rhs])
         basis.append(basic)
 
-    t = _Tableau(tableau_rows, basis, ncols, tol)
-    all_cols = range(ncols)
+    t = _Tableau(tableau_rows, basis, ncols, num_vars, art_start, conv, tol)
 
     if artificials:
         phase1 = [zero] * ncols
         for j in artificials:
             phase1[j] = one
         t.set_objective(phase1)
-        status = t.optimize(all_cols)
+        status = t.optimize(range(ncols))
         if status != OPTIMAL:
             raise LPNumericalFailure("phase one reported an unbounded objective")
         residual = t.objective_value
@@ -205,27 +237,26 @@ def solve_lp(
                 del t.rows[i]
                 del t.basis[i]
 
-    structural_cols = range(art_start)
-    if objective is None:
-        costs = [zero] * ncols
-    else:
-        obj = [conv(c) for c in objective]
+    return _phase_two(t, objective, maximize)
+
+
+def _phase_two(t: _Tableau, objective: Sequence | None, maximize: bool) -> LPResult:
+    """Optimize objective from the feasible basis phase one left in t.  With
+    objective None no pivot is made and the result keeps t as its start."""
+    zero = t.conv(0)
+    if objective is not None:
+        obj = [t.conv(c) for c in objective]
         if maximize:
             obj = [-c for c in obj]
-        costs = obj + [zero] * (ncols - num_vars)
-    t.set_objective(costs)
-    if objective is not None:
-        status = t.optimize(structural_cols)
-        if status == UNBOUNDED:
+        t.set_objective(obj + [zero] * (t.ncols - t.num_vars))
+        if t.optimize(range(t.art_start)) == UNBOUNDED:
             return LPResult(UNBOUNDED)
 
-    x = [zero] * num_vars
+    x = [zero] * t.num_vars
     for i, bv in enumerate(t.basis):
-        if bv < num_vars:
+        if bv < t.num_vars:
             x[bv] = t.rows[i][t.ncols]
-    value = None
-    if objective is not None:
-        value = t.objective_value
-        if maximize:
-            value = -value
-    return LPResult(OPTIMAL, x, value)
+    if objective is None:
+        return LPResult(OPTIMAL, x, _start=t)
+    value = t.objective_value
+    return LPResult(OPTIMAL, x, -value if maximize else value)

@@ -279,6 +279,13 @@ class TestEvolve:
         )
         assert res.exit_code == 2
 
+    def test_zero_denominator_in_csv(self, fixtures, tmp_path, capsys):
+        csv_file = tmp_path / "zero.csv"
+        csv_file.write_text("formula_id,time,lo,hi\nc0.head,1,1/0,1\n")
+        res = invoke("evolve", str(fixtures / "evolution_skeleton.tpl"), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: {csv_file}:2: zero denominator in '1/0'\n"
+
 
 class TestIalg:
     def test_interval_output(self):
@@ -296,6 +303,11 @@ class TestIalg:
 
     def test_bad_expression(self):
         assert invoke("ialg", "what(1,2)").exit_code == 2
+
+    def test_zero_denominator(self, capsys):
+        res = invoke("ialg", "[1/0, 1]")
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
 
 
 class TestCompoundQueries:
@@ -426,3 +438,17 @@ class TestUsageErrors:
     def test_bad_epsilon(self, fixtures):
         res = invoke("consistent", str(fixtures / "p0.tpl"), "--epsilon", "abc")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1/0"])
+    def test_bad_epsilon_names_the_flag(self, fixtures, capsys, value):
+        res = invoke("consistent", str(fixtures / "p0.tpl"), "--epsilon", value)
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --epsilon must be a positive rational, not {value!r}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_bad_cap_names_the_flag(self, fixtures, capsys, value):
+        res = invoke("consistent", str(fixtures / "p0.tpl"), "--max-world-atoms", value)
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --max-world-atoms must be a positive integer, not {value!r}\n"

@@ -35,6 +35,10 @@ class TestRationalText:
         with pytest.raises(ValueError):
             parse_rational("0.1234567891")
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+            parse_rational(" 1/0 ")
+
     def test_format_round_trips(self):
         for q in [F(0), F(1), F(1, 4), F(9, 10), F(1, 3), F(7, 13), F(1, 64)]:
             assert parse_rational(format_rational(q)) == q

@@ -13,7 +13,7 @@ from tplp.cli import run
 from tplp.errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from tplp.grounder import GroundingMode, HerbrandBase, PClause, PProgram, ground_program, unfold
 from tplp.intervals import ProbInterval
-from tplp.model import BasicFormula, TAtom
+from tplp.model import BasicFormula, Connective, TAtom
 from tplp.parser import parse_program, parse_query
 from tplp.psat import (
     SolveOptions,
@@ -213,6 +213,60 @@ class TestLookAhead:
         )
         assert res.exit_code == 0
         assert 0 < len(narrowings) <= 200
+
+
+@pytest.fixture
+def lp_systems(monkeypatch):
+    """The row system of every solve_lp call made so far, in call order."""
+    calls = []
+    solve = tplp.psat.solve_lp
+
+    def counting(num_vars, rows, *args, **kwargs):
+        calls.append((num_vars, tuple((tuple(c), sense, rhs) for c, sense, rhs in rows)))
+        return solve(num_vars, rows, *args, **kwargs)
+
+    monkeypatch.setattr(tplp.psat, "solve_lp", counting)
+    return calls
+
+
+def dense_program(rng: random.Random) -> PProgram:
+    """Six atoms in one component: two facts and a rule whose three body
+    formulas chain through shared atoms, with intervals drawn from rng."""
+
+    def annot(var: str) -> str:
+        lo, hi = sorted(rng.sample(range(1, 20), 2))
+        return f"<{var}=1, [{lo}/20], [{hi}/20]>"
+
+    text = (
+        "calendar 1..1.\n"
+        f"p0@Y : {annot('Y')}.\n"
+        f"p4@Y : {annot('Y')}.\n"
+        f"p1@Y : {annot('Y')} :- p3@Y1 and p1@Y1 : {annot('Y1')}"
+        f" and p5@Y2 and p2@Y2 and p3@Y2 : {annot('Y2')}"
+        f" and p0@Y3 or p4@Y3 or p5@Y3 : {annot('Y3')}.\n"
+    )
+    result = parse_program(text)
+    assert result.ok, [str(d) for d in result.diagnostics]
+    return unfold(ground_program(result.program, GroundingMode.FULL))
+
+
+class TestWarmStarts:
+    """A row system's phase one runs once: its least and greatest masses and
+    every Frank-Wolfe direction start from its feasibility solve."""
+
+    def test_tighten_solves_each_row_system_once(self, lp_systems):
+        pp = dense_program(random.Random(501))
+        target = BasicFormula.of(Connective.AND, [TAtom(p, (), 1) for p in ("p5", "p2", "p3")])
+        assert len(_Engine(pp, SolveOptions(), [target]).components) == 1
+        res = tighten(pp, target)
+        assert res.branch_count > 1 and len(lp_systems) > 1
+        assert len(lp_systems) == len(set(lp_systems))
+
+    def test_maxent_solves_each_row_system_once(self, lp_systems):
+        pp = load_unfolded("mx.tpl")
+        res = max_entropy_model(pp)
+        assert abs(res.entropy - math.log(2)) < 1e-4
+        assert len(lp_systems) == len(set(lp_systems)) == 1
 
 
 class TestGridOracle:
