@@ -244,22 +244,16 @@ def _cmd_tighten(args):
     opts = _options(args)
     if query.at is not None and query.at not in program.calendar:
         raise _CliError(f"time point {query.at} is outside the calendar")
-    times = [query.at] if query.at is not None else list(program.calendar.points)
-    intervals: dict[str, ProbInterval] = {}
-    sensitive = False
-    branch_count = 0
-    for t in times:
-        instance = substitute_time(query.formula, t)
-        result = tighten(pp, instance, opts)
-        intervals[str(instance)] = result.interval
-        sensitive = sensitive or result.boundary_sensitive
-        branch_count = max(branch_count, result.branch_count)
+    times = [query.at] if query.at is not None else program.calendar.points
+    instances = [substitute_time(query.formula, t) for t in times]
+    outcome = tighten(pp, instances, opts)
+    intervals = {str(f): iv for f, iv in zip(instances, outcome.intervals)}
     body = {
         "verdict": "OK",
         "intervals": {k: _interval_json(iv) for k, iv in intervals.items()},
-        "branch_count": branch_count,
-        "eps": _rat(opts.epsilon),
-        "boundary_sensitive": sensitive,
+        "branch_count": outcome.branch_count,
+        "eps": _rat(outcome.epsilon),
+        "boundary_sensitive": outcome.boundary_sensitive,
     }
     return 0, body, "\n".join(f"{k}: {iv}" for k, iv in intervals.items())
 

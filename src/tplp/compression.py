@@ -87,10 +87,6 @@ class CompressedBase:
         self._index = {a: i for i, a in enumerate(self.atoms)}
         self._hash = hash(self.atoms)
 
-    @classmethod
-    def from_time_base(cls, base: HerbrandBase) -> "CompressedBase":
-        return cls(CAtom(a.predicate, tuple(str(x) for x in a.args)) for a in base)
-
     def index_of(self, atom: CAtom) -> int:
         try:
             return self._index[atom]
@@ -221,10 +217,8 @@ class EvolutionProfile:
             raise ValueError("evolution interval must be strictly increasing")
         if tuple(t for t, _ in self.dists) != interval:
             raise ValueError("profile distributions must cover exactly the interval")
-        bases = {id(d.base) for _, d in self.dists}
         if len({d.base for _, d in self.dists}) > 1:
             raise ValueError("profile distributions must share one compressed base")
-        del bases
         for t, d in self.dists:
             if not d.is_normalized:
                 raise ValueError(f"distribution at time {t} is not normalized")

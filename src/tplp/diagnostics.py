@@ -37,7 +37,6 @@ class DiagnosticKind(Enum):
     VALUE_RANGE = "ValueRange"
     ARITY_MISMATCH = "ArityMismatch"
     TIME_OUT_OF_CALENDAR = "TimeOutOfCalendar"
-    UNFOLD_VACUOUS = "UnfoldVacuous"
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,14 @@ class UniverseEmpty(TplpError):
 
 
 class BaseTooLarge(TplpError):
-    """The world space 2^|base| exceeds the configured atom cap."""
+    """The program's Herbrand base, or a component of atoms that query
+    formulas join, has more atoms than the configured cap."""
 
     exit_code = 3
 
-    def __init__(self, size: int, cap: int):
+    def __init__(self, size: int, cap: int, what: str = "Herbrand base"):
         super().__init__(
-            f"Herbrand base has {size} atoms, above the cap of {cap}; "
+            f"{what} has {size} atoms, above the cap of {cap}; "
             f"try relevant grounding or raise the max-world-atoms limit"
         )
         self.size = size
@@ -52,7 +53,9 @@ class NonConvergence(TplpError):
 
 
 class LPNumericalFailure(TplpError):
-    """Float LP mode could not decide feasibility within its tolerances."""
+    """The simplex could not decide an LP, in exact or float mode: it hit
+    its pivot cap or phase one came out unbounded; or, in float mode only,
+    the phase-one residual fell inside the ambiguous tolerance band."""
 
 
 class MissingTimeSlice(TplpError):

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import AtomNotInBase, BaseTooLarge, NonNormalConstraint, UniverseEmpty
+from .errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
 from .intervals import ProbInterval
 from .model import (
     BasicFormula,
@@ -115,7 +115,7 @@ class PProgram:
         return all(cl.is_ground for cl in self.clauses)
 
 
-def herbrand_base(source, max_atoms: int | None = None) -> HerbrandBase:
+def herbrand_base(source) -> HerbrandBase:
     """All atoms occurring in the clauses, canonically ordered."""
     clauses = source.clauses if isinstance(source, PProgram) else tuple(source)
     atoms: list[TAtom] = []
@@ -123,10 +123,7 @@ def herbrand_base(source, max_atoms: int | None = None) -> HerbrandBase:
         atoms.append(cl.head)
         for f, _ in cl.body:
             atoms.extend(f.atoms)
-    base = HerbrandBase(atoms)
-    if max_atoms is not None and len(base) > max_atoms:
-        raise BaseTooLarge(len(base), max_atoms)
-    return base
+    return HerbrandBase(atoms)
 
 
 # --- grounding -------------------------------------------------------------------

@@ -30,6 +30,7 @@ Query files hold a single statement::
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -111,14 +112,8 @@ def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
     line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
 
     def locate(pos: int) -> tuple[int, int]:
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, pos - line_starts[lo] + 1
+        line = bisect.bisect_right(line_starts, pos) - 1
+        return line + 1, pos - line_starts[line] + 1
 
     pos = 0
     while pos < len(text):

@@ -12,8 +12,9 @@ Two reductions keep the LPs small without changing their answers:
 
 * atoms are split into connected components of the constraint formulas, since
   masses in different components are realized independently (product measure);
-* inside a component, worlds with the same satisfaction signature across all
-  formulas are collapsed into one LP column carrying their count.
+* inside a component, worlds with the same satisfaction signature across the
+  program's formulas are collapsed into one LP column carrying their count; a
+  query formula is bounded by the classes inside it and those that meet it.
 
 Witnesses are reassembled exactly: consistency witnesses couple the component
 marginals segment-by-segment along the unit interval, and entropy witnesses
@@ -73,7 +74,7 @@ class ConsistencyResult:
 
 @dataclass
 class TightenResult:
-    interval: ProbInterval
+    intervals: list[ProbInterval]  # one per formula, in the order given
     branch_count: int
     boundary_sensitive: bool
     epsilon: Fraction
@@ -109,7 +110,7 @@ class MaxEntResult:
 class _Component:
     """One connected block of atoms; worlds are local bitstrings over them."""
 
-    __slots__ = ("cid", "atoms", "k", "space", "full", "_atom_masks", "classes")
+    __slots__ = ("cid", "atoms", "k", "space", "full", "_atom_masks", "classes", "coeffs")
 
     def __init__(self, cid: int, atom_indices: tuple[int, ...]):
         self.cid = cid
@@ -119,6 +120,7 @@ class _Component:
         self.full = (1 << self.space) - 1  # bigint set of all local worlds
         self._atom_masks = [self._pattern(p) for p in range(self.k)]
         self.classes: list[tuple[int, int, int]] = []  # (members, count, rep world)
+        self.coeffs: dict | list = {}  # fid -> row coefficients over the classes
 
     def _pattern(self, p: int) -> int:
         half = 1 << p
@@ -129,8 +131,9 @@ class _Component:
             length <<= 1
         return block
 
-    def formula_mask(self, connective: Connective, local_positions: list[int]) -> int:
-        masks = [self._atom_masks[p] for p in local_positions]
+    def formula_mask(self, connective: Connective, atoms) -> int:
+        """The local worlds of a formula over the base indices atoms."""
+        masks = [self._atom_masks[self.atoms.index(a)] for a in atoms]
         out = masks[0]
         for m in masks[1:]:
             out = (out | m) if connective is Connective.OR else (out & m)
@@ -152,8 +155,12 @@ class _Component:
             (c, c.bit_count(), (c & -c).bit_length() - 1) for c in classes
         ]
 
-    def coefficients(self, mask: int) -> tuple[Fraction, ...]:
-        return tuple(ONE if (mask >> rep) & 1 else ZERO for _, _, rep in self.classes)
+    def coefficients(self, mask: int, inside: bool = False) -> tuple[Fraction, ...]:
+        """Per class, ONE when some of its worlds lie in mask (inside: all)."""
+        return tuple(
+            ONE if (members & mask == members if inside else members & mask) else ZERO
+            for members, _, _ in self.classes
+        )
 
     def global_mask(self, local_world: int) -> int:
         out = 0
@@ -161,17 +168,6 @@ class _Component:
             if (local_world >> p) & 1:
                 out |= 1 << self.atoms[p]
         return out
-
-    def class_index_at(self, cumulative: list[Fraction], point: Fraction) -> int:
-        # cumulative[i] = mass of classes[0..i-1]; point in [cumulative[i], cumulative[i+1])
-        lo, hi = 0, len(cumulative) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if cumulative[mid] <= point:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,9 +265,9 @@ class _Engine:
     def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=(), entropy=False):
         if not pp.is_ground:
             raise ValueError("the solver needs a ground program; ground it first")
+        # The world cap, in two parts: the program's own base, then (below)
+        # the union of the components that one extra formula touches.
         atoms = list(pp.base.atoms) if pp.base is not None else []
-        for f in extra_formulas:
-            atoms.extend(f.atoms)
         for cl in pp.clauses:
             atoms.append(cl.head)
             for f, _ in cl.body:
@@ -279,6 +275,8 @@ class _Engine:
         self.base = HerbrandBase(atoms)
         if len(self.base) > opts.max_world_atoms:
             raise BaseTooLarge(len(self.base), opts.max_world_atoms)
+        if extra_formulas:
+            self.base = HerbrandBase(atoms + [a for f in extra_formulas for a in f.atoms])
         self.opts = opts
         self.pp = pp
 
@@ -302,6 +300,7 @@ class _Engine:
             head_fid = register(BasicFormula.single(cl.head))
             body = [(register(f), iv) for f, iv in cl.body]
             self.clauses.append((head_fid, cl.head_iv, body))
+        n_program = len(self._formula_atoms)  # the fids below are the clauses'
         self.extra_fids = [register(f) for f in extra_formulas]
 
         # The leaf walk's epsilon-free tables.  Per clause, the rows of its
@@ -322,7 +321,8 @@ class _Engine:
         self._watch_start = array("i", itertools.accumulate(map(len, watchers), initial=0))
         self._watch = array("i", itertools.chain.from_iterable(watchers))
 
-        # Connected components over atoms, via the registered formulas.
+        # Connected components over atoms, via the program's formulas; a query
+        # atom outside the base is a component of its own.
         n = len(self.base)
         parent = list(range(n))
 
@@ -332,7 +332,7 @@ class _Engine:
                 a = parent[a]
             return a
 
-        for _, idxs in self._formula_atoms:
+        for _, idxs in self._formula_atoms[:n_program]:
             it = iter(sorted(idxs))
             first = find(next(it))
             for other in it:
@@ -346,42 +346,48 @@ class _Engine:
             _Component(cid, tuple(sorted(members)))
             for cid, members in enumerate(groups[root] for root in sorted(groups))
         ]
-        atom_comp = {}
-        for comp in self.components:
-            for local, a in enumerate(comp.atoms):
-                atom_comp[a] = (comp.cid, local)
+        atom_comp = {a: comp.cid for comp in self.components for a in comp.atoms}
 
-        # Per-formula component and local world mask; then signature classes.
-        self._fid_comp: list[int] = []
-        self._fid_mask: list[int] = []
-        comp_masks: dict[int, list[int]] = {comp.cid: [] for comp in self.components}
-        for conn, idxs in self._formula_atoms:
-            cids = {atom_comp[a][0] for a in idxs}
-            assert len(cids) == 1
-            cid = next(iter(cids))
-            comp = self.components[cid]
-            mask = comp.formula_mask(conn, [atom_comp[a][1] for a in sorted(idxs)])
-            self._fid_comp.append(cid)
-            self._fid_mask.append(mask)
-            if mask not in comp_masks[cid]:
-                comp_masks[cid].append(mask)
+        # Per program formula its component, and per component its formulas'
+        # signature classes and row coefficients.
+        self._fid_comp = [atom_comp[min(idxs)] for _, idxs in self._formula_atoms[:n_program]]
+        comp_fids = {comp.cid: [] for comp in self.components}
+        for fid, cid in enumerate(self._fid_comp):
+            comp_fids[cid].append(fid)
+        fid_coeffs: list = [None] * n_program  # one list for every component
         for comp in self.components:
-            comp.split_classes(comp_masks[comp.cid])
+            self._split(comp, comp_fids[comp.cid], fid_coeffs)
 
-        self._fid_coeffs = [
-            self.components[self._fid_comp[fid]].coefficients(self._fid_mask[fid])
-            for fid in range(len(self._formula_atoms))
-        ]
-        # The components whose row systems get objectives: those holding an
-        # extra formula (tighten, entails), or every one when the entropy is
-        # maximized.  Only their feasibility solves are held as starts.
-        self._extra_by_comp: dict[int, list[int]] = {}
+        # Each extra formula is answered over the components its atoms touch:
+        # the one it lies in, or else their union, a component of its own
+        # that may hold at most the cap.  Its least mass sums the classes
+        # inside it, its greatest the classes that meet it: program rows
+        # cannot tell a class's worlds apart, so this is the range that
+        # splitting the classes by the formula would give.
+        # cids -> (component, cids, [(fid, least coefficients, greatest)])
+        self._queries = joined = {}
         for fid in dict.fromkeys(self.extra_fids):
-            self._extra_by_comp.setdefault(self._fid_comp[fid], []).append(fid)
+            conn, idxs = self._formula_atoms[fid]
+            cids = tuple(sorted({atom_comp[a] for a in idxs}))
+            if cids not in joined:
+                comp = self.components[cids[0]]
+                if len(cids) > 1:
+                    union = sorted(a for cid in cids for a in self.components[cid].atoms)
+                    if len(union) > opts.max_world_atoms:
+                        raise BaseTooLarge(len(union), opts.max_world_atoms, "a query component")
+                    comp = _Component(n + len(joined), tuple(union))
+                    self._split(comp, [f for cid in cids for f in comp_fids[cid]], {})
+                joined[cids] = (comp, cids, [])
+            comp = joined[cids][0]
+            mask = comp.formula_mask(conn, idxs)
+            joined[cids][2].append((fid, comp.coefficients(mask, True), comp.coefficients(mask)))
+        # The components whose row systems get objectives: those an extra
+        # formula lies in (tighten, entails), or every one when the entropy
+        # is maximized.  Only their feasibility solves are held as starts.
         if entropy:
             self._optimized = {comp.cid for comp in self.components}
         else:
-            self._optimized = set(self._extra_by_comp)
+            self._optimized = {cids[0] for cids in joined if len(cids) == 1}
         self._lp_cache: dict = {}
         # (cid, rows) -> the feasibility LPResult, from the walk's solve until
         # the first optimization over the rows takes it; a later leaf with the
@@ -390,6 +396,15 @@ class _Engine:
         # (cid, rows) -> {extra fid: (least, greatest mass)}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
+
+    def _split(self, comp: _Component, fids: list[int], coeffs: dict | list) -> None:
+        """Split comp's worlds into the signature classes of the program
+        formulas fids, all inside comp, and set their row coefficients."""
+        masks = {fid: comp.formula_mask(*self._formula_atoms[fid]) for fid in fids}
+        comp.split_classes(list(dict.fromkeys(masks.values())))
+        for fid, mask in masks.items():
+            coeffs[fid] = comp.coefficients(mask)
+        comp.coeffs = coeffs
 
     # -- branch enumeration --
 
@@ -481,16 +496,17 @@ class _Engine:
         """Least and greatest mass of every extra formula under one feasible
         leaf, all of a component's from one start."""
         out = {}
-        for cid, fids in self._extra_by_comp.items():
-            key = (cid, rows_by_comp.get(cid, frozenset()))
+        for comp, cids, queries in self._queries.values():
+            rows = frozenset().union(*(rows_by_comp.get(cid, ()) for cid in cids))
+            key = (comp.cid, rows)
             if key not in self._ranges:
-                start = self._take_start(key)
+                start = self._take_start(comp, rows)
                 self._ranges[key] = {
                     fid: (
-                        start.optimum(self._fid_coeffs[fid], maximize=False).value,
-                        start.optimum(self._fid_coeffs[fid], maximize=True).value,
+                        start.optimum(least, maximize=False).value,
+                        start.optimum(most, maximize=True).value,
                     )
-                    for fid in fids
+                    for fid, least, most in queries
                 }
             out.update(self._ranges[key])
         return out
@@ -500,11 +516,10 @@ class _Engine:
     def _lp_rows(self, comp: _Component, rows: frozenset[_Row]):
         out = [([ONE] * len(comp.classes), "=", ONE)]
         for row in sorted(rows, key=lambda r: (r.fid, r.sense, r.rhs)):
-            out.append((list(self._fid_coeffs[row.fid]), row.sense, row.rhs))
+            out.append((list(comp.coeffs[row.fid]), row.sense, row.rhs))
         return out
 
-    def _solve(self, cid: int, rows: frozenset[_Row]) -> LPResult:
-        comp = self.components[cid]
+    def _solve(self, comp: _Component, rows: frozenset[_Row]) -> LPResult:
         return solve_lp(len(comp.classes), self._lp_rows(comp, rows))
 
     def _lp(self, cid: int, rows: frozenset[_Row]):
@@ -513,18 +528,18 @@ class _Engine:
         also held as the rows' start."""
         key = (cid, rows)
         if key not in self._lp_cache:
-            result = self._solve(cid, rows)
+            result = self._solve(self.components[cid], rows)
             if cid in self._optimized and result.x is not None:
                 self._starts[key] = result
             self._lp_cache[key] = result.x
         return self._lp_cache[key]
 
-    def _take_start(self, key) -> LPResult:
-        """The feasibility solve of (cid, rows), whose optimum() starts every
+    def _take_start(self, comp: _Component, rows: frozenset[_Row]) -> LPResult:
+        """The feasibility solve of comp's rows, whose optimum() starts every
         objective over the rows from the tableau phase one left: the walk's,
         released to the caller, or a new one for rows the walk did not solve
-        (a component without rows in the leaf)."""
-        return self._starts.pop(key, None) or self._solve(*key)
+        (a component without rows in the leaf, or a query's union of them)."""
+        return self._starts.pop((comp.cid, rows), None) or self._solve(comp, rows)
 
     # -- witnesses --
 
@@ -556,7 +571,8 @@ class _Engine:
                 continue
             gmask = 0
             for comp, cum in cumulatives:
-                idx = comp.class_index_at(cum, lo)
+                # cum[i] is the mass of classes[:i]; lo lies in class i's segment.
+                idx = bisect.bisect_right(cum, lo, 0, len(cum) - 1) - 1
                 gmask |= comp.global_mask(comp.classes[idx][2])
             masses[gmask] = masses.get(gmask, ZERO) + length
         return WorldDistribution(self.base, masses)
@@ -616,7 +632,7 @@ class _Engine:
             self._maxent_cache[key] = result
             return result
 
-        start = self._take_start(key)
+        start = self._take_start(comp, rows)
         if start.status == INFEASIBLE:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
         q = start.x
@@ -677,17 +693,28 @@ def _first_solution(engine: _Engine, eps: Fraction):
 def _mass_bounds(engine: _Engine, eps: Fraction):
     """(least and greatest mass per extra formula over every feasible leaf, or
     None when no leaf is feasible; leaves visited)."""
-    bounds: dict[int, tuple[Fraction, Fraction]] = {}
+    bounds: dict[int, tuple[Fraction, Fraction]] | None = None
     count = 0
     for rows_by_comp, solution in engine.leaves(eps):
         count += 1
         if solution is None:
             continue
-        for fid, (lo, hi) in engine.mass_ranges(rows_by_comp).items():
-            if fid in bounds:
-                lo, hi = min(bounds[fid][0], lo), max(bounds[fid][1], hi)
-            bounds[fid] = (lo, hi)
-    return bounds or None, count
+        ranges = engine.mass_ranges(rows_by_comp)
+        bounds = ranges if bounds is None else {
+            f: (min(lo, bounds[f][0]), max(hi, bounds[f][1])) for f, (lo, hi) in ranges.items()
+        }
+    return bounds, count
+
+
+def _instance_bounds(pp: PProgram, formulas, opts: SolveOptions, undefined: str):
+    """One engine over every query instance and its one fold at epsilon:
+    (engine, bounds per extra formula, leaves visited); raises
+    InconsistentProgram(undefined) when no leaf is feasible."""
+    engine = _Engine(pp, opts, extra_formulas=formulas)
+    bounds, count = _mass_bounds(engine, opts.epsilon)
+    if bounds is None:
+        raise InconsistentProgram(undefined)
+    return engine, bounds, count
 
 
 def check_consistency(pp: PProgram, opts: SolveOptions = SolveOptions()) -> ConsistencyResult:
@@ -703,18 +730,17 @@ def check_consistency(pp: PProgram, opts: SolveOptions = SolveOptions()) -> Cons
 
 
 def tighten(
-    pp: PProgram, f: BasicFormula, opts: SolveOptions = SolveOptions()
+    pp: PProgram, formulas: list[BasicFormula], opts: SolveOptions = SolveOptions()
 ) -> TightenResult:
-    """Tightest probability interval for f across all models (epsilon-closed)."""
-    engine = _Engine(pp, opts, extra_formulas=[f])
-    fid = engine.extra_fids[0]
-    bounds, count = _mass_bounds(engine, opts.epsilon)
-    if bounds is None:
-        raise InconsistentProgram("tighten requires a consistent program")
-    lo, hi = bounds[fid]
+    """Tightest probability interval of each formula across all models
+    (epsilon-closed), all from one walk.  boundary_sensitive tells whether
+    halving epsilon moves any of them."""
+    engine, bounds, count = _instance_bounds(
+        pp, formulas, opts, "tighten requires a consistent program"
+    )
     probe, _ = _mass_bounds(engine, opts.epsilon / 2)
-    sensitive = probe is None or probe[fid] != (lo, hi)
-    return TightenResult(ProbInterval(lo, hi), count, sensitive, opts.epsilon)
+    intervals = [ProbInterval(*bounds[fid]) for fid in engine.extra_fids]
+    return TightenResult(intervals, count, probe != bounds, opts.epsilon)
 
 
 def entails(
@@ -727,24 +753,20 @@ def entails(
     at every solution point of the query constraint."""
     if query.annot is None:
         raise ValueError("entailment needs an annotated query")
+    undefined = "entailment is undefined for an inconsistent program"
     sol = solve_constraint(query.annot.constraint, calendar)
     if not sol:
         solution, count = _first_solution(_Engine(pp, opts), opts.epsilon)
         if solution is None:
-            raise InconsistentProgram("entailment is undefined for an inconsistent program")
+            raise InconsistentProgram(undefined)
         return EntailmentResult(True, True, [], count, opts.epsilon)
     instances = [substitute_time(query.formula, t) for t in sol]
-    engine = _Engine(pp, opts, extra_formulas=instances)
-    bounds, count = _mass_bounds(engine, opts.epsilon)
-    if bounds is None:
-        raise InconsistentProgram("entailment is undefined for an inconsistent program")
+    engine, bounds, count = _instance_bounds(pp, instances, opts, undefined)
     per_time: list[TimeVerdict] = []
     for t, fid in zip(sol, engine.extra_fids):
-        lo, hi = bounds[fid]
+        bound = ProbInterval(*bounds[fid])
         target = query.annot.interval_at(calendar, t)
-        per_time.append(
-            TimeVerdict(t, ProbInterval(lo, hi), target, target.contains_interval(ProbInterval(lo, hi)))
-        )
+        per_time.append(TimeVerdict(t, bound, target, target.contains_interval(bound)))
     return EntailmentResult(all(v.holds for v in per_time), False, per_time, count, opts.epsilon)
 
 

@@ -192,9 +192,3 @@ def ki_satisfies_tp(p: PTProgram, ki: WorldDistribution) -> bool:
         if body_ok:
             return False
     return True
-
-
-def is_model(pp_or_p, ki: WorldDistribution) -> bool:
-    if isinstance(pp_or_p, PProgram):
-        return ki_satisfies(pp_or_p, ki)
-    return ki_satisfies_tp(pp_or_p, ki)

@@ -69,13 +69,13 @@ def test_criterion_2_tightening_with_independent_oracle():
     # engine, exact, at the full 15-atom relevant base
     pp_full = load_unfolded("shipping.tpl")
     assert len(pp_full.base) == 15
-    engine_full = tighten(pp_full, target)
-    exact_ok = (engine_full.interval.lo, engine_full.interval.hi) == (F(3, 10), F(2, 5))
+    engine_full = tighten(pp_full, [target])
+    exact_ok = (engine_full.intervals[0].lo, engine_full.intervals[0].hi) == (F(3, 10), F(2, 5))
 
     # engine on the letter/paris subprogram agrees
     pp_paris = load_unfolded("shipping_paris.tpl")
-    engine_paris = tighten(pp_paris, target)
-    sub_ok = (engine_paris.interval.lo, engine_paris.interval.hi) == (F(3, 10), F(2, 5))
+    engine_paris = tighten(pp_paris, [target])
+    sub_ok = (engine_paris.intervals[0].lo, engine_paris.intervals[0].hi) == (F(3, 10), F(2, 5))
 
     # brute-force oracle: enumerate branch choices, solve each LP with the
     # independently written big-M simplex
@@ -89,7 +89,7 @@ def test_criterion_2_tightening_with_independent_oracle():
         2,
         "tightening vs brute-force oracle",
         ok,
-        f"engine={engine_full.interval} oracle=[{lo:.7f},{hi:.7f}] {elapsed:.1f}s",
+        f"engine={engine_full.intervals[0]} oracle=[{lo:.7f},{hi:.7f}] {elapsed:.1f}s",
     )
 
 

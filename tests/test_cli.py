@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import tplp.cli
+import tplp.psat
 from tplp import errors
 from tplp.cli import run
 
@@ -153,6 +154,18 @@ class TestEntail:
         )
         assert res.exit_code == 2
 
+    def test_every_point_under_the_cap(self, fixtures, tmp_path):
+        # Together the 8 instances add 2 atoms to the 15-atom base, each in
+        # a component of its own, so the query answers.
+        q = tmp_path / "q.tpq"
+        q.write_text(
+            "?entail arrived(letter,paris)@Y : "
+            "<Y:1~8, [0,0,0,0,0,0,0,0], [1,1,1,1,1,1,1,1]>.\n"
+        )
+        res = invoke("entail", str(fixtures / "shipping.tpl"), str(q), "--grounding", "relevant")
+        assert res.exit_code == 0 and res.payload.startswith("ENTAILED")
+        assert "t=4: tightened [0.2, 0.24] target [0, 1] -> True" in res.payload
+
 
 class TestTighten:
     def test_point_query(self, fixtures):
@@ -201,6 +214,47 @@ class TestTighten:
         )
         assert res.exit_code == 0
         assert jpayload(res)["intervals"] == {"arrived(letter,paris)@3": ["3/10", "2/5"]}
+
+    def test_every_point_in_one_engine(self, fixtures, monkeypatch):
+        engines = []
+        init = tplp.psat._Engine.__init__
+
+        def counted(self, *args, **kwargs):
+            engines.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(tplp.psat._Engine, "__init__", counted)
+        res = invoke("tighten", str(fixtures / "p0.tpl"), str(fixtures / "p0_tighten_all.tpq"))
+        assert res.exit_code == 0 and len(engines) == 1
+
+    def test_every_point_under_the_cap(self, fixtures, tmp_path):
+        # 15 atoms at relevant grounding; @1 and @2 are not among them, so
+        # all instances together make 17 atoms but no component exceeds 1.
+        q = tmp_path / "q.tpq"
+        q.write_text("?tighten arrived(letter,paris)@*.\n")
+        res = invoke(
+            "tighten", str(fixtures / "shipping.tpl"), str(q), "--grounding", "relevant", "--json"
+        )
+        assert res.exit_code == 0
+        body = jpayload(res)
+        assert body["intervals"] == {
+            "arrived(letter,paris)@1": ["0/1", "1/1"],
+            "arrived(letter,paris)@2": ["0/1", "1/1"],
+            "arrived(letter,paris)@3": ["3/10", "2/5"],
+            "arrived(letter,paris)@4": ["1/5", "6/25"],
+            "arrived(letter,paris)@5": ["1/10", "4/25"],
+            "arrived(letter,paris)@6": ["3/20", "3/10"],
+            "arrived(letter,paris)@7": ["0/1", "0/1"],
+            "arrived(letter,paris)@8": ["1/20", "1/10"],
+        }
+        assert body["branch_count"] == 1 and body["boundary_sensitive"] is False
+
+    def test_query_component_over_the_cap(self, fixtures, tmp_path, capsys):
+        q = tmp_path / "q.tpq"
+        q.write_text("?tighten " + " and ".join(f"a{i}@1" for i in range(1, 18)) + ".\n")
+        res = invoke("tighten", str(fixtures / "p0.tpl"), str(q))
+        assert res.exit_code == 3 and res.payload == ""
+        assert "a query component has 17 atoms, above the cap of 16" in capsys.readouterr().err
 
 
 class TestMaxent:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import load_program, load_unfolded
 from generators import rand_distribution, rand_tp_program
-from tplp.errors import BaseTooLarge, NonNormalConstraint, UniverseEmpty
+from tplp.errors import NonNormalConstraint, UniverseEmpty
 from tplp.grounder import (
     GroundingMode,
     HerbrandBase,
@@ -210,11 +210,6 @@ class TestHerbrandBase:
     def test_shipping_relevant_base_is_15(self):
         pp = load_unfolded("shipping.tpl")
         assert len(pp.base) == 15
-
-    def test_cap_enforced(self):
-        pp = load_unfolded("shipping.tpl")
-        with pytest.raises(BaseTooLarge):
-            herbrand_base(pp, max_atoms=10)
 
     def test_deterministic_order_and_dedup(self):
         a1 = TAtom("b", (), 2)

@@ -7,13 +7,19 @@ import pytest
 
 import tplp.psat
 from conftest import load_program, load_unfolded
-from generators import facts_last_pprogram, rand_pprogram, small_base
+from generators import (
+    facts_last_pprogram,
+    rand_ground_formula,
+    rand_pprogram,
+    rand_tp_program,
+    small_base,
+)
 from oracles import grid_distributions, reference_leaves
 from tplp.cli import run
 from tplp.errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from tplp.grounder import GroundingMode, HerbrandBase, PClause, PProgram, ground_program, unfold
 from tplp.intervals import ProbInterval
-from tplp.model import BasicFormula, Connective, TAtom
+from tplp.model import BasicFormula, Calendar, Connective, TAtom, TVar, substitute_time
 from tplp.parser import parse_program, parse_query
 from tplp.psat import (
     SolveOptions,
@@ -124,7 +130,7 @@ class TestLeafWalk:
     def test_branch_count_is_leaves_consumed(self):
         pp = unfold(parse_program(self.TEXT).program)
         assert check_consistency(pp).branch_count == 1
-        assert tighten(pp, single("b")).branch_count == 3
+        assert tighten(pp, [single("b")]).branch_count == 3
         assert max_entropy_model(pp).branch_count == 3
 
 
@@ -258,7 +264,7 @@ class TestWarmStarts:
         pp = dense_program(random.Random(501))
         target = BasicFormula.of(Connective.AND, [TAtom(p, (), 1) for p in ("p5", "p2", "p3")])
         assert len(_Engine(pp, SolveOptions(), [target]).components) == 1
-        res = tighten(pp, target)
+        res = tighten(pp, [target])
         assert res.branch_count > 1 and len(lp_systems) > 1
         assert len(lp_systems) == len(set(lp_systems))
 
@@ -332,7 +338,7 @@ class TestAgainstBruteForce:
             if engine_verdict is not Verdict.CONSISTENT:
                 continue
             consistent_cases += 1
-            bounds = tighten(pp, target).interval
+            bounds = tighten(pp, [target]).intervals[0]
             lo, hi = oracle.tighten(target)
             assert abs(float(bounds.lo) - lo) <= 1e-6
             assert abs(float(bounds.hi) - hi) <= 1e-6
@@ -342,13 +348,13 @@ class TestAgainstBruteForce:
 class TestTighten:
     def test_p0_body_branch_infeasible(self):
         pp = load_unfolded("p0.tpl")
-        res = tighten(pp, single("b"))
-        assert (res.interval.lo, res.interval.hi) == (F(2, 5), F(3, 5))
+        res = tighten(pp, [single("b")])
+        assert (res.intervals[0].lo, res.intervals[0].hi) == (F(2, 5), F(3, 5))
 
     def test_single_fact_returns_interval_verbatim(self):
         pp = load_unfolded("mx.tpl")
-        res = tighten(pp, single("a"))
-        assert (res.interval.lo, res.interval.hi) == (F(1, 5), F(4, 5))
+        res = tighten(pp, [single("a")])
+        assert (res.intervals[0].lo, res.intervals[0].hi) == (F(1, 5), F(4, 5))
 
     def test_fact_atom_exact_for_random_programs(self):
         rng = random.Random(403)
@@ -358,13 +364,13 @@ class TestTighten:
             pp = PProgram(
                 (PClause(atom, ProbInterval(lo, hi)),), HerbrandBase([atom])
             )
-            res = tighten(pp, single("a"))
-            assert (res.interval.lo, res.interval.hi) == (lo, hi)
+            res = tighten(pp, [single("a")])
+            assert (res.intervals[0].lo, res.intervals[0].hi) == (lo, hi)
 
     def test_inconsistent_program_raises(self):
         pp = load_unfolded("p1.tpl")
         with pytest.raises(InconsistentProgram):
-            tighten(pp, single("a"))
+            tighten(pp, [single("a")])
 
     def test_monotone_under_added_clauses(self):
         rng = random.Random(404)
@@ -376,28 +382,96 @@ class TestTighten:
             stronger = PProgram(pp.clauses + extra, base)
             target = single(base.atoms[0].predicate, base.atoms[0].time)
             try:
-                wide = tighten(pp, target)
-                narrow = tighten(stronger, target)
+                wide = tighten(pp, [target])
+                narrow = tighten(stronger, [target])
             except InconsistentProgram:
                 continue
-            assert wide.interval.lo <= narrow.interval.lo
-            assert narrow.interval.hi <= wide.interval.hi
+            assert wide.intervals[0].lo <= narrow.intervals[0].lo
+            assert narrow.intervals[0].hi <= wide.intervals[0].hi
             trials += 1
 
     def test_unconstrained_atom_is_full_interval(self):
         pp = load_unfolded("p0.tpl")
-        res = tighten(pp, single("zz", 2))
-        assert (res.interval.lo, res.interval.hi) == (F(0), F(1))
+        res = tighten(pp, [single("zz", 2)])
+        assert (res.intervals[0].lo, res.intervals[0].hi) == (F(0), F(1))
 
     def test_tighten_stays_in_unit_interval(self):
         rng = random.Random(405)
         for _ in range(20):
             pp = rand_pprogram(rng, small_base(3), n_clauses=2)
             try:
-                res = tighten(pp, single("a"))
+                res = tighten(pp, [single("a")])
             except InconsistentProgram:
                 continue
-            assert 0 <= res.interval.lo <= res.interval.hi <= 1
+            assert 0 <= res.intervals[0].lo <= res.intervals[0].hi <= 1
+
+    def test_every_point_in_one_walk(self):
+        """Every instance of query formulas at once, as `?tighten f@*.` asks,
+        gives each instance's interval alone and the brute-force oracle's."""
+        from oracles import BruteForce
+
+        rng = random.Random(409)
+        answered = 0
+        for _ in range(20):
+            # Each clause unfolds once per point, so fewer clauses on 3 points.
+            points = rng.randint(2, 3)
+            cal = Calendar.from_range(1, points)
+            preds = ["a", "b", "c"][: rng.randint(2, 3)]
+            pp = unfold(rand_tp_program(rng, cal, n_clauses=4 - points, preds=preds))
+            # A random formula, and one that joins two predicates' components.
+            joining = BasicFormula.of(
+                rng.choice([Connective.AND, Connective.OR]),
+                tuple(TAtom(p, (), TVar("Y")) for p in rng.sample(preds, 2)),
+            )
+            instances = [
+                substitute_time(f, t)
+                for f in (rand_ground_formula(rng, preds), joining)
+                for t in cal.points
+            ]
+            try:
+                joint = tighten(pp, instances)
+            except InconsistentProgram:
+                continue
+            if joint.branch_count > 200:  # the oracle's LPs would take seconds
+                continue
+            answered += 1
+            oracle = BruteForce(pp, extra_formulas=instances)
+            alone = [tighten(pp, [g]) for g in instances]
+            assert joint.intervals == [res.intervals[0] for res in alone]
+            assert {res.branch_count for res in alone} == {joint.branch_count}
+            assert joint.boundary_sensitive == any(res.boundary_sensitive for res in alone)
+            for g, iv in zip(instances, joint.intervals):
+                lo, hi = oracle.tighten(g)
+                assert abs(float(iv.lo) - lo) <= 1e-6 and abs(float(iv.hi) - hi) <= 1e-6
+        assert answered >= 10
+
+    def test_each_formula_capped_alone(self):
+        """The cap counts the atoms that one formula's components hold, not
+        every formula's at once, and the formulas leave the program's
+        classes unsplit: a@1 and a@2 share a component, and each instance
+        adds one atom of its own to it."""
+        a1, a2, z1, z2 = (TAtom(p, (), t) for p, t in (("a", 1), ("a", 2), ("z", 1), ("z", 2)))
+        joined = BasicFormula.of(Connective.AND, (a1, a2))
+        pp = PProgram(
+            (
+                PClause(a1, ProbInterval(F(1, 2), F(7, 10)), ((joined, ProbInterval(F(1, 10), 1)),)),
+                PClause(a2, ProbInterval(F(1, 5), F(2, 5))),
+            ),
+            HerbrandBase([a1, a2]),
+        )
+        opts = SolveOptions(max_world_atoms=3)
+        instances = [BasicFormula.of(Connective.AND, pair) for pair in ((a1, z1), (a2, z2))]
+        joint = tighten(pp, instances, opts)
+        assert joint.intervals == [tighten(pp, [g], opts).intervals[0] for g in instances]
+        assert joint.intervals[1] == ProbInterval(0, F(2, 5))
+        engine = _Engine(pp, opts, instances)
+        assert engine.components[0].classes == _Engine(pp, opts).components[0].classes
+        with pytest.raises(BaseTooLarge, match="a query component has 4 atoms"):
+            tighten(pp, [BasicFormula.of(Connective.OR, (a1, z1, z2))], opts)
+
+    def test_no_formula(self):
+        res = tighten(load_unfolded("p0.tpl"), [])
+        assert res.intervals == [] and res.branch_count == 1
 
 
 class TestEntails:
