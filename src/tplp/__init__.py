@@ -9,11 +9,8 @@ temporal program.
 """
 
 from .compression import (
-    CAtom,
-    CompressedBase,
     EvolutionProfile,
     EvolutionReport,
-    TaggedWorld,
     Thread,
     VerificationMode,
     build_evolution_program,
@@ -21,10 +18,8 @@ from .compression import (
     compress_distribution,
     evolution_distribution,
     flatten,
-    flatten_tagged,
     full_time_base,
     solve_profile,
-    tagged_worlds,
     thread_prob,
     verify_evolution,
 )
@@ -40,6 +35,7 @@ from .errors import (
     TimePointOutsideCalendar,
     TplpError,
     UniverseEmpty,
+    UnknownFormulaSlot,
 )
 from .grounder import (
     GroundingMode,
@@ -67,6 +63,7 @@ from .intervals import (
 )
 from .model import (
     BasicFormula,
+    CAtom,
     Calendar,
     CAnd,
     Cmp,
@@ -99,7 +96,6 @@ from .parser import (
     Query,
     QueryKind,
     QueryResult,
-    SkeletonAtom,
     SkeletonClause,
     SkeletonFormula,
     parse_program,

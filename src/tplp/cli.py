@@ -156,21 +156,18 @@ def _grounded_pp(args):
 # A text form of None makes the answer JSON-only.
 
 
+def _diagnostics_json(diags) -> list[dict]:
+    return [{"kind": d.kind.value, "message": d.message, "at": str(d.span or "")} for d in diags]
+
+
 def _cmd_validate(args):
     result = parse_program(_read(args.file))
     _emit_diagnostics(result.diagnostics)
-    errors = [d for d in result.diagnostics if d.is_error]
-    warnings = [d for d in result.diagnostics if not d.is_error]
+    errors, warnings = result.errors, result.warnings
     body = {
         "verdict": "ok" if not errors else "error",
-        "errors": [
-            {"kind": d.kind.value, "message": d.message, "at": str(d.span or "")}
-            for d in errors
-        ],
-        "warnings": [
-            {"kind": d.kind.value, "message": d.message, "at": str(d.span or "")}
-            for d in warnings
-        ],
+        "errors": _diagnostics_json(errors),
+        "warnings": _diagnostics_json(warnings),
     }
     verdict = "ok" if not errors else f"{len(errors)} error(s)"
     return 0 if not errors else 2, body, f"{verdict} ({len(warnings)} warning(s))"

@@ -1,11 +1,14 @@
 """Compression of the temporal attribute and probability evolution.
 
 A world over time-extended atoms compresses into a thread: a map from each
-timeless atom to the set of time points at which it holds.  Flattening is the
-inverse direction.  On top of that sits the evolution construction: a family
-of per-time world distributions over the timeless base is packed into a single
+timeless atom (CAtom) to the set of time points at which it holds.  Flattening
+is the inverse direction.  Both kinds of atom index worlds through the same
+HerbrandBase.  On top of that sits the evolution construction: a family of
+per-time world distributions over the timeless base is packed into a single
 temporal program whose annotations carry one value per time slice, and the
-family itself averages into one distribution over the time-extended base.
+family itself averages into one distribution over the time-extended base, each
+world placed at its own time point.  The model of slice t is solved on the
+evolution program over the one point t, unfolded like any other program.
 
 Verification of that construction deliberately supports two readings.  The
 LITERAL reading checks the averaged distribution against the built program
@@ -25,19 +28,19 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
-    AtomNotInBase,
     InconsistentProgram,
     MissingTimeSlice,
     TimePointOutsideCalendar,
+    UnknownFormulaSlot,
 )
-from .grounder import HerbrandBase, PClause, PProgram, unfold
+from .grounder import HerbrandBase, unfold
 from .intervals import ZERO, ProbInterval
 from .model import (
     BasicFormula,
+    CAtom,
     Calendar,
     Cmp,
     PTProgram,
-    TAtom,
     TConst,
     TimeRange,
     TPAnnotation,
@@ -56,62 +59,6 @@ from .worlds import (
     ki_satisfies,
     mass_of_atoms,
 )
-
-
-@dataclass(frozen=True)
-class CAtom:
-    """Timeless (compressed) atom: predicate plus ground object arguments."""
-
-    predicate: str
-    args: tuple[str, ...] = ()
-
-    def key(self):
-        return (self.predicate, self.args)
-
-    def at(self, t: int) -> TAtom:
-        return TAtom(self.predicate, self.args, t)
-
-    def __str__(self):
-        inner = f"({','.join(self.args)})" if self.args else ""
-        return f"{self.predicate}{inner}"
-
-
-class CompressedBase:
-    """Ordered, duplicate-free list of compressed atoms."""
-
-    def __init__(self, atoms: Iterable[CAtom]):
-        seen: dict[CAtom, None] = {}
-        for a in atoms:
-            seen.setdefault(a, None)
-        self.atoms: tuple[CAtom, ...] = tuple(sorted(seen, key=CAtom.key))
-        self._index = {a: i for i, a in enumerate(self.atoms)}
-        self._hash = hash(self.atoms)
-
-    def index_of(self, atom: CAtom) -> int:
-        try:
-            return self._index[atom]
-        except KeyError:
-            raise AtomNotInBase(f"compressed atom {atom} is not in the base") from None
-
-    def __contains__(self, atom: CAtom) -> bool:
-        return atom in self._index
-
-    def __len__(self):
-        return len(self.atoms)
-
-    def __iter__(self):
-        return iter(self.atoms)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, CompressedBase) and self.atoms == other.atoms
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"CompressedBase({len(self.atoms)} atoms)"
 
 
 @dataclass(frozen=True)
@@ -143,14 +90,6 @@ class Thread:
         return f"Thread({inner})"
 
 
-@dataclass(frozen=True)
-class TaggedWorld:
-    """A timeless assignment stamped with the single time point it describes."""
-
-    time: int
-    assignment: World  # over a CompressedBase
-
-
 def full_time_base(catoms: Iterable[CAtom], cal: Calendar) -> HerbrandBase:
     """The time-extended base: every compressed atom at every calendar point."""
     return HerbrandBase(ca.at(t) for ca in catoms for t in cal.points)
@@ -163,7 +102,7 @@ def compress(w: World, base: HerbrandBase, cal: Calendar) -> Thread:
         t = atom.time
         if t not in cal:
             raise TimePointOutsideCalendar(f"atom {atom} lies outside the calendar")
-        ca = CAtom(atom.predicate, tuple(str(x) for x in atom.args))
+        ca = atom.timeless()
         collected.setdefault(ca, set())
         if w.truth(i):
             collected[ca].add(t)
@@ -224,7 +163,7 @@ class EvolutionProfile:
                 raise ValueError(f"distribution at time {t} is not normalized")
 
     @property
-    def base(self) -> CompressedBase:
+    def base(self) -> HerbrandBase:
         return self.dists[0][1].base
 
     def dist_at(self, t: int) -> WorldDistribution:
@@ -245,6 +184,9 @@ def build_evolution_program(
     variable Y constrained to the (contiguous) interval, with one lower and
     one upper weight per time slice.
     """
+    unknown = sorted(set(per_time) - {slot_id for slot_id, _ in skeleton.formula_slots()})
+    if unknown:
+        raise UnknownFormulaSlot(f"the profile annotates {', '.join(unknown)}, not in the skeleton")
     delta = tuple(sorted(set(delta)))
     cal = skeleton.calendar
     if not delta:
@@ -273,53 +215,35 @@ def build_evolution_program(
         )
 
     def promote(sf: SkeletonFormula) -> BasicFormula:
-        atoms = tuple(TAtom(a.predicate, a.args, TVar("Y")) for a in sf.atoms)
-        return BasicFormula.of(sf.connective, atoms)
+        return BasicFormula.of(sf.connective, (a.at(TVar("Y")) for a in sf.atoms))
 
     clauses = []
     for i, cl in enumerate(skeleton.clauses):
-        head = TAtom(cl.head.predicate, cl.head.args, TVar("Y"))
         head_annot = annotation(f"c{i}.head")
         body = tuple(
             (promote(f), annotation(f"c{i}.b{j}")) for j, f in enumerate(cl.body)
         )
-        clauses.append(TPClause(head, head_annot, body))
+        clauses.append(TPClause(cl.head.at(TVar("Y")), head_annot, body))
     return PTProgram(cal, tuple(clauses))
 
 
-def tagged_worlds(pi: EvolutionProfile):
-    """The profile's support as (TaggedWorld, mass) pairs, slice by slice."""
-    for t, dist in pi.dists:
-        for world, p in dist.items():
-            yield TaggedWorld(t, world), p
-
-
-def flatten_tagged(tw: TaggedWorld, base: HerbrandBase) -> World:
-    """Place a tagged timeless assignment at its time point in the extended base."""
-    cbase = tw.assignment.base
-    mask = 0
-    for i, ca in enumerate(cbase.atoms):
-        if tw.assignment.truth(i):
-            mask |= 1 << base.index_of(ca.at(tw.time))
-    return World(mask, base)
-
-
 def evolution_distribution(pi: EvolutionProfile, cal: Calendar) -> WorldDistribution:
-    """Average the tagged per-time assignments into one distribution over the
-    time-extended base (each slice weighted 1/|calendar|).
+    """Average the per-time worlds, each placed at its time point, into one
+    distribution over the time-extended base (each slice weighted 1/|calendar|).
 
-    The tagging is not injective on all-false assignments: they flatten to the
-    same empty world from every slice, so their masses accumulate there.  The
+    The placing is not injective on all-false worlds: they land on the same
+    empty world from every slice, so their masses accumulate there.  The
     result is normalized exactly when the profile covers the whole calendar.
     """
     base = full_time_base(pi.base.atoms, cal)
     n = len(cal)
     masses: dict[int, Fraction] = {}
-    for tw, p in tagged_worlds(pi):
-        if tw.time not in cal:
-            raise TimePointOutsideCalendar(f"profile time {tw.time} outside the calendar")
-        mask = flatten_tagged(tw, base).mask
-        masses[mask] = masses.get(mask, ZERO) + Fraction(p, n)
+    for t, dist in pi.dists:
+        if t not in cal:
+            raise TimePointOutsideCalendar(f"profile time {t} outside the calendar")
+        for world, p in dist.items():
+            mask = World.from_atoms(base, (ca.at(t) for ca in world.atoms())).mask
+            masses[mask] = masses.get(mask, ZERO) + Fraction(p, n)
     covers = set(pi.interval) == set(cal.points)
     return WorldDistribution(base, masses, require_normalized=covers)
 
@@ -376,7 +300,7 @@ def verify_evolution(
         literal_model = ki_satisfies(unfold(p_delta), ki)
         return EvolutionReport(mode, checks, literal_model)
     for formula, ann in _annotated_slots(p_delta):
-        catoms = tuple(CAtom(a.predicate, tuple(str(x) for x in a.args)) for a in formula.atoms)
+        catoms = tuple(a.timeless() for a in formula.atoms)
         for t in solve_constraint(ann.constraint, cal):
             dist = pi.dist_at(t)
             mass = mass_of_atoms(dist, formula.connective, catoms)
@@ -391,7 +315,8 @@ def solve_profile(
     delta: Iterable[int],
     opts: SolveOptions = SolveOptions(),
 ) -> EvolutionProfile:
-    """Produce one model per time slice by solving each slice program.
+    """Produce one model per time slice by solving each slice program: the
+    evolution program over that one time point, unfolded.
 
     This realizes the premise of the evolution construction: each slice model
     is solved with every annotated formula inside its own interval (the
@@ -401,23 +326,10 @@ def solve_profile(
     InconsistentProgram.
     """
     delta = tuple(sorted(set(delta)))
-    catoms = [CAtom(a.predicate, a.args) for _, f in skeleton.formula_slots() for a in f.atoms]
-    cbase = CompressedBase(catoms)
+    cbase = HerbrandBase(a for _, f in skeleton.formula_slots() for a in f.atoms)
     dists = []
     for t in delta:
-        clauses = []
-        for i, cl in enumerate(skeleton.clauses):
-            head = CAtom(cl.head.predicate, cl.head.args).at(t)
-            head_iv = _slice_interval(per_time, f"c{i}.head", t)
-            body = []
-            for j, f in enumerate(cl.body):
-                atoms = tuple(CAtom(a.predicate, a.args).at(t) for a in f.atoms)
-                body.append(
-                    (BasicFormula.of(f.connective, atoms), _slice_interval(per_time, f"c{i}.b{j}", t))
-                )
-            clauses.append(PClause(head, head_iv, tuple(body)))
-        slice_base = HerbrandBase(ca.at(t) for ca in cbase.atoms)
-        pp = PProgram(tuple(clauses), slice_base)
+        pp = unfold(build_evolution_program(skeleton, per_time, (t,)))
         witness = strong_witness(pp, opts)
         if witness is None:
             outcome = check_consistency(pp, opts)
@@ -426,20 +338,9 @@ def solve_profile(
                     f"time slice {t} is {outcome.verdict.value}; no per-time model exists"
                 )
             witness = outcome.witness
-        masses: dict[int, Fraction] = {}
-        for world, p in witness.items():
-            mask = 0
-            for i, atom in enumerate(witness.base.atoms):
-                if world.truth(i):
-                    ca = CAtom(atom.predicate, tuple(str(x) for x in atom.args))
-                    mask |= 1 << cbase.index_of(ca)
-            masses[mask] = masses.get(mask, ZERO) + p
+        masses = {
+            World.from_atoms(cbase, (a.timeless() for a in world.atoms())): p
+            for world, p in witness.items()
+        }
         dists.append((t, WorldDistribution(cbase, masses)))
     return EvolutionProfile(delta, tuple(dists))
-
-
-def _slice_interval(per_time, slot_id: str, t: int) -> ProbInterval:
-    slices = per_time.get(slot_id)
-    if slices is None or t not in slices:
-        raise MissingTimeSlice(f"no annotation for formula {slot_id} at time {t}")
-    return slices[t]

@@ -60,3 +60,7 @@ class LPNumericalFailure(TplpError):
 
 class MissingTimeSlice(TplpError):
     """An evolution profile lacks an annotation for some formula/time pair."""
+
+
+class UnknownFormulaSlot(TplpError):
+    """An evolution profile annotates a formula the skeleton does not have."""

@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Iterable
 
 from .errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
 from .intervals import ProbInterval
 from .model import (
     BasicFormula,
+    CAtom,
     Calendar,
     Cmp,
+    ObjVar,
     PTProgram,
     TAtom,
     TConst,
@@ -34,9 +37,6 @@ from .model import (
     substitute_objects,
     substitute_time,
 )
-from .model import ObjVar  # noqa: F401  (re-exported for grounding call sites)
-
-from enum import Enum
 
 
 class GroundingMode(Enum):
@@ -64,25 +64,26 @@ class PClause:
 
 
 class HerbrandBase:
-    """Ordered, duplicate-free list of ground atoms; index = world bit position."""
+    """Ordered, duplicate-free list of ground atoms, time-extended (TAtom) or
+    timeless (CAtom); index = world bit position."""
 
-    def __init__(self, atoms: Iterable[TAtom]):
-        seen: dict[TAtom, None] = {}
+    def __init__(self, atoms: Iterable[TAtom | CAtom]):
+        seen: dict[TAtom | CAtom, None] = {}
         for a in atoms:
             if not a.is_ground:
                 raise ValueError(f"non-ground atom {a} cannot enter a Herbrand base")
-            seen.setdefault(a.drop_span(), None)
-        self.atoms: tuple[TAtom, ...] = tuple(sorted(seen, key=TAtom.key))
+            seen.setdefault(a, None)
+        self.atoms: tuple[TAtom | CAtom, ...] = tuple(sorted(seen, key=lambda a: a.key()))
         self._index = {a: i for i, a in enumerate(self.atoms)}
         self._hash = hash(self.atoms)
 
-    def index_of(self, atom: TAtom) -> int:
+    def index_of(self, atom: TAtom | CAtom) -> int:
         try:
             return self._index[atom]
         except KeyError:
             raise AtomNotInBase(f"atom {atom} is not in the Herbrand base") from None
 
-    def __contains__(self, atom: TAtom) -> bool:
+    def __contains__(self, atom: TAtom | CAtom) -> bool:
         return atom in self._index
 
     def __len__(self):

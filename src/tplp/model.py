@@ -108,9 +108,42 @@ class TAtom:
     def drop_span(self) -> "TAtom":
         return TAtom(self.predicate, self.args, self.time)
 
+    def timeless(self) -> "CAtom":
+        return CAtom(self.predicate, tuple(str(a) for a in self.args))
+
     def __str__(self):
         args = f"({','.join(str(a) for a in self.args)})" if self.args else ""
         return f"{self.predicate}{args}@{self.time}"
+
+
+@dataclass(frozen=True)
+class CAtom:
+    """Timeless atom: a predicate plus constant arguments, no temporal position."""
+
+    predicate: str
+    args: tuple[str, ...] = ()
+    span: SourceSpan | None = field(default=None, compare=False, repr=False)
+
+    is_ground = True  # the arguments are constants by construction
+
+    def key(self):
+        return (self.predicate, self.args)
+
+    def at(self, t: TimeTerm) -> TAtom:
+        return TAtom(self.predicate, self.args, t, self.span)
+
+    def __str__(self):
+        args = f"({','.join(self.args)})" if self.args else ""
+        return f"{self.predicate}{args}"
+
+
+def arity_errors(a: TAtom | CAtom, arities: dict[str, int]) -> list[Diagnostic]:
+    """An arity error when arities recorded a's predicate with another arity."""
+    seen = arities.setdefault(a.predicate, len(a.args))
+    if seen == len(a.args):
+        return []
+    message = f"predicate {a.predicate} used with arity {len(a.args)} and {seen}"
+    return [error(DiagnosticKind.ARITY_MISMATCH, message, a.span)]
 
 
 class Connective(Enum):
@@ -608,15 +641,7 @@ class PTProgram:
         arities: dict[str, int] = {}
 
         def check_atom(a: TAtom):
-            seen = arities.setdefault(a.predicate, len(a.args))
-            if seen != len(a.args):
-                diags.append(
-                    error(
-                        DiagnosticKind.ARITY_MISMATCH,
-                        f"predicate {a.predicate} used with arity {len(a.args)} and {seen}",
-                        a.span,
-                    )
-                )
+            diags.extend(arity_errors(a, arities))
             if isinstance(a.time, int) and a.time not in self.calendar:
                 diags.append(
                     error(

@@ -40,6 +40,7 @@ from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error
 from .intervals import format_rational
 from .model import (
     BasicFormula,
+    CAtom,
     Calendar,
     CAnd,
     Cmp,
@@ -58,6 +59,7 @@ from .model import (
     TVar,
     WeightFunction,
     WeightKind,
+    arity_errors,
     companion_vars,
     constraint_principal,
     occurring_constants,
@@ -638,19 +640,9 @@ def parse_query(text: str) -> QueryResult:
 
 
 @dataclass(frozen=True)
-class SkeletonAtom:
-    predicate: str
-    args: tuple[str, ...]
-
-    def __str__(self):
-        inner = f"({','.join(self.args)})" if self.args else ""
-        return f"{self.predicate}{inner}"
-
-
-@dataclass(frozen=True)
 class SkeletonFormula:
     connective: Connective
-    atoms: tuple[SkeletonAtom, ...]
+    atoms: tuple[CAtom, ...]
 
     def __str__(self):
         if self.connective is Connective.SINGLE:
@@ -660,7 +652,7 @@ class SkeletonFormula:
 
 @dataclass(frozen=True)
 class SkeletonClause:
-    head: SkeletonAtom
+    head: CAtom
     body: tuple[SkeletonFormula, ...] = ()
 
 
@@ -682,15 +674,17 @@ class PSkeleton:
 
 
 class _SkeletonParser(_ProgramParser):
-    def parse_satom(self) -> SkeletonAtom:
+    def parse_satom(self) -> CAtom:
         name = self.cur.expect("IDENT", "a predicate name")
         args: list[str] = []
+        end = name.span.end
         if self.cur.accept("LPAREN"):
             args.append(self.cur.expect("IDENT", "a constant").text)
             while self.cur.accept("COMMA"):
                 args.append(self.cur.expect("IDENT", "a constant").text)
-            self.cur.expect("RPAREN", "')'")
-        return SkeletonAtom(name.text, tuple(args))
+            end = self.cur.expect("RPAREN", "')'").span.end
+        span = SourceSpan(name.span.line, name.span.column, name.span.start, end)
+        return CAtom(name.text, tuple(args), span)
 
     def parse_sformula(self) -> SkeletonFormula:
         atoms = [self.parse_satom()]
@@ -733,6 +727,10 @@ class _SkeletonParser(_ProgramParser):
             except _Unexpected as exc:
                 self.diags.append(error(DiagnosticKind.SYNTAX, exc.message, exc.span))
                 self.cur.sync_to_dot()
+        arities: dict[str, int] = {}
+        for cl in clauses:
+            for a in (cl.head, *(x for f in cl.body for x in f.atoms)):
+                self.diags.extend(arity_errors(a, arities))
         if calendar is None or any(d.is_error for d in self.diags):
             return None, self.diags
         return PSkeleton(calendar, tuple(clauses)), self.diags
@@ -743,10 +741,6 @@ def parse_skeleton(text: str) -> tuple[PSkeleton | None, list[Diagnostic]]:
 
 
 # --- rendering --------------------------------------------------------------------
-
-
-def _render_formula(f: BasicFormula) -> str:
-    return str(f)
 
 
 def _render_annot(a: TPAnnotation) -> str:
@@ -765,7 +759,7 @@ def render_program(p: PTProgram) -> str:
         head = f"{cl.head} : {_render_annot(cl.head_annot)}"
         if cl.body:
             conjuncts = " and ".join(
-                f"{_render_formula(f)} : {_render_annot(ann)}" for f, ann in cl.body
+                f"{f} : {_render_annot(ann)}" for f, ann in cl.body
             )
             lines.append(f"{head} :- {conjuncts}.")
         else:

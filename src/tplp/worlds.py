@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .grounder import PProgram
+from .grounder import HerbrandBase, PProgram
 from .model import BasicFormula, Connective, PTProgram, TAtom, solve_constraint, substitute_time
 
 ZERO = Fraction(0)
@@ -25,7 +25,7 @@ class World:
     """Truth assignment over a base: bit i set means atom i is true."""
 
     mask: int
-    base: object = field(repr=False)  # HerbrandBase or CompressedBase
+    base: HerbrandBase = field(repr=False)
 
     def __post_init__(self):
         if self.mask < 0 or self.mask >> len(self.base):

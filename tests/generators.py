@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tplp.compression import CAtom
 from tplp.grounder import HerbrandBase, PClause, PProgram
 from tplp.intervals import ProbInterval
 from tplp.model import (
     BasicFormula,
+    CAtom,
     Calendar,
     CAnd,
     Cmp,

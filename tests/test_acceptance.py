@@ -13,8 +13,6 @@ from conftest import load_program, load_unfolded
 from generators import rand_distribution, rand_thread, rand_tp_program
 from oracles import BruteForce
 from tplp.compression import (
-    CAtom,
-    CompressedBase,
     EvolutionProfile,
     VerificationMode,
     build_evolution_program,
@@ -25,9 +23,9 @@ from tplp.compression import (
     thread_prob,
     verify_evolution,
 )
-from tplp.grounder import ground_temporal_variables, unfold
+from tplp.grounder import HerbrandBase, ground_temporal_variables, unfold
 from tplp.intervals import ProbInterval, is_consistent, join_k, leq_k, meet_k
-from tplp.model import BasicFormula, Calendar, ObjVar, TAtom
+from tplp.model import BasicFormula, CAtom, Calendar, ObjVar, TAtom
 from tplp.parser import parse_skeleton
 from tplp.psat import Verdict, check_consistency, max_entropy_model, tighten
 from tplp.worlds import World, WorldDistribution, atom_mass, formula_mass, ki_satisfies, ki_satisfies_tp
@@ -220,7 +218,7 @@ def test_criterion_8_maximum_entropy():
 
 
 def test_criterion_9_evolution_verification():
-    cbase = CompressedBase([CAtom("a")])
+    cbase = HerbrandBase([CAtom("a")])
     profile = EvolutionProfile(
         (1, 2),
         (

@@ -325,6 +325,25 @@ class TestEvolve:
         res = invoke("evolve", str(skeleton), str(csv_file))
         assert res.exit_code == 2
 
+    def test_skeleton_arity_mismatch(self, tmp_path, capsys):
+        skeleton = tmp_path / "arity.tpl"
+        skeleton.write_text("calendar 1..1.\na(x) :- a.\n")
+        csv_file = tmp_path / "p.csv"
+        csv_file.write_text("c0.head,1,0.3,0.3\nc0.b0,1,0.1,0.2\n")
+        res = invoke("evolve", str(skeleton), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        assert "2:9 error[ArityMismatch]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verify", [[], ["--verify", "conditional"]])
+    def test_unknown_slot(self, tmp_path, capsys, verify):
+        skeleton = tmp_path / "rule.tpl"
+        skeleton.write_text("calendar 1..1.\nh :- a.\n")
+        csv_file = tmp_path / "p.csv"
+        csv_file.write_text("c0.head,1,0.3,0.3\nc0.b0,1,0.1,0.2\nc9.head,1,0.1,0.2\n")
+        res = invoke("evolve", str(skeleton), str(csv_file), *verify)
+        assert res.exit_code == 2 and res.payload == ""
+        assert "c9.head" in capsys.readouterr().err
+
     def test_malformed_csv(self, fixtures, tmp_path):
         csv_file = tmp_path / "bad.csv"
         csv_file.write_text("c0.head,notatime,0.3,0.3\n")

@@ -5,8 +5,6 @@ import pytest
 
 from generators import rand_distribution, rand_thread
 from tplp.compression import (
-    CAtom,
-    CompressedBase,
     EvolutionProfile,
     VerificationMode,
     build_evolution_program,
@@ -19,11 +17,17 @@ from tplp.compression import (
     thread_prob,
     verify_evolution,
 )
-from tplp.errors import MissingTimeSlice, TimePointOutsideCalendar
+from tplp.errors import (
+    InconsistentProgram,
+    MissingTimeSlice,
+    TimePointOutsideCalendar,
+    UnknownFormulaSlot,
+)
+from tplp.grounder import HerbrandBase, unfold
 from tplp.intervals import ProbInterval
-from tplp.model import BasicFormula, Calendar, TAtom
-from tplp.parser import parse_skeleton, render_program
-from tplp.worlds import World, WorldDistribution, formula_mass
+from tplp.model import BasicFormula, CAtom, Calendar, TAtom
+from tplp.parser import parse_program, parse_skeleton, render_program
+from tplp.worlds import World, WorldDistribution, formula_mass, ki_satisfies
 
 CAL2 = Calendar.from_range(1, 2)
 CA, CB = CAtom("a"), CAtom("b")
@@ -123,7 +127,7 @@ class TestThreadProb:
 
 
 def two_slice_profile():
-    cbase = CompressedBase([CA])
+    cbase = HerbrandBase([CA])
     return EvolutionProfile(
         (1, 2),
         (
@@ -140,7 +144,7 @@ class TestEvolutionDistribution:
         assert masses == {"{}": F(11, 20), "{a@1}": F(3, 20), "{a@2}": F(3, 10)}
 
     def test_point_masses_collapse_to_empty_world(self):
-        cbase = CompressedBase([CA])
+        cbase = HerbrandBase([CA])
         pi = EvolutionProfile(
             (1, 2),
             (
@@ -153,7 +157,7 @@ class TestEvolutionDistribution:
 
     def test_single_point_calendar_is_verbatim(self):
         cal1 = Calendar.from_range(1, 1)
-        cbase = CompressedBase([CA])
+        cbase = HerbrandBase([CA])
         pi = EvolutionProfile(
             (1,), ((1, WorldDistribution(cbase, {0: F(1, 4), 1: F(3, 4)})),)
         )
@@ -162,7 +166,7 @@ class TestEvolutionDistribution:
 
     def test_partial_interval_is_subnormal(self):
         cal3 = Calendar.from_range(1, 3)
-        cbase = CompressedBase([CA])
+        cbase = HerbrandBase([CA])
         pi = EvolutionProfile(
             (1, 2), two_slice_profile().dists
         )
@@ -174,7 +178,7 @@ class TestEvolutionDistribution:
         rng = random.Random(503)
         for _ in range(50):
             cal = Calendar.from_range(1, rng.randint(1, 3))
-            cbase = CompressedBase([CA, CB])
+            cbase = HerbrandBase([CA, CB])
             dists = tuple((t, rand_distribution(rng, cbase)) for t in cal.points)
             pi = EvolutionProfile(cal.points, dists)
             assert evolution_distribution(pi, cal).is_normalized
@@ -211,6 +215,14 @@ class TestBuildEvolutionProgram:
         with pytest.raises(MissingTimeSlice):
             build_evolution_program(sk, {"c0.head": {1: iv("0.3")}}, (1, 2))
 
+    def test_unknown_slot_rejected(self):
+        sk, _ = parse_skeleton("calendar 1..2.\na.\n")
+        per_time = {"c0.head": {1: iv("0.3")}, "c9.head": {1: iv("0.3")}}
+        with pytest.raises(UnknownFormulaSlot, match="c9.head"):
+            build_evolution_program(sk, per_time, (1,))
+        with pytest.raises(UnknownFormulaSlot, match="c9.head"):
+            solve_profile(sk, per_time, (1,))
+
     def test_non_contiguous_interval_rejected(self):
         sk, _ = parse_skeleton("calendar 1..3.\na.\n")
         per_time = {"c0.head": {1: iv("0.3"), 3: iv("0.6")}}
@@ -238,7 +250,7 @@ class TestVerifyEvolution:
 
     def test_single_point_calendar_readings_coincide(self):
         cal1 = Calendar.from_range(1, 1)
-        cbase = CompressedBase([CA])
+        cbase = HerbrandBase([CA])
         pi = EvolutionProfile(
             (1,), ((1, WorldDistribution(cbase, {0: F(3, 4), 1: F(1, 4)})),)
         )
@@ -284,3 +296,66 @@ class TestSolveProfile:
         program = build_evolution_program(sk, per_time, (1, 2))
         report = verify_evolution(profile, program, VerificationMode.CONDITIONAL)
         assert report.all_inside
+
+
+ATOMS = ("a", "b(k)", "b(m)", "c(k,m)", "c(m,m)")  # fixed arities: a/0, b/1, c/2
+
+
+def rand_skeleton_text(rng: random.Random) -> str:
+    def formula():
+        atoms = rng.sample(ATOMS, rng.randint(1, 2))
+        return f" {rng.choice(['and', 'or'])} ".join(atoms)
+
+    lines = ["calendar 1..3."]
+    for _ in range(rng.randint(1, 3)):
+        body = [formula() for _ in range(rng.randint(0, 2))]
+        head = rng.choice(ATOMS)
+        lines.append(f"{head} :- {', '.join(body)}." if body else f"{head}.")
+    return "\n".join(lines) + "\n"
+
+
+def rand_interval(rng: random.Random) -> ProbInterval:
+    lo = rng.randint(0, 4)
+    return ProbInterval(F(lo, 4), F(rng.randint(lo, 4), 4))
+
+
+class TestEvolutionProperties:
+    """Random skeletons: the built program reparses, every solved slice is a
+    model of its one-point evolution program, and a gap names its slot."""
+
+    def test_random_skeletons(self):
+        rng = random.Random(504)
+        answered = 0
+        for _ in range(60):
+            sk, diags = parse_skeleton(rand_skeleton_text(rng))
+            assert sk is not None and not diags
+            first = rng.randint(1, 3)
+            delta = tuple(range(first, rng.randint(first, 3) + 1))
+            per_time = {
+                slot: {t: rand_interval(rng) for t in delta} for slot, _ in sk.formula_slots()
+            }
+            text = render_program(build_evolution_program(sk, per_time, delta))
+            result = parse_program(text)
+            assert result.ok and not result.errors, text
+            try:
+                profile = solve_profile(sk, per_time, delta)
+            except InconsistentProgram:
+                profile = None
+            if profile is not None:
+                answered += 1
+                for t in delta:
+                    pp = unfold(build_evolution_program(sk, per_time, (t,)))
+                    placed = {
+                        World.from_atoms(pp.base, (ca.at(t) for ca in w.atoms())): p
+                        for w, p in profile.dist_at(t).items()
+                    }
+                    assert ki_satisfies(pp, WorldDistribution(pp.base, placed))
+            # slices are solved in time order, so only a gap in the first one
+            # is reached whatever the earlier slices hold
+            slot = rng.choice(sorted(per_time))
+            t = rng.choice(delta) if profile is not None else delta[0]
+            del per_time[slot][t]
+            with pytest.raises(MissingTimeSlice) as exc:
+                solve_profile(sk, per_time, delta)
+            assert str(exc.value) == f"no annotation for formula {slot} at time {t}"
+        assert answered >= 20, answered

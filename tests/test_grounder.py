@@ -5,7 +5,8 @@ import pytest
 
 from conftest import load_program, load_unfolded
 from generators import rand_distribution, rand_tp_program
-from tplp.errors import NonNormalConstraint, UniverseEmpty
+from tplp.diagnostics import SourceSpan
+from tplp.errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
 from tplp.grounder import (
     GroundingMode,
     HerbrandBase,
@@ -17,6 +18,7 @@ from tplp.grounder import (
 )
 from tplp.model import (
     BasicFormula,
+    CAtom,
     Calendar,
     Cmp,
     ObjVar,
@@ -221,6 +223,21 @@ class TestHerbrandBase:
     def test_rejects_non_ground(self):
         with pytest.raises(ValueError):
             HerbrandBase([TAtom("a", (ObjVar("X"),), 1)])
+
+    def test_timeless_atoms(self):
+        base = HerbrandBase([CAtom("b"), CAtom("a", ("x",)), CAtom("b")])
+        assert [str(a) for a in base] == ["a(x)", "b"]
+        assert base.index_of(CAtom("b")) == 1
+        with pytest.raises(AtomNotInBase):
+            base.index_of(CAtom("c"))
+        with pytest.raises(AtomNotInBase):
+            base.index_of(TAtom("b", (), 1))
+
+    def test_spans_take_no_part(self):
+        span = SourceSpan(1, 1, 0, 1)
+        base = HerbrandBase([TAtom("a", (), 1, span)])
+        assert base.index_of(TAtom("a", (), 1)) == 0
+        assert base == HerbrandBase([TAtom("a", (), 1)])
 
 
 class TestModelPreservation:

@@ -216,3 +216,14 @@ class TestSkeletons:
     def test_bad_skeleton(self):
         sk, diags = parse_skeleton("calendar 1..2.\nh :- .\n")
         assert sk is None and diags
+
+    def test_arity_mismatch_at_the_atom(self):
+        sk, diags = parse_skeleton("calendar 1..1.\na(x) :- a.\n")
+        assert sk is None
+        assert [(d.kind, str(d.span)) for d in diags] == [(DiagnosticKind.ARITY_MISMATCH, "2:9")]
+        assert diags[0].message == "predicate a used with arity 0 and 1"
+
+    def test_atoms_carry_spans(self):
+        sk, _ = parse_skeleton("calendar 1..1.\nh(k, m) :- a.\n")
+        head = sk.clauses[0].head
+        assert (head.span.column, head.span.start, head.span.end) == (1, 15, 22)
