@@ -88,7 +88,6 @@ from .model import (
     solve_constraint,
     substitute_time,
     validate_annotation,
-    weight_at,
 )
 from .parser import (
     ParseResult,
@@ -97,7 +96,6 @@ from .parser import (
     QueryKind,
     QueryResult,
     SkeletonClause,
-    SkeletonFormula,
     parse_program,
     parse_query,
     parse_skeleton,

@@ -273,7 +273,7 @@ def _cmd_maxent(args):
 
 def _load_profile_csv(path: str):
     per_time: dict[str, dict[int, ProbInterval]] = {}
-    times: set[int] = set()
+    lines: dict[tuple[str, int], int] = {}  # (slot, time) -> the line giving it
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -289,13 +289,18 @@ def _load_profile_csv(path: str):
                     iv = ProbInterval(parse_rational(lo_text), parse_rational(hi_text))
                 except ValueError as exc:
                     raise _CliError(f"{path}:{lineno}: {exc}") from None
+                where = f"{path}:{lineno}"
+                if iv.lo > iv.hi:
+                    raise _CliError(f"{where}: lower bound {lo_text} exceeds upper {hi_text}")
+                first = lines.setdefault((slot, t), lineno)
+                if first != lineno:
+                    raise _CliError(f"{where}: {slot} at time {t} repeats line {first}")
                 per_time.setdefault(slot, {})[t] = iv
-                times.add(t)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
-    if not times:
+    if not lines:
         raise _CliError(f"{path}: no annotation slices found")
-    return per_time, sorted(times)
+    return per_time, sorted({t for _, t in lines})
 
 
 def _cmd_evolve(args):

@@ -39,18 +39,13 @@ from .model import (
     BasicFormula,
     CAtom,
     Calendar,
-    Cmp,
     PTProgram,
-    TConst,
-    TimeRange,
     TPAnnotation,
     TPClause,
     TVar,
-    WeightFunction,
-    solve_constraint,
     substitute_time,
 )
-from .parser import PSkeleton, SkeletonFormula
+from .parser import PSkeleton
 from .psat import SolveOptions, Verdict, check_consistency, strong_witness
 from .worlds import (
     World,
@@ -199,23 +194,13 @@ def build_evolution_program(
 
     def annotation(slot_id: str) -> TPAnnotation:
         slices = per_time.get(slot_id, {})
-        lowers, uppers = [], []
         for t in delta:
             if t not in slices:
                 raise MissingTimeSlice(f"no annotation for formula {slot_id} at time {t}")
-            lowers.append(slices[t].lo)
-            uppers.append(slices[t].hi)
-        y = TVar("Y")
-        if len(delta) == 1:
-            constraint = Cmp(y, "=", TConst(delta[0]))
-        else:
-            constraint = TimeRange(y, TConst(delta[0]), TConst(delta[-1]))
-        return TPAnnotation(
-            constraint, WeightFunction.list_of(lowers), WeightFunction.list_of(uppers)
-        )
+        return TPAnnotation.of_instant((t, slices[t]) for t in delta)
 
-    def promote(sf: SkeletonFormula) -> BasicFormula:
-        return BasicFormula.of(sf.connective, (a.at(TVar("Y")) for a in sf.atoms))
+    def promote(sf: BasicFormula) -> BasicFormula:
+        return BasicFormula(sf.connective, tuple(a.at(TVar("Y")) for a in sf.atoms))
 
     clauses = []
     for i, cl in enumerate(skeleton.clauses):
@@ -293,18 +278,15 @@ def verify_evolution(
     if mode is VerificationMode.LITERAL:
         ki = evolution_distribution(pi, cal)
         for formula, ann in _annotated_slots(p_delta):
-            for t in solve_constraint(ann.constraint, cal):
+            for t, iv in ann.instant(cal):
                 mass = formula_mass(ki, substitute_time(formula, t))
-                iv = ann.interval_at(cal, t)
                 checks.append(SliceCheck(str(formula), t, mass, iv, iv.contains(mass)))
         literal_model = ki_satisfies(unfold(p_delta), ki)
         return EvolutionReport(mode, checks, literal_model)
     for formula, ann in _annotated_slots(p_delta):
         catoms = tuple(a.timeless() for a in formula.atoms)
-        for t in solve_constraint(ann.constraint, cal):
-            dist = pi.dist_at(t)
-            mass = mass_of_atoms(dist, formula.connective, catoms)
-            iv = ann.interval_at(cal, t)
+        for t, iv in ann.instant(cal):
+            mass = mass_of_atoms(pi.dist_at(t), formula.connective, catoms)
             checks.append(SliceCheck(str(formula), t, mass, iv, iv.contains(mass)))
     return EvolutionReport(mode, checks)
 

@@ -22,17 +22,13 @@ from .model import (
     BasicFormula,
     CAtom,
     Calendar,
-    Cmp,
     ObjVar,
     PTProgram,
     TAtom,
-    TConst,
     TPAnnotation,
     TPClause,
     TVar,
-    WeightFunction,
     is_normal,
-    solve_constraint,
     substitute_constraint,
     substitute_objects,
     substitute_time,
@@ -272,22 +268,21 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
                 f"clause at {cl.span or '?'} still has independent temporal variables; "
                 f"ground them first"
             )
-        sol0 = solve_constraint(cl.head_annot.constraint, cal)
-        if not sol0:
+        heads = cl.head_annot.instant(cal)
+        if not heads:
             if warn is not None:
                 warn(f"clause head {cl.head} has an empty solution set; no clauses emitted")
             continue
-        body_pairs: list[tuple[BasicFormula, ProbInterval]] = []
-        for f, ann in cl.body:
-            for tj in solve_constraint(ann.constraint, cal):
-                body_pairs.append((substitute_time(f, tj), ann.interval_at(cal, tj)))
-        for ti in sol0:
+        body = tuple(
+            (substitute_time(f, tj), iv) for f, ann in cl.body for tj, iv in ann.instant(cal)
+        )
+        for ti, iv in heads:
             head = (
                 TAtom(cl.head.predicate, cl.head.args, ti, cl.head.span)
                 if isinstance(cl.head.time, TVar)
                 else cl.head
             )
-            clauses.append(PClause(head, cl.head_annot.interval_at(cal, ti), tuple(body_pairs)))
+            clauses.append(PClause(head, iv, body))
     pp = PProgram(tuple(clauses))
     if pp.is_ground:
         pp = PProgram(pp.clauses, herbrand_base(pp.clauses))
@@ -297,20 +292,15 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
 def pprogram_to_ptprogram(pp: PProgram, cal: Calendar) -> PTProgram:
     """Re-express an unfolded program in clause syntax with Y=t annotations."""
 
-    def annot(time: int, iv: ProbInterval) -> TPAnnotation:
-        return TPAnnotation(
-            Cmp(TVar("Y"), "=", TConst(time)),
-            WeightFunction.list_of([iv.lo]),
-            WeightFunction.list_of([iv.hi]),
-        )
-
     clauses = []
     for cl in pp.clauses:
         head_time = cl.head.time
         if not isinstance(head_time, int):
             raise ValueError(f"unfolded head {cl.head} should be time-ground")
-        body = tuple((f, annot(_formula_time(f, cal), iv)) for f, iv in cl.body)
-        clauses.append(TPClause(cl.head, annot(head_time, cl.head_iv), body))
+        body = tuple(
+            (f, TPAnnotation.of_instant([(_formula_time(f, cal), iv)])) for f, iv in cl.body
+        )
+        clauses.append(TPClause(cl.head, TPAnnotation.of_instant([(head_time, cl.head_iv)]), body))
     return PTProgram(cal, tuple(clauses))
 
 

@@ -1,5 +1,11 @@
 """Core vocabulary: calendars, t-atoms, temporal constraints, weights, clauses.
 
+An annotation <C, lower, upper> is an indeterminate instant: the solution
+points of C in the calendar, each with the interval [lower(t), upper(t)].
+TPAnnotation.instant reads that window off once for every consumer (unfolding,
+entailment, validation, satisfaction, evolution checks), and
+TPAnnotation.of_instant writes a contiguous window back as an annotation.
+
 Every value here is immutable after construction, so programs can be shared
 freely across solver tasks.  Source spans ride along on AST nodes but are
 excluded from equality, which keeps round-trip comparisons structural.
@@ -154,10 +160,11 @@ class Connective(Enum):
 
 @dataclass(frozen=True)
 class BasicFormula:
-    """Homogeneous conjunction or disjunction of t-atoms (or one atom)."""
+    """Homogeneous conjunction or disjunction of t-atoms (or one atom); a
+    skeleton formula has timeless atoms instead."""
 
     connective: Connective
-    atoms: tuple[TAtom, ...]
+    atoms: tuple[TAtom | CAtom, ...]
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -462,6 +469,14 @@ class WeightFunction:
     def list_of(cls, values) -> "WeightFunction":
         return cls(WeightKind.LIST, tuple(Fraction(v) for v in values))
 
+    def over(self, n: int) -> tuple[Fraction, ...]:
+        """The weights of n solution points, in time order."""
+        if self.kind is WeightKind.SHARP:
+            return (ONE,) * n
+        if self.kind is WeightKind.UNIFORM:
+            return tuple(Fraction(1, n) for _ in range(n))
+        return self.values
+
     def __str__(self):
         if self.kind is WeightKind.SHARP:
             return "#"
@@ -470,32 +485,37 @@ class WeightFunction:
         return "[" + ",".join(format_rational(v) for v in self.values) + "]"
 
 
-def weight_at(w: WeightFunction, c: TemporalConstraint, cal: Calendar, t: TimePoint) -> Fraction:
-    """Value of the weight function at t; zero outside the solution set."""
-    sol = solve_constraint(c, cal)
-    if t not in sol:
-        return ZERO
-    if w.kind is WeightKind.SHARP:
-        return ONE
-    if w.kind is WeightKind.UNIFORM:
-        return Fraction(1, len(sol))
-    return w.values[sol.index(t)]
-
-
 @dataclass(frozen=True)
 class TPAnnotation:
-    """Constraint plus lower/upper weight functions."""
+    """An indeterminate instant: a constraint's solution points, each carrying
+    the interval [lower(t), upper(t)] of the two weight functions."""
 
     constraint: TemporalConstraint
     lower: WeightFunction
     upper: WeightFunction
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
-    def interval_at(self, cal: Calendar, t: TimePoint) -> ProbInterval:
-        return ProbInterval(
-            weight_at(self.lower, self.constraint, cal, t),
-            weight_at(self.upper, self.constraint, cal, t),
-        )
+    def instant(self, cal: Calendar) -> list[tuple[TimePoint, ProbInterval]]:
+        """Each solution point, in time order, with its interval.  A weight
+        list must hold one value per point (ValueError otherwise)."""
+        sol = solve_constraint(self.constraint, cal)
+        lowers, uppers = self.lower.over(len(sol)), self.upper.over(len(sol))
+        return [
+            (t, ProbInterval(lo, hi)) for t, lo, hi in zip(sol, lowers, uppers, strict=True)
+        ]
+
+    @classmethod
+    def of_instant(cls, window) -> "TPAnnotation":
+        """The annotation of a contiguous window of (time point, interval)
+        pairs: Y = t for one point, Y: first ~ last for more."""
+        times, ivs = zip(*window)
+        y = TVar("Y")
+        if len(times) == 1:
+            constraint = Cmp(y, "=", TConst(times[0]))
+        else:
+            constraint = TimeRange(y, TConst(times[0]), TConst(times[-1]))
+        lower = WeightFunction.list_of(iv.lo for iv in ivs)
+        return cls(constraint, lower, WeightFunction.list_of(iv.hi for iv in ivs))
 
 
 def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
@@ -556,15 +576,13 @@ def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
                 )
             )
     if lengths_ok:
-        for t in sol:
-            lo = weight_at(a.lower, a.constraint, cal, t)
-            hi = weight_at(a.upper, a.constraint, cal, t)
-            if lo > hi:
+        for t, iv in a.instant(cal):
+            if iv.lo > iv.hi:
                 diags.append(
                     error(
                         DiagnosticKind.LOWER_EXCEEDS_UPPER,
-                        f"lower weight {format_rational(lo)} exceeds upper "
-                        f"{format_rational(hi)} at t = {t}",
+                        f"lower weight {format_rational(iv.lo)} exceeds upper "
+                        f"{format_rational(iv.hi)} at t = {t}",
                         a.span,
                     )
                 )

@@ -437,41 +437,40 @@ class _ProgramParser:
         span = SourceSpan(name.span.line, name.span.column, name.span.start, tok.span.end)
         return TAtom(name.text, tuple(args), time, span), marker
 
+    def parse_compound(self, parse_atom) -> tuple[Connective, tuple]:
+        """atom ( ("and"|"or") atom )*: the connective, SINGLE for one atom, and
+        the parsed atoms.  Mixing connectives is an error; the first one wins."""
+        items = [parse_atom()]
+        connective = None
+        while (word := self.cur.peek()).type == "IDENT" and word.text in ("and", "or"):
+            self.cur.advance()
+            connective = connective or word.text
+            if connective != word.text:
+                self.diags.append(
+                    error(
+                        DiagnosticKind.SYNTAX,
+                        "a compound formula must use a single connective",
+                        word.span,
+                    )
+                )
+            items.append(parse_atom())
+        if len(items) == 1:
+            return Connective.SINGLE, tuple(items)
+        return Connective.OR if connective == "or" else Connective.AND, tuple(items)
+
     def parse_bform(self, allow_star: bool = False) -> tuple[BasicFormula, list[str | None]]:
         first_tok = self.cur.peek()
-        atom, marker = self.parse_tatom(allow_star)
-        atoms = [atom]
-        markers = [marker]
-        connective = None
-        while True:
-            word = self.cur.peek()
-            if word.type == "IDENT" and word.text in ("and", "or"):
-                self.cur.advance()
-                if connective is None:
-                    connective = word.text
-                elif connective != word.text:
-                    self.diags.append(
-                        error(
-                            DiagnosticKind.SYNTAX,
-                            "a compound formula must use a single connective",
-                            word.span,
-                        )
-                    )
-                atom, marker = self.parse_tatom(allow_star)
-                atoms.append(atom)
-                markers.append(marker)
-            else:
-                break
-        conn = Connective.AND if connective in (None, "and") else Connective.OR
+        conn, items = self.parse_compound(lambda: self.parse_tatom(allow_star))
+        atoms = tuple(a for a, _ in items)
         span = SourceSpan(
             first_tok.span.line, first_tok.span.column, first_tok.span.start, atoms[-1].span.end
         )
-        formula = BasicFormula.of(conn, atoms, span)
+        formula = BasicFormula(conn, atoms, span)
         try:
             formula.temporal_var
         except ValueError as exc:
             raise _Unexpected(str(exc), span) from None
-        return formula, markers
+        return formula, [m for _, m in items]
 
     def check_annotation_binding(self, formula: BasicFormula, annot: TPAnnotation):
         tvar = formula.temporal_var
@@ -640,20 +639,9 @@ def parse_query(text: str) -> QueryResult:
 
 
 @dataclass(frozen=True)
-class SkeletonFormula:
-    connective: Connective
-    atoms: tuple[CAtom, ...]
-
-    def __str__(self):
-        if self.connective is Connective.SINGLE:
-            return str(self.atoms[0])
-        return f" {self.connective.value} ".join(str(a) for a in self.atoms)
-
-
-@dataclass(frozen=True)
 class SkeletonClause:
     head: CAtom
-    body: tuple[SkeletonFormula, ...] = ()
+    body: tuple[BasicFormula, ...] = ()  # formulas over CAtoms
 
 
 @dataclass(frozen=True)
@@ -663,11 +651,11 @@ class PSkeleton:
     calendar: Calendar
     clauses: tuple[SkeletonClause, ...]
 
-    def formula_slots(self) -> list[tuple[str, SkeletonFormula]]:
+    def formula_slots(self) -> list[tuple[str, BasicFormula]]:
         """Positional formula identifiers: c<i>.head and c<i>.b<j>."""
-        slots: list[tuple[str, SkeletonFormula]] = []
+        slots: list[tuple[str, BasicFormula]] = []
         for i, cl in enumerate(self.clauses):
-            slots.append((f"c{i}.head", SkeletonFormula(Connective.SINGLE, (cl.head,))))
+            slots.append((f"c{i}.head", BasicFormula.single(cl.head)))
             for j, f in enumerate(cl.body):
                 slots.append((f"c{i}.b{j}", f))
         return slots
@@ -686,30 +674,8 @@ class _SkeletonParser(_ProgramParser):
         span = SourceSpan(name.span.line, name.span.column, name.span.start, end)
         return CAtom(name.text, tuple(args), span)
 
-    def parse_sformula(self) -> SkeletonFormula:
-        atoms = [self.parse_satom()]
-        connective = None
-        while True:
-            word = self.cur.peek()
-            if word.type == "IDENT" and word.text in ("and", "or"):
-                self.cur.advance()
-                if connective is None:
-                    connective = word.text
-                elif connective != word.text:
-                    self.diags.append(
-                        error(
-                            DiagnosticKind.SYNTAX,
-                            "a compound formula must use a single connective",
-                            word.span,
-                        )
-                    )
-                atoms.append(self.parse_satom())
-            else:
-                break
-        conn = Connective.AND if connective in (None, "and") else Connective.OR
-        if len(atoms) == 1:
-            conn = Connective.SINGLE
-        return SkeletonFormula(conn, tuple(atoms))
+    def parse_sformula(self) -> BasicFormula:
+        return BasicFormula(*self.parse_compound(self.parse_satom))
 
     def parse_skeleton(self) -> tuple[PSkeleton | None, list[Diagnostic]]:
         calendar = self.parse_calendar()
@@ -717,7 +683,7 @@ class _SkeletonParser(_ProgramParser):
         while not self.cur.at("EOF"):
             try:
                 head = self.parse_satom()
-                body: list[SkeletonFormula] = []
+                body: list[BasicFormula] = []
                 if self.cur.accept("IMPL"):
                     body.append(self.parse_sformula())
                     while self.cur.accept("COMMA"):

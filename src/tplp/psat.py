@@ -35,7 +35,7 @@ from fractions import Fraction
 from .errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from .grounder import HerbrandBase, PProgram
 from .intervals import ONE, ZERO, ProbInterval
-from .model import BasicFormula, Calendar, Connective, solve_constraint, substitute_time
+from .model import BasicFormula, Calendar, Connective, substitute_time
 from .parser import Query
 from .simplex import INFEASIBLE, LPResult, solve_lp
 from .worlds import WorldDistribution
@@ -754,18 +754,17 @@ def entails(
     if query.annot is None:
         raise ValueError("entailment needs an annotated query")
     undefined = "entailment is undefined for an inconsistent program"
-    sol = solve_constraint(query.annot.constraint, calendar)
-    if not sol:
+    window = query.annot.instant(calendar)
+    if not window:
         solution, count = _first_solution(_Engine(pp, opts), opts.epsilon)
         if solution is None:
             raise InconsistentProgram(undefined)
         return EntailmentResult(True, True, [], count, opts.epsilon)
-    instances = [substitute_time(query.formula, t) for t in sol]
+    instances = [substitute_time(query.formula, t) for t, _ in window]
     engine, bounds, count = _instance_bounds(pp, instances, opts, undefined)
     per_time: list[TimeVerdict] = []
-    for t, fid in zip(sol, engine.extra_fids):
+    for (t, target), fid in zip(window, engine.extra_fids):
         bound = ProbInterval(*bounds[fid])
-        target = query.annot.interval_at(calendar, t)
         per_time.append(TimeVerdict(t, bound, target, target.contains_interval(bound)))
     return EntailmentResult(all(v.holds for v in per_time), False, per_time, count, opts.epsilon)
 

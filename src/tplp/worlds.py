@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .grounder import HerbrandBase, PProgram
-from .model import BasicFormula, Connective, PTProgram, TAtom, solve_constraint, substitute_time
+from .model import BasicFormula, Connective, PTProgram, TAtom, substitute_time
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -178,11 +178,10 @@ def ki_satisfies_tp(p: PTProgram, ki: WorldDistribution) -> bool:
     constraint.  The program must be ground in object terms."""
 
     def annotated_holds(formula: BasicFormula, annot) -> bool:
-        for t in solve_constraint(annot.constraint, p.calendar):
-            iv = annot.interval_at(p.calendar, t)
-            if not iv.contains(formula_mass(ki, substitute_time(formula, t))):
-                return False
-        return True
+        return all(
+            iv.contains(formula_mass(ki, substitute_time(formula, t)))
+            for t, iv in annot.instant(p.calendar)
+        )
 
     for cl in p.clauses:
         head_ok = annotated_holds(BasicFormula.single(cl.head), cl.head_annot)

@@ -21,6 +21,7 @@ from tplp.model import (
     COr,
     Connective,
     TimeRange,
+    WeightKind,
     eval_texpr,
 )
 
@@ -51,6 +52,20 @@ def constraint_holds_at(c, t: int) -> bool:
     if isinstance(c, COr):
         return constraint_holds_at(c.left, t) or constraint_holds_at(c.right, t)
     raise TypeError(f"unknown constraint node {c!r}")
+
+
+def weight_at(w, c, cal, t: int) -> Fraction:
+    """Value of the weight function w at t, one point at a time: zero outside
+    the (pointwise) solution set of c, else 1 for '#', 1/|sol| for uniform and
+    the value of t's rank for a list."""
+    sol = [u for u in cal.points if constraint_holds_at(c, u)]
+    if t not in sol:
+        return Fraction(0)
+    if w.kind is WeightKind.SHARP:
+        return Fraction(1)
+    if w.kind is WeightKind.UNIFORM:
+        return Fraction(1, len(sol))
+    return w.values[sol.index(t)]
 
 
 # --- second simplex: single-phase big-M on floats ------------------------------------

@@ -352,6 +352,26 @@ class TestEvolve:
         )
         assert res.exit_code == 2
 
+    def test_inverted_interval_in_csv(self, tmp_path, capsys):
+        skeleton = tmp_path / "a.tpl"
+        skeleton.write_text("calendar 1..2.\na.\n")
+        csv_file = tmp_path / "inverted.csv"
+        csv_file.write_text("formula_id,time,lo,hi\nc0.head,1,0.6,0.3\n")
+        res = invoke("evolve", str(skeleton), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_file}:2: lower bound 0.6 exceeds upper 0.3\n"
+
+    def test_repeated_row_in_csv(self, tmp_path, capsys):
+        skeleton = tmp_path / "a.tpl"
+        skeleton.write_text("calendar 1..2.\na.\n")
+        csv_file = tmp_path / "twice.csv"
+        csv_file.write_text("formula_id,time,lo,hi\nc0.head,1,0.3,0.3\nc0.head,1,0.9,0.9\n")
+        res = invoke("evolve", str(skeleton), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_file}:3: c0.head at time 1 repeats line 2\n"
+
     def test_zero_denominator_in_csv(self, fixtures, tmp_path, capsys):
         csv_file = tmp_path / "zero.csv"
         csv_file.write_text("formula_id,time,lo,hi\nc0.head,1,1/0,1\n")
@@ -525,3 +545,40 @@ class TestUsageErrors:
         assert res.exit_code == 2 and res.payload == ""
         err = capsys.readouterr().err
         assert err == f"error: --max-world-atoms must be a positive integer, not {value!r}\n"
+
+
+class TestInstantDiagnostics:
+    """Exact stderr and exit codes of the diagnostics read off an annotation's instant."""
+
+    VACUOUS = "constraint Y > 5 has no solution in the calendar; the annotated formula is vacuous"
+
+    def test_lower_exceeds_upper_at_one_point(self, tmp_path, capsys):
+        program = tmp_path / "p.tpl"
+        program.write_text("calendar 1..3.\na@Y : <Y: 1 ~ 3, [0.1,0.9,0.2], [0.5,0.5,0.5]>.\n")
+        res = invoke("validate", str(program))
+        assert (res.exit_code, res.payload) == (2, "1 error(s) (0 warning(s))")
+        assert capsys.readouterr().err == (
+            "2:7 error[LowerExceedsUpper]: lower weight 0.9 exceeds upper 0.5 at t = 2\n"
+        )
+
+    def test_empty_head_window_warns_twice(self, tmp_path, capsys):
+        program = tmp_path / "p.tpl"
+        program.write_text("calendar 1..3.\na@Y : <Y > 5, uniform, uniform>.\nb@Y : <Y = 1, #, #>.\n")
+        res = invoke("unfold", str(program))
+        assert (res.exit_code, res.payload) == (0, "calendar 1..3.\nb@1 : <Y = 1, [1], [1]>.")
+        assert capsys.readouterr().err == (
+            f"2:7 warning[EmptySolutionSet]: {self.VACUOUS}\n"
+            "warning: clause head a@Y has an empty solution set; no clauses emitted\n"
+        )
+
+    def test_vacuous_uniform_entailment(self, tmp_path, capsys):
+        program = tmp_path / "p.tpl"
+        program.write_text("calendar 1..3.\nb@Y : <Y = 1, #, #>.\n")
+        query = tmp_path / "q.tpq"
+        query.write_text("?entail b@Y : <Y > 5, uniform, uniform>.\n")
+        res = invoke("entail", str(program), str(query))
+        assert (res.exit_code, res.payload) == (0, "ENTAILED")
+        assert capsys.readouterr().err == (
+            f"1:15 warning[EmptySolutionSet]: {self.VACUOUS}\n"
+            "warning: the query constraint has an empty solution set\n"
+        )

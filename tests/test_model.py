@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from generators import rand_constraint
-from oracles import constraint_holds_at
+from oracles import constraint_holds_at, weight_at
 from tplp.diagnostics import DiagnosticKind, Severity
+from tplp.intervals import ProbInterval
 from tplp.errors import NonNormalConstraint
 from tplp.model import (
     BasicFormula,
@@ -24,10 +25,10 @@ from tplp.model import (
     TRef,
     TVar,
     WeightFunction,
+    WeightKind,
     solve_constraint,
     substitute_time,
     validate_annotation,
-    weight_at,
 )
 
 CAL8 = Calendar.from_range(1, 8)
@@ -93,16 +94,25 @@ class TestSolveConstraint:
             assert set(solve_constraint(COr(c1, c2), cal)) == s1 | s2
 
 
+def weights(w: WeightFunction, c, cal: Calendar) -> dict[int, F]:
+    """The weights w gives the points of c's instant."""
+    return {t: iv.lo for t, iv in TPAnnotation(c, w, w).instant(cal)}
+
+
 class TestWeightAt:
+    """An annotation's instant against the per-point reference oracles.weight_at."""
+
     LIST = WeightFunction.list_of([F(1, 4), F(3, 20), F(1, 10)])
 
     def test_list_rank(self):
+        assert weights(self.LIST, rng_range(3, 5), CAL8) == {3: F(1, 4), 4: F(3, 20), 5: F(1, 10)}
         assert weight_at(self.LIST, rng_range(3, 5), CAL8, 4) == F(3, 20)
 
     def test_sharp(self):
-        assert weight_at(WeightFunction.sharp(), Cmp(Y, "=", TConst(1)), CAL8, 1) == 1
+        assert weights(WeightFunction.sharp(), Cmp(Y, "=", TConst(1)), CAL8) == {1: 1}
 
     def test_outside_solution_is_zero(self):
+        assert 7 not in weights(self.LIST, rng_range(3, 5), CAL8)
         assert weight_at(self.LIST, rng_range(3, 5), CAL8, 7) == 0
 
     def test_uniform_sums_to_one(self):
@@ -110,16 +120,71 @@ class TestWeightAt:
         for _ in range(100):
             cal = Calendar.from_range(1, rng.randint(1, 12))
             c = rand_constraint(rng, depth=2)
-            sol = solve_constraint(c, cal)
-            if not sol:
-                continue
-            u = WeightFunction.uniform()
-            assert sum(weight_at(u, c, cal, t) for t in sol) == 1
+            ws = weights(WeightFunction.uniform(), c, cal)
+            if ws:
+                assert sum(ws.values()) == 1
 
     def test_zero_outside_for_all_kinds(self):
         c = rng_range(2, 4)
-        for w in (self.LIST, WeightFunction.uniform()):
+        for w in (self.LIST, WeightFunction.uniform(), WeightFunction.sharp()):
+            assert 8 not in weights(w, c, CAL8)
             assert weight_at(w, c, CAL8, 8) == 0
+
+    def test_instant_matches_per_point_reference(self):
+        rng = random.Random(104)
+        empty_kinds = set()
+
+        def rand_weights(n: int) -> WeightFunction:
+            kind = rng.choice(list(WeightKind))
+            if n == 0:
+                empty_kinds.add(kind)
+            if kind is WeightKind.LIST:
+                return WeightFunction.list_of(F(rng.randint(0, 20), 20) for _ in range(n))
+            return WeightFunction(kind)
+
+        for _ in range(200):
+            cal = Calendar.from_range(rng.randint(-2, 3), rng.randint(3, 12))
+            c = rand_constraint(rng, depth=rng.randint(0, 3))
+            n = sum(constraint_holds_at(c, t) for t in cal.points)
+            a = TPAnnotation(c, rand_weights(n), rand_weights(n))
+            expected = [
+                (t, ProbInterval(weight_at(a.lower, c, cal, t), weight_at(a.upper, c, cal, t)))
+                for t in cal.points
+                if constraint_holds_at(c, t)
+            ]
+            assert a.instant(cal) == expected
+        assert empty_kinds == set(WeightKind)
+
+    def test_uniform_over_empty_window(self):
+        u = WeightFunction.uniform()
+        assert TPAnnotation(Cmp(Y, ">", TConst(99)), u, u).instant(CAL8) == []
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_list_length_mismatch_raises(self, n):
+        a = TPAnnotation(rng_range(3, 5), WeightFunction.list_of([F(1, 2)] * n), self.LIST)
+        with pytest.raises(ValueError):
+            a.instant(CAL8)
+
+
+class TestOfInstant:
+    @pytest.mark.parametrize("cal", [CAL8, Calendar((1, 3, 4, 7, 9))])
+    def test_round_trip_on_contiguous_windows(self, cal):
+        rng = random.Random(105)
+        for _ in range(50):
+            i = rng.randrange(len(cal))
+            j = rng.randrange(i, len(cal))
+            window = []
+            for t in cal.points[i : j + 1]:
+                lo, hi = sorted(F(rng.randint(0, 20), 20) for _ in range(2))
+                window.append((t, ProbInterval(lo, hi)))
+            a = TPAnnotation.of_instant(window)
+            assert a.instant(cal) == window
+            assert validate_annotation(a, cal) == []
+
+    def test_constraint_forms(self):
+        iv = ProbInterval(F(1, 4), F(1, 2))
+        assert str(TPAnnotation.of_instant([(3, iv)]).constraint) == "Y = 3"
+        assert str(TPAnnotation.of_instant([(3, iv), (4, iv)]).constraint) == "Y: 3 ~ 4"
 
 
 class TestValidateAnnotation:

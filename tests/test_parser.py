@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from generators import rand_program_ast
 from tplp.diagnostics import DiagnosticKind
-from tplp.model import Connective, TVar, WeightKind
+from tplp.model import BasicFormula, CAtom, Connective, TVar, WeightKind
 from tplp.parser import (
     QueryKind,
     parse_program,
@@ -212,6 +212,20 @@ class TestSkeletons:
         assert set(slots) == {"c0.head", "c0.b0", "c0.b1"}
         assert slots["c0.b0"].connective is Connective.AND
         assert slots["c0.b1"].atoms[0].args == ("k1",)
+
+    def test_formulas_are_hashable_basic_formulas(self):
+        sk, _ = parse_skeleton("calendar 1..3.\nh :- a or b.\n")
+        slots = dict(sk.formula_slots())
+        assert slots["c0.head"] == BasicFormula.single(CAtom("h"))
+        assert slots["c0.b0"] == BasicFormula(Connective.OR, (CAtom("a"), CAtom("b")))
+        assert len({slots["c0.b0"], BasicFormula(Connective.OR, (CAtom("a"), CAtom("b")))}) == 1
+
+    def test_mixed_connectives_rejected(self):
+        sk, diags = parse_skeleton("calendar 1..3.\nh :- a and b or c.\n")
+        assert sk is None
+        assert [(d.message, str(d.span)) for d in diags] == [
+            ("a compound formula must use a single connective", "2:14")
+        ]
 
     def test_bad_skeleton(self):
         sk, diags = parse_skeleton("calendar 1..2.\nh :- .\n")
