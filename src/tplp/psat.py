@@ -16,6 +16,10 @@ Two reductions keep the LPs small without changing their answers:
   program's formulas are collapsed into one LP column carrying their count; a
   query formula is bounded by the classes inside it and those that meet it.
 
+A component with one atom needs no LP at all: its rows bound the atom's mass
+by an interval box, which decides feasibility, gives the vertex the simplex
+would return and puts every least and greatest mass at the box's ends.
+
 Witnesses are reassembled exactly: consistency witnesses couple the component
 marginals segment-by-segment along the unit interval, and entropy witnesses
 spread class masses uniformly over their worlds, which is the entropy-optimal
@@ -155,6 +159,12 @@ class _Component:
             (c, c.bit_count(), (c & -c).bit_length() - 1) for c in classes
         ]
 
+    @property
+    def box_decided(self) -> bool:
+        """One atom split into its true and false worlds, the classes with
+        coefficients (1, 0): its rows' box decides its LPs."""
+        return self.k == 1 and len(self.classes) == 2
+
     def coefficients(self, mask: int, inside: bool = False) -> tuple[Fraction, ...]:
         """Per class, ONE when some of its worlds lie in mask (inside: all)."""
         return tuple(
@@ -257,6 +267,32 @@ def _narrow(boxes: dict, rows: tuple[_Row, ...]) -> list | None:
 def _restore(boxes: dict, undo: list) -> None:
     for fid, old in reversed(undo):
         boxes[fid] = old
+
+
+def _box(rows) -> tuple[Fraction, Fraction, bool]:
+    """(lo, hi, whether some row is a ">=" one): the interval that rows, all
+    on one formula, leave its mass, which may be empty."""
+    lo, hi, floored = ZERO, ONE, False
+    for row in rows:
+        if row.sense == ">=":
+            floored = True
+            lo = max(lo, row.rhs)
+        else:
+            hi = min(hi, row.rhs)
+    return lo, hi, floored
+
+
+def _box_vertex(rows) -> list[Fraction] | None:
+    """The class masses solve_lp finds for a one-atom component's rows, or
+    None when they are infeasible.  Its two classes are the atom's true and
+    false worlds, so the rows bound the one free mass by their box, and the
+    two-phase simplex with Bland's rule stops at the box's low end when a
+    ">=" row put an artificial into phase one, else at its high end."""
+    lo, hi, floored = _box(rows)
+    if lo > hi:
+        return None
+    p = lo if floored else hi
+    return [p, ONE - p]
 
 
 class _Engine:
@@ -494,20 +530,26 @@ class _Engine:
 
     def mass_ranges(self, rows_by_comp) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
-        leaf, all of a component's from one start."""
+        leaf: a one-atom component's from its rows' box, any other
+        component's all from one start."""
         out = {}
         for comp, cids, queries in self._queries.values():
             rows = frozenset().union(*(rows_by_comp.get(cid, ()) for cid in cids))
             key = (comp.cid, rows)
             if key not in self._ranges:
-                start = self._take_start(comp, rows)
-                self._ranges[key] = {
-                    fid: (
-                        start.optimum(least, maximize=False).value,
-                        start.optimum(most, maximize=True).value,
-                    )
-                    for fid, least, most in queries
-                }
+                if comp.box_decided:
+                    # every formula over the one atom is its true world, class 0
+                    lo, hi, _ = _box(rows)
+                    self._ranges[key] = {fid: (lo, hi) for fid, _, _ in queries}
+                else:
+                    start = self._take_start(comp, rows)
+                    self._ranges[key] = {
+                        fid: (
+                            start.optimum(least, maximize=False).value,
+                            start.optimum(most, maximize=True).value,
+                        )
+                        for fid, least, most in queries
+                    }
             out.update(self._ranges[key])
         return out
 
@@ -524,11 +566,15 @@ class _Engine:
 
     def _lp(self, cid: int, rows: frozenset[_Row]):
         """Some feasible class masses of one component, or None when its rows
-        are infeasible; cached.  An optimized component's feasible solve is
-        also held as the rows' start."""
+        are infeasible.  A one-atom component's come from its rows' box, with
+        no LP.  Any other's are solved once per row system and cached, and an
+        optimized component's feasible solve is also held as the rows' start."""
+        comp = self.components[cid]
+        if comp.box_decided:
+            return _box_vertex(rows)
         key = (cid, rows)
         if key not in self._lp_cache:
-            result = self._solve(self.components[cid], rows)
+            result = self._solve(comp, rows)
             if cid in self._optimized and result.x is not None:
                 self._starts[key] = result
             self._lp_cache[key] = result.x
@@ -551,30 +597,33 @@ class _Engine:
         their product.  Formula masses only depend on per-component marginals,
         hence satisfaction is unaffected by the coupling choice.
         """
-        cumulatives: list[tuple[_Component, list[Fraction]]] = []
-        points: set[Fraction] = {ZERO, ONE}
+        # Walking up the unit interval, a component's world changes only where
+        # its cumulative mass passes from one class with mass to the next, so
+        # the joint world is swept from point to point, flipping at each the
+        # atoms of the components that change there.  A component without a
+        # solution sits in its zero world, which holds no atom.
+        gmask = 0  # the joint world at the bottom of the interval
+        flips: dict[Fraction, int] = {}  # point -> the atoms that change there
         for comp in self.components:
             x = comp_solutions.get(comp.cid)
             if x is None:
-                zero_cls = next(i for i, (_, _, rep) in enumerate(comp.classes) if rep == 0)
-                x = [ONE if i == zero_cls else ZERO for i in range(len(comp.classes))]
-            cum = [ZERO]
-            for v in x:
-                cum.append(cum[-1] + v)
-            cumulatives.append((comp, cum))
-            points.update(cum)
-        masses: dict[int, Fraction] = {}
-        ordered = sorted(points)
-        for lo, hi in zip(ordered, ordered[1:]):
-            length = hi - lo
-            if length == 0:
                 continue
-            gmask = 0
-            for comp, cum in cumulatives:
-                # cum[i] is the mass of classes[:i]; lo lies in class i's segment.
-                idx = bisect.bisect_right(cum, lo, 0, len(cum) - 1) - 1
-                gmask |= comp.global_mask(comp.classes[idx][2])
-            masses[gmask] = masses.get(gmask, ZERO) + length
+            point, below = ZERO, None
+            for (_, _, rep), v in zip(comp.classes, x):
+                if v == 0:
+                    continue
+                world = comp.global_mask(rep)
+                if below is None:
+                    gmask |= world
+                else:
+                    flips[point] = flips.get(point, 0) ^ below ^ world
+                point, below = point + v, world
+        masses: dict[int, Fraction] = {}
+        lo = ZERO
+        for point in sorted(flips) + [ONE]:
+            masses[gmask] = masses.get(gmask, ZERO) + (point - lo)
+            gmask ^= flips.get(point, 0)
+            lo = point
         return WorldDistribution(self.base, masses)
 
     def spread_product(self, comp_qs: dict[int, list[Fraction]]) -> WorldDistribution:

@@ -115,12 +115,14 @@ def rand_tp_program(
     return PTProgram(cal, tuple(clauses))
 
 
-def rand_pclause(rng: random.Random, atoms: list[TAtom]) -> PClause:
+def rand_pclause(
+    rng: random.Random, atoms: list[TAtom], formula_sizes: tuple[int, ...] = (1, 1, 2)
+) -> PClause:
     head = rng.choice(atoms)
     head_iv = rand_interval(rng)
     body = []
     for _ in range(rng.choice([0, 0, 1, 2])):
-        count = rng.choice([1, 1, 2])
+        count = rng.choice(formula_sizes)
         members = tuple(rng.choice(atoms) for _ in range(count))
         conn = Connective.AND if rng.random() < 0.5 else Connective.OR
         body.append((BasicFormula.of(conn, members), rand_interval(rng)))
@@ -128,10 +130,15 @@ def rand_pclause(rng: random.Random, atoms: list[TAtom]) -> PClause:
 
 
 def rand_pprogram(
-    rng: random.Random, base: HerbrandBase, n_clauses: int = 3
+    rng: random.Random,
+    base: HerbrandBase,
+    n_clauses: int = 3,
+    formula_sizes: tuple[int, ...] = (1, 1, 2),
 ) -> PProgram:
+    """Random clauses over base; each body formula draws its atom count from
+    formula_sizes, so (1,) leaves every component with one atom."""
     atoms = list(base.atoms)
-    clauses = tuple(rand_pclause(rng, atoms) for _ in range(n_clauses))
+    clauses = tuple(rand_pclause(rng, atoms, formula_sizes) for _ in range(n_clauses))
     return PProgram(clauses, base)
 
 

@@ -23,13 +23,17 @@ from tplp.model import BasicFormula, Calendar, Connective, TAtom, TVar, substitu
 from tplp.parser import parse_program, parse_query
 from tplp.psat import (
     SolveOptions,
+    _box,
+    _box_vertex,
     _Engine,
+    _Row,
     Verdict,
     check_consistency,
     entails,
     max_entropy_model,
     tighten,
 )
+from tplp.simplex import solve_lp
 from tplp.worlds import WorldDistribution, atom_mass, ki_satisfies
 
 
@@ -273,6 +277,81 @@ class TestWarmStarts:
         res = max_entropy_model(pp)
         assert abs(res.entropy - math.log(2)) < 1e-4
         assert len(lp_systems) == len(set(lp_systems)) == 1
+
+
+class TestBoxDecided:
+    """A one-atom component is decided by its rows' box, with no LP, and the
+    box gives exactly the vertex and the optima the simplex would."""
+
+    SHAPES = ("<=", ">=", "mixed", "rowless", "duplicate", "infeasible", "ends")
+
+    @staticmethod
+    def row_system(rng: random.Random, shape: str) -> list[_Row]:
+        def rhs():
+            d = rng.choice([2, 3, 7, 10, 1000])
+            return F(rng.randint(0, d), d)
+
+        if shape == "rowless":
+            return []
+        if shape == "infeasible":
+            lo = hi = F(0)
+            while lo == hi:
+                lo, hi = sorted([rhs(), rhs()])
+            rows = [_Row(0, ">=", hi), _Row(0, "<=", lo)]
+        elif shape == "ends":
+            rows = [_Row(0, rng.choice(["<=", ">="]), rng.choice([F(0), F(1)])) for _ in range(2)]
+        else:
+            senses = {"<=": ["<="], ">=": [">="]}.get(shape, ["<=", ">="])
+            rows = [_Row(0, rng.choice(senses), rhs()) for _ in range(rng.randint(1, 4))]
+        if shape == "duplicate":
+            rows.append(rng.choice(rows))
+        rng.shuffle(rows)
+        return rows
+
+    def test_vertex_and_optima_match_the_simplex(self):
+        rng = random.Random(909)
+        seen = {shape: 0 for shape in self.SHAPES}
+        infeasible = 0
+        for _ in range(1500):
+            shape = rng.choice(self.SHAPES)
+            rows = self.row_system(rng, shape)
+            lp = solve_lp(2, [([1, 1], "=", 1)] + [([1, 0], r.sense, r.rhs) for r in rows])
+            assert _box_vertex(rows) == lp.x, (shape, rows)
+            seen[shape] += 1
+            if lp.x is None:
+                infeasible += 1
+                continue
+            lo, hi, _ = _box(rows)
+            assert lo == lp.optimum((1, 0), maximize=False).value, rows
+            assert hi == lp.optimum((1, 0), maximize=True).value, rows
+        assert min(seen.values()) >= 150 and infeasible >= 200
+
+    def test_no_lp_for_one_atom_components(self, lp_systems):
+        from oracles import BruteForce
+
+        rng = random.Random(910)
+        consistent = 0
+        for _ in range(40):
+            pp = rand_pprogram(
+                rng, small_base(rng.randint(2, 4)), n_clauses=rng.randint(1, 4), formula_sizes=(1,)
+            )
+            target = BasicFormula.single(pp.clauses[0].head)
+            engine = _Engine(pp, SolveOptions(), [target])
+            assert all(comp.k == 1 for comp in engine.components)
+            assert all(comp.box_decided for comp, _, _ in engine._queries.values())
+            oracle = BruteForce(pp, extra_formulas=[target])
+            res = check_consistency(pp)
+            assert (res.verdict is Verdict.CONSISTENT) == oracle.consistent()
+            if res.verdict is not Verdict.CONSISTENT:
+                continue
+            consistent += 1
+            assert ki_satisfies(pp, res.witness)
+            bounds = tighten(pp, [target]).intervals[0]
+            lo, hi = oracle.tighten(target)
+            assert abs(float(bounds.lo) - lo) <= 1e-6
+            assert abs(float(bounds.hi) - hi) <= 1e-6
+        assert lp_systems == []
+        assert consistent >= 15
 
 
 class TestGridOracle:
