@@ -530,14 +530,21 @@ class _Engine:
 
     def mass_ranges(self, rows_by_comp) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
-        leaf: a one-atom component's from its rows' box, any other
-        component's all from one start."""
+        leaf: a rowless component's from its coefficients, a one-atom
+        component's from its rows' box, any other component's all from one
+        start."""
         out = {}
         for comp, cids, queries in self._queries.values():
             rows = frozenset().union(*(rows_by_comp.get(cid, ()) for cid in cids))
             key = (comp.cid, rows)
             if key not in self._ranges:
-                if comp.box_decided:
+                if not rows:
+                    # only the row summing the masses to 1: the simplex's
+                    # vertices put all mass on one class
+                    self._ranges[key] = {
+                        fid: (min(least), max(most)) for fid, least, most in queries
+                    }
+                elif comp.box_decided:
                     # every formula over the one atom is its true world, class 0
                     lo, hi, _ = _box(rows)
                     self._ranges[key] = {fid: (lo, hi) for fid, _, _ in queries}

@@ -1,10 +1,16 @@
 """Dense two-phase simplex over exact rationals, with a float variant.
 
-Variables are implicitly non-negative.  EXACT mode pivots on Fractions with
-Bland's rule, so it terminates and feasibility verdicts are exact.  FLOAT mode
-runs the same tableau arithmetic on doubles with a 1e-9 feasibility tolerance
-and raises LPNumericalFailure when phase one lands in the ambiguous band
-between the tolerance and 1e-6.
+Variables are implicitly non-negative.  EXACT mode pivots fraction-free (Edmonds
+1967; Bareiss 1968): each tableau row holds integer numerators over one positive
+denominator of its own, reduced by their gcd after every change, and a pivot
+combines rows as other*p - q*pivot_row with no division.  A row scaled by a
+positive constant stands for the same rationals, so the tableau is the one a
+Fraction tableau would hold, and Bland's rule (its ratio test cross-multiplied)
+makes the same pivots: it terminates, verdicts are exact, and x and values
+come back as Fractions.  FLOAT mode runs the same tableau on doubles, every
+denominator 1, with a 1e-9 feasibility tolerance and raises
+LPNumericalFailure when phase one lands in the ambiguous band between the
+tolerance and 1e-6.
 
 Phase one (a first feasible basis) does not depend on the objective.  A
 feasibility-only solve keeps the tableau phase one left, and
@@ -17,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import LPNumericalFailure
@@ -56,59 +63,101 @@ _FLOAT_AMBIGUOUS = 1e-6
 _MAX_PIVOTS = 50_000
 
 
-class _Tableau:
-    __slots__ = ("rows", "basis", "ncols", "num_vars", "art_start", "conv", "tol", "obj")
+def _numerators(values, exact: bool) -> tuple[list, int | float]:
+    """values as numerators over one denominator: integers over their least
+    common denominator (EXACT), else floats over 1."""
+    if not exact:
+        return [float(v) for v in values], 1.0
+    try:
+        pairs = [(v.numerator, v.denominator) for v in values]
+    except AttributeError:  # floats, Decimals, strings: Fraction reads them exactly
+        pairs = [(f.numerator, f.denominator) for f in map(Fraction, values)]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
 
-    def __init__(self, rows, basis, ncols, num_vars, art_start, conv, tol):
-        self.rows = rows  # list of lists, last entry is the rhs
+
+class _Tableau:
+    __slots__ = (
+        "rows", "dens", "basis", "ncols", "num_vars", "art_start", "exact", "tol",
+        "obj", "obj_den",
+    )
+
+    def __init__(self, rows, dens, basis, ncols, num_vars, art_start, exact, tol):
+        self.rows = rows  # numerators per row, last entry is the rhs
+        self.dens = dens  # positive denominator per row; 1 in FLOAT mode
         self.basis = basis  # basic variable per row
         self.ncols = ncols  # number of structural+slack+artificial columns
         self.num_vars = num_vars  # structural columns come first
         self.art_start = art_start  # artificial columns come last
-        self.conv = conv  # Fraction or float
+        self.exact = exact  # int numerators, else floats
         self.tol = tol
-        self.obj: list | None = None  # reduced cost row, last entry is -value
+        self.obj: list | None = None  # reduced cost numerators, last entry is -value
+        self.obj_den = 1
 
     def copy(self) -> _Tableau:
         # pivot() replaces row lists and never writes into one, so a copy may
-        # share them; only the lists of rows and of basic variables are its own.
+        # share them; the lists of rows, denominators and basic variables are
+        # its own.
         return _Tableau(
-            list(self.rows), list(self.basis), self.ncols, self.num_vars,
-            self.art_start, self.conv, self.tol,
+            list(self.rows), list(self.dens), list(self.basis), self.ncols,
+            self.num_vars, self.art_start, self.exact, self.tol,
         )
 
-    def set_objective(self, costs):
-        zero = costs[0] - costs[0] if costs else 0
-        obj = list(costs) + [zero]
+    def value(self, num, den):
+        return Fraction(num, den) if self.exact else num
+
+    def _reduced(self, row: list, den):
+        """row over den with the gcd of all of them divided out (EXACT)."""
+        if self.exact:
+            g = gcd(*row, den)
+            if g > 1:
+                return [v // g for v in row], den // g
+        return row, den
+
+    def _eliminate(self, row: list, den, q, prow: list, p):
+        """row/den minus q/den times the unit row prow/p, whose entry in the
+        column q sits in is 1: (row*p - q*prow) over den*p, reduced."""
+        if p == 1:
+            return self._reduced([a - q * b for a, b in zip(row, prow)], den)
+        return self._reduced([a * p - q * b for a, b in zip(row, prow)], den * p)
+
+    def set_objective(self, costs, den=1):
+        obj = list(costs) + [0 if self.exact else 0.0]
         for i, bv in enumerate(self.basis):
-            coeff = obj[bv]
-            if coeff != 0:
-                row = self.rows[i]
-                for j in range(self.ncols + 1):
-                    obj[j] -= coeff * row[j]
-        self.obj = obj
+            if obj[bv] != 0:
+                # row i over its denominator is the unit row of basic column bv
+                obj, den = self._eliminate(obj, den, obj[bv], self.rows[i], self.dens[i])
+        self.obj, self.obj_den = obj, den
 
     @property
     def objective_value(self):
-        return -self.obj[self.ncols]
+        return self.value(-self.obj[self.ncols], self.obj_den)
 
     def pivot(self, i, j):
         # Changed rows get new lists; no row list is written into (see copy).
-        row = self.rows[i]
-        piv = row[j]
-        inv = 1 / piv if isinstance(piv, float) else Fraction(1) / piv
-        self.rows[i] = row = [v * inv for v in row]
+        row, p = self.rows[i], self.rows[i][j]
+        if self.exact:
+            # Over denominator p the row has a 1 in column j.  p < 0 only on a
+            # pivot driving a leftover artificial out of the basis.
+            if p < 0:
+                row, p = [-v for v in row], -p
+            row, p = self._reduced(row, p)
+        else:
+            inv = 1 / p
+            row, p = [v * inv for v in row], 1
+        self.rows[i], self.dens[i] = row, p
         for k, other in enumerate(self.rows):
             if k != i and other[j] != 0:
-                f = other[j]
-                self.rows[k] = [a - f * b for a, b in zip(other, row)]
+                self.rows[k], self.dens[k] = self._eliminate(
+                    other, self.dens[k], other[j], row, p
+                )
         if self.obj is not None and self.obj[j] != 0:
-            f = self.obj[j]
-            self.obj = [a - f * b for a, b in zip(self.obj, row)]
+            self.obj, self.obj_den = self._eliminate(self.obj, self.obj_den, self.obj[j], row, p)
         self.basis[i] = j
 
     def optimize(self, allowed_cols) -> str:
         """Minimize the current objective with Bland's rule."""
+        rhs = self.ncols
         for _ in range(_MAX_PIVOTS):
             entering = -1
             for j in allowed_cols:
@@ -117,19 +166,18 @@ class _Tableau:
                     break
             if entering < 0:
                 return OPTIMAL
+            # Least ratio rhs/a over rows with a > 0, ties to the least basic
+            # variable.  Ratios are compared cross-multiplied, in which the row
+            # denominators cancel.
             leaving = -1
-            best_ratio = None
             for i, row in enumerate(self.rows):
                 a = row[entering]
                 if a > self.tol:
-                    ratio = row[self.ncols] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[i] < self.basis[leaving])
-                    ):
-                        best_ratio = ratio
-                        leaving = i
+                    if leaving >= 0:
+                        diff = row[rhs] * best_a - best_rhs * a
+                        if diff > 0 or (diff == 0 and self.basis[i] > self.basis[leaving]):
+                            continue
+                    leaving, best_rhs, best_a = i, row[rhs], a
             if leaving < 0:
                 return UNBOUNDED
             self.pivot(leaving, entering)
@@ -149,62 +197,58 @@ def solve_lp(
     basic solution, and the result's optimum() optimizes objectives over the
     same rows without repeating phase one.
     """
-    if mode is LPMode.EXACT:
-        conv = Fraction
-        tol = Fraction(0)
-    else:
-        conv = float
-        tol = _FLOAT_TOL
-    zero, one = conv(0), conv(1)
+    exact = mode is LPMode.EXACT
+    tol = 0 if exact else _FLOAT_TOL
+    zero, one = (0, 1) if exact else (0.0, 1.0)
 
-    # Standard form: normalize rhs >= 0, add slack/surplus, artificials where needed.
-    work_rows: list[list] = []
+    # Standard form: normalize rhs >= 0, add slack/surplus, artificials where
+    # needed.  Each row is converted once, to numerators over a denominator.
+    work_rows: list[tuple[list, object]] = []
     senses: list[str] = []
     for coeffs, sense, rhs in rows:
-        coeffs = [conv(c) for c in coeffs]
         if len(coeffs) != num_vars:
             raise ValueError(f"row has {len(coeffs)} coefficients, expected {num_vars}")
-        rhs = conv(rhs)
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
+        nums, den = _numerators([*coeffs, rhs], exact)
+        if nums[-1] < 0:
+            nums = [-c for c in nums]
             sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-        work_rows.append(coeffs + [rhs])
+        work_rows.append((nums, den))
         senses.append(sense)
 
-    m = len(work_rows)
     n_slack = sum(1 for s in senses if s in ("<=", ">="))
     n_art = sum(1 for s in senses if s in (">=", "="))
     ncols = num_vars + n_slack + n_art
     art_start = num_vars + n_slack
 
     tableau_rows: list[list] = []
+    dens: list = []
     basis: list[int] = []
     slack_i = art_i = 0
     artificials: list[int] = []
-    for row, sense in zip(work_rows, senses):
-        body, rhs = row[:-1], row[-1]
+    for (nums, den), sense in zip(work_rows, senses):
+        # slack and artificial entries are +-1, numerators +-den
         extra = [zero] * (n_slack + n_art)
         if sense == "<=":
-            extra[slack_i] = one
+            extra[slack_i] = den
             basic = num_vars + slack_i
             slack_i += 1
         elif sense == ">=":
-            extra[slack_i] = -one
+            extra[slack_i] = -den
             slack_i += 1
-            extra[n_slack + art_i] = one
+            extra[n_slack + art_i] = den
             basic = art_start + art_i
             artificials.append(basic)
             art_i += 1
         else:
-            extra[n_slack + art_i] = one
+            extra[n_slack + art_i] = den
             basic = art_start + art_i
             artificials.append(basic)
             art_i += 1
-        tableau_rows.append(body + extra + [rhs])
+        tableau_rows.append(nums[:-1] + extra + nums[-1:])
+        dens.append(den)
         basis.append(basic)
 
-    t = _Tableau(tableau_rows, basis, ncols, num_vars, art_start, conv, tol)
+    t = _Tableau(tableau_rows, dens, basis, ncols, num_vars, art_start, exact, tol)
 
     if artificials:
         phase1 = [zero] * ncols
@@ -216,7 +260,7 @@ def solve_lp(
             raise LPNumericalFailure("phase one reported an unbounded objective")
         residual = t.objective_value
         if residual > tol:
-            if mode is LPMode.FLOAT and residual < _FLOAT_AMBIGUOUS:
+            if not exact and residual < _FLOAT_AMBIGUOUS:
                 raise LPNumericalFailure(
                     f"phase-one residual {residual!r} is inside the ambiguous band"
                 )
@@ -235,6 +279,7 @@ def solve_lp(
                 t.pivot(i, pivot_col)
             else:
                 del t.rows[i]
+                del t.dens[i]
                 del t.basis[i]
 
     return _phase_two(t, objective, maximize)
@@ -243,19 +288,19 @@ def solve_lp(
 def _phase_two(t: _Tableau, objective: Sequence | None, maximize: bool) -> LPResult:
     """Optimize objective from the feasible basis phase one left in t.  With
     objective None no pivot is made and the result keeps t as its start."""
-    zero = t.conv(0)
+    zero = 0 if t.exact else 0.0
     if objective is not None:
-        obj = [t.conv(c) for c in objective]
+        costs, den = _numerators(objective, t.exact)
         if maximize:
-            obj = [-c for c in obj]
-        t.set_objective(obj + [zero] * (t.ncols - t.num_vars))
+            costs = [-c for c in costs]
+        t.set_objective(costs + [zero] * (t.ncols - t.num_vars), den)
         if t.optimize(range(t.art_start)) == UNBOUNDED:
             return LPResult(UNBOUNDED)
 
-    x = [zero] * t.num_vars
+    x = [t.value(zero, 1)] * t.num_vars
     for i, bv in enumerate(t.basis):
         if bv < t.num_vars:
-            x[bv] = t.rows[i][t.ncols]
+            x[bv] = t.value(t.rows[i][t.ncols], t.dens[i])
     if objective is None:
         return LPResult(OPTIMAL, x, _start=t)
     value = t.objective_value

@@ -6,6 +6,11 @@ uses exact two-phase), constraint evaluation is pointwise boolean recursion
 (the package uses set algebra), and the branch enumerator below works over
 explicit world enumeration with per-branch signature dedup (the package
 factors the space by components and signature classes up front).
+
+reference_solve_lp is the other kind of oracle: the package's exact simplex
+as it was written on Fraction arithmetic, before it pivoted on integer
+numerators over per-row denominators.  Both make the same pivots, so the two
+must agree on every status, vertex, value and final basis.
 """
 
 from __future__ import annotations
@@ -399,3 +404,135 @@ def reference_leaves(engine, eps: Fraction):
             tries.append(0)
         else:
             yield engine.solve_rows(row for taken, _ in path for row in taken)
+
+
+# --- reference simplex: the exact two-phase tableau on Fractions ---------------------
+
+
+class RefResult:
+    """status, x and value of a reference solve; a feasibility-only solve
+    keeps its phase-one tableau as start, whose optimum() runs phase two on a
+    copy of it."""
+
+    def __init__(self, status, x=None, value=None, start=None):
+        self.status, self.x, self.value, self._start = status, x, value, start
+
+    def optimum(self, objective, maximize=False):
+        if self.status == "infeasible":
+            return RefResult("infeasible")
+        return _ref_phase_two(self._start.copy(), objective, maximize)
+
+
+class RefTableau:
+    def __init__(self, rows, basis, ncols, num_vars, art_start):
+        self.rows = rows  # lists of Fractions, last entry is the rhs
+        self.basis = basis
+        self.ncols = ncols
+        self.num_vars = num_vars
+        self.art_start = art_start
+        self.obj = None  # reduced costs, last entry is -value
+
+    def copy(self):
+        return RefTableau(
+            list(self.rows), list(self.basis), self.ncols, self.num_vars, self.art_start
+        )
+
+    def set_objective(self, costs):
+        obj = list(costs) + [Fraction(0)]
+        for i, bv in enumerate(self.basis):
+            coeff = obj[bv]
+            if coeff != 0:
+                obj = [a - coeff * b for a, b in zip(obj, self.rows[i])]
+        self.obj = obj
+
+    def pivot(self, i, j):
+        row = [v / self.rows[i][j] for v in self.rows[i]]
+        self.rows[i] = row
+        for k, other in enumerate(self.rows):
+            if k != i and other[j] != 0:
+                self.rows[k] = [a - other[j] * b for a, b in zip(other, row)]
+        if self.obj is not None and self.obj[j] != 0:
+            self.obj = [a - self.obj[j] * b for a, b in zip(self.obj, row)]
+        self.basis[i] = j
+
+    def optimize(self, allowed_cols):
+        """Minimize the objective with Bland's rule: the least improving
+        column enters, the least ratio leaves, ties to the least basic index."""
+        while True:
+            entering = next((j for j in allowed_cols if self.obj[j] < 0), None)
+            if entering is None:
+                return "optimal"
+            leaving, best = None, None
+            for i, row in enumerate(self.rows):
+                if row[entering] > 0:
+                    ratio = row[self.ncols] / row[entering]
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leaving]
+                    ):
+                        leaving, best = i, ratio
+            if leaving is None:
+                return "unbounded"
+            self.pivot(leaving, entering)
+
+
+def reference_solve_lp(num_vars, rows, objective=None, maximize=False):
+    """solve_lp's contract on Fractions: two phases, Bland's rule, leftover
+    artificials driven out in reverse row order and redundant rows dropped."""
+    flipped = {"<=": ">=", ">=": "<=", "=": "="}
+    work = []
+    for coeffs, sense, rhs in rows:
+        coeffs, rhs = [Fraction(c) for c in coeffs], Fraction(rhs)
+        if rhs < 0:
+            coeffs, rhs, sense = [-c for c in coeffs], -rhs, flipped[sense]
+        work.append((coeffs, sense, rhs))
+    n_slack = sum(sense != "=" for _, sense, _ in work)
+    art_start = num_vars + n_slack
+    ncols = art_start + sum(sense != "<=" for _, sense, _ in work)
+    table, basis, artificials = [], [], []
+    slack, art = num_vars, art_start
+    for coeffs, sense, rhs in work:
+        extra = [Fraction(0)] * (ncols - num_vars)
+        if sense != "=":
+            extra[slack - num_vars] = Fraction(1 if sense == "<=" else -1)
+            if sense == "<=":
+                basis.append(slack)
+            slack += 1
+        if sense != "<=":
+            extra[art - num_vars] = Fraction(1)
+            basis.append(art)
+            artificials.append(art)
+            art += 1
+        table.append(coeffs + extra + [rhs])
+    t = RefTableau(table, basis, ncols, num_vars, art_start)
+    if artificials:
+        t.set_objective([Fraction(int(j in artificials)) for j in range(ncols)])
+        t.optimize(range(ncols))
+        if -t.obj[ncols] > 0:
+            return RefResult("infeasible")
+        for i in reversed(range(len(t.basis))):
+            if t.basis[i] < art_start:
+                continue
+            col = next((j for j in range(art_start) if t.rows[i][j] != 0), None)
+            if col is None:
+                del t.rows[i], t.basis[i]
+            else:
+                t.pivot(i, col)
+    return _ref_phase_two(t, objective, maximize)
+
+
+def _ref_phase_two(t, objective, maximize):
+    if objective is not None:
+        costs = [Fraction(c) for c in objective]
+        if maximize:
+            costs = [-c for c in costs]
+        t.set_objective(costs + [Fraction(0)] * (t.ncols - t.num_vars))
+        if t.optimize(range(t.art_start)) == "unbounded":
+            return RefResult("unbounded")
+    x = [Fraction(0)] * t.num_vars
+    for i, bv in enumerate(t.basis):
+        if bv < t.num_vars:
+            x[bv] = t.rows[i][t.ncols]
+    if objective is None:
+        return RefResult("optimal", x, start=t)
+    value = -t.obj[t.ncols]
+    return RefResult("optimal", x, -value if maximize else value)

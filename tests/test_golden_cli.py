@@ -6,6 +6,12 @@ tighten, evolve, ialg and maxent, as text and with --json.  The verdicts,
 witnesses, intervals, diagnostics and branch counts in it are the solver's
 contract, so a change to any of them shows here.  Only maxent's entropy, a
 float, is left out.
+
+tests/golden/multicolumn.json does the same for consistent, tighten and
+maxent on seeded 5- and 6-atom programs from tests/generators.py, whose LPs
+have up to 16 columns, so it pins the simplex's vertices (witnesses and
+maxent starts) on components wider than the fixtures' two-column ones.  It
+carries its own program and query files.
 """
 
 import json
@@ -15,8 +21,9 @@ import pytest
 
 from tplp.cli import run
 
-GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json").read_text())
-CASES = GOLDEN["cases"]
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+CASES = json.loads((GOLDEN_DIR / "cli.json").read_text())["cases"]
+MULTICOLUMN = json.loads((GOLDEN_DIR / "multicolumn.json").read_text())
 
 
 def stdout_of(result) -> str:
@@ -24,9 +31,9 @@ def stdout_of(result) -> str:
     return result.payload + "\n" if result.payload else ""
 
 
-@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_output_matches_golden(fixtures, capsys, case):
-    argv = [str(fixtures / a[1:]) if a.startswith("@") else a for a in case["argv"]]
+def check_case(case, files, capsys):
+    """Run case's argv, '@name' naming a file in the directory files."""
+    argv = [str(files / a[1:]) if a.startswith("@") else a for a in case["argv"]]
     result = run(argv)
     stderr = capsys.readouterr().err
     stdout = stdout_of(result)
@@ -38,3 +45,23 @@ def test_output_matches_golden(fixtures, capsys, case):
     assert result.exit_code == case["exit"]
     assert stdout == case["stdout"]
     assert stderr == case["stderr"]
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_output_matches_golden(fixtures, capsys, case):
+    check_case(case, fixtures, capsys)
+
+
+@pytest.fixture(scope="module")
+def multicolumn_files(tmp_path_factory):
+    files = tmp_path_factory.mktemp("multicolumn")
+    for name, text in MULTICOLUMN["files"].items():
+        (files / name).write_text(text)
+    return files
+
+
+@pytest.mark.parametrize(
+    "case", MULTICOLUMN["cases"], ids=[" ".join(c["argv"]) for c in MULTICOLUMN["cases"]]
+)
+def test_multicolumn_output_matches_golden(multicolumn_files, capsys, case):
+    check_case(case, multicolumn_files, capsys)

@@ -354,6 +354,40 @@ class TestBoxDecided:
         assert consistent >= 15
 
 
+class TestRowlessComponents:
+    """A query component with no rows in a leaf is bounded by the row summing
+    its class masses to 1 alone, whose vertices put all mass on one class: its
+    ranges come from the coefficients, with no LP."""
+
+    def test_no_lp_for_an_atom_outside_the_program(self, lp_systems):
+        pp = unfold(parse_program("calendar 1..1.\na@Y : <Y=1, [0.2], [0.8]>.\n").program)
+        assert tighten(pp, [single("z")]).intervals == [ProbInterval(F(0), F(1))]
+        assert lp_systems == []
+
+    def test_ranges_match_the_simplex(self):
+        rng = random.Random(911)
+        checked = 0
+        for _ in range(60):
+            base = small_base(rng.randint(2, 4))
+            pp = rand_pprogram(rng, base, n_clauses=rng.randint(1, 4))
+            atoms = list(base.atoms) + [TAtom("z", (), 1), TAtom("w", (), 1)]
+            formulas = []
+            for _ in range(rng.randint(1, 3)):
+                members = tuple(rng.sample(atoms, rng.randint(1, 3)))
+                conn = rng.choice([Connective.AND, Connective.OR])
+                formulas.append(BasicFormula.of(conn, members))
+            engine = _Engine(pp, SolveOptions(), formulas)
+            ranges = engine.mass_ranges({})
+            for comp, _, queries in engine._queries.values():
+                n = len(comp.classes)
+                start = solve_lp(n, [([1] * n, "=", 1)])
+                for fid, least, most in queries:
+                    lp = (start.optimum(least).value, start.optimum(most, maximize=True).value)
+                    assert ranges[fid] == lp
+                    checked += 1
+        assert checked >= 100
+
+
 class TestGridOracle:
     """One-sided soundness: whenever a grid distribution is a model, the
     solver must report CONSISTENT."""

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_solve_lp
 from tplp.errors import LPNumericalFailure
 from tplp.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPMode, LPResult, solve_lp
 
@@ -97,7 +98,7 @@ class TestValidation:
             solve_lp(2, [([1], "<=", 1)])
 
 
-# --- warm starts: objectives from a feasibility solve's phase-one tableau ------------
+# --- random LPs ----------------------------------------------------------------------
 
 _SENSES = ("<=", ">=", "=")
 
@@ -130,6 +131,48 @@ def small_lps(draw):
 def _bounded(n, rows):
     """rows with every column capped at 5, so every objective has an optimum."""
     return rows + [([int(i == j) for i in range(n)], "<=", 5) for j in range(n)]
+
+
+# --- large denominators -------------------------------------------------------------
+
+
+def _spread(draw, bound: int = 10**12):
+    """A denominator: a small one, any up to bound, or bound itself."""
+    return draw(st.one_of(st.integers(1, 12), st.integers(1, bound), st.just(bound)))
+
+
+@st.composite
+def rational_lps(draw):
+    """small_lps with denominators up to 10**12: each row scaled by a factor in
+    [1/2, 2], which keeps its feasible set and its sign pattern, and each
+    objective coefficient moved off the integers by such a fraction, as
+    maxent's limit_denominator(10**9) objectives are."""
+    n, rows, objective = draw(small_lps())
+    scaled = []
+    for body, sense, rhs in rows:
+        q = _spread(draw)
+        f = F(draw(st.integers((q + 1) // 2, 2 * q)), q)
+        scaled.append(([f * c for c in body], sense, f * rhs))
+    moved = []
+    for c in objective:
+        q = _spread(draw)
+        moved.append(c + F(draw(st.integers(-q, q)), q))
+    return n, scaled, moved
+
+
+@st.composite
+def free_rational_lps(draw):
+    """Every coefficient its own rational with a denominator up to 10**12."""
+    n = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=10**12))
+    coeffs = st.lists(value, min_size=n, max_size=n)
+    rows = draw(
+        st.lists(st.tuples(coeffs, st.sampled_from(_SENSES), value), min_size=1, max_size=4)
+    )
+    return n, rows, draw(coeffs)
+
+
+# --- warm starts: objectives from a feasibility solve's phase-one tableau ------------
 
 
 class TestWarmStart:
@@ -190,7 +233,7 @@ class TestWarmStart:
 
 class TestFloatAgreesWithExact:
     @settings(max_examples=300, deadline=None)
-    @given(small_lps(), st.booleans())
+    @given(st.one_of(small_lps(), rational_lps()), st.booleans())
     def test_same_verdict_and_optimum(self, lp, maximize):
         n, rows, objective = lp
         rows = _bounded(n, rows)
@@ -199,3 +242,89 @@ class TestFloatAgreesWithExact:
         assert approx.status == exact.status
         if exact.status == OPTIMAL:
             assert abs(approx.value - float(exact.value)) <= 1e-6
+
+
+# --- fraction-free pivoting against the Fraction reference ---------------------------
+
+
+def _tableau(start):
+    """The rationals a start's tableau stands for, row by row."""
+    if hasattr(start, "dens"):
+        return [[F(v, d) for v in row] for row, d in zip(start.rows, start.dens)]
+    return [list(row) for row in start.rows]
+
+
+def _same_answer(got, want):
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+
+
+def assert_matches_reference(n, rows, objective):
+    """solve_lp and reference_solve_lp agree on every answer: cold solves,
+    the feasibility solve's vertex, basis and tableau, and min, max and min
+    again from its start, which the optima leave as it was."""
+    for maximize in (False, True):
+        _same_answer(
+            solve_lp(n, rows, objective=objective, maximize=maximize),
+            reference_solve_lp(n, rows, objective=objective, maximize=maximize),
+        )
+    start, ref = solve_lp(n, rows), reference_solve_lp(n, rows)
+    _same_answer(start, ref)
+    if start.status == INFEASIBLE:
+        return
+    assert start._start.basis == ref._start.basis
+    tableau = _tableau(start._start)
+    assert tableau == _tableau(ref._start)
+    x = list(start.x)
+    for maximize in (False, True, False):
+        _same_answer(start.optimum(objective, maximize), ref.optimum(objective, maximize))
+    assert start.x == x and start._start.basis == ref._start.basis
+    assert _tableau(start._start) == tableau
+
+
+BEALE = (
+    4,
+    [
+        ([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
+        ([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
+        ([0, 0, 1, 0], "<=", 1),
+    ],
+    [F(-3, 4), 150, F(-1, 50), 6],
+)
+
+
+class TestMatchesFractionReference:
+    """EXACT mode pivots on integer numerators over per-row denominators; the
+    tableau stands for the same rationals as the Fraction one, so every pivot,
+    vertex and value is the same."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(small_lps(), rational_lps(), free_rational_lps()))
+    def test_random_lps(self, lp):
+        assert_matches_reference(*lp)
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            pytest.param(BEALE, id="beale-degenerate"),
+            pytest.param((1, [([1], ">=", 2), ([1], "<=", 1)], [1]), id="infeasible"),
+            pytest.param((1, [([1], ">=", 1)], [-1]), id="unbounded"),
+            pytest.param(
+                (2, [([1, 1], "=", 1), ([2, 2], "=", 2), ([0, 0], "=", 0)], [1, 0]),
+                id="redundant-rows-dropped",
+            ),
+            pytest.param(
+                (
+                    3,
+                    [
+                        ([F(-9, 10**12), F(3, 999_999_999_989), 1], "<=", F(-7, 10**12 - 11)),
+                        ([1, 1, 1], "=", 1),
+                        ([F(1, 3), 0, F(-2, 7)], ">=", F(-1, 10**12)),
+                    ],
+                    [F(123_456_789_011, 10**12), F(-1, 999_999_999_989), F(5, 3)],
+                ),
+                id="denominators-1e12-negative-rhs",
+            ),
+        ],
+    )
+    def test_named_lps(self, lp):
+        assert_matches_reference(*lp)
