@@ -156,6 +156,11 @@ def _atom_signature(atom: TAtom, obj_env: dict[str, str]) -> tuple:
     return (atom.predicate, args)
 
 
+def _producible_body(cl: TPClause, obj_env: dict[str, str], sigs: set[tuple]) -> bool:
+    """Whether every body atom of cl under obj_env has a signature in sigs."""
+    return all(_atom_signature(a, obj_env) in sigs for f, _ in cl.body for a in f.atoms)
+
+
 def _object_substitutions(cl: TPClause, constants: tuple[str, ...]):
     names = sorted(cl.object_vars)
     if not names:
@@ -189,13 +194,7 @@ def _producible_signatures(p: PTProgram, constants: tuple[str, ...]) -> set[tupl
         for cl in rules:
             for env in _object_substitutions(cl, constants):
                 head_sig = _atom_signature(cl.head, env)
-                if head_sig in sigs:
-                    continue
-                if all(
-                    _atom_signature(a, env) in sigs
-                    for f, _ in cl.body
-                    for a in f.atoms
-                ):
+                if head_sig not in sigs and _producible_body(cl, env, sigs):
                     sigs.add(head_sig)
                     changed = True
     return sigs
@@ -213,38 +212,25 @@ def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PT
     producible = _producible_signatures(p, constants) if mode is GroundingMode.RELEVANT else None
     out: list[TPClause] = []
     for cl in p.clauses:
-        tvars = sorted(cl.companion_tvars)
+        checked = producible is not None and cl.object_vars
         for obj_env in _object_substitutions(cl, constants):
-            if (
-                producible is not None
-                and cl.object_vars
-                and cl.body
-                and not all(
-                    _atom_signature(a, obj_env) in producible
-                    for f, _ in cl.body
-                    for a in f.atoms
-                )
-            ):
-                continue
-            if tvars:
-                for combo in itertools.product(p.calendar.points, repeat=len(tvars)):
-                    out.append(_substitute_clause(cl, obj_env, dict(zip(tvars, combo))))
-            else:
-                out.append(_substitute_clause(cl, obj_env, {}))
+            if not checked or _producible_body(cl, obj_env, producible):
+                out.extend(_temporal_instances(cl, obj_env, p.calendar))
     return PTProgram(p.calendar, tuple(out), p.constants)
 
 
 def ground_temporal_variables(p: PTProgram) -> PTProgram:
     """Ground only the independent temporal variables, leaving object terms alone."""
-    out: list[TPClause] = []
-    for cl in p.clauses:
-        tvars = sorted(cl.companion_tvars)
-        if not tvars:
-            out.append(cl)
-            continue
-        for combo in itertools.product(p.calendar.points, repeat=len(tvars)):
-            out.append(_substitute_clause(cl, {}, dict(zip(tvars, combo))))
+    out = [g for cl in p.clauses for g in _temporal_instances(cl, {}, p.calendar)]
     return PTProgram(p.calendar, tuple(out), p.constants)
+
+
+def _temporal_instances(cl: TPClause, obj_env: dict[str, str], cal: Calendar):
+    """cl under obj_env, once per assignment of calendar points to its
+    independent temporal variables: once, unassigned, when it has none."""
+    tvars = sorted(cl.companion_tvars)
+    for combo in itertools.product(cal.points, repeat=len(tvars)):
+        yield _substitute_clause(cl, obj_env, dict(zip(tvars, combo)))
 
 
 # --- unfolding -------------------------------------------------------------------

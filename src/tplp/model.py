@@ -496,9 +496,12 @@ class TPAnnotation:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def instant(self, cal: Calendar) -> list[tuple[TimePoint, ProbInterval]]:
-        """Each solution point, in time order, with its interval.  A weight
-        list must hold one value per point (ValueError otherwise)."""
+        """Each solution point, in time order, with its interval.  An empty
+        solution set has none, whatever the weights; otherwise a weight list
+        must hold one value per point (ValueError otherwise)."""
         sol = solve_constraint(self.constraint, cal)
+        if not sol:
+            return []
         lowers, uppers = self.lower.over(len(sol)), self.upper.over(len(sol))
         return [
             (t, ProbInterval(lo, hi)) for t, lo, hi in zip(sol, lowers, uppers, strict=True)

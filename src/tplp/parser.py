@@ -297,12 +297,13 @@ class _ProgramParser:
             )
         return TVar(tok.text), tok
 
+    def parse_negated_ifactor(self):
+        inner = self.parse_ifactor()
+        return TConst(-inner.value) if isinstance(inner, TConst) else TBin("-", TConst(0), inner)
+
     def parse_ifactor(self):
         if self.cur.accept("MINUS"):
-            inner = self.parse_ifactor()
-            if isinstance(inner, TConst):
-                return TConst(-inner.value)
-            return TBin("-", TConst(0), inner)
+            return self.parse_negated_ifactor()
         if self.cur.accept("LPAREN"):
             e = self.parse_iexpr()
             self.cur.expect("RPAREN", "')'")
@@ -333,26 +334,22 @@ class _ProgramParser:
 
     def parse_leaf(self):
         var, vtok = self.parse_tvar()
-        if self.cur.at("IMPL"):
-            # "Y:-2" lexes as ':-'; re-read it as ':' plus a negated factor.
-            self.cur.advance()
-            inner = self.parse_ifactor()
-            first = TConst(-inner.value) if isinstance(inner, TConst) else TBin("-", TConst(0), inner)
-            lo = self.parse_iexpr(first=first)
-            self.cur.expect("TILDE", "'~'")
-            hi = self.parse_iexpr()
-            return TimeRange(var, lo, hi, vtok.span)
-        if self.cur.accept("COLON"):
-            lo = self.parse_iexpr()
-            self.cur.expect("TILDE", "'~'")
-            hi = self.parse_iexpr()
-            return TimeRange(var, lo, hi, vtok.span)
         tok = self.cur.peek()
         if tok.type in self._CMP:
             self.cur.advance()
             rhs = self.parse_iexpr()
             return Cmp(var, self._CMP[tok.type], rhs, vtok.span)
-        raise _Unexpected("expected a comparison operator or ':'", tok.span)
+        if self.cur.accept("IMPL"):
+            # "Y:-2" lexes as ':-'; re-read it as ':' plus a negated factor.
+            first = self.parse_negated_ifactor()
+        elif self.cur.accept("COLON"):
+            first = None
+        else:
+            raise _Unexpected("expected a comparison operator or ':'", tok.span)
+        lo = self.parse_iexpr(first)
+        self.cur.expect("TILDE", "'~'")
+        hi = self.parse_iexpr()
+        return TimeRange(var, lo, hi, vtok.span)
 
     def parse_cunary(self):
         if self.cur.accept("IDENT", "not"):
@@ -717,6 +714,9 @@ def render_program(p: PTProgram) -> str:
     """Emit program text that reparses to a structurally equal program."""
     if not p.calendar.is_contiguous:
         raise ValueError("only contiguous calendars have a textual form")
+    if p.calendar.first < 0:
+        # the grammar's time points are unsigned
+        raise ValueError("only calendars starting at 0 or later have a textual form")
     lines = [f"calendar {p.calendar.first}..{p.calendar.last}."]
     extra = sorted(p.constants - occurring_constants(p.clauses))
     if extra:

@@ -298,7 +298,7 @@ def _box_vertex(rows) -> list[Fraction] | None:
 class _Engine:
     """Shared state for one solving session over a ground unfolded program."""
 
-    def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=(), entropy=False):
+    def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=()):
         if not pp.is_ground:
             raise ValueError("the solver needs a ground program; ground it first")
         # The world cap, in two parts: the program's own base, then (below)
@@ -417,20 +417,14 @@ class _Engine:
             comp = joined[cids][0]
             mask = comp.formula_mask(conn, idxs)
             joined[cids][2].append((fid, comp.coefficients(mask, True), comp.coefficients(mask)))
-        # The components whose row systems get objectives: those an extra
-        # formula lies in (tighten, entails), or every one when the entropy
-        # is maximized.  Only their feasibility solves are held as starts.
-        if entropy:
-            self._optimized = {comp.cid for comp in self.components}
-        else:
-            self._optimized = {cids[0] for cids in joined if len(cids) == 1}
-        self._lp_cache: dict = {}
-        # (cid, rows) -> the feasibility LPResult, from the walk's solve until
-        # the first optimization over the rows takes it; a later leaf with the
-        # same rows finds its answer cached instead.
-        self._starts: dict = {}
+        # (cid, rows) -> the feasibility LPResult of a component's row system,
+        # kept for the engine's life: the walk reads its x, and its optimum()
+        # starts every least and greatest mass and every Frank-Wolfe
+        # direction over the rows, so each row system runs phase one once.
+        self._solves: dict = {}
         # (cid, rows) -> {extra fid: (least, greatest mass)}
         self._ranges: dict = {}
+        # (cid, rows) -> (class masses of greatest entropy, that entropy)
         self._maxent_cache: dict = {}
 
     def _split(self, comp: _Component, fids: list[int], coeffs: dict | list) -> None:
@@ -531,8 +525,8 @@ class _Engine:
     def mass_ranges(self, rows_by_comp) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
         leaf: a rowless component's from its coefficients, a one-atom
-        component's from its rows' box, any other component's all from one
-        start."""
+        component's from its rows' box, any other component's all from the
+        rows' one feasibility solve."""
         out = {}
         for comp, cids, queries in self._queries.values():
             rows = frozenset().union(*(rows_by_comp.get(cid, ()) for cid in cids))
@@ -549,7 +543,7 @@ class _Engine:
                     lo, hi, _ = _box(rows)
                     self._ranges[key] = {fid: (lo, hi) for fid, _, _ in queries}
                 else:
-                    start = self._take_start(comp, rows)
+                    start = self._solved(comp, rows)
                     self._ranges[key] = {
                         fid: (
                             start.optimum(least, maximize=False).value,
@@ -568,31 +562,24 @@ class _Engine:
             out.append((list(comp.coeffs[row.fid]), row.sense, row.rhs))
         return out
 
-    def _solve(self, comp: _Component, rows: frozenset[_Row]) -> LPResult:
-        return solve_lp(len(comp.classes), self._lp_rows(comp, rows))
+    def _solved(self, comp: _Component, rows: frozenset[_Row]) -> LPResult:
+        """The feasibility solve of comp's rows, solved the first time any
+        consumer asks for it (the walk, a query's range or the entropy
+        ascent) and memoized for the engine's life."""
+        key = (comp.cid, rows)
+        result = self._solves.get(key)
+        if result is None:
+            result = self._solves[key] = solve_lp(len(comp.classes), self._lp_rows(comp, rows))
+        return result
 
     def _lp(self, cid: int, rows: frozenset[_Row]):
         """Some feasible class masses of one component, or None when its rows
         are infeasible.  A one-atom component's come from its rows' box, with
-        no LP.  Any other's are solved once per row system and cached, and an
-        optimized component's feasible solve is also held as the rows' start."""
+        no LP; any other's from the rows' memoized feasibility solve."""
         comp = self.components[cid]
         if comp.box_decided:
             return _box_vertex(rows)
-        key = (cid, rows)
-        if key not in self._lp_cache:
-            result = self._solve(comp, rows)
-            if cid in self._optimized and result.x is not None:
-                self._starts[key] = result
-            self._lp_cache[key] = result.x
-        return self._lp_cache[key]
-
-    def _take_start(self, comp: _Component, rows: frozenset[_Row]) -> LPResult:
-        """The feasibility solve of comp's rows, whose optimum() starts every
-        objective over the rows from the tableau phase one left: the walk's,
-        released to the caller, or a new one for rows the walk did not solve
-        (a component without rows in the leaf, or a query's union of them)."""
-        return self._starts.pop((comp.cid, rows), None) or self._solve(comp, rows)
+        return self._solved(comp, rows).x
 
     # -- witnesses --
 
@@ -688,7 +675,7 @@ class _Engine:
             self._maxent_cache[key] = result
             return result
 
-        start = self._take_start(comp, rows)
+        start = self._solved(comp, rows)
         if start.status == INFEASIBLE:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
         q = start.x
@@ -848,7 +835,7 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
 
 def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxEntResult:
     """The model with the greatest entropy among all feasible branches."""
-    engine = _Engine(pp, opts, entropy=True)
+    engine = _Engine(pp, opts)
     # Distinct feasible row systems, in first-seen order.
     rowsets: dict[frozenset, dict[int, frozenset[_Row]]] = {}
     count = 0

@@ -582,3 +582,73 @@ class TestInstantDiagnostics:
             f"1:15 warning[EmptySolutionSet]: {self.VACUOUS}\n"
             "warning: the query constraint has an empty solution set\n"
         )
+
+    # Weight lists on an annotation without solution points: validate accepts
+    # them with the warning, and every later command treats the annotation as
+    # vacuous instead of pairing the weights with no points.
+    LIST_HEAD = "calendar 1..3.\na@Y : <Y = 9, [0.5], [0.5]>.\nb@Y : <Y = 1, [0.5], [0.5]>.\n"
+    LIST_BODY = (
+        "calendar 1..3.\nb@Y : <Y = 1, [0.5], [0.5]>.\n"
+        "a@Y : <Y = 2, [0.5], [0.5]> :- b@Y1 : <Y1 = 9, [0.1], [0.2]>.\n"
+    )
+    HEAD_WARNINGS = (
+        "2:7 warning[EmptySolutionSet]: constraint Y = 9 has no solution in the calendar; "
+        "the annotated formula is vacuous\n"
+        "warning: clause head a@Y has an empty solution set; no clauses emitted\n"
+    )
+    BODY_WARNING = (
+        "3:39 warning[EmptySolutionSet]: constraint Y1 = 9 has no solution in the calendar; "
+        "the annotated formula is vacuous\n"
+    )
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("unfold", "calendar 1..3.\nb@1 : <Y = 1, [0.5], [0.5]>."),
+            ("consistent", "CONSISTENT\n  {}: 1/2\n  {b@1}: 1/2"),
+            ("maxent", "entropy 0.693147 nats\n  {}: 1/2\n  {b@1}: 1/2"),
+        ],
+        ids=["unfold", "consistent", "maxent"],
+    )
+    def test_vacuous_list_weighted_head(self, tmp_path, capsys, command, payload):
+        program = tmp_path / "p.tpl"
+        program.write_text(self.LIST_HEAD)
+        res = invoke(command, str(program))
+        assert (res.exit_code, res.payload) == (0, payload)
+        assert capsys.readouterr().err == self.HEAD_WARNINGS
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("unfold", "calendar 1..3.\nb@1 : <Y = 1, [0.5], [0.5]>.\na@2 : <Y = 2, [0.5], [0.5]>."),
+            ("consistent", "CONSISTENT\n  {}: 1/2\n  {a@2, b@1}: 1/2"),
+            (
+                "maxent",
+                "entropy 1.386294 nats\n  {}: 1/4\n  {a@2}: 1/4\n  {b@1}: 1/4\n  {a@2, b@1}: 1/4",
+            ),
+        ],
+        ids=["unfold", "consistent", "maxent"],
+    )
+    def test_vacuous_list_weighted_body_conjunct(self, tmp_path, capsys, command, payload):
+        program = tmp_path / "p.tpl"
+        program.write_text(self.LIST_BODY)
+        res = invoke(command, str(program))
+        assert (res.exit_code, res.payload) == (0, payload)
+        assert capsys.readouterr().err == self.BODY_WARNING
+
+    def test_vacuous_list_weighted_entailment(self, tmp_path, capsys):
+        program = tmp_path / "p.tpl"
+        program.write_text("calendar 1..3.\nb@Y : <Y = 1, [0.5], [0.5]>.\n")
+        query = tmp_path / "q.tpq"
+        query.write_text("?entail b@Y : <Y = 9, [0.2], [0.3]>.\n")
+        res = invoke("entail", str(program), str(query), "--json")
+        assert res.exit_code == 0
+        assert jpayload(res) == {
+            "branch_count": 1, "eps": "1/1000000", "per_time": [], "vacuous": True,
+            "verdict": "ENTAILED",
+        }
+        assert capsys.readouterr().err == (
+            "1:15 warning[EmptySolutionSet]: constraint Y = 9 has no solution in the calendar; "
+            "the annotated formula is vacuous\n"
+            "warning: the query constraint has an empty solution set\n"
+        )

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import rand_program_ast
+from generators import rand_program_ast, rand_tp_program
 from tplp.diagnostics import DiagnosticKind
-from tplp.model import BasicFormula, CAtom, Connective, TVar, WeightKind
+from tplp.model import BasicFormula, CAtom, Calendar, Connective, TVar, WeightKind
 from tplp.parser import (
     QueryKind,
     parse_program,
@@ -138,6 +139,25 @@ class TestRoundTrip:
     def test_empty_program_renders_to_calendar_line(self):
         p = parse_program("calendar 2..5.").program
         assert render_program(p) == "calendar 2..5.\n"
+
+    def test_generated_programs_round_trip(self):
+        rng = random.Random(203)
+        for _ in range(500):
+            first = rng.randint(0, 2)
+            cal = Calendar.from_range(first, first + rng.randint(0, 5))
+            p = rand_tp_program(rng, cal, n_clauses=rng.randint(1, 4))
+            text = render_program(p)
+            res = parse_program(text)
+            assert res.ok, (text, [str(d) for d in res.diagnostics])
+            assert res.program == p, text
+            assert render_program(res.program) == text
+
+    @pytest.mark.parametrize("first", [-1, -3])
+    def test_negative_calendar_has_no_text(self, first):
+        # time points are unsigned in the grammar, so "calendar -1..2." would not parse
+        p = rand_tp_program(random.Random(204), Calendar.from_range(first, 2))
+        with pytest.raises(ValueError, match="starting at 0"):
+            render_program(p)
 
 
 class TestTotality:
