@@ -102,10 +102,18 @@ class HerbrandBase:
 
 @dataclass(frozen=True)
 class PProgram:
-    """Unfolded program; base is present only when every clause is ground."""
+    """Unfolded program; base is present only when every clause is ground.
+
+    Without a base, a program whose clauses are all ground gets theirs
+    (herbrand_base).  A given base must hold every clause atom; it may hold
+    more, such as atoms no clause constrains."""
 
     clauses: tuple[PClause, ...]
     base: HerbrandBase | None = None
+
+    def __post_init__(self):
+        if self.base is None and self.is_ground:
+            object.__setattr__(self, "base", herbrand_base(self.clauses))
 
     @property
     def is_ground(self) -> bool:
@@ -269,10 +277,7 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
                 else cl.head
             )
             clauses.append(PClause(head, iv, body))
-    pp = PProgram(tuple(clauses))
-    if pp.is_ground:
-        pp = PProgram(pp.clauses, herbrand_base(pp.clauses))
-    return pp
+    return PProgram(tuple(clauses))
 
 
 def pprogram_to_ptprogram(pp: PProgram, cal: Calendar) -> PTProgram:

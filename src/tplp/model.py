@@ -31,7 +31,6 @@ class Calendar:
     """Finite, strictly increasing sequence of integer time points."""
 
     points: tuple[TimePoint, ...]
-    name: str = field(default="", compare=False)
 
     def __post_init__(self):
         pts = tuple(int(t) for t in self.points)
@@ -42,10 +41,10 @@ class Calendar:
             raise ValueError("calendar points must be strictly increasing")
 
     @classmethod
-    def from_range(cls, first: int, last: int, name: str = "") -> "Calendar":
+    def from_range(cls, first: int, last: int) -> "Calendar":
         if last < first:
             raise ValueError(f"empty calendar range {first}..{last}")
-        return cls(tuple(range(first, last + 1)), name)
+        return cls(tuple(range(first, last + 1)))
 
     def __contains__(self, t: int) -> bool:
         return t in self.points

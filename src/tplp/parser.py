@@ -525,7 +525,7 @@ class _ProgramParser:
                 error(DiagnosticKind.SYNTAX, "calendar range is empty", last.span)
             )
             return None
-        return Calendar.from_range(int(first.text), int(last.text), f"{first.text}..{last.text}")
+        return Calendar.from_range(int(first.text), int(last.text))
 
     def parse_program(self) -> ParseResult:
         calendar = self.parse_calendar()

@@ -17,8 +17,9 @@ Two reductions keep the LPs small without changing their answers:
   query formula is bounded by the classes inside it and those that meet it.
 
 A component with one atom needs no LP at all: its rows bound the atom's mass
-by an interval box, which decides feasibility, gives the vertex the simplex
-would return and puts every least and greatest mass at the box's ends.
+by an interval box, which gives every answer the simplex would (feasibility,
+the vertex it returns and the optimum of any objective), so the walk, the
+query ranges and the entropy ascent all read the box.
 
 Witnesses are reassembled exactly: consistency witnesses couple the component
 marginals segment-by-segment along the unit interval, and entropy witnesses
@@ -41,11 +42,13 @@ from .grounder import HerbrandBase, PProgram
 from .intervals import ONE, ZERO, ProbInterval
 from .model import BasicFormula, Calendar, Connective, substitute_time
 from .parser import Query
-from .simplex import INFEASIBLE, LPResult, solve_lp
+from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
 from .worlds import WorldDistribution
 
-# Frank-Wolfe stops once a sweep raises the entropy (nats) by less than this.
+# Frank-Wolfe stops once a sweep raises the entropy (nats) by less than this,
+# and gives up with NonConvergence after this many sweeps.
 MAXENT_IMPROVEMENT = 1e-8
+MAXENT_MAX_SWEEPS = 100_000
 
 
 class Verdict(Enum):
@@ -58,7 +61,6 @@ class Verdict(Enum):
 class SolveOptions:
     epsilon: Fraction = Fraction(1, 10**6)
     max_world_atoms: int = 16
-    maxent_max_iter: int = 100_000
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
@@ -269,52 +271,52 @@ def _restore(boxes: dict, undo: list) -> None:
         boxes[fid] = old
 
 
-def _box(rows) -> tuple[Fraction, Fraction, bool]:
-    """(lo, hi, whether some row is a ">=" one): the interval that rows, all
-    on one formula, leave its mass, which may be empty."""
-    lo, hi, floored = ZERO, ONE, False
-    for row in rows:
-        if row.sense == ">=":
-            floored = True
-            lo = max(lo, row.rhs)
-        else:
-            hi = min(hi, row.rhs)
-    return lo, hi, floored
+class _BoxSolve:
+    """solve_lp's answers for a one-atom component's rows, from their box.
 
-
-def _box_vertex(rows) -> list[Fraction] | None:
-    """The class masses solve_lp finds for a one-atom component's rows, or
-    None when they are infeasible.  Its two classes are the atom's true and
-    false worlds, so the rows bound the one free mass by their box, and the
+    The component's two classes are the atom's true and false worlds, so the
+    rows, all on one formula, bound the one free mass by an interval.  The
     two-phase simplex with Bland's rule stops at the box's low end when a
-    ">=" row put an artificial into phase one, else at its high end."""
-    lo, hi, floored = _box(rows)
-    if lo > hi:
-        return None
-    p = lo if floored else hi
-    return [p, ONE - p]
+    ">=" row put an artificial into phase one, else at its high end; phase
+    two moves to the end an objective favours, and makes no pivot when the
+    objective is constant on the box."""
+
+    __slots__ = ("lo", "hi", "status", "x")
+
+    def __init__(self, rows):
+        lo, hi, floored = ZERO, ONE, False
+        for row in rows:
+            if row.sense == ">=":
+                floored = True
+                lo = max(lo, row.rhs)
+            else:
+                hi = min(hi, row.rhs)
+        self.lo, self.hi = lo, hi
+        p = lo if floored else hi
+        self.x = [p, ONE - p] if lo <= hi else None
+        self.status = INFEASIBLE if self.x is None else OPTIMAL
+
+    def optimum(self, objective, maximize: bool = False) -> LPResult:
+        if self.x is None:
+            return LPResult(INFEASIBLE)
+        a, b = objective
+        p = self.x[0] if a == b else self.hi if (a > b) == maximize else self.lo
+        return LPResult(OPTIMAL, [p, ONE - p], a * p + b * (ONE - p))
 
 
 class _Engine:
     """Shared state for one solving session over a ground unfolded program."""
 
     def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=()):
-        if not pp.is_ground:
+        if pp.base is None:
             raise ValueError("the solver needs a ground program; ground it first")
         # The world cap, in two parts: the program's own base, then (below)
         # the union of the components that one extra formula touches.
-        atoms = list(pp.base.atoms) if pp.base is not None else []
-        for cl in pp.clauses:
-            atoms.append(cl.head)
-            for f, _ in cl.body:
-                atoms.extend(f.atoms)
-        self.base = HerbrandBase(atoms)
+        self.base = pp.base
         if len(self.base) > opts.max_world_atoms:
             raise BaseTooLarge(len(self.base), opts.max_world_atoms)
         if extra_formulas:
-            self.base = HerbrandBase(atoms + [a for f in extra_formulas for a in f.atoms])
-        self.opts = opts
-        self.pp = pp
+            self.base = HerbrandBase([*pp.base, *(a for f in extra_formulas for a in f.atoms)])
 
         # Canonical formula registry: (connective, atom index set) -> fid.
         self._formula_ids: dict[tuple, int] = {}
@@ -417,10 +419,8 @@ class _Engine:
             comp = joined[cids][0]
             mask = comp.formula_mask(conn, idxs)
             joined[cids][2].append((fid, comp.coefficients(mask, True), comp.coefficients(mask)))
-        # (cid, rows) -> the feasibility LPResult of a component's row system,
-        # kept for the engine's life: the walk reads its x, and its optimum()
-        # starts every least and greatest mass and every Frank-Wolfe
-        # direction over the rows, so each row system runs phase one once.
+        # (cid, rows) -> the feasibility LPResult of a multi-atom component's
+        # row system, kept for the engine's life (see _solved).
         self._solves: dict = {}
         # (cid, rows) -> {extra fid: (least, greatest mass)}
         self._ranges: dict = {}
@@ -524,9 +524,8 @@ class _Engine:
 
     def mass_ranges(self, rows_by_comp) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
-        leaf: a rowless component's from its coefficients, a one-atom
-        component's from its rows' box, any other component's all from the
-        rows' one feasibility solve."""
+        leaf: a rowless component's from its coefficients, any other's from
+        the optima of its rows' solve."""
         out = {}
         for comp, cids, queries in self._queries.values():
             rows = frozenset().union(*(rows_by_comp.get(cid, ()) for cid in cids))
@@ -538,10 +537,6 @@ class _Engine:
                     self._ranges[key] = {
                         fid: (min(least), max(most)) for fid, least, most in queries
                     }
-                elif comp.box_decided:
-                    # every formula over the one atom is its true world, class 0
-                    lo, hi, _ = _box(rows)
-                    self._ranges[key] = {fid: (lo, hi) for fid, _, _ in queries}
                 else:
                     start = self._solved(comp, rows)
                     self._ranges[key] = {
@@ -562,10 +557,15 @@ class _Engine:
             out.append((list(comp.coeffs[row.fid]), row.sense, row.rhs))
         return out
 
-    def _solved(self, comp: _Component, rows: frozenset[_Row]) -> LPResult:
-        """The feasibility solve of comp's rows, solved the first time any
-        consumer asks for it (the walk, a query's range or the entropy
-        ascent) and memoized for the engine's life."""
+    def _solved(self, comp: _Component, rows: frozenset[_Row]) -> LPResult | _BoxSolve:
+        """The feasibility solve of comp's rows, whose x is the vertex the walk
+        takes and whose optimum() gives every least and greatest mass and
+        every Frank-Wolfe direction over the rows.  A one-atom component's
+        comes from its rows' box, with no LP and no memo; any other's is
+        solved the first time a consumer asks for it and memoized for the
+        engine's life, so each row system runs phase one once."""
+        if comp.box_decided:
+            return _BoxSolve(rows)
         key = (comp.cid, rows)
         result = self._solves.get(key)
         if result is None:
@@ -574,12 +574,8 @@ class _Engine:
 
     def _lp(self, cid: int, rows: frozenset[_Row]):
         """Some feasible class masses of one component, or None when its rows
-        are infeasible.  A one-atom component's come from its rows' box, with
-        no LP; any other's from the rows' memoized feasibility solve."""
-        comp = self.components[cid]
-        if comp.box_decided:
-            return _box_vertex(rows)
-        return self._solved(comp, rows).x
+        are infeasible."""
+        return self._solved(self.components[cid], rows).x
 
     # -- witnesses --
 
@@ -636,12 +632,8 @@ class _Engine:
                     low = left & -left
                     expanded.append((comp.global_mask(low.bit_length() - 1), share))
                     left ^= low
-            nxt: dict[int, Fraction] = {}
-            for gmask, p in masses.items():
-                for amask, share in expanded:
-                    key = gmask | amask
-                    nxt[key] = nxt.get(key, ZERO) + p * share
-            masses = nxt
+            # components hold disjoint atoms, so every product world is new
+            masses = {g | a: p * share for g, p in masses.items() for a, share in expanded}
         return WorldDistribution(self.base, masses)
 
     # -- entropy maximization --
@@ -649,9 +641,10 @@ class _Engine:
     def maxent_component(self, cid: int, rows: frozenset[_Row]):
         """Frank-Wolfe ascent of sum q*ln(n/q) over one component polytope.
 
-        Directions come from exact LPs, all started from the rows' one
-        phase-one tableau, steps from a float ternary line search rationalized
-        back onto the segment, so iterates stay exactly feasible.
+        Directions come from the optima of the rows' solve (exact LPs all
+        started from its one phase-one tableau, or the box of a one-atom
+        component), steps from a float ternary line search rationalized back
+        onto the segment, so iterates stay exactly feasible.
         """
         key = (cid, rows)
         if key in self._maxent_cache:
@@ -680,7 +673,7 @@ class _Engine:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
         q = start.x
         current = entropy(q)
-        for _ in range(self.opts.maxent_max_iter):
+        for _ in range(MAXENT_MAX_SWEEPS):
             grad = [
                 ln_n - math.log(max(float(qc), 1e-300)) - 1.0
                 for qc, ln_n in zip(q, log_counts)
@@ -712,9 +705,7 @@ class _Engine:
             if gain < MAXENT_IMPROVEMENT:
                 break
         else:
-            raise NonConvergence(
-                f"entropy maximization hit the {self.opts.maxent_max_iter}-sweep cap"
-            )
+            raise NonConvergence(f"entropy maximization hit the {MAXENT_MAX_SWEEPS}-sweep cap")
         result = (q, current)
         self._maxent_cache[key] = result
         return result
@@ -834,29 +825,25 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
 
 
 def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxEntResult:
-    """The model with the greatest entropy among all feasible branches."""
+    """The model with the greatest entropy among all feasible branches: the
+    first leaf to reach it, since leaves with the same row systems share
+    their maxent_component answers."""
     engine = _Engine(pp, opts)
-    # Distinct feasible row systems, in first-seen order.
-    rowsets: dict[frozenset, dict[int, frozenset[_Row]]] = {}
-    count = 0
+    best_qs: dict[int, list[Fraction]] | None = None
+    best_h, count = -1.0, 0
     for rows_by_comp, solution in engine.leaves(opts.epsilon):
         count += 1
-        if solution is not None:
-            rowsets.setdefault(frozenset(rows_by_comp.items()), rows_by_comp)
-    if not rowsets:
-        raise InconsistentProgram("no feasible branch to maximize entropy over")
-    best_qs: dict[int, list[Fraction]] | None = None
-    best_h = -1.0
-    for rows_by_comp in rowsets.values():
+        if solution is None:
+            continue
         total = 0.0
         qs: dict[int, list[Fraction]] = {}
         for comp in engine.components:
-            rows = rows_by_comp.get(comp.cid, frozenset())
-            q, h = engine.maxent_component(comp.cid, rows)
+            q, h = engine.maxent_component(comp.cid, rows_by_comp.get(comp.cid, frozenset()))
             qs[comp.cid] = q
             total += h
         if total > best_h:
-            best_h = total
-            best_qs = qs
+            best_h, best_qs = total, qs
+    if best_qs is None:
+        raise InconsistentProgram("no feasible branch to maximize entropy over")
     distribution = engine.spread_product(best_qs)
     return MaxEntResult(distribution, best_h, count)

@@ -10,12 +10,15 @@ from tplp.errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
 from tplp.grounder import (
     GroundingMode,
     HerbrandBase,
+    PClause,
+    PProgram,
     ground_program,
     ground_temporal_variables,
     herbrand_base,
     pprogram_to_ptprogram,
     unfold,
 )
+from tplp.intervals import ProbInterval
 from tplp.model import (
     BasicFormula,
     CAtom,
@@ -33,6 +36,7 @@ from tplp.model import (
     solve_constraint,
 )
 from tplp.parser import parse_program, render_program
+from tplp.psat import check_consistency
 from tplp.worlds import ki_satisfies, ki_satisfies_tp
 
 
@@ -232,6 +236,20 @@ class TestHerbrandBase:
             base.index_of(CAtom("c"))
         with pytest.raises(AtomNotInBase):
             base.index_of(TAtom("b", (), 1))
+
+    def test_ground_program_gets_its_base(self):
+        clauses = load_unfolded("shipping.tpl").clauses
+        assert PProgram(clauses).base == herbrand_base(clauses)
+        given = HerbrandBase([*herbrand_base(clauses), TAtom("zz", (), 1)])
+        assert PProgram(clauses, given).base is given
+
+    def test_non_ground_program_has_no_base(self):
+        x = TAtom("a", (ObjVar("X"),), 1)
+        pp = PProgram((PClause(x, ProbInterval(F(1, 2), 1)),))
+        assert pp.base is None
+        assert unfold(load_program("shipping.tpl")).base is None
+        with pytest.raises(ValueError, match="ground it first"):
+            check_consistency(pp)
 
     def test_spans_take_no_part(self):
         span = SourceSpan(1, 1, 0, 1)

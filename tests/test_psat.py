@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction as F
@@ -23,8 +25,7 @@ from tplp.model import BasicFormula, Calendar, Connective, TAtom, TVar, substitu
 from tplp.parser import parse_program, parse_query
 from tplp.psat import (
     SolveOptions,
-    _box,
-    _box_vertex,
+    _BoxSolve,
     _Engine,
     _Row,
     Verdict,
@@ -35,6 +36,9 @@ from tplp.psat import (
 )
 from tplp.simplex import solve_lp
 from tplp.worlds import WorldDistribution, atom_mass, ki_satisfies
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def single(pred, t=1, args=()):
@@ -273,15 +277,25 @@ class TestWarmStarts:
         assert len(lp_systems) == len(set(lp_systems))
 
     def test_maxent_solves_each_row_system_once(self, lp_systems):
-        pp = load_unfolded("mx.tpl")
+        # multicol18 (tests/golden/multicolumn.json) has multi-atom components
+        # whose leaves repeat row systems: 7 distinct 3-column LPs
+        text = json.loads((GOLDEN / "multicolumn.json").read_text())["files"]["multicol18.tpl"]
+        pp = unfold(ground_program(parse_program(text).program, GroundingMode.RELEVANT))
         res = max_entropy_model(pp)
+        assert res.branch_count > len(lp_systems)
+        assert len(lp_systems) == len(set(lp_systems)) == 7
+        assert {n for n, _ in lp_systems} == {3}
+
+    def test_maxent_over_one_atom_makes_no_lp(self, lp_systems):
+        res = max_entropy_model(load_unfolded("mx.tpl"))
         assert abs(res.entropy - math.log(2)) < 1e-4
-        assert len(lp_systems) == len(set(lp_systems)) == 1
+        assert lp_systems == []
 
 
 class TestBoxDecided:
     """A one-atom component is decided by its rows' box, with no LP, and the
-    box gives exactly the vertex and the optima the simplex would."""
+    box gives exactly the status, the vertex and the optima the simplex
+    would."""
 
     SHAPES = ("<=", ">=", "mixed", "rowless", "duplicate", "infeasible", "ends")
 
@@ -308,23 +322,41 @@ class TestBoxDecided:
         rng.shuffle(rows)
         return rows
 
+    @staticmethod
+    def objective(rng: random.Random) -> tuple:
+        """Two class costs, equal about a third of the time, ints or
+        fractions of either sign."""
+        def cost():
+            return rng.choice([rng.randint(-3, 3), F(rng.randint(-50, 50), rng.randint(1, 9))])
+
+        a = cost()
+        return (a, a if rng.random() < 0.3 else cost())
+
     def test_vertex_and_optima_match_the_simplex(self):
         rng = random.Random(909)
         seen = {shape: 0 for shape in self.SHAPES}
-        infeasible = 0
+        infeasible = ties = 0
         for _ in range(1500):
             shape = rng.choice(self.SHAPES)
             rows = self.row_system(rng, shape)
             lp = solve_lp(2, [([1, 1], "=", 1)] + [([1, 0], r.sense, r.rhs) for r in rows])
-            assert _box_vertex(rows) == lp.x, (shape, rows)
+            box = _BoxSolve(rows)
+            assert (box.status, box.x) == (lp.status, lp.x), (shape, rows)
             seen[shape] += 1
             if lp.x is None:
                 infeasible += 1
+                assert box.optimum((1, 0)).status == lp.optimum((1, 0)).status
                 continue
-            lo, hi, _ = _box(rows)
-            assert lo == lp.optimum((1, 0), maximize=False).value, rows
-            assert hi == lp.optimum((1, 0), maximize=True).value, rows
-        assert min(seen.values()) >= 150 and infeasible >= 200
+            assert box.lo == lp.optimum((1, 0), maximize=False).value, rows
+            assert box.hi == lp.optimum((1, 0), maximize=True).value, rows
+            for _ in range(4):
+                objective, maximize = self.objective(rng), rng.random() < 0.5
+                ties += objective[0] == objective[1]
+                got, want = box.optimum(objective, maximize), lp.optimum(objective, maximize)
+                assert (got.status, got.x, got.value) == (want.status, want.x, want.value), (
+                    rows, objective, maximize,
+                )
+        assert min(seen.values()) >= 150 and infeasible >= 200 and ties >= 600
 
     def test_no_lp_for_one_atom_components(self, lp_systems):
         from oracles import BruteForce
@@ -688,10 +720,11 @@ class TestMaxEnt:
         with pytest.raises(InconsistentProgram):
             max_entropy_model(pp)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         pp = load_unfolded("mx.tpl")
-        with pytest.raises(NonConvergence):
-            max_entropy_model(pp, SolveOptions(maxent_max_iter=0))
+        monkeypatch.setattr(tplp.psat, "MAXENT_MAX_SWEEPS", 0)
+        with pytest.raises(NonConvergence, match="0-sweep cap"):
+            max_entropy_model(pp)
 
     def test_entropy_pushes_to_nearest_boundary(self):
         # binary entropy is increasing below one half, so [0, 0.2] lands at 0.2
