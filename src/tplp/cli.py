@@ -284,12 +284,15 @@ def _load_profile_csv(path: str):
                 if len(row) != 4:
                     raise _CliError(f"{path}:{lineno}: expected formula_id,time,lo,hi")
                 slot, t_text, lo_text, hi_text = (c.strip() for c in row)
+                where = f"{path}:{lineno}"
                 try:
                     t = int(t_text)
+                except ValueError:
+                    raise _CliError(f"{where}: time {t_text!r} is not an integer") from None
+                try:
                     iv = ProbInterval(parse_rational(lo_text), parse_rational(hi_text))
                 except ValueError as exc:
-                    raise _CliError(f"{path}:{lineno}: {exc}") from None
-                where = f"{path}:{lineno}"
+                    raise _CliError(f"{where}: {exc}") from None
                 if iv.lo > iv.hi:
                     raise _CliError(f"{where}: lower bound {lo_text} exceeds upper {hi_text}")
                 first = lines.setdefault((slot, t), lineno)

@@ -19,11 +19,18 @@ ONE = Fraction(1)
 def parse_rational(text: str) -> Fraction:
     """Parse 'n/d', an integer, or a decimal with at most 9 fractional digits."""
     text = text.strip()
+
+    def integer(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise ValueError(f"malformed rational {text!r}") from None
+
     if "/" in text:
         num, den = text.split("/", 1)
-        if int(den) == 0:
+        if integer(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(integer(num), integer(den))
     if "." in text:
         whole, frac = text.split(".", 1)
         if not frac or not frac.isdigit():
@@ -31,9 +38,9 @@ def parse_rational(text: str) -> Fraction:
         if len(frac) > 9:
             raise ValueError(f"decimal literal {text!r} has more than 9 fractional digits")
         sign = -1 if whole.lstrip().startswith("-") else 1
-        whole_i = int(whole) if whole not in ("", "-") else 0
-        return Fraction(whole_i) + sign * Fraction(int(frac), 10 ** len(frac))
-    return Fraction(int(text))
+        whole_i = integer(whole) if whole not in ("", "-") else 0
+        return Fraction(whole_i) + sign * Fraction(integer(frac), 10 ** len(frac))
+    return Fraction(integer(text))
 
 
 def format_rational(q: Fraction) -> str:

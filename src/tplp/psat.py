@@ -3,10 +3,13 @@
 A clause is satisfied when its head mass lies inside the head interval or some
 body conjunct's mass falls strictly outside its interval.  The solver branches
 over that disjunction per clause (HEAD_IN first, then per-conjunct low/high
-violations) and decides each complete choice with exact linear programs.
-Strict violations become closed rows shifted by epsilon; a program that is
+violations).  Each choice pins one formula's mass to an interval box; strict
+violations become closed boxes shifted by epsilon, and a program that is
 infeasible with the shift but feasible at the boundary is reported as
-UNKNOWN_EPS rather than silently classified.
+UNKNOWN_EPS rather than silently classified.  A complete choice (a leaf) is
+its boxes, the per-formula intersections, and exact linear programs whose
+rows are the boxes' sides decide it: rows looser than a box are redundant, so
+the boxes key every LP and memo.
 
 Two reductions keep the LPs small without changing their answers:
 
@@ -16,10 +19,10 @@ Two reductions keep the LPs small without changing their answers:
   program's formulas are collapsed into one LP column carrying their count; a
   query formula is bounded by the classes inside it and those that meet it.
 
-A component with one atom needs no LP at all: its rows bound the atom's mass
-by an interval box, which gives every answer the simplex would (feasibility,
-the vertex it returns and the optimum of any objective), so the walk, the
-query ranges and the entropy ascent all read the box.
+A component with one atom needs no LP at all: its one box bounds the atom's
+mass, which gives every answer the simplex would (feasibility, the vertex it
+returns and the optimum of any objective), so the walk, the query ranges and
+the entropy ascent all read the box.
 
 Witnesses are reassembled exactly: consistency witnesses couple the component
 marginals segment-by-segment along the unit interval, and entropy witnesses
@@ -39,7 +42,7 @@ from fractions import Fraction
 
 from .errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from .grounder import HerbrandBase, PProgram
-from .intervals import ONE, ZERO, ProbInterval
+from .intervals import FULL, ONE, ZERO, ProbInterval
 from .model import BasicFormula, Calendar, Connective, substitute_time
 from .parser import Query
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
@@ -182,39 +185,16 @@ class _Component:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class _Row:
-    fid: int
-    sense: str  # "<=" or ">="
-    rhs: Fraction
+# A formula's box before any choice narrows it.  The walk's boxes dict holds
+# only the formulas narrowed below it, so a box replaced by _narrow is this
+# very object exactly when its formula had no entry.
+_UNIT = (ZERO, ONE)
 
 
-def _inside_rows(fid: int, iv: ProbInterval) -> tuple[_Row, ...] | None:
-    """Rows keeping formula fid's mass inside iv, or None when iv is empty."""
-    if iv.lo > iv.hi:
-        return None
-    rows = ()
-    if iv.lo > 0:
-        rows += (_Row(fid, ">=", iv.lo),)
-    if iv.hi < 1:
-        rows += (_Row(fid, "<=", iv.hi),)
-    return rows
-
-
-def _body_rows(body, eps: Fraction) -> tuple:
-    """The rows of each of a clause's body choices in choice order (BODY_LOW,
-    then BODY_HIGH per conjunct), None for a choice impossible outright."""
-    out = []
-    for fid, iv in body:
-        low, high = iv.lo - eps, iv.hi + eps
-        out.append(None if low < 0 else (_Row(fid, "<=", low),))
-        out.append(None if high > 1 else (_Row(fid, ">=", high),))
-    return tuple(out)
-
-
-class _BodyRows(dict):
-    """Clause index -> the clause's _body_rows at one epsilon, built the first
-    time a walk asks for them."""
+class _BodyBoxes(dict):
+    """Clause index -> the boxes of its body choices at one epsilon in choice
+    order (BODY_LOW, then BODY_HIGH per conjunct; None for a choice
+    impossible outright), built the first time a walk asks for them."""
 
     __slots__ = ("clauses", "eps")
 
@@ -224,81 +204,69 @@ class _BodyRows(dict):
         self.eps = eps
 
     def __missing__(self, j: int) -> tuple:
-        rows = self[j] = _body_rows(self.clauses[j][2], self.eps)
-        return rows
+        out = []
+        for fid, iv in self.clauses[j][2]:
+            low, high = iv.lo - self.eps, iv.hi + self.eps
+            out.append(None if low < 0 else (fid, ZERO, low))
+            out.append(None if high > 1 else (fid, high, ONE))
+        boxes = self[j] = tuple(out)
+        return boxes
 
 
-def _fits(boxes: dict, rows: tuple[_Row, ...] | None) -> bool:
-    """Whether a choice's rows (all on one formula; None when impossible
-    outright) narrow the boxes without emptying one: the test _narrow makes,
-    without narrowing."""
-    if rows is None:
+def _fits(boxes: dict, box: tuple | None) -> bool:
+    """Whether a choice's box (None when impossible outright) meets its
+    formula's box: the test _narrow makes, without narrowing."""
+    if box is None:
         return False
-    if not rows:
-        return True
-    lo, hi = boxes.get(rows[0].fid, (ZERO, ONE))
-    for row in rows:
-        if (row.rhs > hi) if row.sense == ">=" else (row.rhs < lo):
-            return False
-    return True
+    fid, lo, hi = box
+    have_lo, have_hi = boxes.get(fid, _UNIT)
+    return lo <= have_hi and have_lo <= hi
 
 
-def _narrow(boxes: dict, rows: tuple[_Row, ...]) -> list | None:
-    """Intersect the formula boxes with rows; the values of the boxes that
-    changed, or None (boxes unchanged) when some box becomes empty."""
-    undo = []
-    for row in rows:
-        old = boxes.get(row.fid, (ZERO, ONE))
-        lo, hi = old
-        if row.sense == ">=":
-            if row.rhs <= lo:
-                continue
-            lo = row.rhs
-        else:
-            if row.rhs >= hi:
-                continue
-            hi = row.rhs
-        if lo > hi:
-            _restore(boxes, undo)
-            return None
-        undo.append((row.fid, old))
-        boxes[row.fid] = (lo, hi)
-    return undo
+def _narrow(boxes: dict, box: tuple) -> tuple | None:
+    """Intersect a choice's box with its formula's box: the value it replaced,
+    or None (boxes unchanged) when the intersection is empty.  The entry is
+    written only when it changes, so boxes.get(fid, _UNIT) is the value
+    returned exactly when the choice narrowed nothing."""
+    fid, lo, hi = box
+    old = boxes.get(fid, _UNIT)
+    if lo <= old[0]:
+        lo = old[0]
+    if hi >= old[1]:
+        hi = old[1]
+    if lo > hi:
+        return None
+    if lo is not old[0] or hi is not old[1]:
+        boxes[fid] = (lo, hi)
+    return old
 
 
-def _restore(boxes: dict, undo: list) -> None:
-    for fid, old in reversed(undo):
+def _restore(boxes: dict, fid: int, old: tuple) -> None:
+    if old is _UNIT:
+        boxes.pop(fid, None)
+    else:
         boxes[fid] = old
 
 
 class _BoxSolve:
-    """solve_lp's answers for a one-atom component's rows, from their box.
+    """solve_lp's answers for a one-atom component's box.
 
-    The component's two classes are the atom's true and false worlds, so the
-    rows, all on one formula, bound the one free mass by an interval.  The
-    two-phase simplex with Bland's rule stops at the box's low end when a
-    ">=" row put an artificial into phase one, else at its high end; phase
-    two moves to the end an objective favours, and makes no pivot when the
+    The component's two classes are the atom's true and false worlds, so its
+    one box bounds the one free mass by an interval.  The two-phase simplex
+    with Bland's rule over the box's rows stops at the low end when a ">=" row
+    (lo > 0) put an artificial into phase one, else at the high end; phase two
+    moves to the end an objective favours, and makes no pivot when the
     objective is constant on the box."""
 
     __slots__ = ("lo", "hi", "status", "x")
 
-    def __init__(self, rows):
-        lo, hi, floored = ZERO, ONE, False
-        for row in rows:
-            if row.sense == ">=":
-                floored = True
-                lo = max(lo, row.rhs)
-            else:
-                hi = min(hi, row.rhs)
-        self.lo, self.hi = lo, hi
-        p = lo if floored else hi
-        self.x = [p, ONE - p] if lo <= hi else None
-        self.status = INFEASIBLE if self.x is None else OPTIMAL
+    def __init__(self, key):
+        ((_, self.lo, self.hi),) = key
+        p = self.lo if self.lo > 0 else self.hi
+        self.x = [p, ONE - p]
+        self.status = OPTIMAL
 
     def optimum(self, objective, maximize: bool = False) -> LPResult:
-        if self.x is None:
-            return LPResult(INFEASIBLE)
         a, b = objective
         p = self.x[0] if a == b else self.hi if (a > b) == maximize else self.lo
         return LPResult(OPTIMAL, [p, ONE - p], a * p + b * (ONE - p))
@@ -341,18 +309,20 @@ class _Engine:
         n_program = len(self._formula_atoms)  # the fids below are the clauses'
         self.extra_fids = [register(f) for f in extra_formulas]
 
-        # The leaf walk's epsilon-free tables.  Per clause, the rows of its
+        # The leaf walk's epsilon-free tables.  Per clause, the box of its
         # HEAD_IN choice (None when the head interval is empty).  Per formula,
         # the ascending indices of the clauses a change of its box can leave
-        # without a choice (a row-free HEAD_IN choice always fits), flattened:
+        # without a choice (a HEAD_IN box of [0, 1] always fits), flattened:
         # formula fid's are _watch[_watch_start[fid]:_watch_start[fid + 1]].
-        self._head_rows = [_inside_rows(fid, iv) for fid, iv, _ in self.clauses]
+        self._head_boxes = [
+            None if iv.lo > iv.hi else (fid, iv.lo, iv.hi) for fid, iv, _ in self.clauses
+        ]
         watchers: list[list[int]] = [[] for _ in self._formula_atoms]
-        for j, ((head_fid, _, body), head_rows) in enumerate(zip(self.clauses, self._head_rows)):
-            if head_rows == ():
+        for j, ((head_fid, head_iv, body), head) in enumerate(zip(self.clauses, self._head_boxes)):
+            if head_iv == FULL:
                 continue
             fids = {fid for fid, _ in body}
-            if head_rows:
+            if head is not None:
                 fids.add(head_fid)
             for fid in fids:
                 watchers[fid].append(j)
@@ -419,12 +389,12 @@ class _Engine:
             comp = joined[cids][0]
             mask = comp.formula_mask(conn, idxs)
             joined[cids][2].append((fid, comp.coefficients(mask, True), comp.coefficients(mask)))
-        # (cid, rows) -> the feasibility LPResult of a multi-atom component's
-        # row system, kept for the engine's life (see _solved).
+        # Keyed by (cid, the frozenset of the component's narrowed boxes
+        # (fid, lo, hi)), for the engine's life: the feasibility LPResult of a
+        # multi-atom component (see _solved), {extra fid: (least, greatest
+        # mass)}, and (class masses of greatest entropy, that entropy).
         self._solves: dict = {}
-        # (cid, rows) -> {extra fid: (least, greatest mass)}
         self._ranges: dict = {}
-        # (cid, rows) -> (class masses of greatest entropy, that entropy)
         self._maxent_cache: dict = {}
 
     def _split(self, comp: _Component, fids: list[int], coeffs: dict | list) -> None:
@@ -439,11 +409,12 @@ class _Engine:
     # -- branch enumeration --
 
     def leaves(self, eps: Fraction):
-        """Yield solve_rows' (rows per component, solution or None) for every
-        box-consistent leaf, depth first in clause and choice order.
+        """Yield solve_boxes' (box key per component, solution or None) for
+        every box-consistent leaf, depth first in clause and choice order.
 
-        Boxes track the running interval each formula mass is pinned to; an
-        empty box prunes the subtree, which subsumes fact-vs-body-violation
+        Each choice pins one formula's mass to an interval box, and boxes
+        track the running intersection per formula, so a leaf is its boxes.
+        An empty box prunes the subtree, which subsumes fact-vs-body-violation
         conflicts without an LP call.  The walk also checks ahead: a choice
         whose narrowing leaves some later clause on the changed formula with
         no choice that fits the boxes is pruned as if its own box were empty.
@@ -453,17 +424,17 @@ class _Engine:
         has no recursion limit.
         """
         if not self.clauses:
-            yield self.solve_rows(())
+            yield self.solve_boxes({})
             return
-        head_rows = self._head_rows
-        body_rows = _BodyRows(self.clauses, eps)
+        head_boxes = self._head_boxes
+        body_boxes = _BodyBoxes(self.clauses, eps)
         # At the root every box is [0, 1], which every possible choice fits.
-        for j, rows in enumerate(head_rows):
-            if rows is None and all(choice is None for choice in body_rows[j]):
+        for j, head in enumerate(head_boxes):
+            if head is None and all(choice is None for choice in body_boxes[j]):
                 return
         boxes: dict[int, tuple[Fraction, Fraction]] = {}
-        # Per clause with a choice in force: its rows and the box values they replaced.
-        path: list[tuple[tuple[_Row, ...], list]] = []
+        # Per clause with a choice in force: its formula and the box it replaced.
+        path: list[tuple[int, tuple]] = []
         # Per open clause: the index of its next choice to try (0 is HEAD_IN,
         # k > 0 the body choice k - 1).
         tries = [0]
@@ -471,111 +442,113 @@ class _Engine:
         while tries:
             depth = len(tries) - 1
             if len(path) > depth:
-                _restore(boxes, path.pop()[1])
+                _restore(boxes, *path.pop())
             k = tries[-1]
             if k:
-                body = body_rows[depth]
+                body = body_boxes[depth]
                 if k > len(body):
                     tries.pop()
                     continue
-                rows = body[k - 1]
+                box = body[k - 1]
             else:
-                rows = head_rows[depth]
+                box = head_boxes[depth]
             tries[-1] = k + 1
-            undo = None if rows is None else _narrow(boxes, rows)
-            if undo is None:
+            old = None if box is None else _narrow(boxes, box)
+            if old is None:
                 continue
-            if undo and self._dead_end(boxes, body_rows, undo[0][0], depth):
-                _restore(boxes, undo)
+            fid = box[0]
+            if boxes.get(fid, _UNIT) is not old and self._dead_end(boxes, body_boxes, fid, depth):
+                _restore(boxes, fid, old)
                 continue
-            path.append((rows, undo))
+            path.append((fid, old))
             if depth < last:
                 tries.append(0)
             else:
-                yield self.solve_rows(row for taken, _ in path for row in taken)
+                yield self.solve_boxes(boxes)
 
-    def _dead_end(self, boxes: dict, body_rows: _BodyRows, fid: int, depth: int) -> bool:
+    def _dead_end(self, boxes: dict, body_boxes: _BodyBoxes, fid: int, depth: int) -> bool:
         """Whether some clause after depth that formula fid's box can leave
         without a choice has no choice left that fits the boxes."""
         watch, stop = self._watch, self._watch_start[fid + 1]
         for i in range(bisect.bisect_right(watch, depth, self._watch_start[fid], stop), stop):
             j = watch[i]
-            if not _fits(boxes, self._head_rows[j]) and not any(
-                _fits(boxes, rows) for rows in body_rows[j]
+            if not _fits(boxes, self._head_boxes[j]) and not any(
+                _fits(boxes, box) for box in body_boxes[j]
             ):
                 return True
         return False
 
-    def solve_rows(self, rows):
-        """Group rows by component and solve each component's system in
-        component order: (rows per component, class masses per component, or
-        None as soon as one component is infeasible)."""
-        by_comp: dict[int, set[_Row]] = {}
-        for row in rows:
-            by_comp.setdefault(self._fid_comp[row.fid], set()).add(row)
-        rows_by_comp = {cid: frozenset(rs) for cid, rs in by_comp.items()}
+    def solve_boxes(self, boxes: dict):
+        """Group the narrowed boxes {fid: (lo, hi)} by component and solve
+        each component's in component order: (box key per component, class
+        masses per component, or None as soon as one component is
+        infeasible)."""
+        by_comp: dict[int, list] = {}
+        for fid, (lo, hi) in boxes.items():
+            by_comp.setdefault(self._fid_comp[fid], []).append((fid, lo, hi))
+        keys = {cid: frozenset(key) for cid, key in by_comp.items()}
         solution: dict[int, list] = {}
-        for cid, rs in sorted(rows_by_comp.items()):
-            x = self._lp(cid, rs)
+        for cid in sorted(keys):
+            x = self._solved(self.components[cid], keys[cid]).x
             if x is None:
-                return rows_by_comp, None
+                return keys, None
             solution[cid] = x
-        return rows_by_comp, solution
+        return keys, solution
 
-    def mass_ranges(self, rows_by_comp) -> dict[int, tuple[Fraction, Fraction]]:
+    def mass_ranges(self, keys) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
-        leaf: a rowless component's from its coefficients, any other's from
-        the optima of its rows' solve."""
+        leaf: an unnarrowed component's from its coefficients, any other's
+        from the optima of its boxes' solve."""
         out = {}
         for comp, cids, queries in self._queries.values():
-            rows = frozenset().union(*(rows_by_comp.get(cid, ()) for cid in cids))
-            key = (comp.cid, rows)
-            if key not in self._ranges:
-                if not rows:
+            key = frozenset().union(*(keys.get(cid, ()) for cid in cids))
+            memo = (comp.cid, key)
+            if memo not in self._ranges:
+                if not key:
                     # only the row summing the masses to 1: the simplex's
                     # vertices put all mass on one class
-                    self._ranges[key] = {
+                    self._ranges[memo] = {
                         fid: (min(least), max(most)) for fid, least, most in queries
                     }
                 else:
-                    start = self._solved(comp, rows)
-                    self._ranges[key] = {
+                    start = self._solved(comp, key)
+                    self._ranges[memo] = {
                         fid: (
                             start.optimum(least, maximize=False).value,
                             start.optimum(most, maximize=True).value,
                         )
                         for fid, least, most in queries
                     }
-            out.update(self._ranges[key])
+            out.update(self._ranges[memo])
         return out
 
     # -- per-component LPs --
 
-    def _lp_rows(self, comp: _Component, rows: frozenset[_Row]):
+    def _lp_rows(self, comp: _Component, key: frozenset):
+        """The LP of comp's boxes: masses summing to 1, then per formula in
+        ascending fid order "<= hi" when hi < 1 and ">= lo" when lo > 0."""
         out = [([ONE] * len(comp.classes), "=", ONE)]
-        for row in sorted(rows, key=lambda r: (r.fid, r.sense, r.rhs)):
-            out.append((list(comp.coeffs[row.fid]), row.sense, row.rhs))
+        for fid, lo, hi in sorted(key):
+            if hi < 1:
+                out.append((list(comp.coeffs[fid]), "<=", hi))
+            if lo > 0:
+                out.append((list(comp.coeffs[fid]), ">=", lo))
         return out
 
-    def _solved(self, comp: _Component, rows: frozenset[_Row]) -> LPResult | _BoxSolve:
-        """The feasibility solve of comp's rows, whose x is the vertex the walk
-        takes and whose optimum() gives every least and greatest mass and
-        every Frank-Wolfe direction over the rows.  A one-atom component's
-        comes from its rows' box, with no LP and no memo; any other's is
-        solved the first time a consumer asks for it and memoized for the
-        engine's life, so each row system runs phase one once."""
+    def _solved(self, comp: _Component, key: frozenset) -> LPResult | _BoxSolve:
+        """The feasibility solve of comp's boxes, whose x is the vertex the
+        walk takes and whose optimum() gives every least and greatest mass and
+        every Frank-Wolfe direction under them.  A one-atom component's comes
+        from its one box, with no LP and no memo; any other's is solved the
+        first time a consumer asks for it and memoized for the engine's life,
+        so each box key runs phase one once."""
         if comp.box_decided:
-            return _BoxSolve(rows)
-        key = (comp.cid, rows)
-        result = self._solves.get(key)
+            return _BoxSolve(key)
+        memo = (comp.cid, key)
+        result = self._solves.get(memo)
         if result is None:
-            result = self._solves[key] = solve_lp(len(comp.classes), self._lp_rows(comp, rows))
+            result = self._solves[memo] = solve_lp(len(comp.classes), self._lp_rows(comp, key))
         return result
-
-    def _lp(self, cid: int, rows: frozenset[_Row]):
-        """Some feasible class masses of one component, or None when its rows
-        are infeasible."""
-        return self._solved(self.components[cid], rows).x
 
     # -- witnesses --
 
@@ -638,17 +611,18 @@ class _Engine:
 
     # -- entropy maximization --
 
-    def maxent_component(self, cid: int, rows: frozenset[_Row]):
-        """Frank-Wolfe ascent of sum q*ln(n/q) over one component polytope.
+    def maxent_component(self, cid: int, key: frozenset):
+        """Frank-Wolfe ascent of sum q*ln(n/q) over one component polytope,
+        the masses its box key allows.
 
-        Directions come from the optima of the rows' solve (exact LPs all
+        Directions come from the optima of the boxes' solve (exact LPs all
         started from its one phase-one tableau, or the box of a one-atom
         component), steps from a float ternary line search rationalized back
         onto the segment, so iterates stay exactly feasible.
         """
-        key = (cid, rows)
-        if key in self._maxent_cache:
-            return self._maxent_cache[key]
+        memo = (cid, key)
+        if memo in self._maxent_cache:
+            return self._maxent_cache[memo]
         comp = self.components[cid]
         counts = [size for _, size, _ in comp.classes]
         log_counts = [math.log(c) for c in counts]
@@ -661,14 +635,14 @@ class _Engine:
                     total += fq * (ln_n - math.log(fq))
             return total
 
-        if not rows:
+        if not key:
             total = comp.space
             q = [Fraction(c, total) for c in counts]
             result = (q, comp.k * math.log(2))
-            self._maxent_cache[key] = result
+            self._maxent_cache[memo] = result
             return result
 
-        start = self._solved(comp, rows)
+        start = self._solved(comp, key)
         if start.status == INFEASIBLE:
             raise InconsistentProgram("entropy maximization over an infeasible branch")
         q = start.x
@@ -707,7 +681,7 @@ class _Engine:
         else:
             raise NonConvergence(f"entropy maximization hit the {MAXENT_MAX_SWEEPS}-sweep cap")
         result = (q, current)
-        self._maxent_cache[key] = result
+        self._maxent_cache[memo] = result
         return result
 
 
@@ -729,11 +703,11 @@ def _mass_bounds(engine: _Engine, eps: Fraction):
     None when no leaf is feasible; leaves visited)."""
     bounds: dict[int, tuple[Fraction, Fraction]] | None = None
     count = 0
-    for rows_by_comp, solution in engine.leaves(eps):
+    for keys, solution in engine.leaves(eps):
         count += 1
         if solution is None:
             continue
-        ranges = engine.mass_ranges(rows_by_comp)
+        ranges = engine.mass_ranges(keys)
         bounds = ranges if bounds is None else {
             f: (min(lo, bounds[f][0]), max(hi, bounds[f][1])) for f, (lo, hi) in ranges.items()
         }
@@ -811,14 +785,12 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
     satisfaction rather than per-clause satisfaction.
     """
     engine = _Engine(pp, opts)
-    rows: list[_Row] = []
+    boxes: dict[int, tuple[Fraction, Fraction]] = {}
     for head_fid, head_iv, body in engine.clauses:
         for fid, iv in [(head_fid, head_iv)] + body:
-            inside = _inside_rows(fid, iv)
-            if inside is None:
+            if _narrow(boxes, (fid, iv.lo, iv.hi)) is None:
                 return None
-            rows.extend(inside)
-    _, solution = engine.solve_rows(rows)
+    _, solution = engine.solve_boxes(boxes)
     if solution is None:
         return None
     return engine.couple(solution)
@@ -826,19 +798,19 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
 
 def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxEntResult:
     """The model with the greatest entropy among all feasible branches: the
-    first leaf to reach it, since leaves with the same row systems share
-    their maxent_component answers."""
+    first leaf to reach it, since leaves with the same boxes share their
+    maxent_component answers."""
     engine = _Engine(pp, opts)
     best_qs: dict[int, list[Fraction]] | None = None
     best_h, count = -1.0, 0
-    for rows_by_comp, solution in engine.leaves(opts.epsilon):
+    for keys, solution in engine.leaves(opts.epsilon):
         count += 1
         if solution is None:
             continue
         total = 0.0
         qs: dict[int, list[Fraction]] = {}
         for comp in engine.components:
-            q, h = engine.maxent_component(comp.cid, rows_by_comp.get(comp.cid, frozenset()))
+            q, h = engine.maxent_component(comp.cid, keys.get(comp.cid, frozenset()))
             qs[comp.cid] = q
             total += h
         if total > best_h:

@@ -12,10 +12,11 @@ denominator 1, with a 1e-9 feasibility tolerance and raises
 LPNumericalFailure when phase one lands in the ambiguous band between the
 tolerance and 1e-6.
 
-Phase one (a first feasible basis) does not depend on the objective.  A
-feasibility-only solve keeps the tableau phase one left, and
-LPResult.optimum starts phase two for any objective from a copy of it, so a
-row system's phase one runs once however many objectives it is optimized for.
+Phase one (a first feasible basis) does not depend on the objective, so
+solve_lp only decides feasibility: it returns the basic solution phase one
+reaches and keeps the tableau phase one left.  LPResult.optimum, the one
+optimizer, starts phase two for any objective from a copy of it, so a row
+system's phase one runs once however many objectives it is optimized for.
 """
 
 from __future__ import annotations
@@ -43,18 +44,17 @@ class LPResult:
     status: str
     x: list | None = None
     value: object = None
-    # A feasible feasibility-only solve keeps the tableau phase one left.
+    # A feasible solve_lp result keeps the tableau phase one left.
     _start: _Tableau | None = field(default=None, repr=False, compare=False)
 
     def optimum(self, objective: Sequence, maximize: bool = False) -> LPResult:
-        """The min (max) of objective . x over this feasibility solve's rows:
-        solve_lp's answer with this objective, by phase two alone from a copy
-        of the phase-one tableau.  The start is left as it was, so it serves
-        any number of objectives."""
+        """The min (max) of objective . x over this solve's rows, by phase two
+        alone from a copy of the phase-one tableau.  The start is left as it
+        was, so it serves any number of objectives."""
         if self.status == INFEASIBLE:
             return LPResult(INFEASIBLE)
         if self._start is None:
-            raise ValueError("optimum() starts from a feasibility-only solve")
+            raise ValueError("optimum() starts from a solve_lp result")
         return _phase_two(self._start.copy(), objective, maximize)
 
 
@@ -129,6 +129,14 @@ class _Tableau:
                 obj, den = self._eliminate(obj, den, obj[bv], self.rows[i], self.dens[i])
         self.obj, self.obj_den = obj, den
 
+    def vertex(self) -> list:
+        """The basic solution of the structural columns."""
+        x = [self.value(0 if self.exact else 0.0, 1)] * self.num_vars
+        for i, bv in enumerate(self.basis):
+            if bv < self.num_vars:
+                x[bv] = self.value(self.rows[i][self.ncols], self.dens[i])
+        return x
+
     @property
     def objective_value(self):
         return self.value(-self.obj[self.ncols], self.obj_den)
@@ -187,15 +195,13 @@ class _Tableau:
 def solve_lp(
     num_vars: int,
     rows: Sequence[tuple[Sequence, str, object]],
-    objective: Sequence | None = None,
-    maximize: bool = False,
     mode: LPMode = LPMode.EXACT,
 ) -> LPResult:
-    """Solve min/max objective . x subject to rows (coeffs, sense, rhs) and x >= 0.
+    """Decide whether rows (coeffs, sense, rhs) and x >= 0 have a solution.
 
-    With objective None only feasibility is decided; x is then some feasible
-    basic solution, and the result's optimum() optimizes objectives over the
-    same rows without repeating phase one.
+    A feasible result's x is the basic solution phase one reaches, and its
+    optimum() optimizes objectives over the same rows without repeating
+    phase one.
     """
     exact = mode is LPMode.EXACT
     tol = 0 if exact else _FLOAT_TOL
@@ -282,26 +288,16 @@ def solve_lp(
                 del t.dens[i]
                 del t.basis[i]
 
-    return _phase_two(t, objective, maximize)
+    return LPResult(OPTIMAL, t.vertex(), _start=t)
 
 
-def _phase_two(t: _Tableau, objective: Sequence | None, maximize: bool) -> LPResult:
-    """Optimize objective from the feasible basis phase one left in t.  With
-    objective None no pivot is made and the result keeps t as its start."""
-    zero = 0 if t.exact else 0.0
-    if objective is not None:
-        costs, den = _numerators(objective, t.exact)
-        if maximize:
-            costs = [-c for c in costs]
-        t.set_objective(costs + [zero] * (t.ncols - t.num_vars), den)
-        if t.optimize(range(t.art_start)) == UNBOUNDED:
-            return LPResult(UNBOUNDED)
-
-    x = [t.value(zero, 1)] * t.num_vars
-    for i, bv in enumerate(t.basis):
-        if bv < t.num_vars:
-            x[bv] = t.value(t.rows[i][t.ncols], t.dens[i])
-    if objective is None:
-        return LPResult(OPTIMAL, x, _start=t)
+def _phase_two(t: _Tableau, objective: Sequence, maximize: bool) -> LPResult:
+    """Optimize objective from the feasible basis phase one left in t."""
+    costs, den = _numerators(objective, t.exact)
+    if maximize:
+        costs = [-c for c in costs]
+    t.set_objective(costs + [0 if t.exact else 0.0] * (t.ncols - t.num_vars), den)
+    if t.optimize(range(t.art_start)) == UNBOUNDED:
+        return LPResult(UNBOUNDED)
     value = t.objective_value
-    return LPResult(OPTIMAL, x, -value if maximize else value)
+    return LPResult(OPTIMAL, t.vertex(), -value if maximize else value)

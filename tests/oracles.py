@@ -331,14 +331,31 @@ def grid_distributions(n_worlds: int, step_denominator: int = 20):
 
 
 def reference_leaves(engine, eps: Fraction):
-    """The engine's leaf walk as it was before its look-ahead: depth first in
-    clause and choice order (HEAD_IN, then BODY_LOW and BODY_HIGH per
-    conjunct), pruning only where a choice's own rows empty a formula's box,
-    with each choice's rows built at the node that tries it.
+    """engine.solve_boxes of each leaf of reference_leaf_rows, its rows
+    reduced to the boxes they allow only at the leaf.
 
     engine.leaves(eps) must yield exactly what this yields, in the same order.
     """
-    from tplp.psat import _Row
+    for rows in reference_leaf_rows(engine, eps):
+        yield engine.solve_boxes(row_boxes(rows))
+
+
+def row_boxes(rows) -> dict:
+    """{fid: (lo, hi)} for the formulas that rows (fid, sense, rhs) narrow
+    below [0, 1], each the intersection of its rows."""
+    boxes = {}
+    for fid, sense, rhs in rows:
+        lo, hi = boxes.get(fid, (Fraction(0), Fraction(1)))
+        boxes[fid] = (max(lo, rhs), hi) if sense == ">=" else (lo, min(hi, rhs))
+    return {fid: box for fid, box in boxes.items() if box != (0, 1)}
+
+
+def reference_leaf_rows(engine, eps: Fraction):
+    """The rows (fid, sense, rhs) of every leaf of the engine's walk as it was
+    before its look-ahead: depth first in clause and choice order (HEAD_IN,
+    then BODY_LOW and BODY_HIGH per conjunct), pruning only where a choice's
+    own rows empty a formula's box, with each choice's rows built at the node
+    that tries it."""
 
     def choice_rows(clause, k):
         head_fid, head_iv, body = clause
@@ -347,31 +364,31 @@ def reference_leaves(engine, eps: Fraction):
                 return None
             rows = []
             if head_iv.lo > 0:
-                rows.append(_Row(head_fid, ">=", head_iv.lo))
+                rows.append((head_fid, ">=", head_iv.lo))
             if head_iv.hi < 1:
-                rows.append(_Row(head_fid, "<=", head_iv.hi))
+                rows.append((head_fid, "<=", head_iv.hi))
             return rows
         fid, iv = body[(k - 1) // 2]
         if k % 2:
             bound = iv.lo - eps
-            return None if bound < 0 else [_Row(fid, "<=", bound)]
+            return None if bound < 0 else [(fid, "<=", bound)]
         bound = iv.hi + eps
-        return None if bound > 1 else [_Row(fid, ">=", bound)]
+        return None if bound > 1 else [(fid, ">=", bound)]
 
     def narrow(boxes, rows):
         undo = []
-        for row in rows:
-            old = boxes.get(row.fid, (Fraction(0), Fraction(1)))
+        for fid, sense, rhs in rows:
+            old = boxes.get(fid, (Fraction(0), Fraction(1)))
             lo, hi = old
-            if row.sense == ">=":
-                lo = max(lo, row.rhs)
+            if sense == ">=":
+                lo = max(lo, rhs)
             else:
-                hi = min(hi, row.rhs)
+                hi = min(hi, rhs)
             if lo > hi:
                 restore(boxes, undo)
                 return None
-            undo.append((row.fid, old))
-            boxes[row.fid] = (lo, hi)
+            undo.append((fid, old))
+            boxes[fid] = (lo, hi)
         return undo
 
     def restore(boxes, undo):
@@ -380,7 +397,7 @@ def reference_leaves(engine, eps: Fraction):
 
     clauses = engine.clauses
     if not clauses:
-        yield engine.solve_rows(())
+        yield []
         return
     boxes = {}
     path = []
@@ -403,7 +420,7 @@ def reference_leaves(engine, eps: Fraction):
         if depth + 1 < len(clauses):
             tries.append(0)
         else:
-            yield engine.solve_rows(row for taken, _ in path for row in taken)
+            yield [row for taken, _ in path for row in taken]
 
 
 # --- reference simplex: the exact two-phase tableau on Fractions ---------------------

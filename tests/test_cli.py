@@ -379,6 +379,20 @@ class TestEvolve:
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == f"error: {csv_file}:2: zero denominator in '1/0'\n"
 
+    def test_time_not_an_integer_in_csv(self, fixtures, tmp_path, capsys):
+        csv_file = tmp_path / "time.csv"
+        csv_file.write_text("formula_id,time,lo,hi\nc0.head,x,0.3,0.3\n")
+        res = invoke("evolve", str(fixtures / "evolution_skeleton.tpl"), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: {csv_file}:2: time 'x' is not an integer\n"
+
+    def test_malformed_bound_in_csv(self, fixtures, tmp_path, capsys):
+        csv_file = tmp_path / "bound.csv"
+        csv_file.write_text("formula_id,time,lo,hi\nc0.head,1,abc,0.3\n")
+        res = invoke("evolve", str(fixtures / "evolution_skeleton.tpl"), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: {csv_file}:2: malformed rational 'abc'\n"
+
 
 class TestIalg:
     def test_interval_output(self):
@@ -401,6 +415,14 @@ class TestIalg:
         res = invoke("ialg", "[1/0, 1]")
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == "error: zero denominator in '1/0'\n"
+
+    @pytest.mark.parametrize(
+        "expr, number", [("[1-2,1]", "1-2"), ("[1/2/3,1]", "1/2/3"), ("[-,1]", "-")]
+    )
+    def test_malformed_number(self, capsys, expr, number):
+        res = invoke("ialg", expr)
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: malformed rational '{number}'\n"
 
 
 class TestCompoundQueries:

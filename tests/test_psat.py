@@ -16,7 +16,7 @@ from generators import (
     rand_tp_program,
     small_base,
 )
-from oracles import grid_distributions, reference_leaves
+from oracles import grid_distributions, reference_leaf_rows, reference_leaves, row_boxes
 from tplp.cli import run
 from tplp.errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from tplp.grounder import GroundingMode, HerbrandBase, PClause, PProgram, ground_program, unfold
@@ -27,7 +27,6 @@ from tplp.psat import (
     SolveOptions,
     _BoxSolve,
     _Engine,
-    _Row,
     Verdict,
     check_consistency,
     entails,
@@ -125,14 +124,15 @@ class TestLeafWalk:
     def test_leaves_in_clause_then_choice_order(self):
         pp = unfold(parse_program(self.TEXT).program)
         eps = F(1, 10**6)
-        walked = list(_Engine(pp, SolveOptions()).leaves(eps))
+        engine = _Engine(pp, SolveOptions())
+        walked = list(engine.leaves(eps))
         assert all(solution is not None for _, solution in walked)
-        leaves = [set().union(*rows_by_comp.values()) for rows_by_comp, _ in walked]
-        fact = set.intersection(*leaves)
-        assert [{(r.sense, r.rhs) for r in leaf - fact} for leaf in leaves] == [
-            {(">=", F(9, 10))},
-            {("<=", F(2, 5) - eps)},
-            {(">=", F(3, 5) + eps)},
+        a = next(fid for fid, _, body in engine.clauses if not body)
+        b = next(fid for fid, _, body in engine.clauses if body)
+        assert [set().union(*keys.values()) for keys, _ in walked] == [
+            {(a, F(1, 5), F(4, 5)), (b, F(9, 10), F(1))},
+            {(a, F(1, 5), F(2, 5) - eps)},
+            {(a, F(3, 5) + eps, F(4, 5))},
         ]
 
     def test_branch_count_is_leaves_consumed(self):
@@ -292,35 +292,98 @@ class TestWarmStarts:
         assert lp_systems == []
 
 
-class TestBoxDecided:
-    """A one-atom component is decided by its rows' box, with no LP, and the
-    box gives exactly the status, the vertex and the optima the simplex
-    would."""
+class TestBoxLeaves:
+    """A leaf is its boxes: every row the walk's choices make bounds one
+    formula's mass, so rows looser than a formula's box are redundant, and
+    the boxes key every component LP."""
 
-    SHAPES = ("<=", ">=", "mixed", "rowless", "duplicate", "infeasible", "ends")
+    def test_row_union_and_box_rows_agree(self):
+        rng = random.Random(912)
+        # per component row union of a leaf: those seen, those with a looser row
+        programs = systems = looser = 0
+        while programs < 120:
+            base = small_base(rng.randint(3, 6))
+            pp = rand_pprogram(
+                rng, base, n_clauses=rng.randint(2, 4), formula_sizes=(1, 2, 2, 3)
+            )
+            engine = _Engine(pp, SolveOptions())
+            multi = [comp for comp in engine.components if comp.k > 1]
+            if not multi:
+                continue
+            programs += 1
+            checked = set()
+            for eps in (SolveOptions().epsilon, F(0)):
+                for rows in reference_leaf_rows(engine, eps):
+                    keys, _ = engine.solve_boxes(row_boxes(rows))
+                    for comp in multi:
+                        mine = sorted({r for r in rows if engine._fid_comp[r[0]] == comp.cid})
+                        if not mine or (comp.cid, *mine) in checked:
+                            continue
+                        checked.add((comp.cid, *mine))
+                        n = len(comp.classes)
+                        union_rows = [([1] * n, "=", 1)] + [
+                            (list(comp.coeffs[fid]), sense, rhs) for fid, sense, rhs in mine
+                        ]
+                        box_rows = engine._lp_rows(comp, keys.get(comp.cid, frozenset()))
+                        systems += 1
+                        if union_rows == box_rows:
+                            continue
+                        looser += 1
+                        union, boxed = solve_lp(n, union_rows), solve_lp(n, box_rows)
+                        assert union.status == boxed.status, (rows, box_rows)
+                        if boxed.x is None:
+                            continue
+                        for _ in range(3):
+                            objective = [rng.randint(-3, 3) for _ in range(n)]
+                            for maximize in (False, True):
+                                assert (
+                                    union.optimum(objective, maximize).value
+                                    == boxed.optimum(objective, maximize).value
+                                ), (rows, objective, maximize)
+        assert systems >= 2000 and looser >= 300
+
+    def test_recipe_leaves_share_box_lps(self, lp_systems):
+        # The 8-clause program of ROADMAP item 1's recipe at seed 405: its 60
+        # leaves carry 41 distinct per-component row unions but 29 box keys.
+        rng = random.Random(405)
+        cal = Calendar.from_range(1, rng.randint(2, 3))
+        preds = ["a", "b", "c"][: rng.randint(2, 3)]
+        pp = unfold(rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds))
+        heads = [BasicFormula.single(h) for h in dict.fromkeys(c.head for c in pp.clauses)]
+        res = tighten(pp, heads)
+        assert res.branch_count == 60
+        assert res.intervals == [
+            ProbInterval(F(2, 5), F(19, 20)),
+            ProbInterval(F(13, 20), F(3, 4)),
+        ]
+        assert len(lp_systems) == len(set(lp_systems)) == 29
+
+
+class TestBoxDecided:
+    """A one-atom component is decided by its box, with no LP, and the box
+    gives exactly the status, the vertex and the optima the simplex would
+    over the box's rows.  The walk never yields an empty box, nor [0, 1]."""
+
+    SHAPES = ("<=", ">=", "both", "point")
 
     @staticmethod
-    def row_system(rng: random.Random, shape: str) -> list[_Row]:
+    def box(rng: random.Random, shape: str) -> tuple:
+        """A box (lo, hi) of the shape, neither empty nor [0, 1]."""
         def rhs():
             d = rng.choice([2, 3, 7, 10, 1000])
             return F(rng.randint(0, d), d)
 
-        if shape == "rowless":
-            return []
-        if shape == "infeasible":
-            lo = hi = F(0)
-            while lo == hi:
-                lo, hi = sorted([rhs(), rhs()])
-            rows = [_Row(0, ">=", hi), _Row(0, "<=", lo)]
-        elif shape == "ends":
-            rows = [_Row(0, rng.choice(["<=", ">="]), rng.choice([F(0), F(1)])) for _ in range(2)]
+        if shape == "point":
+            lo = hi = rhs()
+        elif shape == "<=":
+            lo, hi = F(0), rhs()
+        elif shape == ">=":
+            lo, hi = rhs(), F(1)
         else:
-            senses = {"<=": ["<="], ">=": [">="]}.get(shape, ["<=", ">="])
-            rows = [_Row(0, rng.choice(senses), rhs()) for _ in range(rng.randint(1, 4))]
-        if shape == "duplicate":
-            rows.append(rng.choice(rows))
-        rng.shuffle(rows)
-        return rows
+            lo, hi = sorted([rhs(), rhs()])
+        if (lo, hi) == (0, 1) or (shape == "both" and (lo == 0 or hi == 1)):
+            return TestBoxDecided.box(rng, shape)
+        return lo, hi
 
     @staticmethod
     def objective(rng: random.Random) -> tuple:
@@ -335,28 +398,27 @@ class TestBoxDecided:
     def test_vertex_and_optima_match_the_simplex(self):
         rng = random.Random(909)
         seen = {shape: 0 for shape in self.SHAPES}
-        infeasible = ties = 0
+        ties = 0
         for _ in range(1500):
             shape = rng.choice(self.SHAPES)
-            rows = self.row_system(rng, shape)
-            lp = solve_lp(2, [([1, 1], "=", 1)] + [([1, 0], r.sense, r.rhs) for r in rows])
-            box = _BoxSolve(rows)
-            assert (box.status, box.x) == (lp.status, lp.x), (shape, rows)
+            lo, hi = self.box(rng, shape)
+            rows = [([1, 1], "=", 1)]
+            rows += [([1, 0], "<=", hi)] if hi < 1 else []
+            rows += [([1, 0], ">=", lo)] if lo > 0 else []
+            lp = solve_lp(2, rows)
+            box = _BoxSolve(frozenset({(0, lo, hi)}))
+            assert (box.status, box.x) == (lp.status, lp.x), (shape, lo, hi)
             seen[shape] += 1
-            if lp.x is None:
-                infeasible += 1
-                assert box.optimum((1, 0)).status == lp.optimum((1, 0)).status
-                continue
-            assert box.lo == lp.optimum((1, 0), maximize=False).value, rows
-            assert box.hi == lp.optimum((1, 0), maximize=True).value, rows
+            assert box.lo == lp.optimum((1, 0), maximize=False).value, (lo, hi)
+            assert box.hi == lp.optimum((1, 0), maximize=True).value, (lo, hi)
             for _ in range(4):
                 objective, maximize = self.objective(rng), rng.random() < 0.5
                 ties += objective[0] == objective[1]
                 got, want = box.optimum(objective, maximize), lp.optimum(objective, maximize)
                 assert (got.status, got.x, got.value) == (want.status, want.x, want.value), (
-                    rows, objective, maximize,
+                    lo, hi, objective, maximize,
                 )
-        assert min(seen.values()) >= 150 and infeasible >= 200 and ties >= 600
+        assert min(seen.values()) >= 300 and ties >= 600
 
     def test_no_lp_for_one_atom_components(self, lp_systems):
         from oracles import BruteForce
