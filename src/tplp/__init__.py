@@ -51,7 +51,6 @@ from .grounder import (
 from .intervals import (
     ProbInterval,
     and_ig,
-    eval_interval_expr,
     format_rational,
     is_consistent,
     join_k,
@@ -96,6 +95,7 @@ from .parser import (
     QueryKind,
     QueryResult,
     SkeletonClause,
+    eval_interval_expr,
     parse_program,
     parse_query,
     parse_skeleton,

@@ -31,10 +31,11 @@ from .grounder import (
     pprogram_to_ptprogram,
     unfold,
 )
-from .intervals import ProbInterval, eval_interval_expr, is_consistent, parse_rational
+from .intervals import ProbInterval, is_consistent, parse_rational
 from .model import validate_annotation
 from .parser import (
     QueryKind,
+    eval_interval_expr,
     parse_program,
     parse_query,
     parse_skeleton,
@@ -128,7 +129,7 @@ def _options(args) -> SolveOptions:
     if cap is None:
         env = os.environ.get(ENV_MAX_WORLD_ATOMS)
         try:
-            cap = int(env) if env else 16
+            cap = int(env) if env else SolveOptions.max_world_atoms
         except ValueError:
             cap = 0
         if cap < 1:
@@ -354,12 +355,17 @@ def _cmd_ialg(args):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--epsilon", default="1/1000000", help="strict-violation margin")
+    common.add_argument(
+        "--epsilon", default=str(SolveOptions.epsilon), help="strict-violation margin"
+    )
     common.add_argument(
         "--max-world-atoms",
         type=int,
         default=None,
-        help=f"atom cap for world enumeration (env {ENV_MAX_WORLD_ATOMS}, default 16)",
+        help=(
+            f"atom cap for world enumeration (env {ENV_MAX_WORLD_ATOMS}, "
+            f"default {SolveOptions.max_world_atoms})"
+        ),
     )
     common.add_argument(
         "--grounding", choices=["full", "relevant"], default="full", help="grounding mode"

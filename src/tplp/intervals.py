@@ -5,42 +5,41 @@ knowledge/precision (lo up, hi down).  The knowledge join can produce
 inconsistent intervals with lo > hi; such values are kept first-class here and
 never clamped, since demonstrating that behaviour is part of this module's
 job.  ``is_consistent`` is the advisory predicate.
+
+``parse_rational`` reads NUM, the one numeric literal of programs, queries,
+flags, CSV profiles and ``ialg``; ``OPERATORS`` names the operations that
+``ialg`` expressions (``parser.eval_interval_expr``) may call.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_NUM = re.compile(r"([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'n/d', an integer, or a decimal with at most 9 fractional digits."""
+    """Read NUM: ASCII digits, optionally followed by a decimal part of at most
+    nine digits or by ``/`` and a non-zero denominator.  Surrounding
+    whitespace is ignored; anything else raises ValueError naming the text."""
     text = text.strip()
-
-    def integer(part: str) -> int:
-        try:
-            return int(part)
-        except ValueError:
-            raise ValueError(f"malformed rational {text!r}") from None
-
-    if "/" in text:
-        num, den = text.split("/", 1)
-        if integer(den) == 0:
+    m = _NUM.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed rational {text!r}")
+    whole, frac, den = m.groups()
+    if den is not None:
+        if int(den) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(integer(num), integer(den))
-    if "." in text:
-        whole, frac = text.split(".", 1)
-        if not frac or not frac.isdigit():
-            raise ValueError(f"malformed decimal literal {text!r}")
-        if len(frac) > 9:
-            raise ValueError(f"decimal literal {text!r} has more than 9 fractional digits")
-        sign = -1 if whole.lstrip().startswith("-") else 1
-        whole_i = integer(whole) if whole not in ("", "-") else 0
-        return Fraction(whole_i) + sign * Fraction(integer(frac), 10 ** len(frac))
-    return Fraction(integer(text))
+        return Fraction(int(whole), int(den))
+    if frac is None:
+        return Fraction(int(whole))
+    if len(frac) > 9:
+        raise ValueError(f"decimal literal {text!r} has more than 9 fractional digits")
+    return Fraction(int(whole + frac), 10 ** len(frac))
 
 
 def format_rational(q: Fraction) -> str:
@@ -134,87 +133,15 @@ def is_consistent(i: ProbInterval) -> bool:
     return i.lo <= i.hi
 
 
-_BINARY = {
-    "meet_k": meet_k,
-    "join_k": join_k,
-    "and_ig": and_ig,
-    "or_ig": or_ig,
+# Operators of ``ialg`` expressions (see ``parser.eval_interval_expr``): name
+# -> (function, arity).  All take intervals; meet_k, join_k, and_ig and or_ig
+# return one, leq_b, leq_k and is_consistent a bool.
+OPERATORS = {
+    "meet_k": (meet_k, 2),
+    "join_k": (join_k, 2),
+    "and_ig": (and_ig, 2),
+    "or_ig": (or_ig, 2),
+    "leq_b": (leq_b, 2),
+    "leq_k": (leq_k, 2),
+    "is_consistent": (is_consistent, 1),
 }
-_PRED2 = {"leq_b": leq_b, "leq_k": leq_k}
-_PRED1 = {"is_consistent": is_consistent}
-
-
-def eval_interval_expr(text: str):
-    """Evaluate an ad-hoc interval expression, e.g. ``join_k([0,0.3],[0.7,1])``.
-
-    Nested calls are allowed.  Returns a ProbInterval or a bool.
-    """
-    pos = 0
-    n = len(text)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
-
-    def expect(ch):
-        nonlocal pos
-        skip_ws()
-        if pos >= n or text[pos] != ch:
-            raise ValueError(f"expected {ch!r} at offset {pos} in {text!r}")
-        pos += 1
-
-    def parse_number() -> Fraction:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < n and (text[pos].isdigit() or text[pos] in "./-"):
-            pos += 1
-        if start == pos:
-            raise ValueError(f"expected a number at offset {pos} in {text!r}")
-        return parse_rational(text[start:pos])
-
-    def parse_expr():
-        nonlocal pos
-        skip_ws()
-        if pos < n and text[pos] == "[":
-            expect("[")
-            lo = parse_number()
-            expect(",")
-            hi = parse_number()
-            expect("]")
-            return ProbInterval(lo, hi)
-        start = pos
-        while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-            pos += 1
-        name = text[start:pos]
-        if not name:
-            raise ValueError(f"expected an interval or operator at offset {pos} in {text!r}")
-        expect("(")
-        args = [parse_expr()]
-        skip_ws()
-        while pos < n and text[pos] == ",":
-            pos += 1
-            args.append(parse_expr())
-            skip_ws()
-        expect(")")
-        if name in _BINARY or name in _PRED2:
-            if len(args) != 2:
-                raise ValueError(f"{name} takes 2 arguments, got {len(args)}")
-            fn = _BINARY.get(name) or _PRED2.get(name)
-        elif name in _PRED1:
-            if len(args) != 1:
-                raise ValueError(f"{name} takes 1 argument, got {len(args)}")
-            fn = _PRED1[name]
-        else:
-            raise ValueError(f"unknown operator {name!r}")
-        for a in args:
-            if not isinstance(a, ProbInterval):
-                raise ValueError(f"{name} expects interval arguments")
-        return fn(*args)
-
-    result = parse_expr()
-    skip_ws()
-    if pos != n:
-        raise ValueError(f"trailing input at offset {pos} in {text!r}")
-    return result

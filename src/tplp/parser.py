@@ -1,4 +1,5 @@
-"""Text format for temporal probabilistic programs and queries.
+"""Text format for temporal probabilistic programs, queries, evolution
+skeletons and ``ialg`` interval expressions, all read by one lexer.
 
 Program grammar (``%`` comments run to end of line)::
 
@@ -19,7 +20,9 @@ Identifiers starting with an upper-case letter are object variables, except
 those starting with ``Y`` which are temporal variables; lower-case identifiers
 are constants.  ``and`` binds atoms inside a formula before the ``:`` and
 separates body conjuncts after an annotation.  NUM is an integer, a decimal
-with at most nine fractional digits, or an exact ratio ``n/d``.  An optional
+with at most nine fractional digits, or an exact ratio ``n/d``, in ASCII
+digits; ``intervals.parse_rational`` states that rule for every number a user
+types, and the parser only collects a literal's tokens for it.  An optional
 ``constants a, b.`` statement declares constants beyond the occurring ones.
 
 Query files hold a single statement::
@@ -37,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error
-from .intervals import format_rational
+from .intervals import OPERATORS, ProbInterval, format_rational, parse_rational
 from .model import (
     BasicFormula,
     CAtom,
@@ -70,9 +73,9 @@ from .model import (
 _TOKEN_SPEC = [
     ("WS", r"[ \t\r\n]+"),
     ("COMMENT", r"%[^\n]*"),
-    ("DEC", r"\d+\.\d+"),
+    ("DEC", r"[0-9]+\.[0-9]+"),
     ("DOTDOT", r"\.\."),
-    ("INT", r"\d+"),
+    ("INT", r"[0-9]+"),
     ("IMPL", r":-"),
     ("LE", r"<="),
     ("GE", r">="),
@@ -234,33 +237,31 @@ class _ProgramParser:
     def __init__(self, text: str):
         self.tokens, self.diags = _lex(text)
         self.cur = _Cursor(self.tokens)
+        self.rejected_numbers = 0
 
     # -- small pieces --
 
     def parse_number(self) -> Fraction:
-        tok = self.cur.peek()
-        if tok.type == "INT":
-            self.cur.advance()
+        """Collect a NUM literal's tokens (INT ["/" INT] or DEC) for
+        ``parse_rational``.  A literal it rejects is one diagnostic and reads
+        as 0, so that the clause parses on to its next syntax error; the
+        program then leaves that clause out (see ``parse_program``)."""
+        start = self.cur.i
+        first = self.cur.peek()
+        if self.cur.accept("INT"):
             if self.cur.accept("SLASH"):
-                den = self.cur.expect("INT", "a denominator")
-                if int(den.text) == 0:
-                    raise _Unexpected("zero denominator", den.span)
-                return Fraction(int(tok.text), int(den.text))
-            return Fraction(int(tok.text))
-        if tok.type == "DEC":
-            self.cur.advance()
-            frac_digits = len(tok.text.split(".", 1)[1])
-            if frac_digits > 9:
-                self.diags.append(
-                    error(
-                        DiagnosticKind.SYNTAX,
-                        f"decimal literal {tok.text} has more than 9 fractional digits",
-                        tok.span,
-                    )
-                )
-            whole, frac = tok.text.split(".", 1)
-            return Fraction(int(whole)) + Fraction(int(frac), 10 ** len(frac))
-        raise _Unexpected("expected a number", tok.span)
+                self.cur.expect("INT", "a denominator")
+        elif not self.cur.accept("DEC"):
+            raise _Unexpected("expected a number", first.span)
+        literal = self.tokens[start : self.cur.i]
+        try:
+            return parse_rational("".join(t.text for t in literal))
+        except ValueError as exc:
+            end = literal[-1].span.end
+            span = SourceSpan(first.span.line, first.span.column, first.span.start, end)
+            self.diags.append(error(DiagnosticKind.SYNTAX, str(exc), span))
+            self.rejected_numbers += 1
+            return Fraction(0)
 
     def parse_prob(self) -> Fraction:
         start = self.cur.peek()
@@ -545,7 +546,12 @@ class _ProgramParser:
                     self.cur.sync_to_dot()
                 continue
             try:
-                clauses.append(self.parse_clause())
+                rejected = self.rejected_numbers
+                clause = self.parse_clause()
+                # a 0 read in place of a rejected number would only add
+                # validation errors against a value nobody wrote
+                if self.rejected_numbers == rejected:
+                    clauses.append(clause)
             except _Unexpected as exc:
                 self.diags.append(error(DiagnosticKind.SYNTAX, exc.message, exc.span))
                 self.cur.sync_to_dot()
@@ -558,53 +564,55 @@ class _ProgramParser:
         return ParseResult(program, self.diags)
 
     def parse_query(self) -> QueryResult:
+        """The query, or None when any diagnostic is an error: a rejected
+        number in the target annotation rejects the query."""
         try:
-            self.cur.expect("QMARK", "'?' starting a query")
-            kw = self.cur.expect("IDENT", "'entail' or 'tighten'")
-            if kw.text == "entail":
-                formula, _ = self.parse_bform()
-                self.cur.expect("COLON", "':' before the target annotation")
-                annot = self.parse_annot()
-                self.check_annotation_binding(formula, annot)
-                self.cur.expect("DOT", "'.'")
-                self.cur.expect("EOF", "end of input")
-                self._require_object_ground(formula)
-                return QueryResult(
-                    Query(QueryKind.ENTAIL, formula, annot=annot, span=formula.span), self.diags
-                )
-            if kw.text == "tighten":
-                formula, markers = self.parse_bform(allow_star=True)
-                self.cur.expect("DOT", "'.'")
-                self.cur.expect("EOF", "end of input")
-                self._require_object_ground(formula)
-                if all(m == "*" for m in markers):
-                    at = None
-                elif all(m == "int" for m in markers):
-                    times = {a.time for a in formula.atoms}
-                    if len(times) != 1:
-                        raise _Unexpected(
-                            "tighten atoms must share a single time point (or all use '*')",
-                            formula.span,
-                        )
-                    at = next(iter(times))
-                    formula = BasicFormula(
-                        formula.connective,
-                        tuple(
-                            TAtom(a.predicate, a.args, TVar("Y"), a.span) for a in formula.atoms
-                        ),
-                        formula.span,
-                    )
-                else:
-                    raise _Unexpected(
-                        "tighten atoms must all carry '@<time>' or all carry '@*'", formula.span
-                    )
-                return QueryResult(
-                    Query(QueryKind.TIGHTEN, formula, at=at, span=formula.span), self.diags
-                )
-            raise _Unexpected(f"unknown query form {kw.text!r}", kw.span)
+            query = self._query()
         except _Unexpected as exc:
             self.diags.append(error(DiagnosticKind.SYNTAX, exc.message, exc.span))
-            return QueryResult(None, self.diags)
+            query = None
+        if any(d.is_error for d in self.diags):
+            query = None
+        return QueryResult(query, self.diags)
+
+    def _query(self) -> Query:
+        self.cur.expect("QMARK", "'?' starting a query")
+        kw = self.cur.expect("IDENT", "'entail' or 'tighten'")
+        if kw.text == "entail":
+            formula, _ = self.parse_bform()
+            self.cur.expect("COLON", "':' before the target annotation")
+            annot = self.parse_annot()
+            self.check_annotation_binding(formula, annot)
+            self.cur.expect("DOT", "'.'")
+            self.cur.expect("EOF", "end of input")
+            self._require_object_ground(formula)
+            return Query(QueryKind.ENTAIL, formula, annot=annot, span=formula.span)
+        if kw.text == "tighten":
+            formula, markers = self.parse_bform(allow_star=True)
+            self.cur.expect("DOT", "'.'")
+            self.cur.expect("EOF", "end of input")
+            self._require_object_ground(formula)
+            if all(m == "*" for m in markers):
+                at = None
+            elif all(m == "int" for m in markers):
+                times = {a.time for a in formula.atoms}
+                if len(times) != 1:
+                    raise _Unexpected(
+                        "tighten atoms must share a single time point (or all use '*')",
+                        formula.span,
+                    )
+                at = next(iter(times))
+                formula = BasicFormula(
+                    formula.connective,
+                    tuple(TAtom(a.predicate, a.args, TVar("Y"), a.span) for a in formula.atoms),
+                    formula.span,
+                )
+            else:
+                raise _Unexpected(
+                    "tighten atoms must all carry '@<time>' or all carry '@*'", formula.span
+                )
+            return Query(QueryKind.TIGHTEN, formula, at=at, span=formula.span)
+        raise _Unexpected(f"unknown query form {kw.text!r}", kw.span)
 
     def _require_object_ground(self, formula: BasicFormula):
         for a in formula.atoms:
@@ -701,6 +709,62 @@ class _SkeletonParser(_ProgramParser):
 
 def parse_skeleton(text: str) -> tuple[PSkeleton | None, list[Diagnostic]]:
     return _SkeletonParser(text).parse_skeleton()
+
+
+# --- interval expressions ---------------------------------------------------------
+
+
+def eval_interval_expr(text: str):
+    """Evaluate a ``tplp ialg`` expression, e.g. ``join_k([0,0.3],[0.7,1])``::
+
+        iexpr := "[" bound "," bound "]" | IDENT "(" iexpr ("," iexpr)* ")"
+
+    IDENT names one of ``intervals.OPERATORS``; a bound is the source text up
+    to the next "," or "]", read as NUM.  Returns a ProbInterval or a bool; a
+    malformed expression raises ValueError.
+    """
+    tokens, stray = _lex(text)
+    cur = _Cursor(tokens)
+    bounds: list[tuple[int, int]] = []  # source ranges read as NUM
+
+    def bound(after: Token) -> Fraction:
+        while cur.peek().type not in ("COMMA", "RBRACK", "EOF"):
+            cur.advance()
+        start, end = after.span.end, cur.peek().span.start
+        bounds.append((start, end))
+        return parse_rational(text[start:end])
+
+    def expr():
+        if bracket := cur.accept("LBRACK"):
+            lo = bound(bracket)
+            hi = bound(cur.expect("COMMA", "','"))
+            cur.expect("RBRACK", "']'")
+            return ProbInterval(lo, hi)
+        name = cur.expect("IDENT", "an interval or operator").text
+        cur.expect("LPAREN", "'('")
+        args = [expr()]
+        while cur.accept("COMMA"):
+            args.append(expr())
+        cur.expect("RPAREN", "')'")
+        if name not in OPERATORS:
+            raise ValueError(f"unknown operator {name!r}")
+        fn, arity = OPERATORS[name]
+        if len(args) != arity:
+            plural = "s" if arity != 1 else ""
+            raise ValueError(f"{name} takes {arity} argument{plural}, got {len(args)}")
+        if not all(isinstance(a, ProbInterval) for a in args):
+            raise ValueError(f"{name} expects interval arguments")
+        return fn(*args)
+
+    try:
+        result = expr()
+        cur.expect("EOF", "end of input")
+    except _Unexpected as exc:
+        raise ValueError(f"{exc.message} at offset {exc.span.start} in {text!r}") from None
+    for d in stray:
+        if not any(start <= d.span.start < end for start, end in bounds):
+            raise ValueError(f"{d.message} at offset {d.span.start} in {text!r}")
+    return result
 
 
 # --- rendering --------------------------------------------------------------------

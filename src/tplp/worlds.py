@@ -14,10 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .grounder import HerbrandBase, PProgram
+from .intervals import ONE, ZERO
 from .model import BasicFormula, Connective, PTProgram, TAtom, substitute_time
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

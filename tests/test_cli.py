@@ -8,6 +8,7 @@ import tplp.cli
 import tplp.psat
 from tplp import errors
 from tplp.cli import run
+from tplp.parser import parse_program, render_program
 
 
 def invoke(*argv):
@@ -423,6 +424,160 @@ class TestIalg:
         res = invoke("ialg", expr)
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == f"error: malformed rational '{number}'\n"
+
+
+class TestMalformedNumbers:
+    """Every number a user types is read as NUM by one reader, so a program
+    weight, an ialg bound, --epsilon and an evolve CSV bound reject the same
+    literals, each exiting 2 with stderr naming the literal."""
+
+    # literal -> (validate's diagnostics for "[<literal>]" at line 2 column 16,
+    #             the reason parse_rational gives)
+    REJECTED = {
+        "1_0/20": (
+            "2:17 error[Syntax]: unexpected character '_'\n"
+            "2:18 error[Syntax]: expected ']', found '0'\n",
+            "malformed rational '1_0/20'",
+        ),
+        "+0.5": ("2:16 error[Syntax]: expected a number\n", "malformed rational '+0.5'"),
+        ".5": (
+            "2:16 error[Syntax]: expected a number\n"
+            "2:17 error[Syntax]: expected a predicate name, found '5'\n",
+            "malformed rational '.5'",
+        ),
+        "1/-2": (
+            "2:18 error[Syntax]: expected a denominator, found '-'\n",
+            "malformed rational '1/-2'",
+        ),
+        "-0.1": ("2:16 error[Syntax]: expected a number\n", "malformed rational '-0.1'"),
+        # ARABIC-INDIC DIGIT FIVE
+        "\u0665": (
+            "2:16 error[Syntax]: unexpected character '\u0665'\n"
+            "2:17 error[Syntax]: expected a number\n",
+            "malformed rational '\u0665'",
+        ),
+        "0.1234567891": (
+            "2:16 error[Syntax]: decimal literal '0.1234567891' has more than 9 fractional "
+            "digits\n",
+            "decimal literal '0.1234567891' has more than 9 fractional digits",
+        ),
+        "1/0": (
+            "2:16 error[Syntax]: zero denominator in '1/0'\n",
+            "zero denominator in '1/0'",
+        ),
+    }
+    ACCEPTED = ["3/7", "0.25"]
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        """Write a program weight and a CSV bound holding the literal."""
+
+        def write(literal):
+            program = tmp_path / "w.tpl"
+            program.write_text(
+                f"calendar 1..1.\na@Y : <Y = 1, [{literal}], [1]>.\n", encoding="utf-8"
+            )
+            skeleton = tmp_path / "s.tpl"
+            skeleton.write_text("calendar 1..1.\na.\n")
+            profile = tmp_path / "p.csv"
+            profile.write_text(
+                f"formula_id,time,lo,hi\nc0.head,1,{literal},1\n", encoding="utf-8"
+            )
+            return str(program), str(skeleton), str(profile)
+
+        return write
+
+    @pytest.mark.parametrize("literal", REJECTED)
+    def test_program_weight(self, inputs, capsys, literal):
+        program, _, _ = inputs(literal)
+        assert invoke("validate", program).exit_code == 2
+        assert capsys.readouterr().err == self.REJECTED[literal][0]
+
+    @pytest.mark.parametrize("literal", REJECTED)
+    def test_ialg_bound(self, capsys, literal):
+        res = invoke("ialg", f"[{literal},1]")
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: {self.REJECTED[literal][1]}\n"
+
+    @pytest.mark.parametrize("literal", REJECTED)
+    def test_epsilon(self, fixtures, capsys, literal):
+        res = invoke("consistent", str(fixtures / "p0.tpl"), "--epsilon", literal)
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert err == f"error: --epsilon must be a positive rational, not {literal!r}\n"
+
+    @pytest.mark.parametrize("literal", REJECTED)
+    def test_csv_bound(self, inputs, capsys, literal):
+        _, skeleton, profile = inputs(literal)
+        res = invoke("evolve", skeleton, profile)
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: {profile}:2: {self.REJECTED[literal][1]}\n"
+
+    @pytest.mark.parametrize("literal", ACCEPTED)
+    def test_accepted_everywhere(self, fixtures, inputs, capsys, literal):
+        program, skeleton, profile = inputs(literal)
+        assert invoke("validate", program).payload == "ok (0 warning(s))"
+        assert invoke("ialg", f"[{literal},1]").payload == f"[{literal}, 1]"
+        res = invoke("consistent", str(fixtures / "p0.tpl"), "--epsilon", literal)
+        assert res.exit_code == 0
+        res = invoke("evolve", skeleton, profile)
+        assert res.payload == f"calendar 1..1.\na@Y : <Y = 1, [{literal}], [1]>."
+        assert capsys.readouterr().err == ""
+
+
+class TestTemporalArithmetic:
+    """Temporal terms with +, * and parentheses, through every layer."""
+
+    PROGRAM = (
+        "calendar 1..4.\n"
+        "a@Y : <Y = Y1 + 1, [0.5], [0.6]> :- b@Y1 : <Y1 = 2, #, #>.\n"
+        "b@Y : <Y: 1 ~ 2 * 2 - (3 - 1), [0.5,1], [0.5,1]>.\n"
+    )
+    WARNING = (
+        "2:7 warning[EmptySolutionSet]: constraint Y = 4 + 1 has no solution in the "
+        "calendar; the annotated formula is vacuous\n"
+    )
+    UNFOLD_WARNING = "warning: clause head a@Y has an empty solution set; no clauses emitted\n"
+
+    @pytest.fixture
+    def program(self, tmp_path):
+        path = tmp_path / "arith.tpl"
+        path.write_text(self.PROGRAM)
+        return str(path)
+
+    def test_render_round_trip(self):
+        parsed = parse_program(self.PROGRAM).program
+        text = render_program(parsed)
+        assert text == self.PROGRAM.replace("2 * 2 - (3 - 1)", "(2 * 2) - (3 - 1)")
+        assert parse_program(text).program == parsed
+
+    def test_ground(self, program, capsys):
+        res = invoke("ground", program)
+        assert res.exit_code == 0
+        assert res.payload.splitlines()[1:5] == [
+            f"a@Y : <Y = {k} + 1, [0.5], [0.6]> :- b@Y1 : <Y1 = 2, #, #>." for k in range(1, 5)
+        ]
+        assert capsys.readouterr().err == self.WARNING
+
+    def test_unfold(self, program, capsys):
+        res = invoke("unfold", program)
+        assert res.payload == (
+            "calendar 1..4.\n"
+            "a@2 : <Y = 2, [0.5], [0.6]> :- b@2 : <Y = 2, [1], [1]>.\n"
+            "a@3 : <Y = 3, [0.5], [0.6]> :- b@2 : <Y = 2, [1], [1]>.\n"
+            "a@4 : <Y = 4, [0.5], [0.6]> :- b@2 : <Y = 2, [1], [1]>.\n"
+            "b@1 : <Y = 1, [0.5], [0.5]>.\n"
+            "b@2 : <Y = 2, [1], [1]>."
+        )
+        assert capsys.readouterr().err == self.WARNING + self.UNFOLD_WARNING
+
+    def test_consistent_witness(self, program, capsys):
+        res = invoke("consistent", program)
+        assert res.exit_code == 0
+        assert res.payload == (
+            "CONSISTENT\n  {b@2}: 1/2\n  {a@2, a@3, a@4, b@1, b@2}: 1/2"
+        )
+        assert capsys.readouterr().err == self.WARNING + self.UNFOLD_WARNING
 
 
 class TestCompoundQueries:

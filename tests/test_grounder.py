@@ -56,6 +56,21 @@ class TestGroundProgram:
         assert {cl.head.args for cl in express} == {("letter", "paris")}
         assert len(g.clauses) == 8
 
+    def test_relevant_seeded_by_a_fact_with_object_variables(self):
+        # the fact holds sent(I, paris) for every I, so only P = paris is relevant
+        p = parse_program(
+            "calendar 1..2.\n"
+            "constants a, b.\n"
+            "sent(I,paris)@Y : <Y = 1, #, #>.\n"
+            "got(I,P)@Y : <Y = 2, [0.5], [1]> :- sent(I,P)@Y1 : <Y1 = 1, #, #>.\n"
+        ).program
+        relevant = _clauses_for(ground_program(p, GroundingMode.RELEVANT), "got")
+        full = _clauses_for(ground_program(p, GroundingMode.FULL), "got")
+        assert sorted(cl.head.args for cl in relevant) == [
+            ("a", "paris"), ("b", "paris"), ("paris", "paris")
+        ]
+        assert len(full) == 9
+
     def test_full_expands_over_all_constants(self):
         p = load_program("shipping.tpl")
         g = ground_program(p, GroundingMode.FULL)

@@ -6,7 +6,6 @@ import pytest
 from tplp.intervals import (
     ProbInterval,
     and_ig,
-    eval_interval_expr,
     format_rational,
     is_consistent,
     join_k,
@@ -16,6 +15,7 @@ from tplp.intervals import (
     or_ig,
     parse_rational,
 )
+from tplp.parser import eval_interval_expr
 
 
 def iv(lo, hi):

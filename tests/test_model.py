@@ -228,6 +228,21 @@ class TestValidateAnnotation:
         assert [d.kind for d in diags] == [DiagnosticKind.LOWER_EXCEEDS_UPPER]
         assert all(d.severity is Severity.ERROR for d in diags)
 
+    def test_companion_groundings_report_each_diagnostic_once(self):
+        # Y: Y1 ~ Y1 + 1 over 1..3 has two points for Y1 = 1 and for Y1 = 2,
+        # each a lower and an upper LengthMismatch against one-value lists
+        y1 = TRef(TVar("Y1"))
+        a = TPAnnotation(
+            TimeRange(Y, y1, TBin("+", y1, TConst(1))),
+            WeightFunction.list_of([F(1, 2)]),
+            WeightFunction.list_of([F(3, 5)]),
+        )
+        diags = validate_annotation(a, Calendar.from_range(1, 3))
+        assert [(d.kind, d.message) for d in diags] == [
+            (DiagnosticKind.LENGTH_MISMATCH, "lower weight list has 1 values but |sol| = 2"),
+            (DiagnosticKind.LENGTH_MISMATCH, "upper weight list has 1 values but |sol| = 2"),
+        ]
+
     def test_empty_solution_is_warning(self):
         a = TPAnnotation(
             Cmp(Y, ">", TConst(99)), WeightFunction.uniform(), WeightFunction.uniform()

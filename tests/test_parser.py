@@ -93,6 +93,22 @@ class TestParsePrograms:
         upper = res.program.clauses[0].head_annot.upper
         assert upper.values == (F(1, 3),) * 3
 
+    def test_malformed_number_is_one_diagnostic_and_the_clause_parses_on(self):
+        res = parse_program("calendar 1..2. a@Y : <Y=1, [1/0], [1 1]>.")
+        assert [(d.message, d.span.start, d.span.end) for d in res.errors] == [
+            ("zero denominator in '1/0'", 28, 31),
+            ("expected ']', found '1'", 37, 38),
+        ]
+        # the clause is left out, so the 0 read in place of 1/0 adds no
+        # LowerExceedsUpper against the lower 0.5
+        res = parse_program("calendar 1..2. a@Y : <Y=1, [0.5], [1/0]>.")
+        assert [d.message for d in res.diagnostics] == ["zero denominator in '1/0'"]
+
+    def test_program_digits_are_ascii(self):
+        res = parse_program("calendar \u0661..\u0662. a@Y : <Y=1, [\u0660.\u0665], #>.")
+        assert not res.ok
+        assert "unexpected character '\u0661'" in [d.message for d in res.errors]
+
     def test_probability_out_of_range(self):
         res = parse_program("calendar 1..2. a@Y : <Y=1, [1.5], #>.")
         assert any(d.kind is DiagnosticKind.VALUE_RANGE for d in res.errors)
@@ -218,6 +234,11 @@ class TestQueries:
 
     def test_unknown_form(self):
         assert not parse_query("?frobnicate a@1.").ok
+
+    @pytest.mark.parametrize("weight", ["1.5", "1/0", "0.1234567891"])
+    def test_rejected_target_weight_rejects_the_query(self, weight):
+        res = parse_query(f"?entail a@1 : <Y=1, [{weight}], [1]>.")
+        assert not res.ok and len(res.diagnostics) == 1
 
 
 class TestSkeletons:
