@@ -31,8 +31,8 @@ from .grounder import (
     pprogram_to_ptprogram,
     unfold,
 )
-from .intervals import ProbInterval, is_consistent, parse_rational
-from .model import validate_annotation
+from .intervals import ProbInterval, is_consistent, parse_int, parse_rational
+from .model import substitute_time, validate_annotation
 from .parser import (
     QueryKind,
     eval_interval_expr,
@@ -49,7 +49,7 @@ from .psat import (
     max_entropy_model,
     tighten,
 )
-from .model import substitute_time
+from .worlds import set_bits
 
 ENV_MAX_WORLD_ATOMS = "TPLP_MAX_WORLD_ATOMS"
 
@@ -74,8 +74,9 @@ def _interval_json(iv: ProbInterval) -> list[str]:
 
 
 def _witness_json(dist) -> list[dict]:
+    names = [str(a) for a in dist.base.atoms]  # each atom named once
     return [
-        {"world": [str(a) for a in w.atoms()], "p": _rat(p)}
+        {"world": [names[i] for i in set_bits(w.mask)], "p": _rat(p)}
         for w, p in dist.items()
     ]
 
@@ -125,17 +126,15 @@ def _load_query(args, kind: QueryKind):
 
 
 def _options(args) -> SolveOptions:
-    cap = args.max_world_atoms
-    if cap is None:
-        env = os.environ.get(ENV_MAX_WORLD_ATOMS)
-        try:
-            cap = int(env) if env else SolveOptions.max_world_atoms
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise _CliError(f"{ENV_MAX_WORLD_ATOMS} must be a positive integer, not {env!r}")
-    elif cap < 1:
-        raise _CliError(f"--max-world-atoms must be a positive integer, not '{cap}'")
+    name, text = "--max-world-atoms", args.max_world_atoms
+    if text is None:
+        name, text = ENV_MAX_WORLD_ATOMS, os.environ.get(ENV_MAX_WORLD_ATOMS) or None
+    try:
+        cap = SolveOptions.max_world_atoms if text is None else parse_int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise _CliError(f"{name} must be a positive integer, not {text!r}")
     try:
         epsilon = parse_rational(args.epsilon)
     except ValueError:
@@ -287,7 +286,7 @@ def _load_profile_csv(path: str):
                 slot, t_text, lo_text, hi_text = (c.strip() for c in row)
                 where = f"{path}:{lineno}"
                 try:
-                    t = int(t_text)
+                    t = parse_int(t_text)
                 except ValueError:
                     raise _CliError(f"{where}: time {t_text!r} is not an integer") from None
                 try:
@@ -360,7 +359,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-world-atoms",
-        type=int,
         default=None,
         help=(
             f"atom cap for world enumeration (env {ENV_MAX_WORLD_ATOMS}, "
@@ -423,10 +421,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first run() and reused by every later one in the process.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv) -> CommandResult:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return CommandResult(2 if exc.code not in (0, None) else 0, "")
     try:

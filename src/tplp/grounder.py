@@ -48,10 +48,6 @@ class PClause:
     head_iv: ProbInterval
     body: tuple[tuple[BasicFormula, ProbInterval], ...] = ()
 
-    @property
-    def is_ground(self) -> bool:
-        return self.head.is_ground and all(f.is_ground for f, _ in self.body)
-
     def __str__(self):
         head = f"{self.head}:{self.head_iv}"
         if not self.body:
@@ -64,14 +60,12 @@ class HerbrandBase:
     timeless (CAtom); index = world bit position."""
 
     def __init__(self, atoms: Iterable[TAtom | CAtom]):
-        seen: dict[TAtom | CAtom, None] = {}
-        for a in atoms:
+        seen = dict.fromkeys(atoms)
+        for a in seen:
             if not a.is_ground:
                 raise ValueError(f"non-ground atom {a} cannot enter a Herbrand base")
-            seen.setdefault(a, None)
         self.atoms: tuple[TAtom | CAtom, ...] = tuple(sorted(seen, key=lambda a: a.key()))
         self._index = {a: i for i, a in enumerate(self.atoms)}
-        self._hash = hash(self.atoms)
 
     def index_of(self, atom: TAtom | CAtom) -> int:
         try:
@@ -94,7 +88,7 @@ class HerbrandBase:
         return isinstance(other, HerbrandBase) and self.atoms == other.atoms
 
     def __hash__(self):
-        return self._hash
+        return hash(self.atoms)
 
     def __repr__(self):
         return f"HerbrandBase({len(self.atoms)} atoms)"
@@ -112,12 +106,12 @@ class PProgram:
     base: HerbrandBase | None = None
 
     def __post_init__(self):
-        if self.base is None and self.is_ground:
-            object.__setattr__(self, "base", herbrand_base(self.clauses))
-
-    @property
-    def is_ground(self) -> bool:
-        return all(cl.is_ground for cl in self.clauses)
+        if self.base is None:
+            try:
+                base = herbrand_base(self.clauses)
+            except ValueError:  # a non-ground atom: the program has no base
+                return
+            object.__setattr__(self, "base", base)
 
 
 def herbrand_base(source) -> HerbrandBase:
@@ -134,6 +128,15 @@ def herbrand_base(source) -> HerbrandBase:
 # --- grounding -------------------------------------------------------------------
 
 
+def _substitute_annotation(ann: TPAnnotation, t_env: dict[str, int]) -> TPAnnotation:
+    # Without companion variables to substitute, every instance shares the
+    # source annotation, and with it the instants it has computed.
+    if not t_env:
+        return ann
+    constraint = substitute_constraint(ann.constraint, t_env)
+    return TPAnnotation(constraint, ann.lower, ann.upper, ann.span)
+
+
 def _substitute_clause(cl: TPClause, obj_env: dict[str, str], t_env: dict[str, int]) -> TPClause:
     head = TAtom(
         cl.head.predicate,
@@ -141,22 +144,10 @@ def _substitute_clause(cl: TPClause, obj_env: dict[str, str], t_env: dict[str, i
         cl.head.time,
         cl.head.span,
     )
-    head_annot = TPAnnotation(
-        substitute_constraint(cl.head_annot.constraint, t_env),
-        cl.head_annot.lower,
-        cl.head_annot.upper,
-        cl.head_annot.span,
-    )
     body = tuple(
-        (
-            substitute_objects(f, obj_env),
-            TPAnnotation(
-                substitute_constraint(ann.constraint, t_env), ann.lower, ann.upper, ann.span
-            ),
-        )
-        for f, ann in cl.body
+        (substitute_objects(f, obj_env), _substitute_annotation(ann, t_env)) for f, ann in cl.body
     )
-    return TPClause(head, head_annot, body, cl.span)
+    return TPClause(head, _substitute_annotation(cl.head_annot, t_env), body, cl.span)
 
 
 def _atom_signature(atom: TAtom, obj_env: dict[str, str]) -> tuple:

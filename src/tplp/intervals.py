@@ -7,8 +7,9 @@ never clamped, since demonstrating that behaviour is part of this module's
 job.  ``is_consistent`` is the advisory predicate.
 
 ``parse_rational`` reads NUM, the one numeric literal of programs, queries,
-flags, CSV profiles and ``ialg``; ``OPERATORS`` names the operations that
-``ialg`` expressions (``parser.eval_interval_expr``) may call.
+flags, CSV profiles and ``ialg``, and ``parse_int`` reads INT, the one integer
+literal; ``OPERATORS`` names the operations that ``ialg`` expressions
+(``parser.eval_interval_expr``) may call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,25 @@ from fractions import Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_INT = re.compile(r"[0-9]+")
 _NUM = re.compile(r"([0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+
+
+def _digits(digits: str, literal: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits() allows
+        raise ValueError(f"number {literal!r} has too many digits") from None
+
+
+def parse_int(text: str) -> int:
+    """Read INT, the integers of program time points, flags and CSV times:
+    ASCII digits only.  Surrounding whitespace is ignored; anything else
+    raises ValueError naming the text."""
+    text = text.strip()
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"malformed integer {text!r}")
+    return _digits(text, text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -32,14 +51,14 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}")
     whole, frac, den = m.groups()
     if den is not None:
-        if int(den) == 0:
+        if _digits(den, text) == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(whole), int(den))
+        return Fraction(_digits(whole, text), _digits(den, text))
     if frac is None:
-        return Fraction(int(whole))
+        return Fraction(_digits(whole, text))
     if len(frac) > 9:
         raise ValueError(f"decimal literal {text!r} has more than 9 fractional digits")
-    return Fraction(int(whole + frac), 10 ** len(frac))
+    return Fraction(_digits(whole + frac, text), 10 ** len(frac))
 
 
 def format_rational(q: Fraction) -> str:

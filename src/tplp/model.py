@@ -191,10 +191,6 @@ class BasicFormula:
             raise ValueError(f"formula mixes temporal variables {sorted(v.name for v in tvars)}")
         return next(iter(tvars), None)
 
-    @property
-    def is_ground(self) -> bool:
-        return all(a.is_ground for a in self.atoms)
-
     def __str__(self):
         if self.connective is Connective.SINGLE:
             return str(self.atoms[0])
@@ -493,11 +489,22 @@ class TPAnnotation:
     lower: WeightFunction
     upper: WeightFunction
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
+    # calendar -> instant, for this object's life; see instant
+    _instants: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def instant(self, cal: Calendar) -> list[tuple[TimePoint, ProbInterval]]:
         """Each solution point, in time order, with its interval.  An empty
         solution set has none, whatever the weights; otherwise a weight list
-        must hold one value per point (ValueError otherwise)."""
+        must hold one value per point (ValueError otherwise).
+
+        Computed once per calendar and shared by every caller, so a caller
+        must not mutate the list it gets."""
+        window = self._instants.get(cal)
+        if window is None:
+            window = self._instants[cal] = self._window(cal)
+        return window
+
+    def _window(self, cal: Calendar) -> list[tuple[TimePoint, ProbInterval]]:
         sol = solve_constraint(self.constraint, cal)
         if not sol:
             return []

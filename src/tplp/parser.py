@@ -40,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error
-from .intervals import OPERATORS, ProbInterval, format_rational, parse_rational
+from .intervals import OPERATORS, ProbInterval, format_rational, parse_int, parse_rational
 from .model import (
     BasicFormula,
     CAtom,
@@ -263,6 +263,14 @@ class _ProgramParser:
             self.rejected_numbers += 1
             return Fraction(0)
 
+    @staticmethod
+    def int_of(tok: Token) -> int:
+        """An INT token's value; one too long to read is an error at the token."""
+        try:
+            return parse_int(tok.text)
+        except ValueError as exc:
+            raise _Unexpected(str(exc), tok.span) from None
+
     def parse_prob(self) -> Fraction:
         start = self.cur.peek()
         value = self.parse_number()
@@ -310,7 +318,7 @@ class _ProgramParser:
             self.cur.expect("RPAREN", "')'")
             return e
         if tok := self.cur.accept("INT"):
-            return TConst(int(tok.text))
+            return TConst(self.int_of(tok))
         var, _ = self.parse_tvar()
         return TRef(var)
 
@@ -424,7 +432,7 @@ class _ProgramParser:
             time = TVar(tok.text)
         elif tok.type == "INT":
             self.cur.advance()
-            time = int(tok.text)
+            time = self.int_of(tok)
             marker = "int"
         elif allow_star and tok.type == "STAR":
             self.cur.advance()
@@ -513,20 +521,21 @@ class _ProgramParser:
             return None
         self.cur.advance()
         try:
-            first = self.cur.expect("INT", "the first calendar point")
+            first = self.int_of(self.cur.expect("INT", "the first calendar point"))
             self.cur.expect("DOTDOT", "'..'")
-            last = self.cur.expect("INT", "the last calendar point")
+            last_tok = self.cur.expect("INT", "the last calendar point")
+            last = self.int_of(last_tok)
             self.cur.expect("DOT", "'.'")
         except _Unexpected as exc:
             self.diags.append(error(DiagnosticKind.SYNTAX, exc.message, exc.span))
             self.cur.sync_to_dot()
             return None
-        if int(last.text) < int(first.text):
+        if last < first:
             self.diags.append(
-                error(DiagnosticKind.SYNTAX, "calendar range is empty", last.span)
+                error(DiagnosticKind.SYNTAX, "calendar range is empty", last_tok.span)
             )
             return None
-        return Calendar.from_range(int(first.text), int(last.text))
+        return Calendar.from_range(first, last)
 
     def parse_program(self) -> ParseResult:
         calendar = self.parse_calendar()
@@ -770,12 +779,10 @@ def eval_interval_expr(text: str):
 # --- rendering --------------------------------------------------------------------
 
 
-def _render_annot(a: TPAnnotation) -> str:
-    return f"<{a.constraint}, {a.lower}, {a.upper}>"
-
-
 def render_program(p: PTProgram) -> str:
-    """Emit program text that reparses to a structurally equal program."""
+    """Emit program text that reparses to a structurally equal program.  Each
+    annotation object is rendered once: ground instances share their source
+    clause's."""
     if not p.calendar.is_contiguous:
         raise ValueError("only contiguous calendars have a textual form")
     if p.calendar.first < 0:
@@ -785,12 +792,20 @@ def render_program(p: PTProgram) -> str:
     extra = sorted(p.constants - occurring_constants(p.clauses))
     if extra:
         lines.append(f"constants {', '.join(extra)}.")
+    # Keyed by identity, which p keeps stable for the call: hashing an
+    # annotation by value costs about as much as rendering it.
+    texts: dict[int, str] = {}
+
+    def annot(a: TPAnnotation) -> str:
+        text = texts.get(id(a))
+        if text is None:
+            text = texts[id(a)] = f"<{a.constraint}, {a.lower}, {a.upper}>"
+        return text
+
     for cl in p.clauses:
-        head = f"{cl.head} : {_render_annot(cl.head_annot)}"
+        head = f"{cl.head} : {annot(cl.head_annot)}"
         if cl.body:
-            conjuncts = " and ".join(
-                f"{f} : {_render_annot(ann)}" for f, ann in cl.body
-            )
+            conjuncts = " and ".join(f"{f} : {annot(ann)}" for f, ann in cl.body)
             lines.append(f"{head} :- {conjuncts}.")
         else:
             lines.append(f"{head}.")

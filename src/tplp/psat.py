@@ -46,7 +46,7 @@ from .intervals import FULL, ONE, ZERO, ProbInterval
 from .model import BasicFormula, Calendar, Connective, substitute_time
 from .parser import Query
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
-from .worlds import WorldDistribution
+from .worlds import WorldDistribution, set_bits
 
 # Frank-Wolfe stops once a sweep raises the entropy (nats) by less than this,
 # and gives up with NonConvergence after this many sweeps.
@@ -119,17 +119,20 @@ class MaxEntResult:
 class _Component:
     """One connected block of atoms; worlds are local bitstrings over them."""
 
-    __slots__ = ("cid", "atoms", "k", "space", "full", "_atom_masks", "classes", "coeffs")
+    __slots__ = ("cid", "atoms", "k", "space", "classes", "coeffs")
 
     def __init__(self, cid: int, atom_indices: tuple[int, ...]):
         self.cid = cid
         self.atoms = atom_indices  # global base indices, ascending
         self.k = len(atom_indices)
         self.space = 1 << self.k  # number of local worlds
-        self.full = (1 << self.space) - 1  # bigint set of all local worlds
-        self._atom_masks = [self._pattern(p) for p in range(self.k)]
         self.classes: list[tuple[int, int, int]] = []  # (members, count, rep world)
         self.coeffs: dict | list = {}  # fid -> row coefficients over the classes
+
+    def local(self, connective: Connective, atoms) -> tuple[Connective, tuple[int, ...]]:
+        """A formula over the base indices atoms (a set), by its atoms'
+        ascending local positions."""
+        return connective, tuple(p for p, a in enumerate(self.atoms) if a in atoms)
 
     def _pattern(self, p: int) -> int:
         half = 1 << p
@@ -140,16 +143,16 @@ class _Component:
             length <<= 1
         return block
 
-    def formula_mask(self, connective: Connective, atoms) -> int:
-        """The local worlds of a formula over the base indices atoms."""
-        masks = [self._atom_masks[self.atoms.index(a)] for a in atoms]
+    def formula_mask(self, connective: Connective, positions) -> int:
+        """The local worlds of a formula over the local atom positions."""
+        masks = [self._pattern(p) for p in positions]
         out = masks[0]
         for m in masks[1:]:
             out = (out | m) if connective is Connective.OR else (out & m)
         return out
 
     def split_classes(self, masks: list[int]):
-        classes = [self.full]
+        classes = [(1 << self.space) - 1]
         for m in masks:
             nxt = []
             for c in classes:
@@ -290,10 +293,9 @@ class _Engine:
         self._formula_ids: dict[tuple, int] = {}
         self._formula_atoms: list[tuple[Connective, frozenset[int]]] = []
 
-        def register(f: BasicFormula) -> int:
-            idxs = frozenset(self.base.index_of(a) for a in f.atoms)
-            conn = f.connective if len(idxs) > 1 else Connective.SINGLE
-            key = (conn, idxs)
+        def register(connective: Connective, atoms) -> int:
+            idxs = frozenset(map(self.base.index_of, atoms))
+            key = (connective if len(idxs) > 1 else Connective.SINGLE, idxs)
             fid = self._formula_ids.get(key)
             if fid is None:
                 fid = len(self._formula_atoms)
@@ -301,13 +303,19 @@ class _Engine:
                 self._formula_atoms.append(key)
             return fid
 
+        # A clause unfolded at several head points shares one body tuple, and
+        # its clauses here share one body list, registered once.
         self.clauses: list[tuple[int, ProbInterval, list[tuple[int, ProbInterval]]]] = []
+        bodies: dict[int, list[tuple[int, ProbInterval]]] = {}  # keyed by id(cl.body)
         for cl in pp.clauses:
-            head_fid = register(BasicFormula.single(cl.head))
-            body = [(register(f), iv) for f, iv in cl.body]
+            head_fid = register(Connective.SINGLE, (cl.head,))
+            body = bodies.get(id(cl.body))
+            if body is None:
+                body = [(register(f.connective, f.atoms), iv) for f, iv in cl.body]
+                bodies[id(cl.body)] = body
             self.clauses.append((head_fid, cl.head_iv, body))
         n_program = len(self._formula_atoms)  # the fids below are the clauses'
-        self.extra_fids = [register(f) for f in extra_formulas]
+        self.extra_fids = [register(f.connective, f.atoms) for f in extra_formulas]
 
         # The leaf walk's epsilon-free tables.  Per clause, the box of its
         # HEAD_IN choice (None when the head interval is empty).  Per formula,
@@ -363,6 +371,7 @@ class _Engine:
         for fid, cid in enumerate(self._fid_comp):
             comp_fids[cid].append(fid)
         fid_coeffs: list = [None] * n_program  # one list for every component
+        self._shapes: dict = {}  # see _split
         for comp in self.components:
             self._split(comp, comp_fids[comp.cid], fid_coeffs)
 
@@ -387,23 +396,33 @@ class _Engine:
                     self._split(comp, [f for cid in cids for f in comp_fids[cid]], {})
                 joined[cids] = (comp, cids, [])
             comp = joined[cids][0]
-            mask = comp.formula_mask(conn, idxs)
+            mask = comp.formula_mask(*comp.local(conn, idxs))
             joined[cids][2].append((fid, comp.coefficients(mask, True), comp.coefficients(mask)))
-        # Keyed by (cid, the frozenset of the component's narrowed boxes
-        # (fid, lo, hi)), for the engine's life: the feasibility LPResult of a
-        # multi-atom component (see _solved), {extra fid: (least, greatest
-        # mass)}, and (class masses of greatest entropy, that entropy).
+        # Keyed by (cid, the component's box key), for the engine's life: the
+        # feasibility LPResult of a multi-atom component (see _solved), {extra
+        # fid: (least, greatest mass)}, and (class masses of greatest entropy,
+        # that entropy).
         self._solves: dict = {}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
 
     def _split(self, comp: _Component, fids: list[int], coeffs: dict | list) -> None:
         """Split comp's worlds into the signature classes of the program
-        formulas fids, all inside comp, and set their row coefficients."""
-        masks = {fid: comp.formula_mask(*self._formula_atoms[fid]) for fid in fids}
-        comp.split_classes(list(dict.fromkeys(masks.values())))
-        for fid, mask in masks.items():
-            coeffs[fid] = comp.coefficients(mask)
+        formulas fids, all inside comp, and set their row coefficients.
+
+        Both depend only on comp's shape: its atom count and, per formula in
+        fid order, the connective and local atom positions.  Components of
+        one shape share one class table and one coefficient tuple per
+        formula, built by the first of them (_shapes)."""
+        shape = (comp.k, tuple(comp.local(*self._formula_atoms[fid]) for fid in fids))
+        table = self._shapes.get(shape)
+        if table is None:
+            masks = [comp.formula_mask(*f) for f in shape[1]]
+            comp.split_classes(list(dict.fromkeys(masks)))
+            table = self._shapes[shape] = (comp.classes, [comp.coefficients(m) for m in masks])
+        comp.classes, rows = table
+        for fid, row in zip(fids, rows):
+            coeffs[fid] = row
         comp.coeffs = coeffs
 
     # -- branch enumeration --
@@ -482,11 +501,12 @@ class _Engine:
         """Group the narrowed boxes {fid: (lo, hi)} by component and solve
         each component's in component order: (box key per component, class
         masses per component, or None as soon as one component is
-        infeasible)."""
+        infeasible).  A box key is the component's boxes (fid, lo, hi) in fid
+        order: a sorted tuple, since a set would hash every bound."""
         by_comp: dict[int, list] = {}
         for fid, (lo, hi) in boxes.items():
             by_comp.setdefault(self._fid_comp[fid], []).append((fid, lo, hi))
-        keys = {cid: frozenset(key) for cid, key in by_comp.items()}
+        keys = {cid: tuple(sorted(key)) for cid, key in by_comp.items()}
         solution: dict[int, list] = {}
         for cid in sorted(keys):
             x = self._solved(self.components[cid], keys[cid]).x
@@ -501,7 +521,7 @@ class _Engine:
         from the optima of its boxes' solve."""
         out = {}
         for comp, cids, queries in self._queries.values():
-            key = frozenset().union(*(keys.get(cid, ()) for cid in cids))
+            key = tuple(sorted(itertools.chain.from_iterable(keys.get(cid, ()) for cid in cids)))
             memo = (comp.cid, key)
             if memo not in self._ranges:
                 if not key:
@@ -524,18 +544,18 @@ class _Engine:
 
     # -- per-component LPs --
 
-    def _lp_rows(self, comp: _Component, key: frozenset):
+    def _lp_rows(self, comp: _Component, key: tuple):
         """The LP of comp's boxes: masses summing to 1, then per formula in
         ascending fid order "<= hi" when hi < 1 and ">= lo" when lo > 0."""
         out = [([ONE] * len(comp.classes), "=", ONE)]
-        for fid, lo, hi in sorted(key):
+        for fid, lo, hi in key:
             if hi < 1:
                 out.append((list(comp.coeffs[fid]), "<=", hi))
             if lo > 0:
                 out.append((list(comp.coeffs[fid]), ">=", lo))
         return out
 
-    def _solved(self, comp: _Component, key: frozenset) -> LPResult | _BoxSolve:
+    def _solved(self, comp: _Component, key: tuple) -> LPResult | _BoxSolve:
         """The feasibility solve of comp's boxes, whose x is the vertex the
         walk takes and whose optimum() gives every least and greatest mass and
         every Frank-Wolfe direction under them.  A one-atom component's comes
@@ -566,26 +586,23 @@ class _Engine:
         # atoms of the components that change there.  A component without a
         # solution sits in its zero world, which holds no atom.
         gmask = 0  # the joint world at the bottom of the interval
-        flips: dict[Fraction, int] = {}  # point -> the atoms that change there
+        flips: dict[Fraction, list[int]] = {}  # point -> the atom sets that change there
         for comp in self.components:
             x = comp_solutions.get(comp.cid)
             if x is None:
                 continue
-            point, below = ZERO, None
-            for (_, _, rep), v in zip(comp.classes, x):
-                if v == 0:
-                    continue
-                world = comp.global_mask(rep)
-                if below is None:
-                    gmask |= world
-                else:
-                    flips[point] = flips.get(point, 0) ^ below ^ world
-                point, below = point + v, world
+            steps = [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
+            gmask |= steps[0][0]
+            # each class but the last ends where the next one's world begins
+            ends = itertools.accumulate(v for _, v in steps[:-1])
+            for (below, _), (world, _), point in zip(steps, steps[1:], ends):
+                flips.setdefault(point, []).append(below ^ world)
         masses: dict[int, Fraction] = {}
         lo = ZERO
         for point in sorted(flips) + [ONE]:
             masses[gmask] = masses.get(gmask, ZERO) + (point - lo)
-            gmask ^= flips.get(point, 0)
+            for atoms in flips.get(point, ()):
+                gmask ^= atoms
             lo = point
         return WorldDistribution(self.base, masses)
 
@@ -600,18 +617,14 @@ class _Engine:
                 if qc == 0:
                     continue
                 share = qc / size
-                left = members
-                while left:
-                    low = left & -left
-                    expanded.append((comp.global_mask(low.bit_length() - 1), share))
-                    left ^= low
+                expanded.extend((comp.global_mask(w), share) for w in set_bits(members))
             # components hold disjoint atoms, so every product world is new
             masses = {g | a: p * share for g, p in masses.items() for a, share in expanded}
         return WorldDistribution(self.base, masses)
 
     # -- entropy maximization --
 
-    def maxent_component(self, cid: int, key: frozenset):
+    def maxent_component(self, cid: int, key: tuple):
         """Frank-Wolfe ascent of sum q*ln(n/q) over one component polytope,
         the masses its box key allows.
 
@@ -810,7 +823,7 @@ def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxE
         total = 0.0
         qs: dict[int, list[Fraction]] = {}
         for comp in engine.components:
-            q, h = engine.maxent_component(comp.cid, keys.get(comp.cid, frozenset()))
+            q, h = engine.maxent_component(comp.cid, keys.get(comp.cid, ()))
             qs[comp.cid] = q
             total += h
         if total > best_h:

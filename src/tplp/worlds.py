@@ -18,6 +18,14 @@ from .intervals import ONE, ZERO
 from .model import BasicFormula, Connective, PTProgram, TAtom, substitute_time
 
 
+def set_bits(mask: int):
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class World:
     """Truth assignment over a base: bit i set means atom i is true."""
@@ -44,7 +52,8 @@ class World:
         return bool(self.mask >> index & 1)
 
     def atoms(self) -> tuple:
-        return tuple(a for i, a in enumerate(self.base.atoms) if self.mask >> i & 1)
+        atoms = self.base.atoms
+        return tuple(atoms[i] for i in set_bits(self.mask))
 
     def __str__(self):
         return "{" + ", ".join(str(a) for a in self.atoms()) + "}"

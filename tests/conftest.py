@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 
@@ -6,11 +7,17 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="session")
 def fixtures() -> pathlib.Path:
     return FIXTURES
+
+
+def golden_file(name: str) -> str:
+    """One of the programs tests/golden/cli.json carries next to the fixtures."""
+    return json.loads((GOLDEN / "cli.json").read_text())["files"][name]
 
 
 def load_program(name: str):

@@ -76,7 +76,8 @@ class TestConsistent:
         res = invoke("consistent", str(fixtures / "p0.tpl"))
         assert res.exit_code == 3
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    # ARABIC-INDIC DIGITS ONE SIX, a sign and a separator: int() reads them
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "+1_6", "\u0661\u0666"])
     def test_env_cap_invalid(self, fixtures, monkeypatch, capsys, value):
         monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", value)
         res = invoke("consistent", str(fixtures / "p0.tpl"))
@@ -387,6 +388,15 @@ class TestEvolve:
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == f"error: {csv_file}:2: time 'x' is not an integer\n"
 
+    @pytest.mark.parametrize("time", ["1_0", "+1", "\u0661"])
+    def test_time_is_ascii_digits_in_csv(self, fixtures, tmp_path, capsys, time):
+        csv_file = tmp_path / "time.csv"
+        csv_file.write_text(f"formula_id,time,lo,hi\nc0.head,{time},0.3,0.3\n", encoding="utf-8")
+        res = invoke("evolve", str(fixtures / "evolution_skeleton.tpl"), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_file}:2: time {time!r} is not an integer\n"
+
     def test_malformed_bound_in_csv(self, fixtures, tmp_path, capsys):
         csv_file = tmp_path / "bound.csv"
         csv_file.write_text("formula_id,time,lo,hi\nc0.head,1,abc,0.3\n")
@@ -523,6 +533,60 @@ class TestMalformedNumbers:
         res = invoke("evolve", skeleton, profile)
         assert res.payload == f"calendar 1..1.\na@Y : <Y = 1, [{literal}], [1]>."
         assert capsys.readouterr().err == ""
+
+
+class TestOverlongLiterals:
+    """int() refuses a literal of more than 4,300 digits; every reader turns
+    that into an input error naming the literal, in program text at its place."""
+
+    NINES = "9" * 5000
+    RATIO = "1/" + "1" * 5000
+    TOO_MANY = "has too many digits"
+
+    @pytest.mark.parametrize(
+        "text, at",
+        [
+            ("calendar 1..{n}.\n", "1:13"),
+            ("calendar 1..3.\na@Y : <Y = {n}, [0.5], [1]>.\n", "2:12"),
+            ("calendar 1..3.\na@{n} : <Y = 1, [0.5], [1]>.\n", "2:3"),
+            ("calendar 1..3.\na@Y : <Y = 1, [{w}], [1]>.\n", "2:16"),
+        ],
+        ids=["calendar", "constraint", "time", "weight"],
+    )
+    def test_program_text(self, tmp_path, capsys, text, at):
+        program = tmp_path / "long.tpl"
+        program.write_text(text.format(n=self.NINES, w=self.RATIO))
+        literal = self.RATIO if "{w}" in text else self.NINES
+        res = invoke("validate", str(program))
+        assert (res.exit_code, res.payload) == (2, "1 error(s) (0 warning(s))")
+        err = capsys.readouterr().err
+        assert err == f"{at} error[Syntax]: number {literal!r} {self.TOO_MANY}\n"
+
+    def test_flags_csv_and_ialg(self, fixtures, tmp_path, capsys):
+        p0 = str(fixtures / "p0.tpl")
+        res = invoke("consistent", p0, "--epsilon", self.RATIO)
+        assert res.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: --epsilon must be a positive rational, not {self.RATIO!r}\n"
+        )
+        res = invoke("consistent", p0, "--max-world-atoms", self.NINES)
+        assert res.exit_code == 2
+        assert capsys.readouterr().err == (
+            f"error: --max-world-atoms must be a positive integer, not {self.NINES!r}\n"
+        )
+        res = invoke("ialg", f"[{self.RATIO},1]")
+        assert res.exit_code == 2
+        assert capsys.readouterr().err == f"error: number {self.RATIO!r} {self.TOO_MANY}\n"
+        skeleton = str(fixtures / "evolution_skeleton.tpl")
+        csv_file = tmp_path / "long.csv"
+        csv_file.write_text(f"formula_id,time,lo,hi\nc0.head,1,{self.RATIO},1\n")
+        assert invoke("evolve", skeleton, str(csv_file)).exit_code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_file}:2: number {self.RATIO!r} {self.TOO_MANY}\n"
+        csv_file.write_text(f"formula_id,time,lo,hi\nc0.head,{self.NINES},0.5,1\n")
+        assert invoke("evolve", skeleton, str(csv_file)).exit_code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {csv_file}:2: time {self.NINES!r} is not an integer\n"
 
 
 class TestTemporalArithmetic:
@@ -697,6 +761,24 @@ class TestErrorExitCodes:
         assert (res.exit_code, res.payload) == (1, "INCONSISTENT_PROGRAM")
 
 
+class TestOneParser:
+    def test_run_builds_one_parser_per_process(self, fixtures, monkeypatch, capsys):
+        build, builds = tplp.cli._build_parser, []
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(tplp.cli, "_parser", None)
+        monkeypatch.setattr(tplp.cli, "_build_parser", counting)
+        program = str(fixtures / "shipping.tpl")
+        assert invoke("validate", program).exit_code == 0
+        assert invoke("frobnicate").exit_code == 2
+        assert invoke("ground", program, "--grounding", "relevant").exit_code == 0
+        assert invoke("consistent", str(fixtures / "p0.tpl")).exit_code == 0
+        assert len(builds) == 1
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert invoke("frobnicate").exit_code == 2
@@ -716,7 +798,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == f"error: --epsilon must be a positive rational, not {value!r}\n"
 
-    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("value", ["0", "-2", "\u0661\u0666", "1_0", "+1", "abc", ""])
     def test_bad_cap_names_the_flag(self, fixtures, capsys, value):
         res = invoke("consistent", str(fixtures / "p0.tpl"), "--max-world-atoms", value)
         assert res.exit_code == 2 and res.payload == ""

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_program, load_unfolded
+import tplp.model
+from conftest import golden_file, load_program, load_unfolded
 from generators import rand_distribution, rand_tp_program
 from tplp.diagnostics import SourceSpan
 from tplp.errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
@@ -125,8 +126,41 @@ class TestGroundProgram:
         )
         assert bounds == [1, 2, 3]
 
+    def test_instances_share_source_annotations(self):
+        # without companion variables, grounding substitutes object constants
+        # only, so each instance carries its source clause's annotation objects
+        p = parse_program(golden_file("shipping8.tpl")).program
+        g = ground_program(p, GroundingMode.FULL)
+        source = {cl.head_annot.span: cl for cl in p.clauses}
+        for cl in g.clauses:
+            src = source[cl.head_annot.span]
+            assert cl.head_annot is src.head_annot
+            assert all(a is b for (_, a), (_, b) in zip(cl.body, src.body, strict=True))
+        # a substituted companion variable still makes a new annotation
+        p = parse_program("calendar 1..2.\na@Y : <Y=1, #, #> :- b@Y1 : <Y1 = Y2, #, #>.\n").program
+        g = ground_temporal_variables(p).clauses
+        assert g[0].body[0][1] is not g[1].body[0][1]
+
 
 class TestUnfold:
+    def test_one_instant_per_annotation(self, monkeypatch):
+        # every ground instance of a clause carries its source annotations, so
+        # unfolding at full grounding solves no constraint that validation
+        # has solved: validation solves each annotation's constraint twice,
+        # once to check the weights against it and once for its instant
+        calls = []
+
+        def counting(c, cal):
+            calls.append(c)
+            return solve_constraint(c, cal)
+
+        monkeypatch.setattr(tplp.model, "solve_constraint", counting)
+        p = parse_program(golden_file("shipping8.tpl")).program
+        annotations = [a for cl in p.clauses for a in (cl.head_annot, *(b for _, b in cl.body))]
+        assert len(calls) == 2 * len(annotations) == 34
+        assert len(unfold(ground_program(p, GroundingMode.FULL)).clauses) == 410
+        assert len(calls) == 34
+
     def test_shipping_first_rule(self):
         p = load_program("shipping.tpl")
         pp = unfold(ground_temporal_variables(p))

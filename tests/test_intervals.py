@@ -13,6 +13,7 @@ from tplp.intervals import (
     leq_k,
     meet_k,
     or_ig,
+    parse_int,
     parse_rational,
 )
 from tplp.parser import eval_interval_expr
@@ -38,6 +39,24 @@ class TestRationalText:
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="zero denominator in '1/0'"):
             parse_rational(" 1/0 ")
+
+    def test_overlong_part_names_the_literal(self):
+        # int() refuses more than 4,300 digits; the message must name the literal
+        for text in ["1" * 5000, "1/" + "3" * 5000, "0." + "1" * 5000]:
+            with pytest.raises(ValueError, match="has too many digits|fractional digits") as exc:
+                parse_rational(text)
+            assert repr(text) in str(exc.value)
+
+    def test_parse_int_reads_ascii_digits_only(self):
+        assert parse_int("16") == 16
+        assert parse_int(" 7 ") == 7
+        # ARABIC-INDIC DIGITS ONE SIX, separators, signs: all int() accepts
+        for text in ["\u0661\u0666", "1_0", "+1", "-1", "1.0", ""]:
+            with pytest.raises(ValueError) as exc:
+                parse_int(text)
+            assert str(exc.value) == f"malformed integer {text!r}"
+        with pytest.raises(ValueError, match="has too many digits"):
+            parse_int("9" * 5000)
 
     def test_format_round_trips(self):
         for q in [F(0), F(1), F(1, 4), F(9, 10), F(1, 3), F(7, 13), F(1, 64)]:
