@@ -27,6 +27,7 @@ from .diagnostics import Diagnostic, DiagnosticKind, Severity, SourceSpan
 from .errors import (
     AtomNotInBase,
     BaseTooLarge,
+    CalendarTooLarge,
     InconsistentProgram,
     LPNumericalFailure,
     MissingTimeSlice,

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 semantic negative (inconsistent, not entailed,
 unknown at the epsilon boundary), 2 usage or input error, 3 resource limit
-(world cap or iteration cap); a TplpError carries its own as exit_code.  JSON
+(world, iteration or calendar cap); a TplpError carries its own as exit_code.  JSON
 payloads serialize rationals as "num/den" strings and are byte-deterministic
 for identical invocations.
 """

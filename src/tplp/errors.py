@@ -34,6 +34,12 @@ class BaseTooLarge(TplpError):
         self.cap = cap
 
 
+class CalendarTooLarge(TplpError):
+    """A calendar range spans more points than the cap; no point is built."""
+
+    exit_code = 3
+
+
 class AtomNotInBase(TplpError):
     """A formula mentions a ground atom outside the Herbrand base in use."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
+from .errors import AtomNotInBase, UniverseEmpty
 from .intervals import ProbInterval
 from .model import (
     BasicFormula,
@@ -28,8 +28,7 @@ from .model import (
     TPAnnotation,
     TPClause,
     TVar,
-    is_normal,
-    substitute_constraint,
+    substitute_annotation,
     substitute_objects,
     substitute_time,
 )
@@ -128,15 +127,6 @@ def herbrand_base(source) -> HerbrandBase:
 # --- grounding -------------------------------------------------------------------
 
 
-def _substitute_annotation(ann: TPAnnotation, t_env: dict[str, int]) -> TPAnnotation:
-    # Without companion variables to substitute, every instance shares the
-    # source annotation, and with it the instants it has computed.
-    if not t_env:
-        return ann
-    constraint = substitute_constraint(ann.constraint, t_env)
-    return TPAnnotation(constraint, ann.lower, ann.upper, ann.span)
-
-
 def _substitute_clause(cl: TPClause, obj_env: dict[str, str], t_env: dict[str, int]) -> TPClause:
     head = TAtom(
         cl.head.predicate,
@@ -145,9 +135,9 @@ def _substitute_clause(cl: TPClause, obj_env: dict[str, str], t_env: dict[str, i
         cl.head.span,
     )
     body = tuple(
-        (substitute_objects(f, obj_env), _substitute_annotation(ann, t_env)) for f, ann in cl.body
+        (substitute_objects(f, obj_env), substitute_annotation(ann, t_env)) for f, ann in cl.body
     )
-    return TPClause(head, _substitute_annotation(cl.head_annot, t_env), body, cl.span)
+    return TPClause(head, substitute_annotation(cl.head_annot, t_env), body, cl.span)
 
 
 def _atom_signature(atom: TAtom, obj_env: dict[str, str]) -> tuple:
@@ -246,13 +236,6 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
     cal = p.calendar
     clauses: list[PClause] = []
     for cl in p.clauses:
-        if not is_normal(cl.head_annot.constraint) or any(
-            not is_normal(ann.constraint) for _, ann in cl.body
-        ):
-            raise NonNormalConstraint(
-                f"clause at {cl.span or '?'} still has independent temporal variables; "
-                f"ground them first"
-            )
         heads = cl.head_annot.instant(cal)
         if not heads:
             if warn is not None:

@@ -20,10 +20,13 @@ from fractions import Fraction
 from typing import Union
 
 from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error, warning
-from .errors import NonNormalConstraint
+from .errors import CalendarTooLarge, NonNormalConstraint
 from .intervals import ONE, ZERO, ProbInterval, format_rational
 
 TimePoint = int
+
+# Most points a calendar range may span; checked before the points are built.
+MAX_CALENDAR_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,11 @@ class Calendar:
     def from_range(cls, first: int, last: int) -> "Calendar":
         if last < first:
             raise ValueError(f"empty calendar range {first}..{last}")
+        if last - first >= MAX_CALENDAR_POINTS:
+            raise CalendarTooLarge(
+                f"calendar {first}..{last} has {last - first + 1} points, "
+                f"above the cap of {MAX_CALENDAR_POINTS}"
+            )
         return cls(tuple(range(first, last + 1)))
 
     def __contains__(self, t: int) -> bool:
@@ -241,15 +249,12 @@ def texpr_vars(e: TExpr) -> frozenset[str]:
     return texpr_vars(e.left) | texpr_vars(e.right)
 
 
-def eval_texpr(e: TExpr, env: dict[str, int] | None = None) -> int:
-    env = env or {}
+def eval_texpr(e: TExpr) -> int:
     if isinstance(e, TConst):
         return e.value
     if isinstance(e, TRef):
-        if e.var.name not in env:
-            raise NonNormalConstraint(f"unbound temporal variable {e.var.name}")
-        return env[e.var.name]
-    a, b = eval_texpr(e.left, env), eval_texpr(e.right, env)
+        raise NonNormalConstraint(f"unbound temporal variable {e.var.name}")
+    a, b = eval_texpr(e.left), eval_texpr(e.right)
     if e.op == "+":
         return a + b
     if e.op == "-":
@@ -400,7 +405,8 @@ def solve_constraint(c: TemporalConstraint, cal: Calendar) -> list[TimePoint]:
     """
     if not is_normal(c):
         raise NonNormalConstraint(
-            f"constraint {c} mentions companion variables {sorted(companion_vars(c))}"
+            f"constraint {c} mentions companion variables {sorted(companion_vars(c))}; "
+            f"ground them first"
         )
     universe = cal.points
 
@@ -527,8 +533,16 @@ class TPAnnotation:
         return cls(constraint, lower, WeightFunction.list_of(iv.hi for iv in ivs))
 
 
+def substitute_annotation(a: TPAnnotation, env: dict[str, int]) -> TPAnnotation:
+    """a with its companion variables replaced by time points.  Without any
+    to replace it is a itself, which keeps the instants it has computed."""
+    if not env:
+        return a
+    return TPAnnotation(substitute_constraint(a.constraint, env), a.lower, a.upper, a.span)
+
+
 def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
-    """Well-formedness diagnostics for one annotation.
+    """Well-formedness diagnostics for one annotation, read off its instant.
 
     An empty solution set is a warning (the annotated formula is vacuously
     satisfied); everything else reported here is an error.  A constraint with
@@ -537,55 +551,46 @@ def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
     """
     companions = sorted(companion_vars(a.constraint))
     if companions:
-        diags: list[Diagnostic] = []
-        seen: set[tuple] = set()
+        first: dict[tuple, Diagnostic] = {}  # (kind, message) -> its first diagnostic
         for combo in itertools.product(cal.points, repeat=len(companions)):
-            grounded = TPAnnotation(
-                substitute_constraint(a.constraint, dict(zip(companions, combo))),
-                a.lower,
-                a.upper,
-                a.span,
-            )
+            grounded = substitute_annotation(a, dict(zip(companions, combo)))
             for d in validate_annotation(grounded, cal):
-                key = (d.kind, d.message)
-                if key not in seen:
-                    seen.add(key)
-                    diags.append(d)
-        return diags
-    diags = []
-    sol = solve_constraint(a.constraint, cal)
-    if not sol:
-        diags.append(
+                first.setdefault((d.kind, d.message), d)
+        return list(first.values())
+    try:
+        window = a.instant(cal)
+        n = len(window)
+    except ValueError:  # a weight list whose length is not the solution count
+        window, n = [], len(solve_constraint(a.constraint, cal))
+    if not n:
+        return [
             warning(
                 DiagnosticKind.EMPTY_SOLUTION_SET,
                 f"constraint {a.constraint} has no solution in the calendar; "
                 f"the annotated formula is vacuous",
                 a.span,
             )
-        )
-        return diags
-    lengths_ok = True
+        ]
+    diags = []
     for name, w in (("lower", a.lower), ("upper", a.upper)):
-        if w.kind is WeightKind.LIST and len(w.values) != len(sol):
-            lengths_ok = False
+        if w.kind is WeightKind.LIST and len(w.values) != n:
             diags.append(
                 error(
                     DiagnosticKind.LENGTH_MISMATCH,
-                    f"{name} weight list has {len(w.values)} values but |sol| = {len(sol)}",
+                    f"{name} weight list has {len(w.values)} values but |sol| = {n}",
                     w.span or a.span,
                 )
             )
-        if w.kind is WeightKind.SHARP and len(sol) != 1:
-            lengths_ok = False
+        if w.kind is WeightKind.SHARP and n != 1:
             diags.append(
                 error(
                     DiagnosticKind.SHARP_CARDINALITY,
-                    f"# requires a singleton solution set, but |sol| = {len(sol)}",
+                    f"# requires a singleton solution set, but |sol| = {n}",
                     w.span or a.span,
                 )
             )
-    if lengths_ok:
-        for t, iv in a.instant(cal):
+    if not diags:
+        for t, iv in window:
             if iv.lo > iv.hi:
                 diags.append(
                     error(

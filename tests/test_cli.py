@@ -726,6 +726,22 @@ class TestConsoleScript:
         assert "Traceback" not in stderr
 
 
+class TestCalendarCap:
+    def test_validate_refuses_an_oversized_calendar(self, tmp_path):
+        program = tmp_path / "big.tpl"
+        program.write_text("calendar 1..100001.\na@Y : <Y = 1, #, #>.\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tplp.cli", "validate", str(program)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: calendar 1..100001 has 100001 points, above the cap of 100000\n"
+        )
+
+
 class TestErrorExitCodes:
     @pytest.mark.parametrize(
         "error, code",

@@ -37,7 +37,7 @@ from tplp.model import (
     solve_constraint,
 )
 from tplp.parser import parse_program, render_program
-from tplp.psat import check_consistency
+from tplp.psat import Verdict, check_consistency
 from tplp.worlds import ki_satisfies, ki_satisfies_tp
 
 
@@ -146,8 +146,8 @@ class TestUnfold:
     def test_one_instant_per_annotation(self, monkeypatch):
         # every ground instance of a clause carries its source annotations, so
         # unfolding at full grounding solves no constraint that validation
-        # has solved: validation solves each annotation's constraint twice,
-        # once to check the weights against it and once for its instant
+        # has solved: validation solves each annotation's constraint once,
+        # for its instant, and reads the weight checks off that window
         calls = []
 
         def counting(c, cal):
@@ -157,9 +157,9 @@ class TestUnfold:
         monkeypatch.setattr(tplp.model, "solve_constraint", counting)
         p = parse_program(golden_file("shipping8.tpl")).program
         annotations = [a for cl in p.clauses for a in (cl.head_annot, *(b for _, b in cl.body))]
-        assert len(calls) == 2 * len(annotations) == 34
+        assert len(calls) == len(annotations) == 17
         assert len(unfold(ground_program(p, GroundingMode.FULL)).clauses) == 410
-        assert len(calls) == 34
+        assert len(calls) == 17
 
     def test_shipping_first_rule(self):
         p = load_program("shipping.tpl")
@@ -252,6 +252,99 @@ class TestUnfold:
         pp = unfold(ground_temporal_variables(p))
         text = render_program(pprogram_to_ptprogram(pp, p.calendar))
         assert parse_program(text).ok
+
+
+class TestCompanionConnectives:
+    """A companion variable under not, and and or, through every layer."""
+
+    PROGRAM = (
+        "calendar 1..3.\n"
+        "a@Y : <Y = 1, [0.5], [0.5]>.\n"
+        "b@Y : <not (Y = Y2) and Y >= 2, uniform, uniform> "
+        ":- a@Y1 : <Y1 = Y2 or Y1 = 1, uniform, {upper}>.\n"
+    )
+
+    def program(self):
+        return parse_program(self.PROGRAM.format(upper="uniform")).program
+
+    def test_ground_instances(self):
+        text = render_program(ground_program(self.program()))
+        assert text.splitlines()[2:] == [
+            f"b@Y : <(not Y = {t}) and Y >= 2, uniform, uniform> "
+            f":- a@Y1 : <Y1 = {t} or Y1 = 1, uniform, uniform>."
+            for t in (1, 2, 3)
+        ]
+
+    def test_ground_text_reparses_to_an_equal_program(self):
+        ground = ground_program(self.program())
+        assert parse_program(render_program(ground)).program == ground
+
+    def test_witness_is_an_exact_model(self):
+        pp = unfold(ground_program(self.program()))
+        assert [str(cl) for cl in pp.clauses][1:3] == [
+            "b@2:[0.5, 0.5] <- a@1:[1, 1]",
+            "b@3:[0.5, 0.5] <- a@1:[1, 1]",
+        ]
+        res = check_consistency(pp)
+        assert res.verdict is Verdict.CONSISTENT
+        assert ki_satisfies(pp, res.witness)
+
+    def test_weight_list_wrong_under_some_groundings(self):
+        # Y2 = 1 gives the body one solution point, Y2 = 2 and Y2 = 3 two
+        result = parse_program(self.PROGRAM.format(upper="[1]"))
+        assert [str(d) for d in result.diagnostics] == [
+            "3:90 error[LengthMismatch]: upper weight list has 1 values but |sol| = 2"
+        ]
+
+
+class TestFormulaOverSeveralTimes:
+    """A ground body formula whose atoms sit at different time points."""
+
+    PROGRAM = (
+        "calendar 2..4.\n"
+        "a@Y : <Y = 2, [0.5], [0.5]>.\n"
+        "b@Y : <Y = 3, [0.5], [0.5]>.\n"
+        "c@Y : <Y = 4, [0.2], [0.9]> :- a@2 and b@3 : <Y1 = 3, [0.1], [0.6]>.\n"
+    )
+
+    def test_unfolded_clause_names_the_first_calendar_point(self):
+        p = parse_program(self.PROGRAM).program
+        text = render_program(pprogram_to_ptprogram(unfold(p), p.calendar))
+        assert text.splitlines()[3] == (
+            "c@4 : <Y = 4, [0.2], [0.9]> :- a@2 and b@3 : <Y = 2, [0.1], [0.6]>."
+        )
+
+    def test_unfolded_text_unfolds_to_the_same_clauses(self):
+        p = parse_program(self.PROGRAM).program
+        pp = unfold(p)
+        text = render_program(pprogram_to_ptprogram(pp, p.calendar))
+        assert unfold(parse_program(text).program).clauses == pp.clauses
+
+
+class TestNormalityAtTheInstant:
+    """unfold reads normality off each annotation's instant, clause by clause."""
+
+    def clause(self, head, body):
+        def annot(c):
+            return TPAnnotation(c, WeightFunction.uniform(), WeightFunction.uniform())
+
+        formula = BasicFormula.single(TAtom("b", (), TVar("Y1")))
+        return TPClause(TAtom("a", (), TVar("Y")), annot(head), ((formula, annot(body)),))
+
+    def test_non_normal_says_ground_them_first(self):
+        body = Cmp(TVar("Y1"), "=", TRef(TVar("Y2")))
+        head = Cmp(TVar("Y"), "=", TConst(1))
+        program = PTProgram(Calendar.from_range(1, 3), (self.clause(head, body),))
+        with pytest.raises(NonNormalConstraint, match=r"\['Y2'\]; ground them first$"):
+            unfold(program)
+
+    def test_empty_head_window_skips_a_non_normal_body(self):
+        head = Cmp(TVar("Y"), ">", TConst(9))
+        body = Cmp(TVar("Y1"), "=", TRef(TVar("Y2")))
+        program = PTProgram(Calendar.from_range(1, 3), (self.clause(head, body),))
+        warnings = []
+        assert unfold(program, warn=warnings.append).clauses == ()
+        assert warnings == ["clause head a@Y has an empty solution set; no clauses emitted"]
 
 
 class TestHerbrandBase:

@@ -7,8 +7,9 @@ from generators import rand_constraint
 from oracles import constraint_holds_at, weight_at
 from tplp.diagnostics import DiagnosticKind, Severity
 from tplp.intervals import ProbInterval
-from tplp.errors import NonNormalConstraint
+from tplp.errors import CalendarTooLarge, NonNormalConstraint
 from tplp.model import (
+    MAX_CALENDAR_POINTS,
     BasicFormula,
     Calendar,
     CAnd,
@@ -49,6 +50,17 @@ class TestCalendar:
     def test_range_form(self):
         assert Calendar.from_range(1, 8).points == tuple(range(1, 9))
         assert Calendar.from_range(1, 8).is_contiguous
+
+    def test_range_capped_before_any_point_is_built(self):
+        assert MAX_CALENDAR_POINTS == 100_000
+        assert len(Calendar.from_range(0, MAX_CALENDAR_POINTS - 1)) == MAX_CALENDAR_POINTS
+        with pytest.raises(CalendarTooLarge) as exc:
+            Calendar.from_range(0, MAX_CALENDAR_POINTS)
+        assert str(exc.value) == "calendar 0..100000 has 100001 points, above the cap of 100000"
+        assert exc.value.exit_code == 3
+        # a tuple of 10**10 points would exhaust memory long before it was built
+        with pytest.raises(CalendarTooLarge, match="has 10000000000 points"):
+            Calendar.from_range(1, 10**10)
 
 
 class TestSolveConstraint:
