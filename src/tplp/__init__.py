@@ -28,6 +28,7 @@ from .errors import (
     AtomNotInBase,
     BaseTooLarge,
     CalendarTooLarge,
+    GroundingTooLarge,
     InconsistentProgram,
     LPNumericalFailure,
     MissingTimeSlice,

@@ -40,6 +40,13 @@ class CalendarTooLarge(TplpError):
     exit_code = 3
 
 
+class GroundingTooLarge(TplpError):
+    """The companion temporal variables of an annotation or clause have more
+    groundings over the calendar than the cap; none is enumerated."""
+
+    exit_code = 3
+
+
 class AtomNotInBase(TplpError):
     """A formula mentions a ground atom outside the Herbrand base in use."""
 

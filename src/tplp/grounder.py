@@ -28,6 +28,7 @@ from .model import (
     TPAnnotation,
     TPClause,
     TVar,
+    companion_groundings,
     substitute_annotation,
     substitute_objects,
     substitute_time,
@@ -202,24 +203,21 @@ def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PT
     out: list[TPClause] = []
     for cl in p.clauses:
         checked = producible is not None and cl.object_vars
+        t_envs = list(companion_groundings(cl.companion_tvars, p.calendar))
         for obj_env in _object_substitutions(cl, constants):
             if not checked or _producible_body(cl, obj_env, producible):
-                out.extend(_temporal_instances(cl, obj_env, p.calendar))
+                out.extend(_substitute_clause(cl, obj_env, t_env) for t_env in t_envs)
     return PTProgram(p.calendar, tuple(out), p.constants)
 
 
 def ground_temporal_variables(p: PTProgram) -> PTProgram:
     """Ground only the independent temporal variables, leaving object terms alone."""
-    out = [g for cl in p.clauses for g in _temporal_instances(cl, {}, p.calendar)]
+    out = [
+        _substitute_clause(cl, {}, t_env)
+        for cl in p.clauses
+        for t_env in companion_groundings(cl.companion_tvars, p.calendar)
+    ]
     return PTProgram(p.calendar, tuple(out), p.constants)
-
-
-def _temporal_instances(cl: TPClause, obj_env: dict[str, str], cal: Calendar):
-    """cl under obj_env, once per assignment of calendar points to its
-    independent temporal variables: once, unassigned, when it has none."""
-    tvars = sorted(cl.companion_tvars)
-    for combo in itertools.product(cal.points, repeat=len(tvars)):
-        yield _substitute_clause(cl, obj_env, dict(zip(tvars, combo)))
 
 
 # --- unfolding -------------------------------------------------------------------

@@ -20,13 +20,16 @@ from fractions import Fraction
 from typing import Union
 
 from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error, warning
-from .errors import CalendarTooLarge, NonNormalConstraint
+from .errors import CalendarTooLarge, GroundingTooLarge, NonNormalConstraint
 from .intervals import ONE, ZERO, ProbInterval, format_rational
 
 TimePoint = int
 
 # Most points a calendar range may span; checked before the points are built.
 MAX_CALENDAR_POINTS = 100_000
+# Most groundings of companion temporal variables, |calendar| ** (their
+# number), that validating an annotation or grounding a clause may enumerate.
+MAX_COMPANION_GROUNDINGS = 10_000
 
 
 @dataclass(frozen=True)
@@ -541,6 +544,21 @@ def substitute_annotation(a: TPAnnotation, env: dict[str, int]) -> TPAnnotation:
     return TPAnnotation(substitute_constraint(a.constraint, env), a.lower, a.upper, a.span)
 
 
+def companion_groundings(names, cal: Calendar):
+    """An iterator over each assignment {name: point} of calendar points to
+    the companion temporal variables names, in sorted name order and product
+    order: one, empty, when there are none.  More than
+    MAX_COMPANION_GROUNDINGS raise GroundingTooLarge here, before any is
+    made."""
+    names = sorted(names)
+    if len(cal) ** len(names) > MAX_COMPANION_GROUNDINGS:
+        raise GroundingTooLarge(
+            f"companion temporal variables {', '.join(names)} have {len(cal)}^{len(names)} "
+            f"groundings over the calendar, above the cap of {MAX_COMPANION_GROUNDINGS}"
+        )
+    return (dict(zip(names, combo)) for combo in itertools.product(cal.points, repeat=len(names)))
+
+
 def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
     """Well-formedness diagnostics for one annotation, read off its instant.
 
@@ -549,12 +567,11 @@ def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
     companion variables is checked under every grounding of them, since each
     grounding must unfold cleanly later.
     """
-    companions = sorted(companion_vars(a.constraint))
+    companions = companion_vars(a.constraint)
     if companions:
         first: dict[tuple, Diagnostic] = {}  # (kind, message) -> its first diagnostic
-        for combo in itertools.product(cal.points, repeat=len(companions)):
-            grounded = substitute_annotation(a, dict(zip(companions, combo)))
-            for d in validate_annotation(grounded, cal):
+        for env in companion_groundings(companions, cal):
+            for d in validate_annotation(substitute_annotation(a, env), cal):
                 first.setdefault((d.kind, d.message), d)
         return list(first.values())
     try:

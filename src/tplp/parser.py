@@ -24,6 +24,8 @@ with at most nine fractional digits, or an exact ratio ``n/d``, in ASCII
 digits; ``intervals.parse_rational`` states that rule for every number a user
 types, and the parser only collects a literal's tokens for it.  An optional
 ``constants a, b.`` statement declares constants beyond the occurring ones.
+A constraint nests at most ``MAX_NESTING`` levels, and so does an ``ialg``
+expression.
 
 Query files hold a single statement::
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -233,11 +236,47 @@ class _Cursor:
                 return
 
 
+# The deepest an annotation's constraint, with its temporal terms, or an
+# ``ialg`` expression may nest: parentheses, "not", unary minus and operator
+# calls each open a level, and the tree a constraint builds may be no deeper,
+# so a flat chain of "and" or "+" counts one level per operator.  Deeper input
+# is a syntax error, not a stack overflow in this parser or in the model's
+# recursive walks of the tree (companion_vars, solve_constraint, __str__).
+MAX_NESTING = 100
+_TOO_DEEP = f"nested deeper than {MAX_NESTING} levels"
+
+_TREE_NODES = (CAnd, Cmp, CNot, COr, TBin, TConst, TimeRange, TRef)
+
+
+def _tree_depth(node) -> int:
+    """The depth of a constraint or temporal term tree, walked without
+    recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in vars(node).values() if isinstance(c, _TREE_NODES))
+    return deepest
+
+
 class _ProgramParser:
     def __init__(self, text: str):
         self.tokens, self.diags = _lex(text)
         self.cur = _Cursor(self.tokens)
         self.rejected_numbers = 0
+        self.nesting = 0  # constraint and term levels open, see MAX_NESTING
+
+    @contextmanager
+    def nested(self, tok: Token):
+        """One more constraint or term level, opened by tok: a parenthesis,
+        "not" or a unary minus."""
+        if self.nesting == MAX_NESTING:
+            raise _Unexpected(f"constraint {_TOO_DEEP}", tok.span)
+        self.nesting += 1
+        try:
+            yield
+        finally:
+            self.nesting -= 1
 
     # -- small pieces --
 
@@ -311,10 +350,12 @@ class _ProgramParser:
         return TConst(-inner.value) if isinstance(inner, TConst) else TBin("-", TConst(0), inner)
 
     def parse_ifactor(self):
-        if self.cur.accept("MINUS"):
-            return self.parse_negated_ifactor()
-        if self.cur.accept("LPAREN"):
-            e = self.parse_iexpr()
+        if tok := self.cur.accept("MINUS"):
+            with self.nested(tok):
+                return self.parse_negated_ifactor()
+        if tok := self.cur.accept("LPAREN"):
+            with self.nested(tok):
+                e = self.parse_iexpr()
             self.cur.expect("RPAREN", "')'")
             return e
         if tok := self.cur.accept("INT"):
@@ -361,10 +402,12 @@ class _ProgramParser:
         return TimeRange(var, lo, hi, vtok.span)
 
     def parse_cunary(self):
-        if self.cur.accept("IDENT", "not"):
-            return CNot(self.parse_cunary())
-        if self.cur.accept("LPAREN"):
-            c = self.parse_constr()
+        if tok := self.cur.accept("IDENT", "not"):
+            with self.nested(tok):
+                return CNot(self.parse_cunary())
+        if tok := self.cur.accept("LPAREN"):
+            with self.nested(tok):
+                c = self.parse_constr()
             self.cur.expect("RPAREN", "')'")
             return c
         return self.parse_leaf()
@@ -383,7 +426,12 @@ class _ProgramParser:
 
     def parse_annot(self) -> TPAnnotation:
         start = self.cur.expect("LT", "'<' starting an annotation")
+        first = self.cur.i
         constraint = self.parse_constr()
+        # every level of the tree takes a token of its own, so only a
+        # constraint of more tokens than MAX_NESTING can be too deep
+        if self.cur.i - first > MAX_NESTING and _tree_depth(constraint) > MAX_NESTING:
+            raise _Unexpected(f"constraint {_TOO_DEEP}", start.span)
         try:
             principal = constraint_principal(constraint)
         except ValueError as exc:
@@ -743,17 +791,19 @@ def eval_interval_expr(text: str):
         bounds.append((start, end))
         return parse_rational(text[start:end])
 
-    def expr():
+    def expr(depth=1):
         if bracket := cur.accept("LBRACK"):
             lo = bound(bracket)
             hi = bound(cur.expect("COMMA", "','"))
             cur.expect("RBRACK", "']'")
             return ProbInterval(lo, hi)
         name = cur.expect("IDENT", "an interval or operator").text
-        cur.expect("LPAREN", "'('")
-        args = [expr()]
+        paren = cur.expect("LPAREN", "'('")
+        if depth > MAX_NESTING:
+            raise _Unexpected(f"expression {_TOO_DEEP}", paren.span)
+        args = [expr(depth + 1)]
         while cur.accept("COMMA"):
-            args.append(expr())
+            args.append(expr(depth + 1))
         cur.expect("RPAREN", "')'")
         if name not in OPERATORS:
             raise ValueError(f"unknown operator {name!r}")

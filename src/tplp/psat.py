@@ -9,7 +9,11 @@ infeasible with the shift but feasible at the boundary is reported as
 UNKNOWN_EPS rather than silently classified.  A complete choice (a leaf) is
 its boxes, the per-formula intersections, and exact linear programs whose
 rows are the boxes' sides decide it: rows looser than a box are redundant, so
-the boxes key every LP and memo.
+the boxes key every LP and memo.  The walk decides each leaf itself: it
+yields the box keys of the feasible leaves only and counts every
+box-consistent leaf it reaches (a result's branch_count), so each operation
+is one fold over it: the first key for consistency, a running min and max for
+tightening and entailment, the best entropy for the maximum-entropy model.
 
 Two reductions keep the LPs small without changing their answers:
 
@@ -405,6 +409,8 @@ class _Engine:
         self._solves: dict = {}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
+        # The box-consistent leaves that the latest walk has reached.
+        self.walked = 0
 
     def _split(self, comp: _Component, fids: list[int], coeffs: dict | list) -> None:
         """Split comp's worlds into the signature classes of the program
@@ -428,8 +434,9 @@ class _Engine:
     # -- branch enumeration --
 
     def leaves(self, eps: Fraction):
-        """Yield solve_boxes' (box key per component, solution or None) for
-        every box-consistent leaf, depth first in clause and choice order.
+        """Yield the box key per component {cid: key} of every feasible leaf,
+        depth first in clause and choice order, and count in walked every
+        box-consistent leaf reached, feasible or not.
 
         Each choice pins one formula's mass to an interval box, and boxes
         track the running intersection per formula, so a leaf is its boxes.
@@ -438,12 +445,14 @@ class _Engine:
         whose narrowing leaves some later clause on the changed formula with
         no choice that fits the boxes is pruned as if its own box were empty.
         Boxes only shrink down a path, so no leaf below it was box-consistent
-        and the leaves yielded are those of the walk without the check.  The
+        and the leaves reached are those of the walk without the check.  The
         walk keeps its own stack, so the tree's depth (one level per clause)
         has no recursion limit.
         """
+        self.walked = 0
         if not self.clauses:
-            yield self.solve_boxes({})
+            self.walked = 1
+            yield {}
             return
         head_boxes = self._head_boxes
         body_boxes = _BodyBoxes(self.clauses, eps)
@@ -482,8 +491,11 @@ class _Engine:
             path.append((fid, old))
             if depth < last:
                 tries.append(0)
-            else:
-                yield self.solve_boxes(boxes)
+                continue
+            self.walked += 1
+            keys = self.box_keys(boxes)
+            if self.feasible(keys):
+                yield keys
 
     def _dead_end(self, boxes: dict, body_boxes: _BodyBoxes, fid: int, depth: int) -> bool:
         """Whether some clause after depth that formula fid's box can leave
@@ -497,23 +509,24 @@ class _Engine:
                 return True
         return False
 
-    def solve_boxes(self, boxes: dict):
-        """Group the narrowed boxes {fid: (lo, hi)} by component and solve
-        each component's in component order: (box key per component, class
-        masses per component, or None as soon as one component is
-        infeasible).  A box key is the component's boxes (fid, lo, hi) in fid
-        order: a sorted tuple, since a set would hash every bound."""
+    def box_keys(self, boxes: dict) -> dict[int, tuple]:
+        """Group the narrowed boxes {fid: (lo, hi)} by component: per
+        component its box key, its boxes (fid, lo, hi) in fid order (a sorted
+        tuple, since a set would hash every bound)."""
         by_comp: dict[int, list] = {}
         for fid, (lo, hi) in boxes.items():
             by_comp.setdefault(self._fid_comp[fid], []).append((fid, lo, hi))
-        keys = {cid: tuple(sorted(key)) for cid, key in by_comp.items()}
-        solution: dict[int, list] = {}
-        for cid in sorted(keys):
-            x = self._solved(self.components[cid], keys[cid]).x
-            if x is None:
-                return keys, None
-            solution[cid] = x
-        return keys, solution
+        return {cid: tuple(sorted(key)) for cid, key in by_comp.items()}
+
+    def feasible(self, keys: dict[int, tuple]) -> bool:
+        """Whether every component's boxes allow some masses, solved in
+        component order up to the first that does not.  A one-atom
+        component's box is not empty, so it always does."""
+        components = self.components
+        return all(
+            components[cid].box_decided or self._solved(components[cid], keys[cid]).x is not None
+            for cid in sorted(keys)
+        )
 
     def mass_ranges(self, keys) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
@@ -556,9 +569,9 @@ class _Engine:
         return out
 
     def _solved(self, comp: _Component, key: tuple) -> LPResult | _BoxSolve:
-        """The feasibility solve of comp's boxes, whose x is the vertex the
-        walk takes and whose optimum() gives every least and greatest mass and
-        every Frank-Wolfe direction under them.  A one-atom component's comes
+        """The feasibility solve of comp's boxes, whose x is the vertex a
+        witness takes and whose optimum() gives every least and greatest mass
+        and every Frank-Wolfe direction under them.  A one-atom component's comes
         from its one box, with no LP and no memo; any other's is solved the
         first time a consumer asks for it and memoized for the engine's life,
         so each box key runs phase one once."""
@@ -572,8 +585,9 @@ class _Engine:
 
     # -- witnesses --
 
-    def couple(self, comp_solutions: dict[int, list]) -> WorldDistribution:
-        """Assemble one joint distribution with the given component marginals.
+    def couple(self, keys: dict[int, tuple]) -> WorldDistribution:
+        """Assemble one joint distribution whose component marginals are the
+        vertices of a feasible leaf's box keys.
 
         Components are coupled along the unit interval (shared quantiles), so
         the support stays near the sum of the component supports instead of
@@ -584,13 +598,14 @@ class _Engine:
         # its cumulative mass passes from one class with mass to the next, so
         # the joint world is swept from point to point, flipping at each the
         # atoms of the components that change there.  A component without a
-        # solution sits in its zero world, which holds no atom.
+        # box sits in its zero world, which holds no atom.
         gmask = 0  # the joint world at the bottom of the interval
         flips: dict[Fraction, list[int]] = {}  # point -> the atom sets that change there
         for comp in self.components:
-            x = comp_solutions.get(comp.cid)
-            if x is None:
+            key = keys.get(comp.cid)
+            if key is None:
                 continue
+            x = self._solved(comp, key).x
             steps = [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
             gmask |= steps[0][0]
             # each class but the last ends where the next one's world begins
@@ -701,51 +716,37 @@ class _Engine:
 # --- public operations --------------------------------------------------------------
 
 
-def _first_solution(engine: _Engine, eps: Fraction):
-    """(class masses of the first feasible leaf or None, leaves visited)."""
-    count = 0
-    for _, solution in engine.leaves(eps):
-        count += 1
-        if solution is not None:
-            return solution, count
-    return None, count
-
-
 def _mass_bounds(engine: _Engine, eps: Fraction):
-    """(least and greatest mass per extra formula over every feasible leaf, or
-    None when no leaf is feasible; leaves visited)."""
+    """Least and greatest mass per extra formula over every feasible leaf, or
+    None when no leaf is feasible."""
     bounds: dict[int, tuple[Fraction, Fraction]] | None = None
-    count = 0
-    for keys, solution in engine.leaves(eps):
-        count += 1
-        if solution is None:
-            continue
+    for keys in engine.leaves(eps):
         ranges = engine.mass_ranges(keys)
         bounds = ranges if bounds is None else {
             f: (min(lo, bounds[f][0]), max(hi, bounds[f][1])) for f, (lo, hi) in ranges.items()
         }
-    return bounds, count
+    return bounds
 
 
 def _instance_bounds(pp: PProgram, formulas, opts: SolveOptions, undefined: str):
     """One engine over every query instance and its one fold at epsilon:
-    (engine, bounds per extra formula, leaves visited); raises
-    InconsistentProgram(undefined) when no leaf is feasible."""
+    (engine, bounds per extra formula); raises InconsistentProgram(undefined)
+    when no leaf is feasible."""
     engine = _Engine(pp, opts, extra_formulas=formulas)
-    bounds, count = _mass_bounds(engine, opts.epsilon)
+    bounds = _mass_bounds(engine, opts.epsilon)
     if bounds is None:
         raise InconsistentProgram(undefined)
-    return engine, bounds, count
+    return engine, bounds
 
 
 def check_consistency(pp: PProgram, opts: SolveOptions = SolveOptions()) -> ConsistencyResult:
     """Search the clause branches for a feasible world distribution."""
     engine = _Engine(pp, opts)
-    solution, count = _first_solution(engine, opts.epsilon)
-    if solution is not None:
-        witness = engine.couple(solution)
-        return ConsistencyResult(Verdict.CONSISTENT, witness, count, opts.epsilon)
-    if _first_solution(engine, ZERO)[0] is not None:
+    keys = next(engine.leaves(opts.epsilon), None)
+    count = engine.walked  # read before the walk at zero below resets it
+    if keys is not None:
+        return ConsistencyResult(Verdict.CONSISTENT, engine.couple(keys), count, opts.epsilon)
+    if next(engine.leaves(ZERO), None) is not None:
         return ConsistencyResult(Verdict.UNKNOWN_EPS, None, count, opts.epsilon)
     return ConsistencyResult(Verdict.INCONSISTENT, None, count, opts.epsilon)
 
@@ -756,10 +757,9 @@ def tighten(
     """Tightest probability interval of each formula across all models
     (epsilon-closed), all from one walk.  boundary_sensitive tells whether
     halving epsilon moves any of them."""
-    engine, bounds, count = _instance_bounds(
-        pp, formulas, opts, "tighten requires a consistent program"
-    )
-    probe, _ = _mass_bounds(engine, opts.epsilon / 2)
+    engine, bounds = _instance_bounds(pp, formulas, opts, "tighten requires a consistent program")
+    count = engine.walked  # read before the probe's walk resets it
+    probe = _mass_bounds(engine, opts.epsilon / 2)
     intervals = [ProbInterval(*bounds[fid]) for fid in engine.extra_fids]
     return TightenResult(intervals, count, probe != bounds, opts.epsilon)
 
@@ -777,17 +777,18 @@ def entails(
     undefined = "entailment is undefined for an inconsistent program"
     window = query.annot.instant(calendar)
     if not window:
-        solution, count = _first_solution(_Engine(pp, opts), opts.epsilon)
-        if solution is None:
+        engine = _Engine(pp, opts)
+        if next(engine.leaves(opts.epsilon), None) is None:
             raise InconsistentProgram(undefined)
-        return EntailmentResult(True, True, [], count, opts.epsilon)
+        return EntailmentResult(True, True, [], engine.walked, opts.epsilon)
     instances = [substitute_time(query.formula, t) for t, _ in window]
-    engine, bounds, count = _instance_bounds(pp, instances, opts, undefined)
+    engine, bounds = _instance_bounds(pp, instances, opts, undefined)
     per_time: list[TimeVerdict] = []
     for (t, target), fid in zip(window, engine.extra_fids):
         bound = ProbInterval(*bounds[fid])
         per_time.append(TimeVerdict(t, bound, target, target.contains_interval(bound)))
-    return EntailmentResult(all(v.holds for v in per_time), False, per_time, count, opts.epsilon)
+    holds = all(v.holds for v in per_time)
+    return EntailmentResult(holds, False, per_time, engine.walked, opts.epsilon)
 
 
 def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDistribution | None:
@@ -803,10 +804,8 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
         for fid, iv in [(head_fid, head_iv)] + body:
             if _narrow(boxes, (fid, iv.lo, iv.hi)) is None:
                 return None
-    _, solution = engine.solve_boxes(boxes)
-    if solution is None:
-        return None
-    return engine.couple(solution)
+    keys = engine.box_keys(boxes)
+    return engine.couple(keys) if engine.feasible(keys) else None
 
 
 def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxEntResult:
@@ -815,11 +814,8 @@ def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxE
     maxent_component answers."""
     engine = _Engine(pp, opts)
     best_qs: dict[int, list[Fraction]] | None = None
-    best_h, count = -1.0, 0
-    for keys, solution in engine.leaves(opts.epsilon):
-        count += 1
-        if solution is None:
-            continue
+    best_h = -1.0
+    for keys in engine.leaves(opts.epsilon):
         total = 0.0
         qs: dict[int, list[Fraction]] = {}
         for comp in engine.components:
@@ -831,4 +827,4 @@ def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxE
     if best_qs is None:
         raise InconsistentProgram("no feasible branch to maximize entropy over")
     distribution = engine.spread_product(best_qs)
-    return MaxEntResult(distribution, best_h, count)
+    return MaxEntResult(distribution, best_h, engine.walked)

@@ -331,13 +331,24 @@ def grid_distributions(n_worlds: int, step_denominator: int = 20):
 
 
 def reference_leaves(engine, eps: Fraction):
-    """engine.solve_boxes of each leaf of reference_leaf_rows, its rows
-    reduced to the boxes they allow only at the leaf.
+    """(box key per component, feasible) of each leaf of reference_leaf_rows,
+    its rows reduced to the boxes they allow only at the leaf; the leaf is
+    feasible when reference_solve_lp finds every component's box rows
+    feasible, one-atom components included.
 
-    engine.leaves(eps) must yield exactly what this yields, in the same order.
+    engine.leaves(eps) must yield the keys of the feasible leaves, in the same
+    order, and count every leaf in engine.walked, feasible or not.
     """
     for rows in reference_leaf_rows(engine, eps):
-        yield engine.solve_boxes(row_boxes(rows))
+        keys = engine.box_keys(row_boxes(rows))
+        yield keys, all(
+            reference_solve_lp(
+                len(engine.components[cid].classes),
+                engine._lp_rows(engine.components[cid], key),
+            ).status
+            != "infeasible"
+            for cid, key in keys.items()
+        )
 
 
 def row_boxes(rows) -> dict:

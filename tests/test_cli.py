@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import tplp
 import tplp.cli
+import tplp.model
 import tplp.psat
 from tplp import errors
 from tplp.cli import run
@@ -589,6 +591,69 @@ class TestOverlongLiterals:
         assert err == f"error: {csv_file}:2: time {self.NINES!r} is not an integer\n"
 
 
+class TestDeepNesting:
+    """An annotation's constraint, its terms and an ialg expression nest at
+    most parser.MAX_NESTING (100) levels; deeper input is a syntax error (exit
+    2), not a RecursionError.  A flat chain counts one level per operator,
+    since it builds a left-deep tree."""
+
+    TOO_DEEP = "error[Syntax]: constraint nested deeper than 100 levels\n"
+
+    @staticmethod
+    def program(tmp_path, constraint: str):
+        program = tmp_path / "deep.tpl"
+        rule = constraint.replace("Y", "Y1")
+        program.write_text(
+            "calendar 1..3.\n"
+            f"a@Y : <{constraint}, [0.5], [0.5]>.\n"
+            f"b@Y : <Y=2, [0.1], [0.9]> :- a@Y1 : <{rule}, [0.2], [0.8]>.\n"
+        )
+        return str(program)
+
+    @pytest.mark.parametrize(
+        "constraint, at",
+        [
+            ("(" * 400 + "Y=1" + ")" * 400, "2:108"),
+            ("Y=" + "(" * 400 + "1" + ")" * 400, "2:110"),
+            ("not " * 1000 + "Y=1", "2:408"),
+            ("Y=1" + " and Y=1" * 2000, "2:7"),
+            ("Y=1" + " + 0" * 2000, "2:7"),
+        ],
+        ids=["constraint-parentheses", "term-parentheses", "not", "and-chain", "plus-chain"],
+    )
+    def test_too_deep_program(self, tmp_path, capsys, constraint, at):
+        res = invoke("validate", self.program(tmp_path, constraint))
+        assert (res.exit_code, res.payload) == (2, "2 error(s) (0 warning(s))")
+        err = capsys.readouterr().err
+        assert err.startswith(f"{at} {self.TOO_DEEP}") and err.count(self.TOO_DEEP) == 2
+
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            "(" * 100 + "Y=1" + ")" * 100,
+            "Y=" + "(" * 100 + "1" + ")" * 100,
+            "not " * 98 + "Y=1",
+            "Y=1" + " and Y=1" * 98,
+            "Y=1" + " + 0" * 98,
+        ],
+        ids=["constraint-parentheses", "term-parentheses", "not", "and-chain", "plus-chain"],
+    )
+    def test_program_at_the_cap(self, tmp_path, constraint):
+        # 98 operators over a comparison and its term: a tree 100 deep
+        program = self.program(tmp_path, constraint)
+        assert invoke("consistent", program).exit_code == 0
+        assert invoke("unfold", program).exit_code == 0
+
+    def test_too_deep_ialg(self, capsys):
+        expr = "meet_k(" * 1000 + "[0,1]" + ",[0,1])" * 1000
+        res = invoke("ialg", expr)
+        assert (res.exit_code, res.payload) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested deeper than 100 levels at offset 706 ")
+        expr = "meet_k(" * 100 + "[0,1]" + ",[0,1])" * 100
+        assert invoke("ialg", expr).exit_code == 0
+
+
 class TestTemporalArithmetic:
     """Temporal terms with +, * and parentheses, through every layer."""
 
@@ -740,6 +805,59 @@ class TestCalendarCap:
         assert proc.stderr == (
             "error: calendar 1..100001 has 100001 points, above the cap of 100000\n"
         )
+
+
+class TestCompanionCap:
+    """Validation and grounding enumerate at most 10,000 groundings of an
+    annotation's or a clause's companion temporal variables; more exit 3
+    before the first is made."""
+
+    @staticmethod
+    def groundings(monkeypatch):
+        calls = []
+        substitute = tplp.model.substitute_annotation
+
+        def counting(a, env):
+            calls.append(env)
+            return substitute(a, env)
+
+        monkeypatch.setattr(tplp.model, "substitute_annotation", counting)
+        return calls
+
+    def test_validate(self, tmp_path, monkeypatch, capsys):
+        calls = self.groundings(monkeypatch)
+        program = tmp_path / "window.tpl"
+        fact = "a@Y : <Y >= Y1 and Y <= Y2, uniform, uniform>.\n"
+        program.write_text("calendar 1..100.\n" + fact)
+        res = invoke("validate", str(program))
+        assert res.exit_code == 0 and res.payload.startswith("ok")
+        assert len(calls) == 100**2
+        capsys.readouterr()
+        calls.clear()
+        program.write_text("calendar 1..101.\n" + fact)
+        res = invoke("validate", str(program))
+        assert (res.exit_code, res.payload, calls) == (3, "", [])
+        assert capsys.readouterr().err == (
+            "error: companion temporal variables Y1, Y2 have 101^2 groundings over the "
+            "calendar, above the cap of 10000\n"
+        )
+
+    def test_ground(self, tmp_path, capsys):
+        # each annotation has one companion, the clause two
+        program = tmp_path / "pair.tpl"
+        program.write_text(
+            "calendar 1..101.\n"
+            "a@Y : <Y = 1, [0.5], [1]> :- b@Y1 : <Y1 >= Y3, uniform, uniform>"
+            " and c@Y2 : <Y2 >= Y4, uniform, uniform>.\n"
+        )
+        assert invoke("validate", str(program)).exit_code == 0
+        res = invoke("ground", str(program))
+        assert (res.exit_code, res.payload) == (3, "")
+        assert capsys.readouterr().err.endswith(
+            "error: companion temporal variables Y3, Y4 have 101^2 groundings over the "
+            "calendar, above the cap of 10000\n"
+        )
+        assert issubclass(tplp.GroundingTooLarge, tplp.TplpError)
 
 
 class TestErrorExitCodes:

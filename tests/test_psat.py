@@ -126,10 +126,10 @@ class TestLeafWalk:
         eps = F(1, 10**6)
         engine = _Engine(pp, SolveOptions())
         walked = list(engine.leaves(eps))
-        assert all(solution is not None for _, solution in walked)
+        assert engine.walked == len(walked)
         a = next(fid for fid, _, body in engine.clauses if not body)
         b = next(fid for fid, _, body in engine.clauses if body)
-        assert [set().union(*keys.values()) for keys, _ in walked] == [
+        assert [set().union(*keys.values()) for keys in walked] == [
             {(a, F(1, 5), F(4, 5)), (b, F(9, 10), F(1))},
             {(a, F(1, 5), F(2, 5) - eps)},
             {(a, F(3, 5) + eps, F(4, 5))},
@@ -140,6 +140,28 @@ class TestLeafWalk:
         assert check_consistency(pp).branch_count == 1
         assert tighten(pp, [single("b")]).branch_count == 3
         assert max_entropy_model(pp).branch_count == 3
+
+    def test_unknown_eps_counts_the_walk_at_epsilon(self):
+        # Each body violation of the rule fits the boxes, but the facts' masses
+        # leave a AND b at most 0.5 and a OR b at least 0.5: the walk at
+        # epsilon reaches two leaves that the LP rejects, the walk at zero
+        # feasible ones.
+        text = (
+            "calendar 1..1.\n"
+            "a@Y : <Y=1, [0.5], [0.5]>.\n"
+            "b@Y : <Y=1, [0.5], [0.5]>.\n"
+            "c@Y : <Y=1, [0.2], [0.2]>.\n"
+            "c@Y : <Y=1, [0.9], [1]> :- a@Y1 and b@Y1 : <Y1=1, [0], [0.5]>"
+            " and a@Y2 or b@Y2 : <Y2=1, [0.5], [1]>.\n"
+        )
+        pp = unfold(parse_program(text).program)
+        engine = _Engine(pp, SolveOptions())
+        reference = list(reference_leaves(engine, SolveOptions().epsilon))
+        assert len(reference) == 2 and not any(feasible for _, feasible in reference)
+        assert next(engine.leaves(F(0)), None) is not None
+        res = check_consistency(pp)
+        assert res.verdict is Verdict.UNKNOWN_EPS
+        assert res.branch_count == len(reference)
 
 
 @pytest.fixture
@@ -158,14 +180,17 @@ def narrowings(monkeypatch):
 
 class TestLookAhead:
     """The walk's look-ahead prunes only subtrees without a box-consistent
-    leaf: it yields the leaves of the reference walk, in the same order."""
+    leaf: it reaches the leaves of the reference walk and yields the feasible
+    ones, in the same order."""
 
     EPSILONS = (SolveOptions().epsilon, F(0))
 
     def assert_reference_leaves(self, pp):
         engine = _Engine(pp, SolveOptions())
         for eps in self.EPSILONS:
-            assert list(engine.leaves(eps)) == list(reference_leaves(engine, eps))
+            reference = list(reference_leaves(engine, eps))
+            assert list(engine.leaves(eps)) == [keys for keys, feasible in reference if feasible]
+            assert engine.walked == len(reference)
 
     def test_random_programs(self):
         rng = random.Random(409)
@@ -192,7 +217,7 @@ class TestLookAhead:
             HerbrandBase([a, b, c]),
         )
         engine = _Engine(pp, SolveOptions())
-        assert list(engine.leaves(SolveOptions().epsilon)) == []
+        assert list(engine.leaves(SolveOptions().epsilon)) == [] and engine.walked == 0
         assert list(engine.leaves(F(0))) != []
         self.assert_reference_leaves(pp)
 
@@ -211,9 +236,9 @@ class TestLookAhead:
         engine = _Engine(PProgram(tuple(rules + facts), base), SolveOptions())
         eps = SolveOptions().epsilon
         walked = list(engine.leaves(eps))
-        assert len(walked) == 1 and walked[0][1] is not None
+        assert len(walked) == engine.walked == 1
         assert len(narrowings) <= 4 * n
-        assert walked == list(reference_leaves(engine, eps))
+        assert list(reference_leaves(engine, eps)) == [(walked[0], True)]
 
     def test_shipping_tighten_narrowing_count(self, fixtures, narrowings):
         res = run(
@@ -314,7 +339,7 @@ class TestBoxLeaves:
             checked = set()
             for eps in (SolveOptions().epsilon, F(0)):
                 for rows in reference_leaf_rows(engine, eps):
-                    keys, _ = engine.solve_boxes(row_boxes(rows))
+                    keys = engine.box_keys(row_boxes(rows))
                     for comp in multi:
                         mine = sorted({r for r in rows if engine._fid_comp[r[0]] == comp.cid})
                         if not mine or (comp.cid, *mine) in checked:
