@@ -20,14 +20,15 @@ class UniverseEmpty(TplpError):
 
 
 class BaseTooLarge(TplpError):
-    """The program's Herbrand base, or a component of atoms that query
-    formulas join, has more atoms than the configured cap."""
+    """The program's Herbrand base has more atoms than the configured cap.
+    Query atoms outside it do not count: each query formula is answered per
+    component of the program that it touches."""
 
     exit_code = 3
 
-    def __init__(self, size: int, cap: int, what: str = "Herbrand base"):
+    def __init__(self, size: int, cap: int):
         super().__init__(
-            f"{what} has {size} atoms, above the cap of {cap}; "
+            f"Herbrand base has {size} atoms, above the cap of {cap}; "
             f"try relevant grounding or raise the max-world-atoms limit"
         )
         self.size = size

@@ -27,9 +27,10 @@ TimePoint = int
 
 # Most points a calendar range may span; checked before the points are built.
 MAX_CALENDAR_POINTS = 100_000
-# Most groundings of companion temporal variables, |calendar| ** (their
-# number), that validating an annotation or grounding a clause may enumerate.
-MAX_COMPANION_GROUNDINGS = 10_000
+# Most constraint evaluations, |calendar| ** (number of companion temporal
+# variables + 1), that validating an annotation or grounding a clause may
+# make: each grounding of the companions is solved at every calendar point.
+MAX_COMPANION_EVALUATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -547,16 +548,18 @@ def substitute_annotation(a: TPAnnotation, env: dict[str, int]) -> TPAnnotation:
 def companion_groundings(names, cal: Calendar):
     """An iterator over each assignment {name: point} of calendar points to
     the companion temporal variables names, in sorted name order and product
-    order: one, empty, when there are none.  More than
-    MAX_COMPANION_GROUNDINGS raise GroundingTooLarge here, before any is
-    made."""
+    order: one, empty, when there are none.  Groundings whose solves over
+    the calendar exceed MAX_COMPANION_EVALUATIONS raise GroundingTooLarge
+    here, before any is made."""
     names = sorted(names)
-    if len(cal) ** len(names) > MAX_COMPANION_GROUNDINGS:
+    n, k = len(cal), len(names)
+    if n ** (k + 1) > MAX_COMPANION_EVALUATIONS:
         raise GroundingTooLarge(
-            f"companion temporal variables {', '.join(names)} have {len(cal)}^{len(names)} "
-            f"groundings over the calendar, above the cap of {MAX_COMPANION_GROUNDINGS}"
+            f"companion temporal variables {', '.join(names)} have {n}^{k} groundings over "
+            f"the calendar, each solved at its {n} points: {n}^{k + 1} evaluations, above "
+            f"the cap of {MAX_COMPANION_EVALUATIONS}"
         )
-    return (dict(zip(names, combo)) for combo in itertools.product(cal.points, repeat=len(names)))
+    return (dict(zip(names, combo)) for combo in itertools.product(cal.points, repeat=k))
 
 
 def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
@@ -565,14 +568,17 @@ def validate_annotation(a: TPAnnotation, cal: Calendar) -> list[Diagnostic]:
     An empty solution set is a warning (the annotated formula is vacuously
     satisfied); everything else reported here is an error.  A constraint with
     companion variables is checked under every grounding of them, since each
-    grounding must unfold cleanly later.
+    grounding must unfold cleanly later.  Each diagnostic is reported once,
+    at its first grounding, and so is one empty solution set, whose message
+    names the grounded constraint.
     """
     companions = companion_vars(a.constraint)
     if companions:
-        first: dict[tuple, Diagnostic] = {}  # (kind, message) -> its first diagnostic
+        first: dict = {}  # (kind, message), or the empty kind -> its first diagnostic
         for env in companion_groundings(companions, cal):
             for d in validate_annotation(substitute_annotation(a, env), cal):
-                first.setdefault((d.kind, d.message), d)
+                empty = d.kind is DiagnosticKind.EMPTY_SOLUTION_SET
+                first.setdefault(d.kind if empty else (d.kind, d.message), d)
         return list(first.values())
     try:
         window = a.instant(cal)

@@ -819,10 +819,10 @@ def eval_interval_expr(text: str):
         result = expr()
         cur.expect("EOF", "end of input")
     except _Unexpected as exc:
-        raise ValueError(f"{exc.message} at offset {exc.span.start} in {text!r}") from None
+        raise ValueError(f"{exc.message} at offset {exc.span.start}") from None
     for d in stray:
         if not any(start <= d.span.start < end for start, end in bounds):
-            raise ValueError(f"{d.message} at offset {d.span.start} in {text!r}")
+            raise ValueError(f"{d.message} at offset {d.span.start}")
     return result
 
 

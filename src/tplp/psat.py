@@ -21,7 +21,10 @@ Two reductions keep the LPs small without changing their answers:
   masses in different components are realized independently (product measure);
 * inside a component, worlds with the same satisfaction signature across the
   program's formulas are collapsed into one LP column carrying their count; a
-  query formula is bounded by the classes inside it and those that meet it.
+  query formula's part in a component, its atoms there, is bounded by the
+  classes inside it and those that meet it.  Parts in different components
+  couple freely, so a formula's range is its parts' ranges folded by the
+  ignorance conjunction or disjunction (and_ig, or_ig: the Frechet bounds).
 
 A component with one atom needs no LP at all: its one box bounds the atom's
 mass, which gives every answer the simplex would (feasibility, the vertex it
@@ -37,6 +40,7 @@ completion.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from array import array
@@ -46,7 +50,7 @@ from fractions import Fraction
 
 from .errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from .grounder import HerbrandBase, PProgram
-from .intervals import FULL, ONE, ZERO, ProbInterval
+from .intervals import FULL, ONE, ZERO, ProbInterval, and_ig, or_ig
 from .model import BasicFormula, Calendar, Connective, substitute_time
 from .parser import Query
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
@@ -123,7 +127,7 @@ class MaxEntResult:
 class _Component:
     """One connected block of atoms; worlds are local bitstrings over them."""
 
-    __slots__ = ("cid", "atoms", "k", "space", "classes", "coeffs")
+    __slots__ = ("cid", "atoms", "k", "space", "classes")
 
     def __init__(self, cid: int, atom_indices: tuple[int, ...]):
         self.cid = cid
@@ -131,7 +135,6 @@ class _Component:
         self.k = len(atom_indices)
         self.space = 1 << self.k  # number of local worlds
         self.classes: list[tuple[int, int, int]] = []  # (members, count, rep world)
-        self.coeffs: dict | list = {}  # fid -> row coefficients over the classes
 
     def local(self, connective: Connective, atoms) -> tuple[Connective, tuple[int, ...]]:
         """A formula over the base indices atoms (a set), by its atoms'
@@ -285,8 +288,7 @@ class _Engine:
     def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=()):
         if pp.base is None:
             raise ValueError("the solver needs a ground program; ground it first")
-        # The world cap, in two parts: the program's own base, then (below)
-        # the union of the components that one extra formula touches.
+        # The world cap counts the program's own base.
         self.base = pp.base
         if len(self.base) > opts.max_world_atoms:
             raise BaseTooLarge(len(self.base), opts.max_world_atoms)
@@ -343,8 +345,7 @@ class _Engine:
 
         # Connected components over atoms, via the program's formulas; a query
         # atom outside the base is a component of its own.
-        n = len(self.base)
-        parent = list(range(n))
+        parent = list(range(len(self.base)))
 
         def find(a):
             while parent[a] != a:
@@ -360,7 +361,7 @@ class _Engine:
                 if r != first:
                     parent[r] = first
         groups: dict[int, list[int]] = {}
-        for a in range(n):
+        for a in range(len(parent)):
             groups.setdefault(find(a), []).append(a)
         self.components = [
             _Component(cid, tuple(sorted(members)))
@@ -368,51 +369,49 @@ class _Engine:
         ]
         atom_comp = {a: comp.cid for comp in self.components for a in comp.atoms}
 
-        # Per program formula its component, and per component its formulas'
-        # signature classes and row coefficients.
+        # Per program formula its component and its row coefficients over the
+        # component's signature classes.
         self._fid_comp = [atom_comp[min(idxs)] for _, idxs in self._formula_atoms[:n_program]]
         comp_fids = {comp.cid: [] for comp in self.components}
         for fid, cid in enumerate(self._fid_comp):
             comp_fids[cid].append(fid)
-        fid_coeffs: list = [None] * n_program  # one list for every component
+        self._coeffs: list = [None] * n_program
         self._shapes: dict = {}  # see _split
         for comp in self.components:
-            self._split(comp, comp_fids[comp.cid], fid_coeffs)
+            self._split(comp, comp_fids[comp.cid])
 
-        # Each extra formula is answered over the components its atoms touch:
-        # the one it lies in, or else their union, a component of its own
-        # that may hold at most the cap.  Its least mass sums the classes
-        # inside it, its greatest the classes that meet it: program rows
-        # cannot tell a class's worlds apart, so this is the range that
-        # splitting the classes by the formula would give.
-        # cids -> (component, cids, [(fid, least coefficients, greatest)])
-        self._queries = joined = {}
+        # Each extra formula is answered per component its atoms touch, by its
+        # part there: its atoms in it under its connective, whose least mass
+        # sums the classes inside it and greatest the classes that meet it (no
+        # program row tells a class's worlds apart).  No program formula spans
+        # two components, so parts couple freely and and_ig or or_ig folds
+        # their ranges.  Per component its parts (name, least coefficients,
+        # greatest), named fid when whole, else (fid, cid); per formula of
+        # several parts (fid, fold, names).
+        self._parts: dict[int, list] = {}
+        self._folds = []
         for fid in dict.fromkeys(self.extra_fids):
             conn, idxs = self._formula_atoms[fid]
-            cids = tuple(sorted({atom_comp[a] for a in idxs}))
-            if cids not in joined:
-                comp = self.components[cids[0]]
-                if len(cids) > 1:
-                    union = sorted(a for cid in cids for a in self.components[cid].atoms)
-                    if len(union) > opts.max_world_atoms:
-                        raise BaseTooLarge(len(union), opts.max_world_atoms, "a query component")
-                    comp = _Component(n + len(joined), tuple(union))
-                    self._split(comp, [f for cid in cids for f in comp_fids[cid]], {})
-                joined[cids] = (comp, cids, [])
-            comp = joined[cids][0]
-            mask = comp.formula_mask(*comp.local(conn, idxs))
-            joined[cids][2].append((fid, comp.coefficients(mask, True), comp.coefficients(mask)))
+            cids = sorted({atom_comp[a] for a in idxs})
+            names = [fid] if len(cids) == 1 else [(fid, cid) for cid in cids]
+            for cid, name in zip(cids, names):
+                comp = self.components[cid]
+                mask = comp.formula_mask(*comp.local(conn, idxs))
+                part = (name, comp.coefficients(mask, True), comp.coefficients(mask))
+                self._parts.setdefault(cid, []).append(part)
+            if len(cids) > 1:
+                self._folds.append((fid, or_ig if conn is Connective.OR else and_ig, names))
         # Keyed by (cid, the component's box key), for the engine's life: the
-        # feasibility LPResult of a multi-atom component (see _solved), {extra
-        # fid: (least, greatest mass)}, and (class masses of greatest entropy,
-        # that entropy).
+        # feasibility LPResult of a multi-atom component (see _solved), {part
+        # name: (least, greatest mass)}, and (class masses of greatest
+        # entropy, that entropy).
         self._solves: dict = {}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
         # The box-consistent leaves that the latest walk has reached.
         self.walked = 0
 
-    def _split(self, comp: _Component, fids: list[int], coeffs: dict | list) -> None:
+    def _split(self, comp: _Component, fids: list[int]) -> None:
         """Split comp's worlds into the signature classes of the program
         formulas fids, all inside comp, and set their row coefficients.
 
@@ -428,8 +427,7 @@ class _Engine:
             table = self._shapes[shape] = (comp.classes, [comp.coefficients(m) for m in masks])
         comp.classes, rows = table
         for fid, row in zip(fids, rows):
-            coeffs[fid] = row
-        comp.coeffs = coeffs
+            self._coeffs[fid] = row
 
     # -- branch enumeration --
 
@@ -530,29 +528,31 @@ class _Engine:
 
     def mass_ranges(self, keys) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
-        leaf: an unnarrowed component's from its coefficients, any other's
-        from the optima of its boxes' solve."""
+        leaf.  A part's are [0, 1] when the leaf leaves its component
+        unnarrowed, else the optima of its boxes' solve; a formula of several
+        parts folds theirs."""
         out = {}
-        for comp, cids, queries in self._queries.values():
-            key = tuple(sorted(itertools.chain.from_iterable(keys.get(cid, ()) for cid in cids)))
-            memo = (comp.cid, key)
-            if memo not in self._ranges:
+        for cid, parts in self._parts.items():
+            key = keys.get(cid, ())
+            memo = (cid, key)
+            ranges = self._ranges.get(memo)
+            if ranges is None:
                 if not key:
-                    # only the row summing the masses to 1: the simplex's
-                    # vertices put all mass on one class
-                    self._ranges[memo] = {
-                        fid: (min(least), max(most)) for fid, least, most in queries
-                    }
+                    # only the row summing the masses to 1: a vertex puts all
+                    # mass on the class of the world with no atom, outside
+                    # every part, or on the all-atom world's, inside it
+                    ranges = dict.fromkeys((name for name, _, _ in parts), (ZERO, ONE))
                 else:
-                    start = self._solved(comp, key)
-                    self._ranges[memo] = {
-                        fid: (
-                            start.optimum(least, maximize=False).value,
-                            start.optimum(most, maximize=True).value,
-                        )
-                        for fid, least, most in queries
+                    start = self._solved(self.components[cid], key)
+                    ranges = {
+                        name: (start.optimum(least).value, start.optimum(most, True).value)
+                        for name, least, most in parts
                     }
-            out.update(self._ranges[memo])
+                self._ranges[memo] = ranges
+            out.update(ranges)
+        for fid, fold, names in self._folds:
+            iv = functools.reduce(fold, (ProbInterval(*out.pop(name)) for name in names))
+            out[fid] = (iv.lo, iv.hi)
         return out
 
     # -- per-component LPs --
@@ -563,9 +563,9 @@ class _Engine:
         out = [([ONE] * len(comp.classes), "=", ONE)]
         for fid, lo, hi in key:
             if hi < 1:
-                out.append((list(comp.coeffs[fid]), "<=", hi))
+                out.append((list(self._coeffs[fid]), "<=", hi))
             if lo > 0:
-                out.append((list(comp.coeffs[fid]), ">=", lo))
+                out.append((list(self._coeffs[fid]), ">=", lo))
         return out
 
     def _solved(self, comp: _Component, key: tuple) -> LPResult | _BoxSolve:

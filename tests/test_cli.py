@@ -253,12 +253,26 @@ class TestTighten:
         }
         assert body["branch_count"] == 1 and body["boundary_sensitive"] is False
 
-    def test_query_component_over_the_cap(self, fixtures, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "formula, interval", [("a@1 and b@1", ["0/1", "3/5"]), ("a@1 or b@1", ["1/2", "1/1"])]
+    )
+    def test_formula_over_two_components(self, fixtures, tmp_path, formula, interval):
+        # a@1 and b@1 are separate components of p0, with ranges [1/2, 7/10]
+        # and [2/5, 3/5]: and_ig and or_ig of them
+        q = tmp_path / "q.tpq"
+        q.write_text(f"?tighten {formula}.\n")
+        res = invoke("tighten", str(fixtures / "p0.tpl"), str(q), "--json")
+        assert res.exit_code == 0
+        assert jpayload(res)["intervals"] == {formula: interval}
+
+    def test_query_component_over_the_cap(self, fixtures, tmp_path):
+        # 17 atoms outside p0's 2-atom base, one component each: the world
+        # cap counts the base alone, and the parts fold by and_ig
         q = tmp_path / "q.tpq"
         q.write_text("?tighten " + " and ".join(f"a{i}@1" for i in range(1, 18)) + ".\n")
-        res = invoke("tighten", str(fixtures / "p0.tpl"), str(q))
-        assert res.exit_code == 3 and res.payload == ""
-        assert "a query component has 17 atoms, above the cap of 16" in capsys.readouterr().err
+        res = invoke("tighten", str(fixtures / "p0.tpl"), str(q), "--json")
+        assert res.exit_code == 0
+        assert list(jpayload(res)["intervals"].values()) == [["0/1", "1/1"]]
 
 
 class TestMaxent:
@@ -649,7 +663,7 @@ class TestDeepNesting:
         res = invoke("ialg", expr)
         assert (res.exit_code, res.payload) == (2, "")
         err = capsys.readouterr().err
-        assert err.startswith("error: expression nested deeper than 100 levels at offset 706 ")
+        assert err == "error: expression nested deeper than 100 levels at offset 706\n"
         expr = "meet_k(" * 100 + "[0,1]" + ",[0,1])" * 100
         assert invoke("ialg", expr).exit_code == 0
 
@@ -808,9 +822,10 @@ class TestCalendarCap:
 
 
 class TestCompanionCap:
-    """Validation and grounding enumerate at most 10,000 groundings of an
-    annotation's or a clause's companion temporal variables; more exit 3
-    before the first is made."""
+    """Validation and grounding solve the groundings of an annotation's or a
+    clause's companion temporal variables over the calendar, at most
+    1,000,000 evaluations, |calendar| ** (companions + 1); more exit 3 before
+    the first grounding is made."""
 
     @staticmethod
     def groundings(monkeypatch):
@@ -830,16 +845,26 @@ class TestCompanionCap:
         fact = "a@Y : <Y >= Y1 and Y <= Y2, uniform, uniform>.\n"
         program.write_text("calendar 1..100.\n" + fact)
         res = invoke("validate", str(program))
-        assert res.exit_code == 0 and res.payload.startswith("ok")
+        # 4,950 groundings have an empty window: one warning for them all
+        assert (res.exit_code, res.payload) == (0, "ok (1 warning(s))")
         assert len(calls) == 100**2
-        capsys.readouterr()
+        assert capsys.readouterr().err.count("EmptySolutionSet") == 1
         calls.clear()
         program.write_text("calendar 1..101.\n" + fact)
         res = invoke("validate", str(program))
         assert (res.exit_code, res.payload, calls) == (3, "", [])
         assert capsys.readouterr().err == (
             "error: companion temporal variables Y1, Y2 have 101^2 groundings over the "
-            "calendar, above the cap of 10000\n"
+            "calendar, each solved at its 101 points: 101^3 evaluations, above the cap "
+            "of 1000000\n"
+        )
+        program.write_text("calendar 1..1001.\na@Y : <Y >= Y1, uniform, uniform>.\n")
+        res = invoke("validate", str(program))
+        assert (res.exit_code, res.payload, calls) == (3, "", [])
+        assert capsys.readouterr().err == (
+            "error: companion temporal variables Y1 have 1001^1 groundings over the "
+            "calendar, each solved at its 1001 points: 1001^2 evaluations, above the cap "
+            "of 1000000\n"
         )
 
     def test_ground(self, tmp_path, capsys):
@@ -855,7 +880,8 @@ class TestCompanionCap:
         assert (res.exit_code, res.payload) == (3, "")
         assert capsys.readouterr().err.endswith(
             "error: companion temporal variables Y3, Y4 have 101^2 groundings over the "
-            "calendar, above the cap of 10000\n"
+            "calendar, each solved at its 101 points: 101^3 evaluations, above the cap "
+            "of 1000000\n"
         )
         assert issubclass(tplp.GroundingTooLarge, tplp.TplpError)
 

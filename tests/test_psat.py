@@ -20,7 +20,7 @@ from oracles import grid_distributions, reference_leaf_rows, reference_leaves, r
 from tplp.cli import run
 from tplp.errors import BaseTooLarge, InconsistentProgram, NonConvergence
 from tplp.grounder import GroundingMode, HerbrandBase, PClause, PProgram, ground_program, unfold
-from tplp.intervals import ProbInterval
+from tplp.intervals import ProbInterval, and_ig, or_ig
 from tplp.model import BasicFormula, Calendar, Connective, TAtom, TVar, substitute_time
 from tplp.parser import parse_program, parse_query
 from tplp.psat import (
@@ -347,7 +347,7 @@ class TestBoxLeaves:
                         checked.add((comp.cid, *mine))
                         n = len(comp.classes)
                         union_rows = [([1] * n, "=", 1)] + [
-                            (list(comp.coeffs[fid]), sense, rhs) for fid, sense, rhs in mine
+                            (list(engine._coeffs[fid]), sense, rhs) for fid, sense, rhs in mine
                         ]
                         box_rows = engine._lp_rows(comp, keys.get(comp.cid, frozenset()))
                         systems += 1
@@ -457,7 +457,7 @@ class TestBoxDecided:
             target = BasicFormula.single(pp.clauses[0].head)
             engine = _Engine(pp, SolveOptions(), [target])
             assert all(comp.k == 1 for comp in engine.components)
-            assert all(comp.box_decided for comp, _, _ in engine._queries.values())
+            assert all(engine.components[cid].box_decided for cid in engine._parts)
             oracle = BruteForce(pp, extra_formulas=[target])
             res = check_consistency(pp)
             assert (res.verdict is Verdict.CONSISTENT) == oracle.consistent()
@@ -474,9 +474,9 @@ class TestBoxDecided:
 
 
 class TestRowlessComponents:
-    """A query component with no rows in a leaf is bounded by the row summing
-    its class masses to 1 alone, whose vertices put all mass on one class: its
-    ranges come from the coefficients, with no LP."""
+    """A component with no rows in a leaf is bounded by the row summing its
+    class masses to 1 alone, whose vertices put all mass on one class: the
+    range of every query part in it is [0, 1], with no LP."""
 
     def test_no_lp_for_an_atom_outside_the_program(self, lp_systems):
         pp = unfold(parse_program("calendar 1..1.\na@Y : <Y=1, [0.2], [0.8]>.\n").program)
@@ -485,7 +485,7 @@ class TestRowlessComponents:
 
     def test_ranges_match_the_simplex(self):
         rng = random.Random(911)
-        checked = 0
+        checked = joined = 0
         for _ in range(60):
             base = small_base(rng.randint(2, 4))
             pp = rand_pprogram(rng, base, n_clauses=rng.randint(1, 4))
@@ -497,14 +497,27 @@ class TestRowlessComponents:
                 formulas.append(BasicFormula.of(conn, members))
             engine = _Engine(pp, SolveOptions(), formulas)
             ranges = engine.mass_ranges({})
-            for comp, _, queries in engine._queries.values():
-                n = len(comp.classes)
-                start = solve_lp(n, [([1] * n, "=", 1)])
-                for fid, least, most in queries:
-                    lp = (start.optimum(least).value, start.optimum(most, maximize=True).value)
-                    assert ranges[fid] == lp
+            for f, fid in zip(formulas, engine.extra_fids):
+                idxs = {engine.base.index_of(a) for a in f.atoms}
+                parts = [comp for comp in engine.components if idxs & set(comp.atoms)]
+                fold = or_ig if f.connective is Connective.OR else and_ig
+                want = None
+                for comp in parts:
+                    # the part: f's atoms in comp under f's connective
+                    mask = comp.formula_mask(*comp.local(f.connective, idxs))
+                    n = len(comp.classes)
+                    start = solve_lp(n, [([1] * n, "=", 1)])
+                    lp = (
+                        start.optimum(comp.coefficients(mask, True)).value,
+                        start.optimum(comp.coefficients(mask), maximize=True).value,
+                    )
+                    name = fid if len(parts) == 1 else (fid, comp.cid)
+                    assert engine._ranges[comp.cid, ()][name] == lp
+                    want = ProbInterval(*lp) if want is None else fold(want, ProbInterval(*lp))
                     checked += 1
-        assert checked >= 100
+                assert ranges[fid] == (want.lo, want.hi)
+                joined += len(parts) > 1
+        assert checked >= 100 and joined >= 40
 
 
 class TestGridOracle:
@@ -575,6 +588,48 @@ class TestAgainstBruteForce:
             assert abs(float(bounds.lo) - lo) <= 1e-6
             assert abs(float(bounds.hi) - hi) <= 1e-6
         assert consistent_cases >= 10
+
+
+class TestQueryParts:
+    """A query formula is answered per component it touches: its part there
+    is its atoms in that component, and the parts' ranges fold by and_ig
+    (AND) or or_ig (OR), since masses in different components couple freely.
+    The world cap counts the program's base alone."""
+
+    def test_formulas_over_components_match_brute_force(self):
+        from oracles import BruteForce
+
+        rng = random.Random(913)
+        outside = [TAtom("z", (), 1), TAtom("w", (), 1)]
+        programs = formulas_checked = over_old_cap = 0
+        while programs < 40:
+            base = small_base(rng.randint(3, 5))
+            pp = rand_pprogram(rng, base, n_clauses=rng.randint(1, 3))
+            components = _Engine(pp, SolveOptions()).components
+            if len(components) < 2:
+                continue
+            formulas = []
+            for _ in range(rng.randint(1, 3)):
+                touched = rng.sample(components, min(len(components), rng.randint(2, 3)))
+                extra = rng.sample(outside, rng.randint(0, 2))
+                members = [base.atoms[rng.choice(c.atoms)] for c in touched] + extra
+                conn = rng.choice([Connective.AND, Connective.OR])
+                formulas.append(BasicFormula.of(conn, tuple(members)))
+                # its components and outside atoms hold more atoms than the cap
+                over_old_cap += sum(c.k for c in touched) + len(extra) > len(base)
+            oracle = BruteForce(pp, extra_formulas=formulas)
+            opts = SolveOptions(max_world_atoms=len(base))
+            verdict = check_consistency(pp, opts).verdict
+            assert (verdict is Verdict.CONSISTENT) == oracle.consistent()
+            if verdict is not Verdict.CONSISTENT:
+                continue
+            programs += 1
+            for f, iv in zip(formulas, tighten(pp, formulas, opts).intervals):
+                lo, hi = oracle.tighten(f)
+                assert abs(float(iv.lo) - lo) <= 1e-6, (f, iv, lo)
+                assert abs(float(iv.hi) - hi) <= 1e-6, (f, iv, hi)
+                formulas_checked += 1
+        assert formulas_checked >= 60 and over_old_cap >= 15
 
 
 class TestTighten:
@@ -678,10 +733,10 @@ class TestTighten:
         assert answered >= 10
 
     def test_each_formula_capped_alone(self):
-        """The cap counts the atoms that one formula's components hold, not
-        every formula's at once, and the formulas leave the program's
-        classes unsplit: a@1 and a@2 share a component, and each instance
-        adds one atom of its own to it."""
+        """The cap counts the program's base alone, never the query atoms
+        outside it, and the formulas leave the program's classes unsplit:
+        a@1 and a@2 share a component, and each instance adds one atom of
+        its own."""
         a1, a2, z1, z2 = (TAtom(p, (), t) for p, t in (("a", 1), ("a", 2), ("z", 1), ("z", 2)))
         joined = BasicFormula.of(Connective.AND, (a1, a2))
         pp = PProgram(
@@ -698,8 +753,11 @@ class TestTighten:
         assert joint.intervals[1] == ProbInterval(0, F(2, 5))
         engine = _Engine(pp, opts, instances)
         assert engine.components[0].classes == _Engine(pp, opts).components[0].classes
-        with pytest.raises(BaseTooLarge, match="a query component has 4 atoms"):
-            tighten(pp, [BasicFormula.of(Connective.OR, (a1, z1, z2))], opts)
+        # over the cap with its two atoms outside the base: or_ig of a@1's
+        # range and two [0, 1]
+        wide = tighten(pp, [BasicFormula.of(Connective.OR, (a1, z1, z2))], opts)
+        least = tighten(pp, [BasicFormula.single(a1)], opts).intervals[0].lo
+        assert wide.intervals == [ProbInterval(least, 1)]
 
     def test_no_formula(self):
         res = tighten(load_unfolded("p0.tpl"), [])
