@@ -30,6 +30,7 @@ from .errors import (
     CalendarTooLarge,
     GroundingTooLarge,
     InconsistentProgram,
+    InvalidAnnotation,
     LPNumericalFailure,
     MissingTimeSlice,
     NonConvergence,

@@ -56,6 +56,15 @@ class TimePointOutsideCalendar(TplpError):
     """A time point falls outside the program calendar."""
 
 
+class InvalidAnnotation(TplpError):
+    """An annotation fails validation.  diagnostics holds its errors, in the
+    order validation reports them; the message is the first."""
+
+    def __init__(self, diagnostics):
+        super().__init__(str(diagnostics[0]))
+        self.diagnostics = diagnostics
+
+
 class InconsistentProgram(TplpError):
     """The operation requires a consistent program but none of its branches is feasible."""
 

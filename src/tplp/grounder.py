@@ -207,7 +207,7 @@ def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PT
         for obj_env in _object_substitutions(cl, constants):
             if not checked or _producible_body(cl, obj_env, producible):
                 out.extend(_substitute_clause(cl, obj_env, t_env) for t_env in t_envs)
-    return PTProgram(p.calendar, tuple(out), p.constants)
+    return p._regrounded(out)
 
 
 def ground_temporal_variables(p: PTProgram) -> PTProgram:
@@ -217,7 +217,7 @@ def ground_temporal_variables(p: PTProgram) -> PTProgram:
         for cl in p.clauses
         for t_env in companion_groundings(cl.companion_tvars, p.calendar)
     ]
-    return PTProgram(p.calendar, tuple(out), p.constants)
+    return p._regrounded(out)
 
 
 # --- unfolding -------------------------------------------------------------------

@@ -13,6 +13,7 @@ excluded from equality, which keeps round-trip comparisons structural.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
@@ -689,6 +690,13 @@ class PTProgram:
         object.__setattr__(
             self, "constants", frozenset(self.constants) | occurring_constants(self.clauses)
         )
+
+    def _regrounded(self, clauses) -> PTProgram:
+        """This program over clauses that mention only its constants, such as
+        instances of its own clauses: its constants are kept, not rescanned."""
+        out = copy.copy(self)
+        object.__setattr__(out, "clauses", tuple(clauses))
+        return out
 
     def validate(self) -> list[Diagnostic]:
         """Program-wide diagnostics: annotations, arities, calendar membership."""

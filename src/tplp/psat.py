@@ -14,6 +14,10 @@ yields the box keys of the feasible leaves only and counts every
 box-consistent leaf it reaches (a result's branch_count), so each operation
 is one fold over it: the first key for consistency, a running min and max for
 tightening and entailment, the best entropy for the maximum-entropy model.
+A fold whose bounds are all [0, 1] is settled, since every mass lies there:
+the walk then only counts the leaves left.  Tightening's probe at epsilon/2,
+whose boxes contain those at epsilon, only asks whether some leaf there
+leaves the bounds, and stops at the first that does.
 
 Two reductions keep the LPs small without changing their answers:
 
@@ -48,10 +52,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BaseTooLarge, InconsistentProgram, NonConvergence
+from .errors import BaseTooLarge, InconsistentProgram, InvalidAnnotation, NonConvergence
 from .grounder import HerbrandBase, PProgram
 from .intervals import FULL, ONE, ZERO, ProbInterval, and_ig, or_ig
-from .model import BasicFormula, Calendar, Connective, substitute_time
+from .model import BasicFormula, Calendar, Connective, substitute_time, validate_annotation
 from .parser import Query
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
 from .worlds import WorldDistribution, set_bits
@@ -408,8 +412,11 @@ class _Engine:
         self._solves: dict = {}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
-        # The box-consistent leaves that the latest walk has reached.
+        # The box-consistent leaves that the latest walk has reached, and
+        # whether its fold is settled: no later leaf can change its answer,
+        # so the walk only counts them (each walk starts unsettled).
         self.walked = 0
+        self.settled = False
 
     def _split(self, comp: _Component, fids: list[int]) -> None:
         """Split comp's worlds into the signature classes of the program
@@ -446,8 +453,12 @@ class _Engine:
         and the leaves reached are those of the walk without the check.  The
         walk keeps its own stack, so the tree's depth (one level per clause)
         has no recursion limit.
+
+        Once the fold sets settled, the walk decides no further leaf: it
+        counts the box-consistent leaves it still reaches and yields none.
         """
         self.walked = 0
+        self.settled = False
         if not self.clauses:
             self.walked = 1
             yield {}
@@ -491,6 +502,8 @@ class _Engine:
                 tries.append(0)
                 continue
             self.walked += 1
+            if self.settled:
+                continue
             keys = self.box_keys(boxes)
             if self.feasible(keys):
                 yield keys
@@ -716,16 +729,36 @@ class _Engine:
 # --- public operations --------------------------------------------------------------
 
 
+def _saturated(bounds: dict) -> bool:
+    """Whether every bound is [0, 1], which holds every mass, so no leaf can
+    move it."""
+    return all(lo == 0 and hi == 1 for lo, hi in bounds.values())
+
+
 def _mass_bounds(engine: _Engine, eps: Fraction):
     """Least and greatest mass per extra formula over every feasible leaf, or
-    None when no leaf is feasible."""
+    None when no leaf is feasible.  Once every bound is saturated the fold is
+    settled, and the walk only counts the leaves left."""
     bounds: dict[int, tuple[Fraction, Fraction]] | None = None
     for keys in engine.leaves(eps):
         ranges = engine.mass_ranges(keys)
         bounds = ranges if bounds is None else {
             f: (min(lo, bounds[f][0]), max(hi, bounds[f][1])) for f, (lo, hi) in ranges.items()
         }
+        engine.settled = _saturated(bounds)
     return bounds
+
+
+def _bound_moves(engine: _Engine, eps: Fraction, bounds: dict) -> bool:
+    """Whether some feasible leaf at eps gives an extra formula a mass outside
+    its bounds, asked leaf by leaf up to the first that does."""
+    if _saturated(bounds):
+        return False
+    return any(
+        lo < bounds[f][0] or hi > bounds[f][1]
+        for keys in engine.leaves(eps)
+        for f, (lo, hi) in engine.mass_ranges(keys).items()
+    )
 
 
 def _instance_bounds(pp: PProgram, formulas, opts: SolveOptions, undefined: str):
@@ -756,12 +789,19 @@ def tighten(
 ) -> TightenResult:
     """Tightest probability interval of each formula across all models
     (epsilon-closed), all from one walk.  boundary_sensitive tells whether
-    halving epsilon moves any of them."""
+    halving epsilon moves any of them.
+
+    At epsilon/2 every choice's box contains its box at epsilon (a body
+    violation's box reaches epsilon/2 closer to the interval, and one
+    impossible at epsilon may become possible), so every leaf's masses can
+    only spread and the bounds at epsilon/2 contain those at epsilon: a bound
+    moves exactly when some leaf at epsilon/2 leaves the bounds, and a
+    saturated bound cannot."""
     engine, bounds = _instance_bounds(pp, formulas, opts, "tighten requires a consistent program")
     count = engine.walked  # read before the probe's walk resets it
-    probe = _mass_bounds(engine, opts.epsilon / 2)
+    moves = _bound_moves(engine, opts.epsilon / 2, bounds)
     intervals = [ProbInterval(*bounds[fid]) for fid in engine.extra_fids]
-    return TightenResult(intervals, count, probe != bounds, opts.epsilon)
+    return TightenResult(intervals, count, moves, opts.epsilon)
 
 
 def entails(
@@ -771,9 +811,13 @@ def entails(
     opts: SolveOptions = SolveOptions(),
 ) -> EntailmentResult:
     """Check that every model keeps the query formula inside its target interval
-    at every solution point of the query constraint."""
+    at every solution point of the query constraint.  An annotation that
+    fails validation raises InvalidAnnotation with its errors."""
     if query.annot is None:
         raise ValueError("entailment needs an annotated query")
+    errors = [d for d in validate_annotation(query.annot, calendar) if d.is_error]
+    if errors:
+        raise InvalidAnnotation(errors)
     undefined = "entailment is undefined for an inconsistent program"
     window = query.annot.instant(calendar)
     if not window:

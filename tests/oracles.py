@@ -11,6 +11,10 @@ reference_solve_lp is the other kind of oracle: the package's exact simplex
 as it was written on Fraction arithmetic, before it pivoted on integer
 numerators over per-row denominators.  Both make the same pivots, so the two
 must agree on every status, vertex, value and final basis.
+
+reference_bounds is a third kind: the package's own walk and leaf ranges,
+folded as tighten and entails folded them before a fold could settle, over
+every feasible leaf with no early exit, and at epsilon/2 a second whole fold.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import itertools
 from fractions import Fraction
 
 from tplp.grounder import PProgram
+from tplp.intervals import ProbInterval
 from tplp.model import (
     Cmp,
     CNot,
@@ -28,7 +33,9 @@ from tplp.model import (
     TimeRange,
     WeightKind,
     eval_texpr,
+    substitute_time,
 )
+from tplp.psat import _Engine
 
 BIG_M = 1e7
 TOL = 1e-9
@@ -432,6 +439,52 @@ def reference_leaf_rows(engine, eps: Fraction):
             tries.append(0)
         else:
             yield [row for taken, _ in path for row in taken]
+
+
+# --- reference fold: every feasible leaf, nothing settled ----------------------------
+
+
+def reference_bounds(pp: PProgram, formulas, opts, eps: Fraction):
+    """Fold every feasible leaf of a fresh engine's walk at eps, with no
+    early exit: (extra fids, {fid: (least, greatest mass)} or None when no
+    leaf is feasible, leaves walked)."""
+    engine = _Engine(pp, opts, formulas)
+    bounds = None
+    for keys in engine.leaves(eps):
+        ranges = engine.mass_ranges(keys)
+        if bounds is None:
+            bounds = dict(ranges)
+            continue
+        for fid, (lo, hi) in ranges.items():
+            have_lo, have_hi = bounds[fid]
+            bounds[fid] = (min(lo, have_lo), max(hi, have_hi))
+    return engine.extra_fids, bounds, engine.walked
+
+
+def reference_tighten(pp: PProgram, formulas, opts):
+    """(intervals, branch_count, boundary_sensitive) from two whole folds,
+    at epsilon and at epsilon/2; None for an inconsistent program."""
+    fids, bounds, count = reference_bounds(pp, formulas, opts, opts.epsilon)
+    if bounds is None:
+        return None
+    _, probe, _ = reference_bounds(pp, formulas, opts, opts.epsilon / 2)
+    return [ProbInterval(*bounds[fid]) for fid in fids], count, probe != bounds
+
+
+def reference_entails(pp: PProgram, query, calendar, opts):
+    """(per time (t, bounds, target, holds), branch_count) of a query with a
+    non-empty window, from the whole fold at epsilon; None for an
+    inconsistent program."""
+    window = query.annot.instant(calendar)
+    instances = [substitute_time(query.formula, t) for t, _ in window]
+    fids, bounds, count = reference_bounds(pp, instances, opts, opts.epsilon)
+    if bounds is None:
+        return None
+    per_time = []
+    for (t, target), fid in zip(window, fids):
+        bound = ProbInterval(*bounds[fid])
+        per_time.append((t, bound, target, target.contains_interval(bound)))
+    return per_time, count
 
 
 # --- reference simplex: the exact two-phase tableau on Fractions ---------------------

@@ -141,6 +141,23 @@ class TestGroundProgram:
         g = ground_temporal_variables(p).clauses
         assert g[0].body[0][1] is not g[1].body[0][1]
 
+    def test_grounding_keeps_the_constants_unscanned(self, monkeypatch):
+        # every instance draws its constants from the source program's, so
+        # the grounded program takes that set as it is
+        text = golden_file("shipping8.tpl") + "constants unused.\n"
+        p = parse_program(text).program
+        scans = []
+        scan = tplp.model.occurring_constants
+        monkeypatch.setattr(
+            tplp.model, "occurring_constants", lambda clauses: scans.append(1) or scan(clauses)
+        )
+        for mode in GroundingMode:
+            g = ground_program(p, mode)
+            assert g.constants == p.constants and "unused" in g.constants
+            assert g.calendar == p.calendar and len(g.clauses) > len(p.clauses)
+            assert ground_temporal_variables(g).constants == p.constants
+        assert scans == []
+
 
 class TestUnfold:
     def test_one_instant_per_annotation(self, monkeypatch):

@@ -16,13 +16,29 @@ from generators import (
     rand_tp_program,
     small_base,
 )
-from oracles import grid_distributions, reference_leaf_rows, reference_leaves, row_boxes
+from oracles import (
+    grid_distributions,
+    reference_entails,
+    reference_leaf_rows,
+    reference_leaves,
+    reference_tighten,
+    row_boxes,
+)
 from tplp.cli import run
-from tplp.errors import BaseTooLarge, InconsistentProgram, NonConvergence
+from tplp.diagnostics import DiagnosticKind
+from tplp.errors import BaseTooLarge, InconsistentProgram, InvalidAnnotation, NonConvergence
 from tplp.grounder import GroundingMode, HerbrandBase, PClause, PProgram, ground_program, unfold
 from tplp.intervals import ProbInterval, and_ig, or_ig
-from tplp.model import BasicFormula, Calendar, Connective, TAtom, TVar, substitute_time
-from tplp.parser import parse_program, parse_query
+from tplp.model import (
+    BasicFormula,
+    Calendar,
+    Connective,
+    TAtom,
+    TPAnnotation,
+    TVar,
+    substitute_time,
+)
+from tplp.parser import Query, QueryKind, parse_program, parse_query
 from tplp.psat import (
     SolveOptions,
     _BoxSolve,
@@ -295,11 +311,23 @@ class TestWarmStarts:
 
     def test_tighten_solves_each_row_system_once(self, lp_systems):
         pp = dense_program(random.Random(501))
-        target = BasicFormula.of(Connective.AND, [TAtom(p, (), 1) for p in ("p5", "p2", "p3")])
+        target = single("p0")
         assert len(_Engine(pp, SolveOptions(), [target]).components) == 1
         res = tighten(pp, [target])
+        assert res.intervals == [ProbInterval(F(1, 2), F(3, 5))]
         assert res.branch_count > 1 and len(lp_systems) > 1
         assert len(lp_systems) == len(set(lp_systems))
+
+    def test_saturated_tighten_stops_solving(self, lp_systems):
+        # the first leaf already gives p5 and p2 and p3 every mass in [0, 1]:
+        # the walk counts the other leaves without solving them, and the
+        # probe at epsilon/2 makes no walk
+        pp = dense_program(random.Random(501))
+        target = BasicFormula.of(Connective.AND, [TAtom(p, (), 1) for p in ("p5", "p2", "p3")])
+        res = tighten(pp, [target])
+        assert res.intervals == [ProbInterval(F(0), F(1))]
+        assert (res.branch_count, res.boundary_sensitive) == (7, False)
+        assert len(lp_systems) == 1
 
     def test_maxent_solves_each_row_system_once(self, lp_systems):
         # multicol18 (tests/golden/multicolumn.json) has multi-atom components
@@ -796,6 +824,21 @@ class TestEntails:
         with pytest.raises(InconsistentProgram):
             entails(pp, q, p.calendar)
 
+    def test_weight_list_of_the_wrong_length(self, fixtures, tmp_path, capsys):
+        """A library caller gets the error the command line reports, not a
+        bare ValueError from the weight list's length."""
+        text = "?entail a@Y and b@Y : <Y:1~2, [0.9], [1.0]>."
+        q = parse_query(text).query
+        with pytest.raises(InvalidAnnotation) as caught:
+            entails(load_unfolded("p0.tpl"), q, Calendar.from_range(1, 2))
+        assert caught.value.exit_code == 2
+        kinds = [d.kind for d in caught.value.diagnostics]
+        assert kinds == [DiagnosticKind.LENGTH_MISMATCH] * 2
+        query = tmp_path / "q.tpq"
+        query.write_text(text)
+        assert run(["entail", str(fixtures / "p0.tpl"), str(query)]).exit_code == 2
+        assert capsys.readouterr().err.splitlines()[0] == str(caught.value)
+
     def test_antitone_in_program_strength(self):
         p = load_program("p0.tpl")
         pp = load_unfolded("p0.tpl")
@@ -816,6 +859,107 @@ class TestEntails:
             q = parse_query(text).query
             if entails(pp, q, p.calendar).entailed:
                 assert entails(spp, q, sp.calendar).entailed
+
+
+class TestSettledFold:
+    """A fold whose every bound is [0, 1] stops deciding leaves and only
+    counts them, and the epsilon/2 probe stops at the first leaf that moves a
+    bound: intervals, branch_count, boundary_sensitive and per-time verdicts
+    are those of the whole folds in tests/oracles.py."""
+
+    OPTS = SolveOptions()
+
+    def assert_tighten_matches(self, pp, formulas):
+        expected = reference_tighten(pp, formulas, self.OPTS)
+        if expected is None:
+            with pytest.raises(InconsistentProgram):
+                tighten(pp, formulas, self.OPTS)
+            return None
+        res = tighten(pp, formulas, self.OPTS)
+        assert (res.intervals, res.branch_count, res.boundary_sensitive) == expected
+        return res
+
+    def assert_entails_matches(self, pp, query, cal):
+        per_time, count = reference_entails(pp, query, cal, self.OPTS)
+        res = entails(pp, query, cal, self.OPTS)
+        assert [(v.time, v.bounds, v.target, v.holds) for v in res.per_time] == per_time
+        assert res.entailed == all(holds for *_, holds in per_time)
+        assert res.branch_count == count
+        return res.entailed
+
+    def test_random_programs(self):
+        rng = random.Random(920)
+        answered = []
+        for i in range(200):
+            if i % 2:
+                base = small_base(rng.randint(2, 6))
+                pp = rand_pprogram(
+                    rng, base, n_clauses=rng.randint(1, 5), formula_sizes=(1, 1, 2, 3)
+                )
+            else:
+                pp = facts_last_pprogram(rng, rng.randint(1, 4))
+            formulas = [
+                BasicFormula.of(
+                    rng.choice([Connective.AND, Connective.OR]),
+                    rng.sample(pp.base.atoms, rng.randint(1, min(3, len(pp.base)))),
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            res = self.assert_tighten_matches(pp, formulas)
+            if res is not None:
+                answered.append(res)
+        settled = [
+            r for r in answered
+            if r.branch_count > 1 and all(iv == ProbInterval(0, 1) for iv in r.intervals)
+        ]
+        assert len(answered) >= 180 and len(settled) >= 20
+        assert sum(r.boundary_sensitive for r in answered) >= 2
+
+    def test_recipe_b(self):
+        """Every head atom of the seeded programs at once, and entailment of
+        each program's first head formula against its own tightened
+        intervals (entailed) and against them narrowed at one point (not)."""
+        sensitive = entailed = refuted = 0
+        for seed in range(400, 431):
+            if seed in (402, 409, 414, 421, 428):  # each takes over 0.3 s
+                continue
+            rng = random.Random(seed)
+            cal = Calendar.from_range(1, rng.randint(2, 3))
+            preds = ["a", "b", "c"][: rng.randint(2, 3)]
+            pp = unfold(rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds))
+            heads = dict.fromkeys(cl.head for cl in pp.clauses)
+            res = self.assert_tighten_matches(pp, [BasicFormula.single(a) for a in heads])
+            if res is None:
+                continue
+            sensitive += res.boundary_sensitive
+            formula = BasicFormula.single(TAtom(next(iter(heads)).predicate, (), TVar("Y")))
+            bounds = tighten(pp, [substitute_time(formula, t) for t in cal.points]).intervals
+            window = list(zip(cal.points, bounds))
+            query = Query(QueryKind.ENTAIL, formula, TPAnnotation.of_instant(window))
+            entailed += self.assert_entails_matches(pp, query, cal)
+            t, iv = next((t, iv) for t, iv in window if iv.lo < iv.hi)
+            window[t - 1] = (t, ProbInterval(iv.lo, (iv.lo + iv.hi) / 2))
+            query = Query(QueryKind.ENTAIL, formula, TPAnnotation.of_instant(window))
+            refuted += not self.assert_entails_matches(pp, query, cal)
+        assert sensitive >= 2 and entailed == refuted >= 20
+
+    def test_boundary_sensitive_cli(self, tmp_path):
+        """q@1 above one half voids the rule's head [0.5], which the fact
+        holds at 0.2: q@1 is at most 1/2 - epsilon, and halving epsilon
+        moves that bound."""
+        program = tmp_path / "b.tpl"
+        program.write_text(
+            "calendar 1..1.\n"
+            "p@Y : <Y=1, [0.2], [0.2]>.\n"
+            "p@Y : <Y=1, [0.5], [0.5]> :- q@Y1 : <Y1=1, [0.5], [1]>.\n"
+        )
+        query = tmp_path / "b.tpq"
+        query.write_text("?tighten q@1.\n")
+        res = run(["tighten", str(program), str(query), "--json"])
+        payload = json.loads(res.payload)
+        assert res.exit_code == 0
+        assert payload["intervals"] == {"q@1": ["0/1", "499999/1000000"]}
+        assert payload["boundary_sensitive"] is True and payload["branch_count"] == 1
 
 
 class TestMaxEnt:
