@@ -352,72 +352,67 @@ def _cmd_ialg(args):
 # --- argument wiring -----------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--epsilon", default=str(SolveOptions.epsilon), help="strict-violation margin"
-    )
-    common.add_argument(
+# Option groups of (flag, add_argument keywords).  A subcommand takes --json
+# and the groups its handler reads; any other option is a usage error.
+_SOLVE = (
+    ("--epsilon", dict(default=str(SolveOptions.epsilon), help="strict-violation margin")),
+    (
         "--max-world-atoms",
-        default=None,
-        help=(
-            f"atom cap for world enumeration (env {ENV_MAX_WORLD_ATOMS}, "
+        dict(
+            help=f"atom cap for world enumeration (env {ENV_MAX_WORLD_ATOMS}, "
             f"default {SolveOptions.max_world_atoms})"
         ),
-    )
-    common.add_argument(
-        "--grounding", choices=["full", "relevant"], default="full", help="grounding mode"
-    )
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    ),
+)
+_GROUNDING = (
+    (
+        "--grounding",
+        dict(choices=[m.value for m in GroundingMode], default="full", help="grounding mode"),
+    ),
+)
+_VERIFY = (
+    (
+        "--verify",
+        dict(
+            choices=[m.value for m in VerificationMode],
+            help="verify the construction and report per-slice masses",
+        ),
+    ),
+)
+_JSON = ("--json", dict(action="store_true", help="machine-readable output"))
 
+# name -> (handler, help, positional arguments, option groups)
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse and validate a program", ["file"], ()),
+    "ground": (_cmd_ground, "emit the ground program", ["file"], _GROUNDING),
+    "unfold": (_cmd_unfold, "emit the temporally unfolded program", ["file"], ()),
+    "consistent": (_cmd_consistent, "decide consistency", ["file"], _SOLVE + _GROUNDING),
+    "entail": (
+        _cmd_entail, "check an entailment query", ["file", "queryfile"], _SOLVE + _GROUNDING
+    ),
+    "tighten": (
+        _cmd_tighten, "tightest entailed interval", ["file", "queryfile"], _SOLVE + _GROUNDING
+    ),
+    "maxent": (_cmd_maxent, "maximum-entropy model", ["file"], _SOLVE + _GROUNDING),
+    "evolve": (
+        _cmd_evolve, "build an evolution program", ["skeleton", "profile"], _SOLVE + _VERIFY
+    ),
+    "ialg": (_cmd_ialg, "evaluate an interval expression", ["expr"], ()),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tplp", description="Temporal probabilistic logic program toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="parse and validate a program")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("ground", parents=[common], help="emit the ground program")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_ground)
-
-    p = sub.add_parser("unfold", parents=[common], help="emit the temporally unfolded program")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_unfold)
-
-    p = sub.add_parser("consistent", parents=[common], help="decide consistency")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_consistent)
-
-    p = sub.add_parser("entail", parents=[common], help="check an entailment query")
-    p.add_argument("file")
-    p.add_argument("queryfile")
-    p.set_defaults(handler=_cmd_entail)
-
-    p = sub.add_parser("tighten", parents=[common], help="tightest entailed interval")
-    p.add_argument("file")
-    p.add_argument("queryfile")
-    p.set_defaults(handler=_cmd_tighten)
-
-    p = sub.add_parser("maxent", parents=[common], help="maximum-entropy model")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_maxent)
-
-    p = sub.add_parser("evolve", parents=[common], help="build an evolution program")
-    p.add_argument("skeleton")
-    p.add_argument("profile")
-    p.add_argument(
-        "--verify", choices=["literal", "conditional"], default=None,
-        help="verify the construction and report per-slice masses",
-    )
-    p.set_defaults(handler=_cmd_evolve)
-
-    p = sub.add_parser("ialg", parents=[common], help="evaluate an interval expression")
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_ialg)
-
+    for name, (handler, help_text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag, keywords in (*options, _JSON):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -42,8 +42,10 @@ class CalendarTooLarge(TplpError):
 
 
 class GroundingTooLarge(TplpError):
-    """The companion temporal variables of an annotation or clause have more
-    groundings over the calendar than the cap; none is enumerated."""
+    """Grounding would make more than its cap allows, so none is made: the
+    companion temporal variables of an annotation or clause have more
+    groundings over the calendar than their cap, or the program has more
+    ground clause instances than theirs."""
 
     exit_code = 3
 

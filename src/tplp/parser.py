@@ -640,6 +640,14 @@ class _ProgramParser:
             self.cur.expect("COLON", "':' before the target annotation")
             annot = self.parse_annot()
             self.check_annotation_binding(formula, annot)
+            # a query grounds nothing, so no companion could ever be given a value
+            companions = companion_vars(annot.constraint)
+            if companions:
+                raise _Unexpected(
+                    f"query constraints cannot use companion temporal variables, found "
+                    f"{', '.join(sorted(companions))}",
+                    annot.span,
+                )
             self.cur.expect("DOT", "'.'")
             self.cur.expect("EOF", "end of input")
             self._require_object_ground(formula)

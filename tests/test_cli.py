@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 import tplp
 import tplp.cli
+import tplp.grounder
 import tplp.model
 import tplp.psat
 from tplp import errors
@@ -157,6 +159,16 @@ class TestEntail:
             "entail", str(fixtures / "shipping.tpl"), str(fixtures / "arrival_tighten.tpq")
         )
         assert res.exit_code == 2
+
+    def test_companion_variables_in_the_query_rejected(self, fixtures, tmp_path, capsys):
+        q = tmp_path / "q.tpq"
+        q.write_text("?entail a@Y : <Y = Y2, [0.1], [0.9]>.\n")
+        res = invoke("entail", str(fixtures / "p0.tpl"), str(q))
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == (
+            "1:15 error[Syntax]: query constraints cannot use companion temporal variables, "
+            f"found Y2\nerror: {q}: invalid query\n"
+        )
 
     def test_every_point_under_the_cap(self, fixtures, tmp_path):
         # Together the 8 instances add 2 atoms to the 15-atom base, each in
@@ -886,6 +898,41 @@ class TestCompanionCap:
         assert issubclass(tplp.GroundingTooLarge, tplp.TplpError)
 
 
+class TestGroundInstanceCap:
+    """Grounding counts its clause instances, |constants| ** (object
+    variables) times the companion groundings of each clause, and exits 3
+    above 100,000 before making any."""
+
+    PROGRAM = (
+        "calendar 1..1.\n"
+        "constants " + ", ".join(f"c{i}" for i in range(30)) + ".\n"
+        "p(A,B,C,D,E)@Y : <Y=1, [0], [1]>.\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ground"], ["ground", "--grounding", "relevant"], ["consistent"]],
+        ids=["ground", "relevant", "consistent"],
+    )
+    def test_refused_before_grounding(self, tmp_path, capsys, argv):
+        program = tmp_path / "wide.tpl"
+        program.write_text(self.PROGRAM)
+        start = time.perf_counter()
+        res = invoke(argv[0], str(program), *argv[1:])
+        assert time.perf_counter() - start < 1
+        assert (res.exit_code, res.payload) == (3, "")
+        assert capsys.readouterr().err == (
+            "error: grounding would make 24300000 clause instances, above the cap of 100000\n"
+        )
+
+    @pytest.mark.parametrize("cap, code", [(30**2, 0), (30**2 - 1, 3)])
+    def test_at_the_cap(self, monkeypatch, tmp_path, cap, code):
+        monkeypatch.setattr(tplp.grounder, "MAX_GROUND_INSTANCES", cap)
+        program = tmp_path / "wide.tpl"
+        program.write_text(self.PROGRAM.replace("A,B,C,D,E", "A,B"))
+        assert invoke("ground", str(program)).exit_code == code
+
+
 class TestErrorExitCodes:
     @pytest.mark.parametrize(
         "error, code",
@@ -964,6 +1011,76 @@ class TestUsageErrors:
         assert res.exit_code == 2 and res.payload == ""
         err = capsys.readouterr().err
         assert err == f"error: --max-world-atoms must be a positive integer, not {value!r}\n"
+
+
+class TestOptionMatrix:
+    """Each subcommand takes --json and the options its handler reads; any
+    other option is a usage error with an empty payload."""
+
+    OPTIONS = {
+        "--epsilon": "1/2",
+        "--max-world-atoms": "16",
+        "--grounding": "relevant",
+        "--verify": "literal",
+    }
+    SOLVING = ("--epsilon", "--max-world-atoms", "--grounding")
+    READS = {
+        "validate": (),
+        "ground": ("--grounding",),
+        "unfold": (),
+        "consistent": SOLVING,
+        "entail": SOLVING,
+        "tighten": SOLVING,
+        "maxent": SOLVING,
+        "evolve": ("--epsilon", "--max-world-atoms", "--verify"),
+        "ialg": (),
+    }
+    # invocations whose answers the values in OPTIONS leave as they are
+    ARGV = {
+        "validate": ["p0.tpl"],
+        "ground": ["p0.tpl"],
+        "unfold": ["p0.tpl"],
+        "consistent": ["p0.tpl"],
+        "entail": ["shipping.tpl", "arrival_entail.tpq", "--grounding", "relevant"],
+        "tighten": ["p0.tpl", "p0_tighten_all.tpq"],
+        "maxent": ["p0.tpl"],
+        "evolve": ["evolution_skeleton.tpl", "evolution_profile.csv", "--verify", "literal"],
+        "ialg": ["[0,1]"],
+    }
+
+    def argv(self, fixtures, command):
+        return [command] + [
+            str(fixtures / a) if (fixtures / a).is_file() else a for a in self.ARGV[command]
+        ]
+
+    @pytest.mark.parametrize("option", OPTIONS)
+    @pytest.mark.parametrize("command", READS)
+    def test_option(self, fixtures, capsys, command, option):
+        argv = self.argv(fixtures, command)
+        plain = invoke(*argv)
+        assert plain.exit_code == 0
+        res = invoke(*argv, option, self.OPTIONS[option])
+        if option in self.READS[command]:
+            assert (res.exit_code, res.payload) == (0, plain.payload)
+        else:
+            assert (res.exit_code, res.payload) == (2, "")
+            assert capsys.readouterr().err.endswith(
+                f"error: unrecognized arguments: {option} {self.OPTIONS[option]}\n"
+            )
+
+    @pytest.mark.parametrize("command", READS)
+    def test_json(self, fixtures, command):
+        res = invoke(*self.argv(fixtures, command), "--json")
+        assert res.exit_code == 0 and json.loads(res.payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ialg", "[0,1]", "--epsilon", "-1"], ["validate", "p0.tpl", "--max-world-atoms", "0"]],
+        ids=["ialg-epsilon", "validate-cap"],
+    )
+    def test_unread_option_with_an_invalid_value(self, fixtures, argv):
+        argv = [str(fixtures / a) if a.endswith(".tpl") else a for a in argv]
+        assert (invoke(*argv[:2]).exit_code, invoke(*argv).exit_code) == (0, 2)
 
 
 class TestInstantDiagnostics:

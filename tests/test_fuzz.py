@@ -63,7 +63,7 @@ def test_validated_mutants_unfold_and_decide(tmp_path):
             if run(["validate", str(path)]).exit_code != 0:
                 continue
             accepted += 1
-            unfolded = run(["unfold", str(path), "--grounding", "relevant"]).exit_code
+            unfolded = run(["unfold", str(path)]).exit_code
             decided = run(["consistent", str(path), "--grounding", "relevant"]).exit_code
         if unfolded != 0 or decided not in (0, 1, 3):
             failures.append((seed, unfolded, decided, err.getvalue(), text))

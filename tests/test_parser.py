@@ -235,6 +235,15 @@ class TestQueries:
     def test_unknown_form(self):
         assert not parse_query("?frobnicate a@1.").ok
 
+    def test_companion_variables_rejected_at_the_annotation(self):
+        res = parse_query("?entail a@Y : <Y >= Y3 and Y <= Y2, [0.1], [0.9]>.")
+        assert not res.ok
+        [diag] = res.diagnostics
+        assert diag.kind is DiagnosticKind.SYNTAX and (diag.span.line, diag.span.column) == (1, 15)
+        assert diag.message == (
+            "query constraints cannot use companion temporal variables, found Y2, Y3"
+        )
+
     @pytest.mark.parametrize("weight", ["1.5", "1/0", "0.1234567891"])
     def test_rejected_target_weight_rejects_the_query(self, weight):
         res = parse_query(f"?entail a@1 : <Y=1, [{weight}], [1]>.")
