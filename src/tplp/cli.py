@@ -65,7 +65,6 @@ class _CliError(TplpError):
 
 
 def _rat(q: Fraction) -> str:
-    q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
@@ -76,8 +75,8 @@ def _interval_json(iv: ProbInterval) -> list[str]:
 def _witness_json(dist) -> list[dict]:
     names = [str(a) for a in dist.base.atoms]  # each atom named once
     return [
-        {"world": [names[i] for i in set_bits(w.mask)], "p": _rat(p)}
-        for w, p in dist.items()
+        {"world": [names[i] for i in set_bits(mask)], "p": _rat(p)}
+        for mask, p in dist.mask_items()
     ]
 
 
@@ -144,16 +143,17 @@ def _options(args) -> SolveOptions:
     return SolveOptions(epsilon=epsilon, max_world_atoms=cap)
 
 
-def _grounded_pp(args):
-    program = _load_program(args.file)
-    ground = ground_program(program, GroundingMode(args.grounding))
-    return program, unfold(ground, warn=_warn)
+def _unfolded(program, args):
+    return unfold(ground_program(program, GroundingMode(args.grounding)), warn=_warn)
 
 
 # --- subcommand handlers -------------------------------------------------------------
 #
 # Each handler returns (exit code, JSON body, text form); run() picks the form.
-# A text form of None makes the answer JSON-only.
+# A text form of None makes the answer JSON-only.  A solving command checks its
+# options first, then reads its query, then parses the program and checks the
+# query against its calendar, and only then grounds and unfolds it: a bad
+# option or query costs no grounding.
 
 
 def _diagnostics_json(diags) -> list[dict]:
@@ -190,8 +190,8 @@ def _cmd_unfold(args):
 
 
 def _cmd_consistent(args):
-    _, pp = _grounded_pp(args)
-    outcome = check_consistency(pp, _options(args))
+    opts = _options(args)
+    outcome = check_consistency(_unfolded(_load_program(args.file), args), opts)
     witness = _witness_json(outcome.witness) if outcome.witness else None
     body = {
         "verdict": outcome.verdict.value,
@@ -204,13 +204,16 @@ def _cmd_consistent(args):
 
 
 def _cmd_entail(args):
-    program, pp = _grounded_pp(args)
+    opts = _options(args)
     query = _load_query(args, QueryKind.ENTAIL)
+    program = _load_program(args.file)
     annot_diags = validate_annotation(query.annot, program.calendar)
-    _emit_diagnostics(annot_diags)
     if any(d.is_error for d in annot_diags):
+        _emit_diagnostics(annot_diags)
         raise _CliError("invalid query annotation")
-    outcome = entails(pp, query, program.calendar, _options(args))
+    pp = _unfolded(program, args)
+    _emit_diagnostics(annot_diags)  # warnings, after unfolding's own
+    outcome = entails(pp, query, program.calendar, opts)
     if outcome.vacuous:
         _warn("the query constraint has an empty solution set")
     verdict = "ENTAILED" if outcome.entailed else "NOT_ENTAILED"
@@ -236,14 +239,14 @@ def _cmd_entail(args):
 
 
 def _cmd_tighten(args):
-    program, pp = _grounded_pp(args)
-    query = _load_query(args, QueryKind.TIGHTEN)
     opts = _options(args)
+    query = _load_query(args, QueryKind.TIGHTEN)
+    program = _load_program(args.file)
     if query.at is not None and query.at not in program.calendar:
         raise _CliError(f"time point {query.at} is outside the calendar")
     times = [query.at] if query.at is not None else program.calendar.points
     instances = [substitute_time(query.formula, t) for t in times]
-    outcome = tighten(pp, instances, opts)
+    outcome = tighten(_unfolded(program, args), instances, opts)
     intervals = {str(f): iv for f, iv in zip(instances, outcome.intervals)}
     body = {
         "verdict": "OK",
@@ -256,9 +259,8 @@ def _cmd_tighten(args):
 
 
 def _cmd_maxent(args):
-    _, pp = _grounded_pp(args)
     opts = _options(args)
-    outcome = max_entropy_model(pp, opts)
+    outcome = max_entropy_model(_unfolded(_load_program(args.file), args), opts)
     witness = _witness_json(outcome.distribution)
     body = {
         "verdict": "OK",

@@ -38,7 +38,9 @@ the entropy ascent all read the box.
 Witnesses are reassembled exactly: consistency witnesses couple the component
 marginals segment-by-segment along the unit interval, and entropy witnesses
 spread class masses uniformly over their worlds, which is the entropy-optimal
-completion.
+completion.  Both build integer masses over one common denominator and make
+one Fraction per world of the result.  Components in the same state (class
+table and boxes) share one entropy ascent.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class MaxEntResult:
 class _Component:
     """One connected block of atoms; worlds are local bitstrings over them."""
 
-    __slots__ = ("cid", "atoms", "k", "space", "classes")
+    __slots__ = ("cid", "atoms", "k", "space", "classes", "shape")
 
     def __init__(self, cid: int, atom_indices: tuple[int, ...]):
         self.cid = cid
@@ -139,6 +141,7 @@ class _Component:
         self.k = len(atom_indices)
         self.space = 1 << self.k  # number of local worlds
         self.classes: list[tuple[int, int, int]] = []  # (members, count, rep world)
+        self.shape = 0  # the number of its class table among the engine's
 
     def local(self, connective: Connective, atoms) -> tuple[Connective, tuple[int, ...]]:
         """A formula over the base indices atoms (a set), by its atoms'
@@ -380,6 +383,7 @@ class _Engine:
         for fid, cid in enumerate(self._fid_comp):
             comp_fids[cid].append(fid)
         self._coeffs: list = [None] * n_program
+        self._local_fid: list = [None] * n_program  # position among its component's; see _split
         self._shapes: dict = {}  # see _split
         for comp in self.components:
             self._split(comp, comp_fids[comp.cid])
@@ -406,9 +410,9 @@ class _Engine:
             if len(cids) > 1:
                 self._folds.append((fid, or_ig if conn is Connective.OR else and_ig, names))
         # Keyed by (cid, the component's box key), for the engine's life: the
-        # feasibility LPResult of a multi-atom component (see _solved), {part
-        # name: (least, greatest mass)}, and (class masses of greatest
-        # entropy, that entropy).
+        # feasibility LPResult of a multi-atom component (see _solved) and
+        # {part name: (least, greatest mass)}.  Keyed by component state (see
+        # maxent_component): (class masses of greatest entropy, that entropy).
         self._solves: dict = {}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
@@ -425,16 +429,20 @@ class _Engine:
         Both depend only on comp's shape: its atom count and, per formula in
         fid order, the connective and local atom positions.  Components of
         one shape share one class table and one coefficient tuple per
-        formula, built by the first of them (_shapes)."""
+        formula, built by the first of them (_shapes) and numbered in order
+        (comp.shape).  Each formula's row is also named by its position in
+        fids (_local_fid), the same in every component of the shape."""
         shape = (comp.k, tuple(comp.local(*self._formula_atoms[fid]) for fid in fids))
         table = self._shapes.get(shape)
         if table is None:
             masks = [comp.formula_mask(*f) for f in shape[1]]
             comp.split_classes(list(dict.fromkeys(masks)))
-            table = self._shapes[shape] = (comp.classes, [comp.coefficients(m) for m in masks])
-        comp.classes, rows = table
-        for fid, row in zip(fids, rows):
+            rows = [comp.coefficients(m) for m in masks]
+            table = self._shapes[shape] = (len(self._shapes), comp.classes, rows)
+        comp.shape, comp.classes, rows = table
+        for position, (fid, row) in enumerate(zip(fids, rows)):
             self._coeffs[fid] = row
+            self._local_fid[fid] = position
 
     # -- branch enumeration --
 
@@ -611,44 +619,60 @@ class _Engine:
         # its cumulative mass passes from one class with mass to the next, so
         # the joint world is swept from point to point, flipping at each the
         # atoms of the components that change there.  A component without a
-        # box sits in its zero world, which holds no atom.
-        gmask = 0  # the joint world at the bottom of the interval
-        flips: dict[Fraction, list[int]] = {}  # point -> the atom sets that change there
+        # box sits in its zero world, which holds no atom.  The points are
+        # integers over the marginals' common denominator.
+        marginals = []  # per component with a box: (world, mass) per class with mass
         for comp in self.components:
             key = keys.get(comp.cid)
-            if key is None:
-                continue
-            x = self._solved(comp, key).x
-            steps = [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
+            if key is not None:
+                x = self._solved(comp, key).x
+                marginals.append(
+                    [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
+                )
+        denominator = math.lcm(*(v.denominator for steps in marginals for _, v in steps))
+        gmask = 0  # the joint world at the bottom of the interval
+        flips: dict[int, int] = {}  # point -> the atoms that change there
+        for steps in marginals:
             gmask |= steps[0][0]
+            point = 0
             # each class but the last ends where the next one's world begins
-            ends = itertools.accumulate(v for _, v in steps[:-1])
-            for (below, _), (world, _), point in zip(steps, steps[1:], ends):
-                flips.setdefault(point, []).append(below ^ world)
-        masses: dict[int, Fraction] = {}
-        lo = ZERO
-        for point in sorted(flips) + [ONE]:
-            masses[gmask] = masses.get(gmask, ZERO) + (point - lo)
-            for atoms in flips.get(point, ()):
-                gmask ^= atoms
+            for (below, v), (world, _) in zip(steps, steps[1:]):
+                point += v.numerator * (denominator // v.denominator)
+                flips[point] = flips.get(point, 0) ^ below ^ world
+        masses: dict[int, int] = {}
+        lo = 0
+        for point in sorted(flips) + [denominator]:
+            masses[gmask] = masses.get(gmask, 0) + point - lo
+            gmask ^= flips.get(point, 0)
             lo = point
-        return WorldDistribution(self.base, masses)
+        return WorldDistribution(
+            self.base, {g: Fraction(n, denominator) for g, n in masses.items()}
+        )
 
     def spread_product(self, comp_qs: dict[int, list[Fraction]]) -> WorldDistribution:
         """Product over components with class masses spread uniformly inside
-        each class (the entropy-maximal completion of the marginals)."""
-        masses: dict[int, Fraction] = {0: ONE}
+        each class (the entropy-maximal completion of the marginals).  Masses
+        are integers over the product of the components' denominators, each
+        the lcm of its class shares' q / size."""
+        masses: dict[int, int] = {0: 1}
+        denominator = 1
         for comp in self.components:
-            q = comp_qs[comp.cid]
-            expanded: list[tuple[int, Fraction]] = []
-            for (members, size, _), qc in zip(comp.classes, q):
-                if qc == 0:
-                    continue
-                share = qc / size
+            shares = [
+                (members, qc.numerator, qc.denominator * size)
+                for (members, size, _), qc in zip(comp.classes, comp_qs[comp.cid])
+                if qc
+            ]
+            d = math.lcm(*(den for _, _, den in shares))
+            expanded: list[tuple[int, int]] = []
+            for members, num, den in shares:
+                share = num * (d // den)
                 expanded.extend((comp.global_mask(w), share) for w in set_bits(members))
             # components hold disjoint atoms, so every product world is new
-            masses = {g | a: p * share for g, p in masses.items() for a, share in expanded}
-        return WorldDistribution(self.base, masses)
+            masses = {g | a: n * share for g, n in masses.items() for a, share in expanded}
+            denominator *= d
+        return WorldDistribution(
+            self.base, {g: Fraction(n, denominator) for g, n in masses.items()}
+        )
 
     # -- entropy maximization --
 
@@ -660,11 +684,17 @@ class _Engine:
         started from its one phase-one tableau, or the box of a one-atom
         component), steps from a float ternary line search rationalized back
         onto the segment, so iterates stay exactly feasible.
+
+        The ascent reads only the component's class table, its rows and its
+        boxes, and is deterministic, so it runs once per component state: the
+        shape, and the box key with each fid replaced by its local position.
+        Components in one state share its answer.
         """
-        memo = (cid, key)
+        comp = self.components[cid]
+        local = self._local_fid
+        memo = (comp.shape, tuple((local[fid], lo, hi) for fid, lo, hi in key))
         if memo in self._maxent_cache:
             return self._maxent_cache[memo]
-        comp = self.components[cid]
         counts = [size for _, size, _ in comp.classes]
         log_counts = [math.log(c) for c in counts]
 

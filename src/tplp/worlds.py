@@ -9,6 +9,7 @@ two independent routes to the same verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -93,19 +94,27 @@ class WorldDistribution:
         require_normalized: bool = True,
     ):
         self.base = base
+        n = len(base)
         packed: dict[int, Fraction] = {}
         for key, value in masses.items():
             mask = key.mask if isinstance(key, World) else int(key)
-            value = Fraction(value)
-            if value < 0:
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
+            if value.numerator < 0:
                 raise ValueError(f"negative mass {value}")
-            if value == 0:
+            if not value.numerator:
                 continue
-            if mask < 0 or mask >> len(base):
-                raise ValueError(f"world {mask:#x} outside the {len(base)}-atom base")
-            packed[mask] = packed.get(mask, ZERO) + value
+            if mask < 0 or mask >> n:
+                raise ValueError(f"world {mask:#x} outside the {n}-atom base")
+            have = packed.get(mask)
+            packed[mask] = value if have is None else have + value
         self._masses = packed
-        self.total = sum(packed.values(), ZERO)
+        # one integer sum over the masses' common denominator
+        denominator = math.lcm(*(v.denominator for v in packed.values()))
+        self.total = Fraction(
+            sum(v.numerator * (denominator // v.denominator) for v in packed.values()),
+            denominator,
+        )
         if require_normalized and self.total != 1:
             raise ValueError(f"world masses sum to {self.total}, not 1")
 
@@ -128,8 +137,12 @@ class WorldDistribution:
         return self._masses.get(mask, ZERO)
 
     def items(self):
-        for mask in sorted(self._masses):
-            yield World(mask, self.base), self._masses[mask]
+        for mask, mass in self.mask_items():
+            yield World(mask, self.base), mass
+
+    def mask_items(self) -> list[tuple[int, Fraction]]:
+        """(mask, mass) per world of the support, by ascending mask."""
+        return sorted(self._masses.items())
 
     def support_size(self) -> int:
         return len(self._masses)

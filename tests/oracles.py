@@ -15,6 +15,10 @@ must agree on every status, vertex, value and final basis.
 reference_bounds is a third kind: the package's own walk and leaf ranges,
 folded as tighten and entails folded them before a fold could settle, over
 every feasible leaf with no early exit, and at epsilon/2 a second whole fold.
+
+reference_couple and reference_spread_product are the engine's witness
+assembly as it was written on Fraction arithmetic, before it summed integer
+numerators over one denominator: the two must build equal distributions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import itertools
 from fractions import Fraction
 
 from tplp.grounder import PProgram
-from tplp.intervals import ProbInterval
+from tplp.intervals import ONE, ZERO, ProbInterval
 from tplp.model import (
     Cmp,
     CNot,
@@ -36,6 +40,7 @@ from tplp.model import (
     substitute_time,
 )
 from tplp.psat import _Engine
+from tplp.worlds import WorldDistribution, set_bits
 
 BIG_M = 1e7
 TOL = 1e-9
@@ -332,6 +337,52 @@ def grid_distributions(n_worlds: int, step_denominator: int = 20):
 
     for combo in compositions(step_denominator, n_worlds):
         yield [Fraction(k, step_denominator) for k in combo]
+
+
+# --- reference witness assembly -----------------------------------------------------
+
+
+def reference_couple(engine, keys: dict[int, tuple]) -> WorldDistribution:
+    """engine.couple as written on Fractions: the component marginals coupled
+    along the unit interval, one Fraction sum per segment."""
+    gmask = 0  # the joint world at the bottom of the interval
+    flips: dict[Fraction, list[int]] = {}  # point -> the atom sets that change there
+    for comp in engine.components:
+        key = keys.get(comp.cid)
+        if key is None:
+            continue
+        x = engine._solved(comp, key).x
+        steps = [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
+        gmask |= steps[0][0]
+        # each class but the last ends where the next one's world begins
+        ends = itertools.accumulate(v for _, v in steps[:-1])
+        for (below, _), (world, _), point in zip(steps, steps[1:], ends):
+            flips.setdefault(point, []).append(below ^ world)
+    masses: dict[int, Fraction] = {}
+    lo = ZERO
+    for point in sorted(flips) + [ONE]:
+        masses[gmask] = masses.get(gmask, ZERO) + (point - lo)
+        for atoms in flips.get(point, ()):
+            gmask ^= atoms
+        lo = point
+    return WorldDistribution(engine.base, masses)
+
+
+def reference_spread_product(engine, comp_qs: dict[int, list[Fraction]]) -> WorldDistribution:
+    """engine.spread_product as written on Fractions: one Fraction product
+    per world per component."""
+    masses: dict[int, Fraction] = {0: ONE}
+    for comp in engine.components:
+        q = comp_qs[comp.cid]
+        expanded: list[tuple[int, Fraction]] = []
+        for (members, size, _), qc in zip(comp.classes, q):
+            if qc == 0:
+                continue
+            share = qc / size
+            expanded.extend((comp.global_mask(w), share) for w in set_bits(members))
+        # components hold disjoint atoms, so every product world is new
+        masses = {g | a: p * share for g, p in masses.items() for a, share in expanded}
+    return WorldDistribution(engine.base, masses)
 
 
 # --- reference leaf walk ------------------------------------------------------------

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -297,6 +299,86 @@ class TestMaxent:
     def test_inconsistent(self, fixtures):
         res = invoke("maxent", str(fixtures / "p1.tpl"))
         assert res.exit_code == 1
+
+    def test_shipping_witness_pinned(self, fixtures):
+        # 1,024 worlds, too many for tests/golden/cli.json: the digest of its
+        # stdout without the float entropy line, as test_golden_cli.py strips it
+        res = invoke("maxent", str(fixtures / "shipping.tpl"), "--grounding", "relevant", "--json")
+        assert res.exit_code == 0
+        witness = jpayload(res)["witness"]
+        assert len(witness) == 1024
+        assert sum(Fraction(e["p"]) for e in witness) == 1
+        stdout = "".join(
+            line for line in (res.payload + "\n").splitlines(keepends=True)
+            if not line.startswith('  "entropy": ')
+        )
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "9c52f0de35f4a93d694f847e00b9e6ae2ab5d17c86f743d21578ed09e0a873f5"
+        )
+
+
+class TestChecksBeforeGrounding:
+    """A solving command checks its options, then its query, and grounds the
+    program only after both pass."""
+
+    @pytest.fixture
+    def no_grounding(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("grounded the program")
+
+        monkeypatch.setattr(tplp.cli, "ground_program", fail)
+
+    @pytest.fixture
+    def bad_query(self, tmp_path):
+        q = tmp_path / "q.tpq"
+        q.write_text("?tighten a@1 and.\n")
+        return str(q)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["consistent", "@shipping.tpl", "--epsilon", "0"],
+            ["maxent", "@shipping.tpl", "--max-world-atoms", "0"],
+            ["tighten", "@shipping.tpl", "@arrival_tighten.tpq", "--epsilon", "0"],
+            ["entail", "@shipping.tpl", "@arrival_entail.tpq", "--max-world-atoms", "0"],
+            ["tighten", "@shipping.tpl", "bad"],
+            ["entail", "@shipping.tpl", "bad"],
+        ],
+        ids=["consistent", "maxent", "tighten-option", "entail-option", "tighten", "entail"],
+    )
+    def test_exits_before_grounding(self, fixtures, no_grounding, bad_query, capsys, argv):
+        argv = [
+            bad_query if a == "bad" else str(fixtures / a[1:]) if a.startswith("@") else a
+            for a in argv
+        ]
+        res = invoke(*argv)
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err.startswith(("error: --", "1:"))
+
+    def test_invalid_annotation_before_grounding(self, fixtures, no_grounding, tmp_path, capsys):
+        q = tmp_path / "q.tpq"
+        q.write_text("?entail arrived(letter,paris)@Y : <Y:1~2, [0.1], [0.9]>.\n")
+        res = invoke("entail", str(fixtures / "shipping.tpl"), str(q))
+        assert (res.exit_code, res.payload) == (2, "")
+        err = capsys.readouterr().err
+        assert "error[LengthMismatch]" in err and err.endswith("error: invalid query annotation\n")
+
+    def test_time_outside_the_calendar_before_grounding(
+        self, fixtures, no_grounding, tmp_path, capsys
+    ):
+        q = tmp_path / "q.tpq"
+        q.write_text("?tighten arrived(letter,paris)@99.\n")
+        res = invoke("tighten", str(fixtures / "shipping.tpl"), str(q))
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == "error: time point 99 is outside the calendar\n"
+
+    def test_bad_query_reported_before_bad_program(self, tmp_path, bad_query, capsys):
+        program = tmp_path / "p.tpl"
+        program.write_text("calendar 1..2.\na@1 : <Y=1, [0.5], [0.5]\n")
+        res = invoke("tighten", str(program), bad_query)
+        assert (res.exit_code, res.payload) == (2, "")
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {bad_query}: invalid query\n") and str(program) not in err
 
 
 class TestEvolve:

@@ -18,9 +18,11 @@ from generators import (
 )
 from oracles import (
     grid_distributions,
+    reference_couple,
     reference_entails,
     reference_leaf_rows,
     reference_leaves,
+    reference_spread_product,
     reference_tighten,
     row_boxes,
 )
@@ -1022,6 +1024,77 @@ class TestMaxEnt:
         res = max_entropy_model(pp)
         pr = atom_mass(res.distribution, TAtom("a", (), 1))
         assert abs(float(pr) - 0.2) < 1e-6
+
+
+class TestWitnessAssembly:
+    """couple and spread_product, which sum integer numerators over one
+    denominator, build the distributions of the Fraction reference: the same
+    worlds with the same exact masses.  Class masses come from each leaf's
+    vertex (zero-mass classes included) or from the entropy ascent."""
+
+    def assert_reference_assembly(self, pp, ascent=False):
+        engine = _Engine(pp, SolveOptions())
+        for keys in engine.leaves(SolveOptions().epsilon):
+            assert engine.couple(keys) == reference_couple(engine, keys)
+            qs = {}
+            for comp in engine.components:
+                key = keys.get(comp.cid, ())
+                if ascent:
+                    qs[comp.cid] = engine.maxent_component(comp.cid, key)[0]
+                elif key:
+                    qs[comp.cid] = engine._solved(comp, key).x
+                else:
+                    qs[comp.cid] = [F(size, comp.space) for _, size, _ in comp.classes]
+            assert engine.spread_product(qs) == reference_spread_product(engine, qs)
+
+    def test_random_programs(self):
+        rng = random.Random(409)
+        for _ in range(120):
+            base = small_base(rng.randint(2, 5))
+            self.assert_reference_assembly(rand_pprogram(rng, base, n_clauses=rng.randint(1, 5)))
+
+    def test_facts_after_conflicting_rules(self):
+        rng = random.Random(410)
+        for _ in range(40):
+            self.assert_reference_assembly(facts_last_pprogram(rng, rng.randint(2, 5)))
+
+    def test_multicolumn_programs(self):
+        files = json.loads((GOLDEN / "multicolumn.json").read_text())["files"]
+        sizes = set()
+        for name, text in sorted(files.items()):
+            if name.endswith(".tpl"):
+                pp = unfold(ground_program(parse_program(text).program, GroundingMode.FULL))
+                self.assert_reference_assembly(pp)
+                self.assert_reference_assembly(pp, ascent=True)
+                sizes.update(size for c in _Engine(pp, SolveOptions()).components
+                             for _, size, _ in c.classes)
+        assert max(sizes) > 1  # some class spreads its mass over several worlds
+
+    def test_shipping(self):
+        pp = load_unfolded("shipping.tpl")
+        self.assert_reference_assembly(pp)
+        self.assert_reference_assembly(pp, ascent=True)
+
+    def test_components_in_one_state_share_an_ascent(self, monkeypatch):
+        # shipping's 15 one-atom components are in 9 states; an ascent per
+        # component gives the same model
+        pp = load_unfolded("shipping.tpl")
+        engine = _Engine(pp, SolveOptions())
+        keys = next(engine.leaves(SolveOptions().epsilon))
+        for comp in engine.components:
+            engine.maxent_component(comp.cid, keys.get(comp.cid, ()))
+        assert (len(engine.components), len(engine._maxent_cache)) == (15, 9)
+        shared = max_entropy_model(pp)
+        ascent = _Engine.maxent_component
+
+        def alone(engine, cid, key):
+            engine._maxent_cache.clear()
+            return ascent(engine, cid, key)
+
+        monkeypatch.setattr(_Engine, "maxent_component", alone)
+        fresh = max_entropy_model(pp)
+        assert fresh.distribution == shared.distribution
+        assert (fresh.entropy, fresh.branch_count) == (shared.entropy, shared.branch_count)
 
 
 class TestSolveOptions:

@@ -74,6 +74,26 @@ class TestWorldDistribution:
         d = WorldDistribution(BASE_AB, {0: F(1), 1: F(0)})
         assert d.support_size() == 1
 
+    def test_rejects_a_sum_just_below_one(self):
+        with pytest.raises(ValueError, match="not 1"):
+            WorldDistribution(BASE_AB, {0: F(1, 2), 3: F(1, 2) - F(1, 10**30)})
+
+    def test_world_key_and_its_mask_sum_into_one_world(self):
+        d = WorldDistribution(BASE_AB, {World(1, BASE_AB): F(1, 3), 1: F(1, 6), 2: F(1, 2)})
+        assert d.support_size() == 2 and d.mass(1) == F(1, 2)
+        assert d.mask_items() == [(1, F(1, 2)), (2, F(1, 2))]
+
+    def test_int_and_fraction_masses_mix(self):
+        d = WorldDistribution(BASE_AB, {0: 0, 1: 1, 2: F(0)})
+        assert d.mask_items() == [(1, F(1))] and d.total == 1
+        assert all(type(p) is F for _, p in d.mask_items())
+        d = WorldDistribution(BASE_AB, {0: 2, 1: F(1, 2)}, require_normalized=False)
+        assert d.total == F(5, 2)
+
+    def test_negative_mass_offset_in_its_world_rejected(self):
+        with pytest.raises(ValueError, match="negative mass -1/2"):
+            WorldDistribution(BASE_AB, {World(0, BASE_AB): F(-1, 2), 0: F(3, 2)})
+
     def test_point_and_uniform(self):
         assert WorldDistribution.point(BASE_AB).mass(0) == 1
         u = WorldDistribution.uniform(BASE_AB)
