@@ -309,6 +309,7 @@ def _load_profile_csv(path: str):
 
 
 def _cmd_evolve(args):
+    opts = _options(args)
     skeleton, diags = parse_skeleton(_read(args.skeleton))
     _emit_diagnostics(diags)
     if skeleton is None:
@@ -319,7 +320,7 @@ def _cmd_evolve(args):
         return _program_answer(program)
     mode = VerificationMode(args.verify)
     try:
-        profile = solve_profile(skeleton, per_time, delta, _options(args))
+        profile = solve_profile(skeleton, per_time, delta, opts)
     except InconsistentProgram as exc:
         return 1, {"verdict": "INCONSISTENT_SLICE", "detail": str(exc)}, None
     report = verify_evolution(profile, program, mode)

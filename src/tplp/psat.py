@@ -35,12 +35,22 @@ mass, which gives every answer the simplex would (feasibility, the vertex it
 returns and the optimum of any objective), so the walk, the query ranges and
 the entropy ascent all read the box.
 
+Boxes are integers over one denominator per engine, D: the lcm of the
+denominators of the program's distinct clause intervals and of epsilon/2, so
+every walk (at epsilon, at epsilon/2 for tightening's probe, and at 0 for
+UNKNOWN_EPS) narrows, compares and memoizes integer bounds.  A Fraction n/D is
+made only where an answer needs one: an LP's right-hand sides and a one-atom
+component's solve.
+
 Witnesses are reassembled exactly: consistency witnesses couple the component
 marginals segment-by-segment along the unit interval, and entropy witnesses
 spread class masses uniformly over their worlds, which is the entropy-optimal
 completion.  Both build integer masses over one common denominator and make
-one Fraction per world of the result.  Components in the same state (class
-table and boxes) share one entropy ascent.
+one Fraction per world of the result.  A coupling reads each one-atom
+component's mass point straight off its box, as an integer over D, and flips
+all the atoms that change at one point together; only multi-atom vertices
+add to the common denominator.  Components in the same state (class table and
+boxes) share one entropy ascent.
 """
 
 from __future__ import annotations
@@ -56,7 +66,7 @@ from fractions import Fraction
 
 from .errors import BaseTooLarge, InconsistentProgram, InvalidAnnotation, NonConvergence
 from .grounder import HerbrandBase, PProgram
-from .intervals import FULL, ONE, ZERO, ProbInterval, and_ig, or_ig
+from .intervals import ONE, ZERO, ProbInterval, and_ig, or_ig
 from .model import BasicFormula, Calendar, Connective, substitute_time, validate_annotation
 from .parser import Query
 from .simplex import INFEASIBLE, OPTIMAL, LPResult, solve_lp
@@ -133,7 +143,7 @@ class MaxEntResult:
 class _Component:
     """One connected block of atoms; worlds are local bitstrings over them."""
 
-    __slots__ = ("cid", "atoms", "k", "space", "classes", "shape")
+    __slots__ = ("cid", "atoms", "k", "space", "classes", "shape", "box_decided")
 
     def __init__(self, cid: int, atom_indices: tuple[int, ...]):
         self.cid = cid
@@ -142,6 +152,9 @@ class _Component:
         self.space = 1 << self.k  # number of local worlds
         self.classes: list[tuple[int, int, int]] = []  # (members, count, rep world)
         self.shape = 0  # the number of its class table among the engine's
+        # One atom split into its true and false worlds, the classes with
+        # coefficients (1, 0): its rows' box decides its LPs (see _BoxSolve).
+        self.box_decided = False
 
     def local(self, connective: Connective, atoms) -> tuple[Connective, tuple[int, ...]]:
         """A formula over the base indices atoms (a set), by its atoms'
@@ -181,12 +194,6 @@ class _Component:
             (c, c.bit_count(), (c & -c).bit_length() - 1) for c in classes
         ]
 
-    @property
-    def box_decided(self) -> bool:
-        """One atom split into its true and false worlds, the classes with
-        coefficients (1, 0): its rows' box decides its LPs."""
-        return self.k == 1 and len(self.classes) == 2
-
     def coefficients(self, mask: int, inside: bool = False) -> tuple[Fraction, ...]:
         """Per class, ONE when some of its worlds lie in mask (inside: all)."""
         return tuple(
@@ -202,51 +209,66 @@ class _Component:
         return out
 
 
-# A formula's box before any choice narrows it.  The walk's boxes dict holds
-# only the formulas narrowed below it, so a box replaced by _narrow is this
-# very object exactly when its formula had no entry.
-_UNIT = (ZERO, ONE)
+# The shapes (see _Engine._split) of a one-atom component without a formula
+# and with one, the atom itself.
+_ONE_ATOM_SHAPES = ((1, ()), (1, ((Connective.SINGLE, (0,)),)))
+
+
+class _Boxes(dict):
+    """A walk's boxes {fid: (lo, hi)}, integers over the engine's
+    denominator, holding only the formulas narrowed below unit, the box
+    [0, 1]: a box replaced by _narrow is unit itself exactly when its formula
+    had no entry."""
+
+    __slots__ = ("unit",)
+
+    def __init__(self, unit: tuple[int, int]):
+        super().__init__()
+        self.unit = unit
 
 
 class _BodyBoxes(dict):
     """Clause index -> the boxes of its body choices at one epsilon in choice
     order (BODY_LOW, then BODY_HIGH per conjunct; None for a choice
-    impossible outright), built the first time a walk asks for them."""
+    impossible outright), built the first time a walk asks for them.  Bounds
+    and eps are integers over the engine's denominator top."""
 
-    __slots__ = ("clauses", "eps")
+    __slots__ = ("bodies", "eps", "top")
 
-    def __init__(self, clauses, eps: Fraction):
+    def __init__(self, bodies, eps: int, top: int):
         super().__init__()
-        self.clauses = clauses
+        self.bodies = bodies
         self.eps = eps
+        self.top = top
 
     def __missing__(self, j: int) -> tuple:
         out = []
-        for fid, iv in self.clauses[j][2]:
-            low, high = iv.lo - self.eps, iv.hi + self.eps
-            out.append(None if low < 0 else (fid, ZERO, low))
-            out.append(None if high > 1 else (fid, high, ONE))
+        eps, top = self.eps, self.top
+        for fid, lo, hi in self.bodies[j]:
+            low, high = lo - eps, hi + eps
+            out.append(None if low < 0 else (fid, 0, low))
+            out.append(None if high > top else (fid, high, top))
         boxes = self[j] = tuple(out)
         return boxes
 
 
-def _fits(boxes: dict, box: tuple | None) -> bool:
+def _fits(boxes: _Boxes, box: tuple | None) -> bool:
     """Whether a choice's box (None when impossible outright) meets its
     formula's box: the test _narrow makes, without narrowing."""
     if box is None:
         return False
     fid, lo, hi = box
-    have_lo, have_hi = boxes.get(fid, _UNIT)
+    have_lo, have_hi = boxes.get(fid, boxes.unit)
     return lo <= have_hi and have_lo <= hi
 
 
-def _narrow(boxes: dict, box: tuple) -> tuple | None:
+def _narrow(boxes: _Boxes, box: tuple) -> tuple | None:
     """Intersect a choice's box with its formula's box: the value it replaced,
     or None (boxes unchanged) when the intersection is empty.  The entry is
-    written only when it changes, so boxes.get(fid, _UNIT) is the value
+    written only when it changes, so boxes.get(fid, boxes.unit) is the value
     returned exactly when the choice narrowed nothing."""
     fid, lo, hi = box
-    old = boxes.get(fid, _UNIT)
+    old = boxes.get(fid, boxes.unit)
     if lo <= old[0]:
         lo = old[0]
     if hi >= old[1]:
@@ -258,15 +280,16 @@ def _narrow(boxes: dict, box: tuple) -> tuple | None:
     return old
 
 
-def _restore(boxes: dict, fid: int, old: tuple) -> None:
-    if old is _UNIT:
+def _restore(boxes: _Boxes, fid: int, old: tuple) -> None:
+    if old is boxes.unit:
         boxes.pop(fid, None)
     else:
         boxes[fid] = old
 
 
 class _BoxSolve:
-    """solve_lp's answers for a one-atom component's box.
+    """solve_lp's answers for a one-atom component's box, whose bounds are
+    integers over denominator.
 
     The component's two classes are the atom's true and false worlds, so its
     one box bounds the one free mass by an interval.  The two-phase simplex
@@ -277,9 +300,10 @@ class _BoxSolve:
 
     __slots__ = ("lo", "hi", "status", "x")
 
-    def __init__(self, key):
-        ((_, self.lo, self.hi),) = key
-        p = self.lo if self.lo > 0 else self.hi
+    def __init__(self, key, denominator: int):
+        ((_, lo, hi),) = key
+        self.lo, self.hi = Fraction(lo, denominator), Fraction(hi, denominator)
+        p = self.lo if lo > 0 else self.hi
         self.x = [p, ONE - p]
         self.status = OPTIMAL
 
@@ -290,7 +314,12 @@ class _BoxSolve:
 
 
 class _Engine:
-    """Shared state for one solving session over a ground unfolded program."""
+    """Shared state for one solving session over a ground unfolded program.
+
+    Every box bound is an integer over the engine's denominator: the lcm of
+    the denominators of the program's distinct clause intervals and of
+    epsilon/2, so the walks at epsilon, at epsilon/2 and at 0 all stay on its
+    grid.  A Fraction is made only where an answer needs one."""
 
     def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=()):
         if pp.base is None:
@@ -302,56 +331,87 @@ class _Engine:
         if extra_formulas:
             self.base = HerbrandBase([*pp.base, *(a for f in extra_formulas for a in f.atoms)])
 
-        # Canonical formula registry: (connective, atom index set) -> fid.
-        self._formula_ids: dict[tuple, int] = {}
+        # Canonical formula registry, fids in order of first registration: a
+        # formula over one atom by its base index, any other by (connective,
+        # atom index set).
         self._formula_atoms: list[tuple[Connective, frozenset[int]]] = []
+        singles: dict[int, int] = {}
+        multis: dict[tuple, int] = {}
+        index_of = self.base.index_of
+
+        def register_single(a: int) -> int:
+            fid = singles.get(a)
+            if fid is None:
+                fid = singles[a] = len(self._formula_atoms)
+                self._formula_atoms.append((Connective.SINGLE, frozenset((a,))))
+            return fid
 
         def register(connective: Connective, atoms) -> int:
-            idxs = frozenset(map(self.base.index_of, atoms))
-            key = (connective if len(idxs) > 1 else Connective.SINGLE, idxs)
-            fid = self._formula_ids.get(key)
+            idxs = frozenset(map(index_of, atoms))
+            if len(idxs) == 1:
+                return register_single(min(idxs))
+            fid = multis.get((connective, idxs))
             if fid is None:
-                fid = len(self._formula_atoms)
-                self._formula_ids[key] = fid
-                self._formula_atoms.append(key)
+                fid = multis[connective, idxs] = len(self._formula_atoms)
+                self._formula_atoms.append((connective, idxs))
             return fid
 
         # A clause unfolded at several head points shares one body tuple, and
-        # its clauses here share one body list, registered once.
+        # its clauses here share one body list, registered once; so do their
+        # intervals, each a distinct interval object of the program.
         self.clauses: list[tuple[int, ProbInterval, list[tuple[int, ProbInterval]]]] = []
         bodies: dict[int, list[tuple[int, ProbInterval]]] = {}  # keyed by id(cl.body)
+        intervals: dict[int, ProbInterval] = {}  # keyed by id
         for cl in pp.clauses:
-            head_fid = register(Connective.SINGLE, (cl.head,))
+            head_fid = register_single(index_of(cl.head))
             body = bodies.get(id(cl.body))
             if body is None:
                 body = [(register(f.connective, f.atoms), iv) for f, iv in cl.body]
                 bodies[id(cl.body)] = body
+                intervals.update((id(iv), iv) for _, iv in body)
+            intervals[id(cl.head_iv)] = cl.head_iv
             self.clauses.append((head_fid, cl.head_iv, body))
         n_program = len(self._formula_atoms)  # the fids below are the clauses'
         self.extra_fids = [register(f.connective, f.atoms) for f in extra_formulas]
 
+        top = self.denominator = math.lcm(
+            (opts.epsilon / 2).denominator,
+            *(q.denominator for iv in intervals.values() for q in (iv.lo, iv.hi)),
+        )
+        self._unit = (0, top)
+        scaled = {
+            key: (iv.lo.numerator * (top // iv.lo.denominator),
+                  iv.hi.numerator * (top // iv.hi.denominator))
+            for key, iv in intervals.items()
+        }
+
         # The leaf walk's epsilon-free tables.  Per clause, the box of its
-        # HEAD_IN choice (None when the head interval is empty).  Per formula,
-        # the ascending indices of the clauses a change of its box can leave
-        # without a choice (a HEAD_IN box of [0, 1] always fits), flattened:
-        # formula fid's are _watch[_watch_start[fid]:_watch_start[fid + 1]].
-        self._head_boxes = [
-            None if iv.lo > iv.hi else (fid, iv.lo, iv.hi) for fid, iv, _ in self.clauses
-        ]
+        # HEAD_IN choice (None when the head interval is empty) and its body
+        # (fid, lo, hi) per conjunct.  Per formula, the ascending indices of
+        # the clauses a change of its box can leave without a choice (a
+        # HEAD_IN box of [0, 1] always fits), flattened: formula fid's are
+        # _watch[_watch_start[fid]:_watch_start[fid + 1]].
+        int_bodies = {
+            key: [(fid, *scaled[id(iv)]) for fid, iv in body] for key, body in bodies.items()
+        }
+        self._bodies = [int_bodies[id(cl.body)] for cl in pp.clauses]
+        self._head_boxes = []
         watchers: list[list[int]] = [[] for _ in self._formula_atoms]
-        for j, ((head_fid, head_iv, body), head) in enumerate(zip(self.clauses, self._head_boxes)):
-            if head_iv == FULL:
+        for j, ((head_fid, head_iv, _), body) in enumerate(zip(self.clauses, self._bodies)):
+            lo, hi = scaled[id(head_iv)]
+            self._head_boxes.append(None if lo > hi else (head_fid, lo, hi))
+            if lo == 0 and hi == top:
                 continue
-            fids = {fid for fid, _ in body}
-            if head is not None:
+            fids = {fid for fid, _, _ in body}
+            if lo <= hi:
                 fids.add(head_fid)
             for fid in fids:
                 watchers[fid].append(j)
         self._watch_start = array("i", itertools.accumulate(map(len, watchers), initial=0))
         self._watch = array("i", itertools.chain.from_iterable(watchers))
 
-        # Connected components over atoms, via the program's formulas; a query
-        # atom outside the base is a component of its own.
+        # Connected components over atoms, via the program's formulas of
+        # several atoms; a query atom outside the base is a component of its own.
         parent = list(range(len(self.base)))
 
         def find(a):
@@ -361,6 +421,8 @@ class _Engine:
             return a
 
         for _, idxs in self._formula_atoms[:n_program]:
+            if len(idxs) == 1:
+                continue
             it = iter(sorted(idxs))
             first = find(next(it))
             for other in it:
@@ -371,22 +433,25 @@ class _Engine:
         for a in range(len(parent)):
             groups.setdefault(find(a), []).append(a)
         self.components = [
-            _Component(cid, tuple(sorted(members)))
+            _Component(cid, tuple(members))  # ascending, as appended
             for cid, members in enumerate(groups[root] for root in sorted(groups))
         ]
-        atom_comp = {a: comp.cid for comp in self.components for a in comp.atoms}
+        atom_comp = [0] * len(parent)
+        for comp in self.components:
+            for a in comp.atoms:
+                atom_comp[a] = comp.cid
 
         # Per program formula its component and its row coefficients over the
         # component's signature classes.
         self._fid_comp = [atom_comp[min(idxs)] for _, idxs in self._formula_atoms[:n_program]]
-        comp_fids = {comp.cid: [] for comp in self.components}
+        comp_fids: list[list[int]] = [[] for _ in self.components]
         for fid, cid in enumerate(self._fid_comp):
             comp_fids[cid].append(fid)
         self._coeffs: list = [None] * n_program
         self._local_fid: list = [None] * n_program  # position among its component's; see _split
         self._shapes: dict = {}  # see _split
-        for comp in self.components:
-            self._split(comp, comp_fids[comp.cid])
+        for comp, fids in zip(self.components, comp_fids):
+            self._split(comp, fids)
 
         # Each extra formula is answered per component its atoms touch, by its
         # part there: its atoms in it under its connective, whose least mass
@@ -431,8 +496,12 @@ class _Engine:
         one shape share one class table and one coefficient tuple per
         formula, built by the first of them (_shapes) and numbered in order
         (comp.shape).  Each formula's row is also named by its position in
-        fids (_local_fid), the same in every component of the shape."""
-        shape = (comp.k, tuple(comp.local(*self._formula_atoms[fid]) for fid in fids))
+        fids (_local_fid), the same in every component of the shape.  A
+        one-atom component has at most one formula, the atom itself."""
+        if comp.k == 1:
+            shape = _ONE_ATOM_SHAPES[len(fids)]
+        else:
+            shape = (comp.k, tuple(comp.local(*self._formula_atoms[fid]) for fid in fids))
         table = self._shapes.get(shape)
         if table is None:
             masks = [comp.formula_mask(*f) for f in shape[1]]
@@ -440,6 +509,7 @@ class _Engine:
             rows = [comp.coefficients(m) for m in masks]
             table = self._shapes[shape] = (len(self._shapes), comp.classes, rows)
         comp.shape, comp.classes, rows = table
+        comp.box_decided = comp.k == 1 and len(comp.classes) == 2
         for position, (fid, row) in enumerate(zip(fids, rows)):
             self._coeffs[fid] = row
             self._local_fid[fid] = position
@@ -464,6 +534,8 @@ class _Engine:
 
         Once the fold sets settled, the walk decides no further leaf: it
         counts the box-consistent leaves it still reaches and yields none.
+
+        eps must lie on the engine's grid, as epsilon, epsilon/2 and 0 do.
         """
         self.walked = 0
         self.settled = False
@@ -472,12 +544,13 @@ class _Engine:
             yield {}
             return
         head_boxes = self._head_boxes
-        body_boxes = _BodyBoxes(self.clauses, eps)
+        body_boxes = _BodyBoxes(self._bodies, self._on_grid(eps), self.denominator)
         # At the root every box is [0, 1], which every possible choice fits.
         for j, head in enumerate(head_boxes):
             if head is None and all(choice is None for choice in body_boxes[j]):
                 return
-        boxes: dict[int, tuple[Fraction, Fraction]] = {}
+        unit = self._unit
+        boxes = _Boxes(unit)
         # Per clause with a choice in force: its formula and the box it replaced.
         path: list[tuple[int, tuple]] = []
         # Per open clause: the index of its next choice to try (0 is HEAD_IN,
@@ -502,7 +575,7 @@ class _Engine:
             if old is None:
                 continue
             fid = box[0]
-            if boxes.get(fid, _UNIT) is not old and self._dead_end(boxes, body_boxes, fid, depth):
+            if boxes.get(fid, unit) is not old and self._dead_end(boxes, body_boxes, fid, depth):
                 _restore(boxes, fid, old)
                 continue
             path.append((fid, old))
@@ -516,7 +589,14 @@ class _Engine:
             if self.feasible(keys):
                 yield keys
 
-    def _dead_end(self, boxes: dict, body_boxes: _BodyBoxes, fid: int, depth: int) -> bool:
+    def _on_grid(self, q: Fraction) -> int:
+        """q as an integer over the engine's denominator."""
+        n, rest = divmod(q.numerator * self.denominator, q.denominator)
+        if rest:
+            raise ValueError(f"{q} is not a multiple of 1/{self.denominator}")
+        return n
+
+    def _dead_end(self, boxes: _Boxes, body_boxes: _BodyBoxes, fid: int, depth: int) -> bool:
         """Whether some clause after depth that formula fid's box can leave
         without a choice has no choice left that fits the boxes."""
         watch, stop = self._watch, self._watch_start[fid + 1]
@@ -531,11 +611,12 @@ class _Engine:
     def box_keys(self, boxes: dict) -> dict[int, tuple]:
         """Group the narrowed boxes {fid: (lo, hi)} by component: per
         component its box key, its boxes (fid, lo, hi) in fid order (a sorted
-        tuple, since a set would hash every bound)."""
+        tuple of integers, the engine's keys for its memos)."""
         by_comp: dict[int, list] = {}
-        for fid, (lo, hi) in boxes.items():
-            by_comp.setdefault(self._fid_comp[fid], []).append((fid, lo, hi))
-        return {cid: tuple(sorted(key)) for cid, key in by_comp.items()}
+        fid_comp = self._fid_comp
+        for fid in sorted(boxes):
+            by_comp.setdefault(fid_comp[fid], []).append((fid, *boxes[fid]))
+        return {cid: tuple(key) for cid, key in by_comp.items()}
 
     def feasible(self, keys: dict[int, tuple]) -> bool:
         """Whether every component's boxes allow some masses, solved in
@@ -543,8 +624,8 @@ class _Engine:
         component's box is not empty, so it always does."""
         components = self.components
         return all(
-            components[cid].box_decided or self._solved(components[cid], keys[cid]).x is not None
-            for cid in sorted(keys)
+            self._solved(components[cid], keys[cid]).x is not None
+            for cid in sorted(cid for cid in keys if not components[cid].box_decided)
         )
 
     def mass_ranges(self, keys) -> dict[int, tuple[Fraction, Fraction]]:
@@ -580,13 +661,15 @@ class _Engine:
 
     def _lp_rows(self, comp: _Component, key: tuple):
         """The LP of comp's boxes: masses summing to 1, then per formula in
-        ascending fid order "<= hi" when hi < 1 and ">= lo" when lo > 0."""
+        ascending fid order "<= hi" when hi < 1 and ">= lo" when lo > 0, each
+        bound the exact Fraction of its integer over the denominator."""
+        top = self.denominator
         out = [([ONE] * len(comp.classes), "=", ONE)]
         for fid, lo, hi in key:
-            if hi < 1:
-                out.append((list(self._coeffs[fid]), "<=", hi))
+            if hi < top:
+                out.append((list(self._coeffs[fid]), "<=", Fraction(hi, top)))
             if lo > 0:
-                out.append((list(self._coeffs[fid]), ">=", lo))
+                out.append((list(self._coeffs[fid]), ">=", Fraction(lo, top)))
         return out
 
     def _solved(self, comp: _Component, key: tuple) -> LPResult | _BoxSolve:
@@ -597,7 +680,7 @@ class _Engine:
         first time a consumer asks for it and memoized for the engine's life,
         so each box key runs phase one once."""
         if comp.box_decided:
-            return _BoxSolve(key)
+            return _BoxSolve(key, self.denominator)
         memo = (comp.cid, key)
         result = self._solves.get(memo)
         if result is None:
@@ -620,18 +703,34 @@ class _Engine:
         # the joint world is swept from point to point, flipping at each the
         # atoms of the components that change there.  A component without a
         # box sits in its zero world, which holds no atom.  The points are
-        # integers over the marginals' common denominator.
-        marginals = []  # per component with a box: (world, mass) per class with mass
-        for comp in self.components:
-            key = keys.get(comp.cid)
-            if key is not None:
-                x = self._solved(comp, key).x
-                marginals.append(
-                    [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
-                )
-        denominator = math.lcm(*(v.denominator for steps in marginals for _, v in steps))
+        # integers over a common denominator: the engine's, times whatever
+        # the multi-atom components' vertices add.
+        top = self.denominator
         gmask = 0  # the joint world at the bottom of the interval
         flips: dict[int, int] = {}  # point -> the atoms that change there
+        marginals = []  # per multi-atom component with a box: (world, mass) per class with mass
+        for cid, key in keys.items():
+            comp = self.components[cid]
+            if comp.box_decided:
+                # The vertex (see _BoxSolve) gives the atom mass p, its box's
+                # low end when above 0, else its high end: the atom holds up
+                # to p, where it flips, unless p is 0 or 1.
+                ((_, lo, hi),) = key
+                p = lo or hi
+                if p:
+                    atom = 1 << comp.atoms[0]
+                    gmask |= atom
+                    if p < top:
+                        flips[p] = flips.get(p, 0) ^ atom
+                continue
+            x = self._solved(comp, key).x
+            marginals.append(
+                [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
+            )
+        denominator = math.lcm(top, *(v.denominator for steps in marginals for _, v in steps))
+        if denominator != top:
+            scale = denominator // top
+            flips = {p * scale: atoms for p, atoms in flips.items()}
         for steps in marginals:
             gmask |= steps[0][0]
             point = 0
@@ -873,10 +972,10 @@ def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDi
     satisfaction rather than per-clause satisfaction.
     """
     engine = _Engine(pp, opts)
-    boxes: dict[int, tuple[Fraction, Fraction]] = {}
-    for head_fid, head_iv, body in engine.clauses:
-        for fid, iv in [(head_fid, head_iv)] + body:
-            if _narrow(boxes, (fid, iv.lo, iv.hi)) is None:
+    boxes = _Boxes(engine._unit)
+    for head, body in zip(engine._head_boxes, engine._bodies):
+        for box in [head, *body]:
+            if box is None or _narrow(boxes, box) is None:
                 return None
     keys = engine.box_keys(boxes)
     return engine.couple(keys) if engine.feasible(keys) else None

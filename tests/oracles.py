@@ -19,6 +19,14 @@ every feasible leaf with no early exit, and at epsilon/2 a second whole fold.
 reference_couple and reference_spread_product are the engine's witness
 assembly as it was written on Fraction arithmetic, before it summed integer
 numerators over one denominator: the two must build equal distributions.
+reference_couple takes every component's vertex from the reference simplex,
+so it also checks the engine's reading of a one-atom component's vertex
+straight off its box.
+
+The engine keeps its boxes as integers over one denominator per engine
+(engine.denominator).  The reference walk and its LP rows keep Fractions;
+on_grid and grid_keys move a bound onto the engine's grid only where the two
+are compared, and assert that it lies on it.
 """
 
 from __future__ import annotations
@@ -343,15 +351,19 @@ def grid_distributions(n_worlds: int, step_denominator: int = 20):
 
 
 def reference_couple(engine, keys: dict[int, tuple]) -> WorldDistribution:
-    """engine.couple as written on Fractions: the component marginals coupled
-    along the unit interval, one Fraction sum per segment."""
+    """engine.couple as written on Fractions: the component marginals, each
+    the vertex reference_solve_lp finds for the component's boxes (one-atom
+    components included), coupled along the unit interval, one Fraction sum
+    per segment."""
     gmask = 0  # the joint world at the bottom of the interval
     flips: dict[Fraction, list[int]] = {}  # point -> the atom sets that change there
     for comp in engine.components:
         key = keys.get(comp.cid)
         if key is None:
             continue
-        x = engine._solved(comp, key).x
+        boxes = {fid: (Fraction(lo, engine.denominator), Fraction(hi, engine.denominator))
+                 for fid, lo, hi in key}
+        x = reference_solve_lp(len(comp.classes), fraction_lp_rows(engine, comp, boxes)).x
         steps = [(comp.global_mask(rep), v) for (_, _, rep), v in zip(comp.classes, x) if v]
         gmask |= steps[0][0]
         # each class but the last ends where the next one's world begins
@@ -392,20 +404,24 @@ def reference_leaves(engine, eps: Fraction):
     """(box key per component, feasible) of each leaf of reference_leaf_rows,
     its rows reduced to the boxes they allow only at the leaf; the leaf is
     feasible when reference_solve_lp finds every component's box rows
-    feasible, one-atom components included.
+    feasible, one-atom components included.  The boxes are Fractions until
+    the keys are built, which moves them onto the engine's grid (grid_keys).
 
     engine.leaves(eps) must yield the keys of the feasible leaves, in the same
     order, and count every leaf in engine.walked, feasible or not.
     """
     for rows in reference_leaf_rows(engine, eps):
-        keys = engine.box_keys(row_boxes(rows))
-        yield keys, all(
+        boxes = row_boxes(rows)
+        by_comp = {}
+        for fid, box in boxes.items():
+            by_comp.setdefault(engine._fid_comp[fid], {})[fid] = box
+        yield grid_keys(engine, boxes), all(
             reference_solve_lp(
                 len(engine.components[cid].classes),
-                engine._lp_rows(engine.components[cid], key),
+                fraction_lp_rows(engine, engine.components[cid], comp_boxes),
             ).status
             != "infeasible"
-            for cid, key in keys.items()
+            for cid, comp_boxes in by_comp.items()
         )
 
 
@@ -417,6 +433,39 @@ def row_boxes(rows) -> dict:
         lo, hi = boxes.get(fid, (Fraction(0), Fraction(1)))
         boxes[fid] = (max(lo, rhs), hi) if sense == ">=" else (lo, min(hi, rhs))
     return {fid: box for fid, box in boxes.items() if box != (0, 1)}
+
+
+def on_grid(engine, q: Fraction) -> int:
+    """q as an integer over the engine's denominator, which must be exact."""
+    n = q * engine.denominator
+    assert n.denominator == 1, (q, engine.denominator)
+    return n.numerator
+
+
+def grid_keys(engine, boxes: dict) -> dict[int, tuple]:
+    """The engine's box keys of Fraction boxes {fid: (lo, hi)}: per
+    component its boxes (fid, lo, hi) in fid order, bounds on the grid."""
+    keys = {}
+    for fid in sorted(boxes):
+        lo, hi = boxes[fid]
+        keys.setdefault(engine._fid_comp[fid], []).append(
+            (fid, on_grid(engine, lo), on_grid(engine, hi))
+        )
+    return {cid: tuple(key) for cid, key in keys.items()}
+
+
+def fraction_lp_rows(engine, comp, boxes: dict):
+    """The LP of comp's Fraction boxes {fid: (lo, hi)}: masses summing to 1,
+    then per formula in ascending fid order "<= hi" when hi < 1 and ">= lo"
+    when lo > 0."""
+    out = [([ONE] * len(comp.classes), "=", ONE)]
+    for fid in sorted(boxes):
+        lo, hi = boxes[fid]
+        if hi < 1:
+            out.append((list(engine._coeffs[fid]), "<=", hi))
+        if lo > 0:
+            out.append((list(engine._coeffs[fid]), ">=", lo))
+    return out
 
 
 def reference_leaf_rows(engine, eps: Fraction):

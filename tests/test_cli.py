@@ -391,6 +391,32 @@ class TestEvolve:
         assert res.exit_code == 0
         assert "a@Y : <Y: 1 ~ 2, [0.3,0.6], [0.3,0.6]>." in res.payload
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--epsilon", "0", "--epsilon must be a positive rational, not '0'"),
+            ("--max-world-atoms", "0", "--max-world-atoms must be a positive integer, not '0'"),
+        ],
+    )
+    @pytest.mark.parametrize("verify", [[], ["--verify", "literal"]], ids=["build", "verify"])
+    def test_bad_solve_option_exits_2(self, fixtures, monkeypatch, capsys, option, value,
+                                      message, verify):
+        # checked before the skeleton or the profile is read
+        def fail(*args, **kwargs):
+            raise AssertionError("read the skeleton")
+
+        monkeypatch.setattr(tplp.cli, "parse_skeleton", fail)
+        res = invoke(
+            "evolve",
+            str(fixtures / "evolution_skeleton.tpl"),
+            str(fixtures / "evolution_profile.csv"),
+            option,
+            value,
+            *verify,
+        )
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_verify_conditional_passes(self, fixtures):
         res = invoke(
             "evolve",

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import pathlib
@@ -18,6 +19,8 @@ from generators import (
 )
 from oracles import (
     grid_distributions,
+    grid_keys,
+    on_grid,
     reference_couple,
     reference_entails,
     reference_leaf_rows,
@@ -147,10 +150,14 @@ class TestLeafWalk:
         assert engine.walked == len(walked)
         a = next(fid for fid, _, body in engine.clauses if not body)
         b = next(fid for fid, _, body in engine.clauses if body)
+
+        def box(fid, lo, hi):
+            return fid, on_grid(engine, lo), on_grid(engine, hi)
+
         assert [set().union(*keys.values()) for keys in walked] == [
-            {(a, F(1, 5), F(4, 5)), (b, F(9, 10), F(1))},
-            {(a, F(1, 5), F(2, 5) - eps)},
-            {(a, F(3, 5) + eps, F(4, 5))},
+            {box(a, F(1, 5), F(4, 5)), box(b, F(9, 10), F(1))},
+            {box(a, F(1, 5), F(2, 5) - eps)},
+            {box(a, F(3, 5) + eps, F(4, 5))},
         ]
 
     def test_branch_count_is_leaves_consumed(self):
@@ -272,6 +279,71 @@ class TestLookAhead:
         assert 0 < len(narrowings) <= 200
 
 
+class TestOffGridEpsilon:
+    """An epsilon whose denominator shares no factor with the programs'
+    intervals, and one of thirty digits, lies on the engine's grid with its
+    half: the walks at epsilon, epsilon/2 and 0 reach the leaves of the
+    Fraction reference and yield its feasible ones, and the verdicts, branch
+    counts and tightened intervals are the reference's."""
+
+    def programs(self):
+        """The first programs of TestLookAhead's generators: the reference
+        walk, which has no look-ahead, takes over a second on the seventh
+        facts_last_pprogram at each epsilon."""
+        rng = random.Random(409)
+        for _ in range(40):
+            base = small_base(rng.randint(2, 5))
+            yield rand_pprogram(rng, base, n_clauses=rng.randint(1, 5))
+        rng = random.Random(410)
+        for _ in range(6):
+            yield facts_last_pprogram(rng, rng.randint(2, 5))
+
+    @pytest.mark.parametrize("eps", [F(1, 3), F(1, 7), F(1, 10**30)], ids=["1/3", "1/7", "1e-30"])
+    def test_walks_verdicts_and_intervals(self, eps):
+        from oracles import BruteForce
+
+        opts = SolveOptions(epsilon=eps)
+        verdicts = {v: 0 for v in Verdict}
+        sensitive = 0
+        for pp in self.programs():
+            engine = _Engine(pp, opts)
+            assert engine.denominator % (eps / 2).denominator == 0
+            feasible = {}
+            for walk_eps in (eps, eps / 2, F(0)):
+                reference = list(reference_leaves(engine, walk_eps))
+                leaves = [keys for keys, ok in reference if ok]
+                assert list(engine.leaves(walk_eps)) == leaves, walk_eps
+                assert engine.walked == len(reference)
+                feasible[walk_eps] = bool(leaves)
+            res = check_consistency(pp, opts)
+            if feasible[eps]:
+                assert res.verdict is Verdict.CONSISTENT and ki_satisfies(pp, res.witness)
+            elif feasible[F(0)]:
+                assert res.verdict is Verdict.UNKNOWN_EPS
+            else:
+                assert res.verdict is Verdict.INCONSISTENT
+            verdicts[res.verdict] += 1
+            if eps.denominator < 10:  # a float epsilon the oracle can use
+                oracle = BruteForce(pp, eps=float(eps))
+                assert (res.verdict is Verdict.CONSISTENT) == oracle.consistent()
+            heads = [BasicFormula.single(h) for h in dict.fromkeys(c.head for c in pp.clauses)]
+            expected = reference_tighten(pp, heads, opts)
+            if expected is None:
+                with pytest.raises(InconsistentProgram):
+                    tighten(pp, heads, opts)
+                continue
+            got = tighten(pp, heads, opts)
+            assert (got.intervals, got.branch_count, got.boundary_sensitive) == expected
+            sensitive += got.boundary_sensitive
+        assert verdicts[Verdict.CONSISTENT] >= 30 and verdicts[Verdict.INCONSISTENT] >= 5
+        assert sensitive >= (3 if eps.denominator < 10 else 0)
+
+    def test_engine_refuses_a_walk_off_its_grid(self):
+        engine = _Engine(load_unfolded("p0.tpl"), SolveOptions())
+        with pytest.raises(ValueError, match="not a multiple"):
+            next(engine.leaves(F(1, 3)))
+
+
 @pytest.fixture
 def lp_systems(monkeypatch):
     """The row system of every solve_lp call made so far, in call order."""
@@ -369,7 +441,7 @@ class TestBoxLeaves:
             checked = set()
             for eps in (SolveOptions().epsilon, F(0)):
                 for rows in reference_leaf_rows(engine, eps):
-                    keys = engine.box_keys(row_boxes(rows))
+                    keys = grid_keys(engine, row_boxes(rows))
                     for comp in multi:
                         mine = sorted({r for r in rows if engine._fid_comp[r[0]] == comp.cid})
                         if not mine or (comp.cid, *mine) in checked:
@@ -454,14 +526,16 @@ class TestBoxDecided:
         rng = random.Random(909)
         seen = {shape: 0 for shape in self.SHAPES}
         ties = 0
-        for _ in range(1500):
+        for i in range(1500):
             shape = rng.choice(self.SHAPES)
             lo, hi = self.box(rng, shape)
             rows = [([1, 1], "=", 1)]
             rows += [([1, 0], "<=", hi)] if hi < 1 else []
             rows += [([1, 0], ">=", lo)] if lo > 0 else []
             lp = solve_lp(2, rows)
-            box = _BoxSolve(frozenset({(0, lo, hi)}))
+            # bounds as integers over a denominator, reduced or not
+            d = math.lcm(lo.denominator, hi.denominator) * (1, 6)[i % 2]
+            box = _BoxSolve(((0, int(lo * d), int(hi * d)),), d)
             assert (box.status, box.x) == (lp.status, lp.x), (shape, lo, hi)
             seen[shape] += 1
             assert box.lo == lp.optimum((1, 0), maximize=False).value, (lo, hi)
@@ -1095,6 +1169,75 @@ class TestWitnessAssembly:
         fresh = max_entropy_model(pp)
         assert fresh.distribution == shared.distribution
         assert (fresh.entropy, fresh.branch_count) == (shared.entropy, shared.branch_count)
+
+
+class TestCoupleFromBoxes:
+    """couple reads a one-atom component's vertex straight off its box, as
+    an integer over the engine's denominator, and folds the atoms of all
+    components that flip at one point; only multi-atom vertices go through
+    the lcm.  It builds the coupling of reference_couple, on Fractions from
+    the reference simplex, and that is an exact model."""
+
+    @staticmethod
+    def with_singles(pp: PProgram, rng: random.Random) -> PProgram:
+        """pp and one-atom components beside it: masses 0 and 1, boxes open
+        at either end, three on one point, one never narrowed, and a rule
+        whose leaves give s2 different boxes."""
+        lo, hi = sorted(rng.sample(range(1, 20), 2))
+        a, b = sorted(rng.sample(range(1, 20), 2))
+        s = [TAtom(f"s{i}", (), 1) for i in range(8)]
+
+        def iv(x, y):
+            return ProbInterval(F(x, 20), F(y, 20))
+
+        singles = (
+            PClause(s[0], iv(0, 0), ()),
+            PClause(s[1], iv(20, 20), ()),
+            PClause(s[2], iv(0, hi), ()),
+            PClause(s[3], iv(lo, 20), ()),
+            PClause(s[4], iv(lo, hi), ()),
+            PClause(s[5], iv(lo, hi), ()),
+            PClause(s[6], iv(0, 20), ()),
+            PClause(s[7], iv(20, 20), ((BasicFormula.single(s[2]), iv(a, b)),)),
+        )
+        return PProgram(pp.clauses + singles, HerbrandBase([*pp.base, *s]))
+
+    def programs(self):
+        for seed in range(930, 945):
+            rng = random.Random(seed)
+            yield self.with_singles(dense_program(rng), rng)
+        # Seeds whose multi-atom vertices have denominators of 3,000,000,
+        # beyond the engine's 2,000,000 (about 1 in 1,000 such programs).
+        for seed in (931, 2062):
+            rng = random.Random(seed)
+            base = small_base(rng.randint(3, 6))
+            pp = rand_pprogram(rng, base, n_clauses=rng.randint(3, 6), formula_sizes=(1, 2, 2, 3))
+            yield self.with_singles(pp, rng)
+
+    def test_mixed_components(self):
+        eps = SolveOptions().epsilon
+        leaves = scaled = 0  # scaled: leaves whose vertices need more than the engine's grid
+        points = set()  # per one-atom vertex: "0", "1" or "inside"
+        for pp in self.programs():
+            engine = _Engine(pp, SolveOptions())
+            assert any(c.k > 1 for c in engine.components)
+            for keys in itertools.islice(engine.leaves(eps), 70):
+                coupled = engine.couple(keys)
+                assert coupled == reference_couple(engine, keys)
+                assert ki_satisfies(pp, coupled)
+                leaves += 1
+                denominators = []
+                for cid, key in keys.items():
+                    comp = engine.components[cid]
+                    if comp.box_decided:
+                        ((_, lo, hi),) = key
+                        p = lo or hi
+                        points.add("0" if p == 0 else "1" if p == engine.denominator else "inside")
+                    else:
+                        denominators += [v.denominator for v in engine._solved(comp, key).x]
+                scaled += engine.denominator % math.lcm(*denominators) != 0
+        assert points == {"0", "1", "inside"}
+        assert leaves >= 300 and scaled >= 4, (leaves, scaled)
 
 
 class TestSolveOptions:
