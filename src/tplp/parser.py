@@ -311,6 +311,8 @@ class _ProgramParser:
             raise _Unexpected(str(exc), tok.span) from None
 
     def parse_prob(self) -> Fraction:
+        """A NUM in [0, 1].  One above 1 is rejected as parse_number rejects
+        a malformed literal: one diagnostic, read as 0, clause left out."""
         start = self.cur.peek()
         value = self.parse_number()
         if not (0 <= value <= 1):
@@ -321,7 +323,8 @@ class _ProgramParser:
                     start.span,
                 )
             )
-            value = max(Fraction(0), min(Fraction(1), value))
+            self.rejected_numbers += 1
+            return Fraction(0)
         return value
 
     def parse_weights(self) -> WeightFunction:

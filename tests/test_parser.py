@@ -1,4 +1,8 @@
+import dataclasses
+import importlib.util
+import pathlib
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +11,20 @@ from hypothesis import strategies as st
 
 from generators import rand_program_ast, rand_tp_program
 from tplp.diagnostics import DiagnosticKind
-from tplp.model import BasicFormula, CAtom, Calendar, Connective, TVar, WeightKind
+from tplp.model import (
+    BasicFormula,
+    CAtom,
+    Calendar,
+    Cmp,
+    Connective,
+    TAtom,
+    TimeRange,
+    TPAnnotation,
+    TPClause,
+    TVar,
+    WeightFunction,
+    WeightKind,
+)
 from tplp.parser import (
     QueryKind,
     parse_program,
@@ -113,6 +130,16 @@ class TestParsePrograms:
         res = parse_program("calendar 1..2. a@Y : <Y=1, [1.5], #>.")
         assert any(d.kind is DiagnosticKind.VALUE_RANGE for d in res.errors)
 
+    def test_probability_out_of_range_is_the_only_diagnostic(self):
+        # the clause is left out, so no LowerExceedsUpper against a clamped
+        # 1 that nobody wrote; the clauses after it are still validated
+        res = parse_program("calendar 1..2.\na@Y : <Y=1, [1.5], [0.7]>.\nb@Y : <Y=9, #, #>.")
+        assert [str(d) for d in res.diagnostics] == [
+            "2:14 error[ValueRange]: probability 1.5 outside [0,1]",
+            "3:7 warning[EmptySolutionSet]: constraint Y = 9 has no solution in the calendar; "
+            "the annotated formula is vacuous",
+        ]
+
     def test_comments_ignored(self):
         res = parse_program("% intro\ncalendar 1..2. % trailing\na@Y : <Y=1, #, #>. % end\n")
         assert res.ok and len(res.program.clauses) == 1
@@ -123,6 +150,108 @@ class TestParsePrograms:
         assert cl.span.line == 2
         assert cl.head.span is not None
         assert cl.head_annot.span is not None
+
+
+def spanned(node):
+    """Every node at or under node that carries a span, parents first."""
+    if isinstance(node, tuple):
+        for item in node:
+            yield from spanned(item)
+    elif dataclasses.is_dataclass(node):
+        if getattr(node, "span", None) is not None:
+            yield node
+        for f in dataclasses.fields(node):
+            if f.name != "span":
+                yield from spanned(getattr(node, f.name))
+
+
+def squeeze(text: str) -> str:
+    return "".join(text.split())
+
+
+def check_span(text: str, node):
+    """The node's line and column count from the text itself, and its span
+    covers the node's own source."""
+    span = node.span
+    assert span.line == text.count("\n", 0, span.start) + 1
+    assert span.column == span.start - text.rfind("\n", 0, span.start)
+    source = text[span.start : span.end]
+    if isinstance(node, TPClause):
+        assert squeeze(source).startswith(squeeze(str(node.head))) and source.endswith(".")
+    elif isinstance(node, (TAtom, BasicFormula)):
+        assert squeeze(source) == squeeze(str(node))
+    elif isinstance(node, TPAnnotation):
+        assert source.startswith("<") and source.endswith(">")
+    elif isinstance(node, WeightFunction) and node.kind is WeightKind.LIST:
+        assert source.startswith("[") and source.endswith("]")
+        assert source.count(",") == len(node.values) - 1
+    elif isinstance(node, WeightFunction):
+        assert source == str(node)
+    else:
+        assert isinstance(node, (Cmp, TimeRange)) and source == node.var.name
+
+
+def bench_programs():
+    """The program texts of the dense-lp and wide-ground bench workloads."""
+    path = pathlib.Path(__file__).parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        for build in (workloads.dense_lp, workloads.wide_ground):
+            yield from (t for k, t in build(seed).files.items() if k.endswith(".tpl"))
+
+
+class TestSpans:
+    """Each span-carrying node of a parsed program, checked against its text:
+    clauses, atoms, formulas, annotations, weight functions and constraint
+    leaves."""
+
+    KINDS = {TPClause, TAtom, BasicFormula, TPAnnotation, WeightFunction, Cmp, TimeRange}
+
+    def check_program(self, text: str) -> set:
+        res = parse_program(text)
+        assert res.ok, [str(d) for d in res.diagnostics]
+        nodes = list(spanned(res.program.clauses))
+        for node in nodes:
+            check_span(text, node)
+        return {type(n) for n in nodes}
+
+    def test_fixtures(self, fixtures):
+        kinds = set()
+        for path in sorted(fixtures.glob("*.tpl")):
+            if path.name != "evolution_skeleton.tpl":
+                kinds |= self.check_program(path.read_text())
+        assert kinds == self.KINDS
+
+    def test_bench_programs(self):
+        texts = list(bench_programs())
+        assert len(texts) == 3 * (4 + 6)
+        for text in texts:
+            self.check_program(text)
+
+    def test_validated_mutants(self):
+        from test_fuzz import PROGRAMS, SEEDS, mutate
+
+        checked = 0
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            text = mutate(rng, PROGRAMS[rng.choice(sorted(PROGRAMS))])
+            if parse_program(text).ok:
+                self.check_program(text)
+                checked += 1
+        assert checked >= len(SEEDS) // 8
+
+    def test_offsets_and_columns_count_characters(self):
+        text = "% café\ncalendar 1..1. % é\n  a@Y : <Y=1, [0.5], [0.5]>."
+        self.check_program(text)
+        text = "calendar 1..1.\né a@Y : <Y=1, [0.5], [0.5]."
+        res = parse_program(text)
+        assert [str(d) for d in res.diagnostics] == [
+            "2:1 error[Syntax]: unexpected character 'é'",
+            "2:27 error[Syntax]: expected '>' closing the annotation, found '.'",
+        ]
+        assert res.diagnostics[1].span.start == len(text) - 1  # the final "."
 
 
 class TestRoundTrip:
