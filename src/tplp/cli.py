@@ -92,7 +92,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
 
 
@@ -301,7 +301,7 @@ def _load_profile_csv(path: str):
                 if first != lineno:
                     raise _CliError(f"{where}: {slot} at time {t} repeats line {first}")
                 per_time.setdefault(slot, {})[t] = iv
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
     if not lines:
         raise _CliError(f"{path}: no annotation slices found")

@@ -8,7 +8,9 @@ from enum import Enum
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Half-open byte range plus the line/column of its start (1-based)."""
+    """Half-open range of character offsets into the source text, plus the
+    line and column of its start (1-based).  Offsets and columns count
+    characters, not bytes: an "é" earlier on the line moves a column by one."""
 
     line: int
     column: int

@@ -95,10 +95,15 @@ class ProbInterval:
     hi: Fraction
 
     def __post_init__(self):
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        # each in [0, 1], compared on integers
+        if not (0 <= lo.numerator <= lo.denominator and 0 <= hi.numerator <= hi.denominator):
             raise ValueError(f"interval endpoints must lie in [0,1]: [{lo}, {hi}]")
 
     @classmethod

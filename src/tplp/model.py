@@ -22,7 +22,7 @@ from typing import Union
 
 from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error, warning
 from .errors import CalendarTooLarge, GroundingTooLarge, NonNormalConstraint
-from .intervals import ONE, ZERO, ProbInterval, format_rational
+from .intervals import ONE, ProbInterval, format_rational
 
 TimePoint = int
 
@@ -455,12 +455,12 @@ class WeightFunction:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if self.kind is not WeightKind.LIST and vals:
             raise ValueError(f"{self.kind.value} weight functions carry no value list")
         for v in vals:
-            if not (ZERO <= v <= ONE):
+            if not 0 <= v.numerator <= v.denominator:  # in [0, 1], on integers
                 raise ValueError(f"weight {v} outside [0,1]")
 
     @classmethod

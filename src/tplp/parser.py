@@ -73,77 +73,99 @@ from .model import (
 
 # --- lexer ----------------------------------------------------------------------
 
-_TOKEN_SPEC = [
-    ("WS", r"[ \t\r\n]+"),
-    ("COMMENT", r"%[^\n]*"),
-    ("DEC", r"[0-9]+\.[0-9]+"),
-    ("DOTDOT", r"\.\."),
-    ("INT", r"[0-9]+"),
-    ("IMPL", r":-"),
-    ("LE", r"<="),
-    ("GE", r">="),
-    ("NE", r"!="),
-    ("IDENT", r"[a-z][A-Za-z0-9_]*"),
-    ("VAR", r"[A-Z][A-Za-z0-9_]*"),
-    ("DOT", r"\."),
-    ("COMMA", r","),
-    ("COLON", r":"),
-    ("TILDE", r"~"),
-    ("AT", r"@"),
-    ("LT", r"<"),
-    ("GT", r">"),
-    ("EQ", r"="),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("LBRACK", r"\["),
-    ("RBRACK", r"\]"),
-    ("HASH", r"#"),
-    ("STAR", r"\*"),
-    ("PLUS", r"\+"),
-    ("MINUS", r"-"),
-    ("SLASH", r"/"),
-    ("QMARK", r"\?"),
-]
-_MASTER = re.compile("|".join(f"(?P<{name}>{pat})" for name, pat in _TOKEN_SPEC))
+# Operator and punctuation lexemes, each its own token type.
+_OPERATORS = {
+    "..": "DOTDOT",
+    ":-": "IMPL",
+    "<=": "LE",
+    ">=": "GE",
+    "!=": "NE",
+    ".": "DOT",
+    ",": "COMMA",
+    ":": "COLON",
+    "~": "TILDE",
+    "@": "AT",
+    "<": "LT",
+    ">": "GT",
+    "=": "EQ",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "[": "LBRACK",
+    "]": "RBRACK",
+    "#": "HASH",
+    "*": "STAR",
+    "+": "PLUS",
+    "-": "MINUS",
+    "/": "SLASH",
+    "?": "QMARK",
+}
+# Cuts a text into lexemes, each character in exactly one: whitespace, a
+# comment, a number, a word, a two-character operator, or any one character.
+_LEXEME = re.compile(
+    r"[ \t\r\n]+|%[^\n]*|[0-9]+(?:\.[0-9]+)?|[A-Za-z][A-Za-z0-9_]*|"
+    + "|".join(re.escape(op) for op in _OPERATORS if len(op) == 2)
+    + "|.",
+    re.S,
+)
+# The token type of a lexeme that is no operator, by its first character: ""
+# for whitespace and comments, which make no token.  A number with a "." is
+# a DEC.  A character in neither table is an error.
+_BY_FIRST = {
+    **dict.fromkeys("0123456789", "INT"),
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyz", "IDENT"),
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "VAR"),
+    **dict.fromkeys(" \t\r\n%", ""),
+}
+_NEWLINE = re.compile("\n")
 
 
-@dataclass(frozen=True)
 class Token:
-    type: str
-    text: str
-    span: SourceSpan
+    """A lexeme: its type, its text and the half-open range of character
+    offsets it covers.  Spans are built from tokens only where a node or a
+    diagnostic keeps one (see ``_Cursor.span``)."""
+
+    __slots__ = ("type", "text", "start", "end")
+
+    def __init__(self, type_: str, text: str, start: int, end: int):
+        self.type = type_
+        self.text = text
+        self.start = start
+        self.end = end
+
+
+def _span(line_starts: list[int], start: int, end: int) -> SourceSpan:
+    """The span of [start, end), its line and column found by one bisect over
+    the offsets at which the text's lines start."""
+    line = bisect.bisect_right(line_starts, start)
+    return SourceSpan(line, start - line_starts[line - 1] + 1, start, end)
+
+
+def _line_starts(text: str) -> list[int]:
+    return [0, *(m.end() for m in _NEWLINE.finditer(text))]
 
 
 def _lex(text: str) -> tuple[list[Token], list[Diagnostic]]:
+    """The tokens of text, ending in EOF, and a diagnostic for each character
+    no token takes.  Lexemes tile the text, so each starts where the last
+    ended."""
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
-
-    def locate(pos: int) -> tuple[int, int]:
-        line = bisect.bisect_right(line_starts, pos) - 1
-        return line + 1, pos - line_starts[line] + 1
-
-    pos = 0
-    while pos < len(text):
-        m = _MASTER.match(text, pos)
-        if m is None:
-            line, col = locate(pos)
-            diags.append(
-                error(
-                    DiagnosticKind.SYNTAX,
-                    f"unexpected character {text[pos]!r}",
-                    SourceSpan(line, col, pos, pos + 1),
-                )
-            )
-            pos += 1
-            continue
-        kind = m.lastgroup
-        if kind not in ("WS", "COMMENT"):
-            line, col = locate(m.start())
-            tokens.append(Token(kind, m.group(), SourceSpan(line, col, m.start(), m.end())))
-        pos = m.end()
-    eol_line, eol_col = locate(len(text)) if text else (1, 1)
-    tokens.append(Token("EOF", "", SourceSpan(eol_line, eol_col, len(text), len(text))))
+    line_starts = None  # found at the first diagnostic
+    append = tokens.append
+    end = 0
+    for lexeme in _LEXEME.findall(text):
+        start = end
+        end += len(lexeme)
+        kind = _OPERATORS.get(lexeme) or _BY_FIRST.get(lexeme[0])
+        if kind:
+            if kind == "INT" and "." in lexeme:
+                kind = "DEC"
+            append(Token(kind, lexeme, start, end))
+        elif kind is None:
+            line_starts = line_starts or _line_starts(text)
+            span = _span(line_starts, start, end)
+            diags.append(error(DiagnosticKind.SYNTAX, f"unexpected character {lexeme!r}", span))
+    append(Token("EOF", "", end, end))
     return tokens, diags
 
 
@@ -200,15 +222,19 @@ class _Unexpected(Exception):
 
 
 class _Cursor:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Reads tokens by index.  The last token is EOF, which advancing never
+    passes, so the index always names a token."""
+
+    def __init__(self, text: str):
+        self.tokens, self.diags = _lex(text)
+        self.line_starts = _line_starts(text)
         self.i = 0
 
-    def peek(self, k: int = 0) -> Token:
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def at(self, type_: str, text: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.type == type_ and (text is None or tok.text == text)
 
     def advance(self) -> Token:
@@ -218,16 +244,30 @@ class _Cursor:
         return tok
 
     def accept(self, type_: str, text: str | None = None) -> Token | None:
-        if self.at(type_, text):
-            return self.advance()
+        """The next token, consumed, if it is a type_ with that text, else
+        None.  type_ is never EOF: only expect reads that."""
+        tok = self.tokens[self.i]
+        if tok.type == type_ and (text is None or tok.text == text):
+            self.i += 1
+            return tok
         return None
 
     def expect(self, type_: str, what: str) -> Token:
-        if self.at(type_):
-            return self.advance()
-        tok = self.peek()
+        tok = self.tokens[self.i]
+        if tok.type == type_:
+            if type_ != "EOF":
+                self.i += 1
+            return tok
         shown = tok.text or "end of input"
-        raise _Unexpected(f"expected {what}, found {shown!r}", tok.span)
+        raise _Unexpected(f"expected {what}, found {shown!r}", self.span(tok))
+
+    def span(self, first: Token, last: Token | None = None) -> SourceSpan:
+        """The span from first's start to last's end; first's own by default."""
+        return _span(self.line_starts, first.start, (last or first).end)
+
+    def span_from(self, first: Token) -> SourceSpan:
+        """The span from first to the last token consumed."""
+        return self.span(first, self.tokens[self.i - 1])
 
     def sync_to_dot(self):
         """Error recovery: skip past the next clause terminator."""
@@ -261,8 +301,9 @@ def _tree_depth(node) -> int:
 
 class _ProgramParser:
     def __init__(self, text: str):
-        self.tokens, self.diags = _lex(text)
-        self.cur = _Cursor(self.tokens)
+        self.cur = _Cursor(text)
+        self.diags = self.cur.diags
+        self.numbers: dict[str, Fraction] = {}  # each literal's value, read once
         self.rejected_numbers = 0
         self.nesting = 0  # constraint and term levels open, see MAX_NESTING
 
@@ -271,7 +312,7 @@ class _ProgramParser:
         """One more constraint or term level, opened by tok: a parenthesis,
         "not" or a unary minus."""
         if self.nesting == MAX_NESTING:
-            raise _Unexpected(f"constraint {_TOO_DEEP}", tok.span)
+            raise _Unexpected(f"constraint {_TOO_DEEP}", self.cur.span(tok))
         self.nesting += 1
         try:
             yield
@@ -282,45 +323,48 @@ class _ProgramParser:
 
     def parse_number(self) -> Fraction:
         """Collect a NUM literal's tokens (INT ["/" INT] or DEC) for
-        ``parse_rational``.  A literal it rejects is one diagnostic and reads
-        as 0, so that the clause parses on to its next syntax error; the
-        program then leaves that clause out (see ``parse_program``)."""
-        start = self.cur.i
+        ``parse_rational``, which reads each distinct literal once per parse.
+        A literal it rejects is one diagnostic and reads as 0, so that the
+        clause parses on to its next syntax error; the program then leaves
+        that clause out (see ``parse_program``)."""
         first = self.cur.peek()
         if self.cur.accept("INT"):
+            literal = first.text
             if self.cur.accept("SLASH"):
-                self.cur.expect("INT", "a denominator")
-        elif not self.cur.accept("DEC"):
-            raise _Unexpected("expected a number", first.span)
-        literal = self.tokens[start : self.cur.i]
-        try:
-            return parse_rational("".join(t.text for t in literal))
-        except ValueError as exc:
-            end = literal[-1].span.end
-            span = SourceSpan(first.span.line, first.span.column, first.span.start, end)
-            self.diags.append(error(DiagnosticKind.SYNTAX, str(exc), span))
-            self.rejected_numbers += 1
-            return Fraction(0)
+                literal += "/" + self.cur.expect("INT", "a denominator").text
+        elif self.cur.accept("DEC"):
+            literal = first.text
+        else:
+            raise _Unexpected("expected a number", self.cur.span(first))
+        value = self.numbers.get(literal)
+        if value is None:
+            try:
+                value = self.numbers[literal] = parse_rational(literal)
+            except ValueError as exc:
+                span = self.cur.span_from(first)
+                self.diags.append(error(DiagnosticKind.SYNTAX, str(exc), span))
+                self.rejected_numbers += 1
+                return Fraction(0)
+        return value
 
-    @staticmethod
-    def int_of(tok: Token) -> int:
+    def int_of(self, tok: Token) -> int:
         """An INT token's value; one too long to read is an error at the token."""
         try:
             return parse_int(tok.text)
         except ValueError as exc:
-            raise _Unexpected(str(exc), tok.span) from None
+            raise _Unexpected(str(exc), self.cur.span(tok)) from None
 
     def parse_prob(self) -> Fraction:
         """A NUM in [0, 1].  One above 1 is rejected as parse_number rejects
         a malformed literal: one diagnostic, read as 0, clause left out."""
         start = self.cur.peek()
         value = self.parse_number()
-        if not (0 <= value <= 1):
+        if not 0 <= value.numerator <= value.denominator:
             self.diags.append(
                 error(
                     DiagnosticKind.VALUE_RANGE,
                     f"probability {format_rational(value)} outside [0,1]",
-                    start.span,
+                    self.cur.span(start),
                 )
             )
             self.rejected_numbers += 1
@@ -329,22 +373,22 @@ class _ProgramParser:
 
     def parse_weights(self) -> WeightFunction:
         if tok := self.cur.accept("HASH"):
-            return WeightFunction(WeightKind.SHARP, (), tok.span)
+            return WeightFunction(WeightKind.SHARP, (), self.cur.span(tok))
         if tok := self.cur.accept("IDENT", "uniform"):
-            return WeightFunction(WeightKind.UNIFORM, (), tok.span)
+            return WeightFunction(WeightKind.UNIFORM, (), self.cur.span(tok))
         start = self.cur.expect("LBRACK", "a weight function ('#', 'uniform' or '[...]')")
         values = [self.parse_prob()]
         while self.cur.accept("COMMA"):
             values.append(self.parse_prob())
-        end = self.cur.expect("RBRACK", "']'")
-        span = SourceSpan(start.span.line, start.span.column, start.span.start, end.span.end)
-        return WeightFunction(WeightKind.LIST, tuple(values), span)
+        self.cur.expect("RBRACK", "']'")
+        return WeightFunction(WeightKind.LIST, tuple(values), self.cur.span_from(start))
 
     def parse_tvar(self) -> tuple[TVar, Token]:
         tok = self.cur.expect("VAR", "a temporal variable")
         if not tok.text.startswith("Y"):
             raise _Unexpected(
-                f"{tok.text} is an object variable; temporal variables start with Y", tok.span
+                f"{tok.text} is an object variable; temporal variables start with Y",
+                self.cur.span(tok),
             )
         return TVar(tok.text), tok
 
@@ -353,6 +397,8 @@ class _ProgramParser:
         return TConst(-inner.value) if isinstance(inner, TConst) else TBin("-", TConst(0), inner)
 
     def parse_ifactor(self):
+        if tok := self.cur.accept("INT"):
+            return TConst(self.int_of(tok))
         if tok := self.cur.accept("MINUS"):
             with self.nested(tok):
                 return self.parse_negated_ifactor()
@@ -361,8 +407,6 @@ class _ProgramParser:
                 e = self.parse_iexpr()
             self.cur.expect("RPAREN", "')'")
             return e
-        if tok := self.cur.accept("INT"):
-            return TConst(self.int_of(tok))
         var, _ = self.parse_tvar()
         return TRef(var)
 
@@ -374,14 +418,10 @@ class _ProgramParser:
 
     def parse_iexpr(self, first=None):
         left = self.parse_iterm(first)
-        while True:
-            if self.cur.accept("PLUS"):
-                left = TBin("+", left, self.parse_iterm())
-            elif self.cur.at("MINUS"):
-                self.cur.advance()
-                left = TBin("-", left, self.parse_iterm())
-            else:
-                return left
+        while (op := self.cur.peek()).type == "PLUS" or op.type == "MINUS":
+            self.cur.advance()
+            left = TBin(op.text, left, self.parse_iterm())
+        return left
 
     _CMP = {"LE": "<=", "LT": "<", "EQ": "=", "NE": "!=", "GT": ">", "GE": ">="}
 
@@ -391,20 +431,22 @@ class _ProgramParser:
         if tok.type in self._CMP:
             self.cur.advance()
             rhs = self.parse_iexpr()
-            return Cmp(var, self._CMP[tok.type], rhs, vtok.span)
+            return Cmp(var, self._CMP[tok.type], rhs, self.cur.span(vtok))
         if self.cur.accept("IMPL"):
             # "Y:-2" lexes as ':-'; re-read it as ':' plus a negated factor.
             first = self.parse_negated_ifactor()
         elif self.cur.accept("COLON"):
             first = None
         else:
-            raise _Unexpected("expected a comparison operator or ':'", tok.span)
+            raise _Unexpected("expected a comparison operator or ':'", self.cur.span(tok))
         lo = self.parse_iexpr(first)
         self.cur.expect("TILDE", "'~'")
         hi = self.parse_iexpr()
-        return TimeRange(var, lo, hi, vtok.span)
+        return TimeRange(var, lo, hi, self.cur.span(vtok))
 
     def parse_cunary(self):
+        if self.cur.at("VAR"):
+            return self.parse_leaf()
         if tok := self.cur.accept("IDENT", "not"):
             with self.nested(tok):
                 return CNot(self.parse_cunary())
@@ -427,29 +469,37 @@ class _ProgramParser:
             left = COr(left, self.parse_cand())
         return left
 
-    def parse_annot(self) -> TPAnnotation:
+    def parse_annot(self, tvar: TVar | None) -> TPAnnotation:
+        """The annotation of a formula whose temporal variable is tvar (None
+        when its atoms are time-ground), which the annotation must bind."""
         start = self.cur.expect("LT", "'<' starting an annotation")
         first = self.cur.i
         constraint = self.parse_constr()
         # every level of the tree takes a token of its own, so only a
         # constraint of more tokens than MAX_NESTING can be too deep
         if self.cur.i - first > MAX_NESTING and _tree_depth(constraint) > MAX_NESTING:
-            raise _Unexpected(f"constraint {_TOO_DEEP}", start.span)
+            raise _Unexpected(f"constraint {_TOO_DEEP}", self.cur.span(start))
         try:
             principal = constraint_principal(constraint)
         except ValueError as exc:
-            raise _Unexpected(str(exc), start.span) from None
+            raise _Unexpected(str(exc), self.cur.span(start)) from None
         if principal.name in companion_vars(constraint):
             raise _Unexpected(
                 f"principal variable {principal.name} may not occur inside a temporal term",
-                start.span,
+                self.cur.span(start),
             )
         self.cur.expect("COMMA", "','")
         lower = self.parse_weights()
         self.cur.expect("COMMA", "','")
         upper = self.parse_weights()
-        end = self.cur.expect("GT", "'>' closing the annotation")
-        span = SourceSpan(start.span.line, start.span.column, start.span.start, end.span.end)
+        self.cur.expect("GT", "'>' closing the annotation")
+        span = self.cur.span_from(start)
+        if tvar is not None and tvar != principal:
+            raise _Unexpected(
+                f"formula uses temporal variable {tvar.name} but the annotation binds "
+                f"{principal.name}",
+                span,
+            )
         return TPAnnotation(constraint, lower, upper, span)
 
     def parse_term(self):
@@ -460,11 +510,12 @@ class _ProgramParser:
         if tok.type == "VAR":
             if tok.text.startswith("Y"):
                 raise _Unexpected(
-                    f"temporal variable {tok.text} cannot appear in an object position", tok.span
+                    f"temporal variable {tok.text} cannot appear in an object position",
+                    self.cur.span(tok),
                 )
             self.cur.advance()
             return ObjVar(tok.text)
-        raise _Unexpected("expected a constant or object variable", tok.span)
+        raise _Unexpected("expected a constant or object variable", self.cur.span(tok))
 
     def parse_tatom(self, allow_star: bool = False) -> tuple[TAtom, str | None]:
         """Returns the atom plus a time marker: None for symbolic, 'int', or '*'."""
@@ -490,9 +541,10 @@ class _ProgramParser:
             time = TVar("Y")
             marker = "*"
         else:
-            raise _Unexpected("expected a temporal variable or time point after '@'", tok.span)
-        span = SourceSpan(name.span.line, name.span.column, name.span.start, tok.span.end)
-        return TAtom(name.text, tuple(args), time, span), marker
+            raise _Unexpected(
+                "expected a temporal variable or time point after '@'", self.cur.span(tok)
+            )
+        return TAtom(name.text, tuple(args), time, self.cur.span(name, tok)), marker
 
     def parse_compound(self, parse_atom) -> tuple[Connective, tuple]:
         """atom ( ("and"|"or") atom )*: the connective, SINGLE for one atom, and
@@ -507,7 +559,7 @@ class _ProgramParser:
                     error(
                         DiagnosticKind.SYNTAX,
                         "a compound formula must use a single connective",
-                        word.span,
+                        self.cur.span(word),
                     )
                 )
             items.append(parse_atom())
@@ -519,9 +571,7 @@ class _ProgramParser:
         first_tok = self.cur.peek()
         conn, items = self.parse_compound(lambda: self.parse_tatom(allow_star))
         atoms = tuple(a for a, _ in items)
-        span = SourceSpan(
-            first_tok.span.line, first_tok.span.column, first_tok.span.start, atoms[-1].span.end
-        )
+        span = atoms[0].span if len(atoms) == 1 else self.cur.span_from(first_tok)
         formula = BasicFormula(conn, atoms, span)
         try:
             formula.temporal_var
@@ -529,35 +579,21 @@ class _ProgramParser:
             raise _Unexpected(str(exc), span) from None
         return formula, [m for _, m in items]
 
-    def check_annotation_binding(self, formula: BasicFormula, annot: TPAnnotation):
-        tvar = formula.temporal_var
-        principal = constraint_principal(annot.constraint)
-        if tvar is not None and tvar != principal:
-            raise _Unexpected(
-                f"formula uses temporal variable {tvar.name} but the annotation binds "
-                f"{principal.name}",
-                annot.span or formula.span,
-            )
-
     def parse_clause(self) -> TPClause:
         head_tok = self.cur.peek()
         head, _ = self.parse_tatom()
         self.cur.expect("COLON", "':' before the head annotation")
-        head_annot = self.parse_annot()
-        self.check_annotation_binding(BasicFormula.single(head), head_annot)
+        head_annot = self.parse_annot(head.time if isinstance(head.time, TVar) else None)
         body: list[tuple[BasicFormula, TPAnnotation]] = []
         if self.cur.accept("IMPL"):
             while True:
                 formula, _ = self.parse_bform()
                 self.cur.expect("COLON", "':' before a body annotation")
-                annot = self.parse_annot()
-                self.check_annotation_binding(formula, annot)
-                body.append((formula, annot))
+                body.append((formula, self.parse_annot(formula.temporal_var)))
                 if not self.cur.accept("IDENT", "and"):
                     break
-        end = self.cur.expect("DOT", "'.' ending the clause")
-        span = SourceSpan(head_tok.span.line, head_tok.span.column, head_tok.span.start, end.span.end)
-        return TPClause(head, head_annot, tuple(body), span)
+        self.cur.expect("DOT", "'.' ending the clause")
+        return TPClause(head, head_annot, tuple(body), self.cur.span_from(head_tok))
 
     def parse_calendar(self) -> Calendar | None:
         if not self.cur.at("IDENT", "calendar"):
@@ -566,7 +602,7 @@ class _ProgramParser:
                 error(
                     DiagnosticKind.SYNTAX,
                     "a program must start with 'calendar <first>..<last>.'",
-                    tok.span,
+                    self.cur.span(tok),
                 )
             )
             return None
@@ -583,7 +619,7 @@ class _ProgramParser:
             return None
         if last < first:
             self.diags.append(
-                error(DiagnosticKind.SYNTAX, "calendar range is empty", last_tok.span)
+                error(DiagnosticKind.SYNTAX, "calendar range is empty", self.cur.span(last_tok))
             )
             return None
         return Calendar.from_range(first, last)
@@ -641,8 +677,7 @@ class _ProgramParser:
         if kw.text == "entail":
             formula, _ = self.parse_bform()
             self.cur.expect("COLON", "':' before the target annotation")
-            annot = self.parse_annot()
-            self.check_annotation_binding(formula, annot)
+            annot = self.parse_annot(formula.temporal_var)
             # a query grounds nothing, so no companion could ever be given a value
             companions = companion_vars(annot.constraint)
             if companions:
@@ -680,7 +715,7 @@ class _ProgramParser:
                     "tighten atoms must all carry '@<time>' or all carry '@*'", formula.span
                 )
             return Query(QueryKind.TIGHTEN, formula, at=at, span=formula.span)
-        raise _Unexpected(f"unknown query form {kw.text!r}", kw.span)
+        raise _Unexpected(f"unknown query form {kw.text!r}", self.cur.span(kw))
 
     def _require_object_ground(self, formula: BasicFormula):
         for a in formula.atoms:
@@ -738,14 +773,12 @@ class _SkeletonParser(_ProgramParser):
     def parse_satom(self) -> CAtom:
         name = self.cur.expect("IDENT", "a predicate name")
         args: list[str] = []
-        end = name.span.end
         if self.cur.accept("LPAREN"):
             args.append(self.cur.expect("IDENT", "a constant").text)
             while self.cur.accept("COMMA"):
                 args.append(self.cur.expect("IDENT", "a constant").text)
-            end = self.cur.expect("RPAREN", "')'").span.end
-        span = SourceSpan(name.span.line, name.span.column, name.span.start, end)
-        return CAtom(name.text, tuple(args), span)
+            self.cur.expect("RPAREN", "')'")
+        return CAtom(name.text, tuple(args), self.cur.span_from(name))
 
     def parse_sformula(self) -> BasicFormula:
         return BasicFormula(*self.parse_compound(self.parse_satom))
@@ -791,14 +824,13 @@ def eval_interval_expr(text: str):
     to the next "," or "]", read as NUM.  Returns a ProbInterval or a bool; a
     malformed expression raises ValueError.
     """
-    tokens, stray = _lex(text)
-    cur = _Cursor(tokens)
+    cur = _Cursor(text)
     bounds: list[tuple[int, int]] = []  # source ranges read as NUM
 
     def bound(after: Token) -> Fraction:
         while cur.peek().type not in ("COMMA", "RBRACK", "EOF"):
             cur.advance()
-        start, end = after.span.end, cur.peek().span.start
+        start, end = after.end, cur.peek().start
         bounds.append((start, end))
         return parse_rational(text[start:end])
 
@@ -811,7 +843,7 @@ def eval_interval_expr(text: str):
         name = cur.expect("IDENT", "an interval or operator").text
         paren = cur.expect("LPAREN", "'('")
         if depth > MAX_NESTING:
-            raise _Unexpected(f"expression {_TOO_DEEP}", paren.span)
+            raise _Unexpected(f"expression {_TOO_DEEP}", cur.span(paren))
         args = [expr(depth + 1)]
         while cur.accept("COMMA"):
             args.append(expr(depth + 1))
@@ -831,7 +863,7 @@ def eval_interval_expr(text: str):
         cur.expect("EOF", "end of input")
     except _Unexpected as exc:
         raise ValueError(f"{exc.message} at offset {exc.span.start}") from None
-    for d in stray:
+    for d in cur.diags:
         if not any(start <= d.span.start < end for start, end in bounds):
             raise ValueError(f"{d.message} at offset {d.span.start}")
     return result

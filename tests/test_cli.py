@@ -46,6 +46,35 @@ class TestValidate:
         assert invoke("validate", "no-such-file.tpl").exit_code == 2
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is an input error that names the file."""
+
+    DECODE = "'utf-8' codec can't decode byte 0xff in position {}: invalid start byte"
+
+    def check(self, capsys, argv, path, position):
+        res = invoke(*argv)
+        assert (res.exit_code, res.payload) == (2, "")
+        message = self.DECODE.format(position)
+        assert capsys.readouterr().err == f"error: cannot read {path}: {message}\n"
+
+    def test_program(self, tmp_path, capsys):
+        path = tmp_path / "latin.tpl"
+        path.write_bytes(b"calendar 1..1.\n% \xff\n")
+        self.check(capsys, ["validate", str(path)], path, 17)
+
+    def test_query(self, fixtures, tmp_path, capsys):
+        path = tmp_path / "latin.tpq"
+        path.write_bytes(b"?tighten a@1. % \xff")
+        argv = ["tighten", str(fixtures / "p0.tpl"), str(path)]
+        self.check(capsys, argv, path, 16)
+
+    def test_csv_profile(self, fixtures, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes((fixtures / "evolution_profile.csv").read_bytes() + b"\xff\n")
+        argv = ["evolve", str(fixtures / "evolution_skeleton.tpl"), str(path)]
+        self.check(capsys, argv, path, len((fixtures / "evolution_profile.csv").read_bytes()))
+
+
 class TestConsistent:
     def test_consistent_exit_zero(self, fixtures):
         res = invoke("consistent", str(fixtures / "p0.tpl"))

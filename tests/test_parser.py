@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import pathlib
 import random
+import re
 import sys
 from fractions import Fraction as F
 
@@ -27,6 +28,7 @@ from tplp.model import (
 )
 from tplp.parser import (
     QueryKind,
+    _lex,
     parse_program,
     parse_query,
     parse_skeleton,
@@ -322,6 +324,22 @@ class TestTotality:
     def test_grammarlike_soup_never_crashes(self, text):
         res = parse_program(text)
         assert res.ok or res.errors
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab Y1.,:-<=>!~%\n\t\r\x0b_é[]()#@*+/?0", max_size=60))
+    def test_tokens_tile_the_text(self, text):
+        # every character lies in one token, in whitespace or a comment, or
+        # is reported on its own
+        tokens, diags = _lex(text)
+        bad = [d.span.start for d in diags]
+        end, skipped = 0, []
+        for tok in tokens:
+            assert tok.start >= end and text[tok.start : tok.end] == tok.text
+            gap = re.finditer(r"[ \t\r\n]+|%[^\n]*|(.)", text[end : tok.start], re.S)
+            skipped += [end + m.start() for m in gap if m.group(1)]
+            end = tok.end
+        assert skipped == bad
+        assert (tokens[-1].type, tokens[-1].start) == ("EOF", len(text))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=80))
