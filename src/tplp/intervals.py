@@ -95,13 +95,10 @@ class ProbInterval:
     hi: Fraction
 
     def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        if type(lo) is not Fraction:
-            lo = Fraction(lo)
-            object.__setattr__(self, "lo", lo)
-        if type(hi) is not Fraction:
-            hi = Fraction(hi)
-            object.__setattr__(self, "hi", hi)
+        lo = self.lo if type(self.lo) is Fraction else Fraction(self.lo)
+        hi = self.hi if type(self.hi) is Fraction else Fraction(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         # each in [0, 1], compared on integers
         if not (0 <= lo.numerator <= lo.denominator and 0 <= hi.numerator <= hi.denominator):
             raise ValueError(f"interval endpoints must lie in [0,1]: [{lo}, {hi}]")

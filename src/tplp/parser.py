@@ -303,7 +303,6 @@ class _ProgramParser:
     def __init__(self, text: str):
         self.cur = _Cursor(text)
         self.diags = self.cur.diags
-        self.numbers: dict[str, Fraction] = {}  # each literal's value, read once
         self.rejected_numbers = 0
         self.nesting = 0  # constraint and term levels open, see MAX_NESTING
 
@@ -323,10 +322,9 @@ class _ProgramParser:
 
     def parse_number(self) -> Fraction:
         """Collect a NUM literal's tokens (INT ["/" INT] or DEC) for
-        ``parse_rational``, which reads each distinct literal once per parse.
-        A literal it rejects is one diagnostic and reads as 0, so that the
-        clause parses on to its next syntax error; the program then leaves
-        that clause out (see ``parse_program``)."""
+        ``parse_rational``.  A literal it rejects is one diagnostic and reads
+        as 0, so that the clause parses on to its next syntax error; the
+        program then leaves that clause out (see ``parse_program``)."""
         first = self.cur.peek()
         if self.cur.accept("INT"):
             literal = first.text
@@ -336,16 +334,12 @@ class _ProgramParser:
             literal = first.text
         else:
             raise _Unexpected("expected a number", self.cur.span(first))
-        value = self.numbers.get(literal)
-        if value is None:
-            try:
-                value = self.numbers[literal] = parse_rational(literal)
-            except ValueError as exc:
-                span = self.cur.span_from(first)
-                self.diags.append(error(DiagnosticKind.SYNTAX, str(exc), span))
-                self.rejected_numbers += 1
-                return Fraction(0)
-        return value
+        try:
+            return parse_rational(literal)
+        except ValueError as exc:
+            self.diags.append(error(DiagnosticKind.SYNTAX, str(exc), self.cur.span_from(first)))
+            self.rejected_numbers += 1
+            return Fraction(0)
 
     def int_of(self, tok: Token) -> int:
         """An INT token's value; one too long to read is an error at the token."""
@@ -397,8 +391,6 @@ class _ProgramParser:
         return TConst(-inner.value) if isinstance(inner, TConst) else TBin("-", TConst(0), inner)
 
     def parse_ifactor(self):
-        if tok := self.cur.accept("INT"):
-            return TConst(self.int_of(tok))
         if tok := self.cur.accept("MINUS"):
             with self.nested(tok):
                 return self.parse_negated_ifactor()
@@ -407,6 +399,8 @@ class _ProgramParser:
                 e = self.parse_iexpr()
             self.cur.expect("RPAREN", "')'")
             return e
+        if tok := self.cur.accept("INT"):
+            return TConst(self.int_of(tok))
         var, _ = self.parse_tvar()
         return TRef(var)
 
@@ -445,8 +439,6 @@ class _ProgramParser:
         return TimeRange(var, lo, hi, self.cur.span(vtok))
 
     def parse_cunary(self):
-        if self.cur.at("VAR"):
-            return self.parse_leaf()
         if tok := self.cur.accept("IDENT", "not"):
             with self.nested(tok):
                 return CNot(self.parse_cunary())
@@ -571,7 +563,7 @@ class _ProgramParser:
         first_tok = self.cur.peek()
         conn, items = self.parse_compound(lambda: self.parse_tatom(allow_star))
         atoms = tuple(a for a, _ in items)
-        span = atoms[0].span if len(atoms) == 1 else self.cur.span_from(first_tok)
+        span = self.cur.span_from(first_tok)
         formula = BasicFormula(conn, atoms, span)
         try:
             formula.temporal_var
