@@ -261,13 +261,12 @@ class _Cursor:
         shown = tok.text or "end of input"
         raise _Unexpected(f"expected {what}, found {shown!r}", self.span(tok))
 
-    def span(self, first: Token, last: Token | None = None) -> SourceSpan:
-        """The span from first's start to last's end; first's own by default."""
-        return _span(self.line_starts, first.start, (last or first).end)
+    def span(self, tok: Token) -> SourceSpan:
+        return _span(self.line_starts, tok.start, tok.end)
 
     def span_from(self, first: Token) -> SourceSpan:
-        """The span from first to the last token consumed."""
-        return self.span(first, self.tokens[self.i - 1])
+        """The span from first to the end of the last token consumed."""
+        return _span(self.line_starts, first.start, self.tokens[self.i - 1].end)
 
     def sync_to_dot(self):
         """Error recovery: skip past the next clause terminator."""
@@ -536,7 +535,7 @@ class _ProgramParser:
             raise _Unexpected(
                 "expected a temporal variable or time point after '@'", self.cur.span(tok)
             )
-        return TAtom(name.text, tuple(args), time, self.cur.span(name, tok)), marker
+        return TAtom(name.text, tuple(args), time, self.cur.span_from(name)), marker
 
     def parse_compound(self, parse_atom) -> tuple[Connective, tuple]:
         """atom ( ("and"|"or") atom )*: the connective, SINGLE for one atom, and

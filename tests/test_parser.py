@@ -129,10 +129,6 @@ class TestParsePrograms:
         assert "unexpected character '\u0661'" in [d.message for d in res.errors]
 
     def test_probability_out_of_range(self):
-        res = parse_program("calendar 1..2. a@Y : <Y=1, [1.5], #>.")
-        assert any(d.kind is DiagnosticKind.VALUE_RANGE for d in res.errors)
-
-    def test_probability_out_of_range_is_the_only_diagnostic(self):
         # the clause is left out, so no LowerExceedsUpper against a clamped
         # 1 that nobody wrote; the clauses after it are still validated
         res = parse_program("calendar 1..2.\na@Y : <Y=1, [1.5], [0.7]>.\nb@Y : <Y=9, #, #>.")
