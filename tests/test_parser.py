@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import rand_program_ast, rand_tp_program
+from test_fuzz import PROGRAMS, SEEDS, mutate
 from tplp.diagnostics import DiagnosticKind
 from tplp.model import (
     BasicFormula,
@@ -229,8 +230,6 @@ class TestSpans:
             self.check_program(text)
 
     def test_validated_mutants(self):
-        from test_fuzz import PROGRAMS, SEEDS, mutate
-
         checked = 0
         for seed in SEEDS:
             rng = random.Random(seed)
