@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -51,8 +52,6 @@ from .psat import (
 )
 from .worlds import set_bits
 
-ENV_MAX_WORLD_ATOMS = "TPLP_MAX_WORLD_ATOMS"
-
 
 @dataclass
 class CommandResult:
@@ -90,7 +89,7 @@ def _dump(obj) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
@@ -125,15 +124,14 @@ def _load_query(args, kind: QueryKind):
 
 
 def _options(args) -> SolveOptions:
-    name, text = "--max-world-atoms", args.max_world_atoms
-    if text is None:
-        name, text = ENV_MAX_WORLD_ATOMS, os.environ.get(ENV_MAX_WORLD_ATOMS) or None
     try:
-        cap = SolveOptions.max_world_atoms if text is None else parse_int(text)
+        cap = parse_int(args.max_world_atoms)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise _CliError(f"{name} must be a positive integer, not {text!r}")
+        raise _CliError(
+            f"--max-world-atoms must be a positive integer, not {args.max_world_atoms!r}"
+        )
     try:
         epsilon = parse_rational(args.epsilon)
     except ValueError:
@@ -196,7 +194,7 @@ def _cmd_consistent(args):
     body = {
         "verdict": outcome.verdict.value,
         "branch_count": outcome.branch_count,
-        "eps": _rat(outcome.epsilon),
+        "eps": _rat(opts.epsilon),
         "witness": witness,
     }
     text = "\n".join([outcome.verdict.value, *_witness_lines(witness or [])])
@@ -221,7 +219,7 @@ def _cmd_entail(args):
         "verdict": verdict,
         "vacuous": outcome.vacuous,
         "branch_count": outcome.branch_count,
-        "eps": _rat(outcome.epsilon),
+        "eps": _rat(opts.epsilon),
         "per_time": [
             {
                 "time": v.time,
@@ -252,7 +250,7 @@ def _cmd_tighten(args):
         "verdict": "OK",
         "intervals": {k: _interval_json(iv) for k, iv in intervals.items()},
         "branch_count": outcome.branch_count,
-        "eps": _rat(outcome.epsilon),
+        "eps": _rat(opts.epsilon),
         "boundary_sensitive": outcome.boundary_sensitive,
     }
     return 0, body, "\n".join(f"{k}: {iv}" for k, iv in intervals.items())
@@ -276,33 +274,30 @@ def _cmd_maxent(args):
 def _load_profile_csv(path: str):
     per_time: dict[str, dict[int, ProbInterval]] = {}
     lines: dict[tuple[str, int], int] = {}  # (slot, time) -> the line giving it
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row or row[0].strip().startswith("#"):
-                    continue
-                if lineno == 1 and row[0].strip().lower() in ("formula", "formula_id", "id"):
-                    continue
-                if len(row) != 4:
-                    raise _CliError(f"{path}:{lineno}: expected formula_id,time,lo,hi")
-                slot, t_text, lo_text, hi_text = (c.strip() for c in row)
-                where = f"{path}:{lineno}"
-                try:
-                    t = parse_int(t_text)
-                except ValueError:
-                    raise _CliError(f"{where}: time {t_text!r} is not an integer") from None
-                try:
-                    iv = ProbInterval(parse_rational(lo_text), parse_rational(hi_text))
-                except ValueError as exc:
-                    raise _CliError(f"{where}: {exc}") from None
-                if iv.lo > iv.hi:
-                    raise _CliError(f"{where}: lower bound {lo_text} exceeds upper {hi_text}")
-                first = lines.setdefault((slot, t), lineno)
-                if first != lineno:
-                    raise _CliError(f"{where}: {slot} at time {t} repeats line {first}")
-                per_time.setdefault(slot, {})[t] = iv
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from None
+    rows = csv.reader(io.StringIO(_read(path), newline=""))
+    for lineno, row in enumerate(rows, start=1):
+        if not row or row[0].strip().startswith("#"):
+            continue
+        if lineno == 1 and row[0].strip().lower() in ("formula", "formula_id", "id"):
+            continue
+        if len(row) != 4:
+            raise _CliError(f"{path}:{lineno}: expected formula_id,time,lo,hi")
+        slot, t_text, lo_text, hi_text = (c.strip() for c in row)
+        where = f"{path}:{lineno}"
+        try:
+            t = parse_int(t_text)
+        except ValueError:
+            raise _CliError(f"{where}: time {t_text!r} is not an integer") from None
+        try:
+            iv = ProbInterval(parse_rational(lo_text), parse_rational(hi_text))
+        except ValueError as exc:
+            raise _CliError(f"{where}: {exc}") from None
+        if iv.lo > iv.hi:
+            raise _CliError(f"{where}: lower bound {lo_text} exceeds upper {hi_text}")
+        first = lines.setdefault((slot, t), lineno)
+        if first != lineno:
+            raise _CliError(f"{where}: {slot} at time {t} repeats line {first}")
+        per_time.setdefault(slot, {})[t] = iv
     if not lines:
         raise _CliError(f"{path}: no annotation slices found")
     return per_time, sorted({t for _, t in lines})
@@ -362,8 +357,9 @@ _SOLVE = (
     (
         "--max-world-atoms",
         dict(
-            help=f"atom cap for world enumeration (env {ENV_MAX_WORLD_ATOMS}, "
-            f"default {SolveOptions.max_world_atoms})"
+            default=str(SolveOptions.max_world_atoms),
+            help="atom cap for world enumeration (default %(default)s; no environment "
+            "variable sets it)",
         ),
     ),
 )

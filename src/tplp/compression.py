@@ -112,11 +112,7 @@ def flatten(th: Thread, cal: Calendar, base: HerbrandBase | None = None) -> Worl
                 raise TimePointOutsideCalendar(f"time point {t} is not in the calendar")
     if base is None:
         base = full_time_base(th.domain, cal)
-    mask = 0
-    for ca, ts in th.assignments:
-        for t in ts:
-            mask |= 1 << base.index_of(ca.at(t))
-    return World(mask, base)
+    return World.from_atoms(base, (ca.at(t) for ca, ts in th.assignments for t in ts))
 
 
 def compress_distribution(ki: WorldDistribution, cal: Calendar) -> dict[Thread, Fraction]:
@@ -227,7 +223,7 @@ def evolution_distribution(pi: EvolutionProfile, cal: Calendar) -> WorldDistribu
         if t not in cal:
             raise TimePointOutsideCalendar(f"profile time {t} outside the calendar")
         for world, p in dist.items():
-            mask = World.from_atoms(base, (ca.at(t) for ca in world.atoms())).mask
+            mask = base.mask(ca.at(t) for ca in world.atoms())
             masses[mask] = masses.get(mask, ZERO) + Fraction(p, n)
     covers = set(pi.interval) == set(cal.points)
     return WorldDistribution(base, masses, require_normalized=covers)

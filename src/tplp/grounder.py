@@ -73,6 +73,13 @@ class HerbrandBase:
         except KeyError:
             raise AtomNotInBase(f"atom {atom} is not in the Herbrand base") from None
 
+    def mask(self, atoms: Iterable[TAtom | CAtom]) -> int:
+        """The world bits of the atoms: bit index_of(a) set for each a."""
+        bits = 0
+        for a in atoms:
+            bits |= 1 << self.index_of(a)
+        return bits
+
     def __contains__(self, atom: TAtom | CAtom) -> bool:
         return atom in self._index
 

@@ -60,7 +60,7 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -102,7 +102,6 @@ class ConsistencyResult:
     verdict: Verdict
     witness: WorldDistribution | None
     branch_count: int
-    epsilon: Fraction
 
 
 @dataclass
@@ -110,7 +109,6 @@ class TightenResult:
     intervals: list[ProbInterval]  # one per formula, in the order given
     branch_count: int
     boundary_sensitive: bool
-    epsilon: Fraction
 
 
 @dataclass
@@ -125,9 +123,8 @@ class TimeVerdict:
 class EntailmentResult:
     entailed: bool
     vacuous: bool
-    per_time: list[TimeVerdict] = field(default_factory=list)
-    branch_count: int = 0
-    epsilon: Fraction = ZERO
+    per_time: list[TimeVerdict]
+    branch_count: int
 
 
 @dataclass
@@ -907,10 +904,10 @@ def check_consistency(pp: PProgram, opts: SolveOptions = SolveOptions()) -> Cons
     keys = next(engine.leaves(opts.epsilon), None)
     count = engine.walked  # read before the walk at zero below resets it
     if keys is not None:
-        return ConsistencyResult(Verdict.CONSISTENT, engine.couple(keys), count, opts.epsilon)
+        return ConsistencyResult(Verdict.CONSISTENT, engine.couple(keys), count)
     if next(engine.leaves(ZERO), None) is not None:
-        return ConsistencyResult(Verdict.UNKNOWN_EPS, None, count, opts.epsilon)
-    return ConsistencyResult(Verdict.INCONSISTENT, None, count, opts.epsilon)
+        return ConsistencyResult(Verdict.UNKNOWN_EPS, None, count)
+    return ConsistencyResult(Verdict.INCONSISTENT, None, count)
 
 
 def tighten(
@@ -930,7 +927,7 @@ def tighten(
     count = engine.walked  # read before the probe's walk resets it
     moves = _bound_moves(engine, opts.epsilon / 2, bounds)
     intervals = [ProbInterval(*bounds[fid]) for fid in engine.extra_fids]
-    return TightenResult(intervals, count, moves, opts.epsilon)
+    return TightenResult(intervals, count, moves)
 
 
 def entails(
@@ -953,7 +950,7 @@ def entails(
         engine = _Engine(pp, opts)
         if next(engine.leaves(opts.epsilon), None) is None:
             raise InconsistentProgram(undefined)
-        return EntailmentResult(True, True, [], engine.walked, opts.epsilon)
+        return EntailmentResult(True, True, [], engine.walked)
     instances = [substitute_time(query.formula, t) for t, _ in window]
     engine, bounds = _instance_bounds(pp, instances, opts, undefined)
     per_time: list[TimeVerdict] = []
@@ -961,7 +958,7 @@ def entails(
         bound = ProbInterval(*bounds[fid])
         per_time.append(TimeVerdict(t, bound, target, target.contains_interval(bound)))
     holds = all(v.holds for v in per_time)
-    return EntailmentResult(holds, False, per_time, engine.walked, opts.epsilon)
+    return EntailmentResult(holds, False, per_time, engine.walked)
 
 
 def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDistribution | None:

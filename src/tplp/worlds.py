@@ -40,10 +40,7 @@ class World:
 
     @classmethod
     def from_atoms(cls, base, atoms: Iterable) -> "World":
-        mask = 0
-        for a in atoms:
-            mask |= 1 << base.index_of(a)
-        return cls(mask, base)
+        return cls(base.mask(atoms), base)
 
     @classmethod
     def empty(cls, base) -> "World":
@@ -60,13 +57,6 @@ class World:
         return "{" + ", ".join(str(a) for a in self.atoms()) + "}"
 
 
-def _formula_bits(f: BasicFormula, base) -> tuple[Connective, int]:
-    bits = 0
-    for a in f.atoms:
-        bits |= 1 << base.index_of(a)
-    return f.connective, bits
-
-
 def _mask_satisfies(mask: int, connective: Connective, bits: int) -> bool:
     if connective is Connective.OR:
         return mask & bits != 0
@@ -75,8 +65,11 @@ def _mask_satisfies(mask: int, connective: Connective, bits: int) -> bool:
 
 def world_satisfies(w: World, f: BasicFormula) -> bool:
     """Classical truth of a ground formula in one world."""
-    connective, bits = _formula_bits(f, w.base)
-    return _mask_satisfies(w.mask, connective, bits)
+    return _mask_satisfies(w.mask, f.connective, w.base.mask(f.atoms))
+
+
+def _mask(world: World | int) -> int:
+    return world.mask if isinstance(world, World) else int(world)
 
 
 class WorldDistribution:
@@ -97,7 +90,7 @@ class WorldDistribution:
         n = len(base)
         packed: dict[int, Fraction] = {}
         for key, value in masses.items():
-            mask = key.mask if isinstance(key, World) else int(key)
+            mask = _mask(key)
             if not isinstance(value, Fraction):
                 value = Fraction(value)
             if value.numerator < 0:
@@ -120,8 +113,7 @@ class WorldDistribution:
 
     @classmethod
     def point(cls, base, world: World | int = 0) -> "WorldDistribution":
-        mask = world.mask if isinstance(world, World) else int(world)
-        return cls(base, {mask: ONE})
+        return cls(base, {_mask(world): ONE})
 
     @classmethod
     def uniform(cls, base) -> "WorldDistribution":
@@ -133,8 +125,7 @@ class WorldDistribution:
         return self.total == 1
 
     def mass(self, world: World | int) -> Fraction:
-        mask = world.mask if isinstance(world, World) else int(world)
-        return self._masses.get(mask, ZERO)
+        return self._masses.get(_mask(world), ZERO)
 
     def items(self):
         for mask, mass in self.mask_items():
@@ -161,9 +152,7 @@ class WorldDistribution:
 
 def mass_of_atoms(ki: WorldDistribution, connective: Connective, atoms) -> Fraction:
     """Mass of the worlds where the atoms hold under the given connective."""
-    bits = 0
-    for a in atoms:
-        bits |= 1 << ki.base.index_of(a)
+    bits = ki.base.mask(atoms)
     return sum(
         (v for m, v in ki._masses.items() if _mask_satisfies(m, connective, bits)), ZERO
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from tplp.grounder import HerbrandBase, PClause, PProgram
+from tplp.grounder import HerbrandBase, PClause, PProgram, unfold
 from tplp.intervals import ProbInterval
 from tplp.model import (
     BasicFormula,
@@ -113,6 +113,30 @@ def rand_tp_program(
             body.append((rand_ground_formula(rng, preds, var), rand_annotation(rng, cal, var)))
         clauses.append(TPClause(head, head_annot, tuple(body)))
     return PTProgram(cal, tuple(clauses))
+
+
+def recipe_a(seed: int) -> tuple[PProgram, Calendar]:
+    """ROADMAP's recipe A at seed: 3 to 5 clauses over a, b, c on the calendar
+    1..3, unfolded, and that calendar."""
+    rng = random.Random(seed)
+    cal = Calendar.from_range(1, 3)
+    p = rand_tp_program(rng, cal, n_clauses=rng.randint(3, 5), preds=["a", "b", "c"])
+    return unfold(p), cal
+
+
+def recipe_b(seed: int) -> tuple[PProgram, Calendar]:
+    """ROADMAP's recipe B at seed: 1 to 3 clauses over two or three of a, b, c
+    on the calendar 1..2 or 1..3, unfolded, and that calendar."""
+    rng = random.Random(seed)
+    cal = Calendar.from_range(1, rng.randint(2, 3))
+    preds = ["a", "b", "c"][: rng.randint(2, 3)]
+    p = rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds)
+    return unfold(p), cal
+
+
+def head_formulas(pp: PProgram) -> list[BasicFormula]:
+    """The recipes' tighten query: every head atom of pp once, in clause order."""
+    return [BasicFormula.single(h) for h in dict.fromkeys(c.head for c in pp.clauses)]
 
 
 def rand_pclause(

@@ -45,6 +45,44 @@ class TestValidate:
     def test_missing_file(self):
         assert invoke("validate", "no-such-file.tpl").exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, stderr",
+        [
+            # a bad constants statement, then recovery at the next clause
+            (
+                "calendar 1..1.\nconstants 1.\na@Y : <Y = 1, [0.5] [0.5]>.\n",
+                "2:11 error[Syntax]: expected a constant name, found '1'\n"
+                "3:21 error[Syntax]: expected ',', found '['\n",
+            ),
+            (
+                "calendar 1..2.\na@Y : <X = 1, [0.5], [0.5]>.\n",
+                "2:8 error[Syntax]: X is an object variable; temporal variables start with Y\n",
+            ),
+            (
+                "calendar 1..2.\na@Y : <Y = 1 and Y2 = 1, [0.5], [0.5]>.\n",
+                "2:7 error[Syntax]: constraint must bind exactly one principal variable, "
+                "got ['Y', 'Y2']\n",
+            ),
+            (
+                "calendar 1..2.\na@Y : <Y = Y + 1, [0.5], [0.5]>.\n",
+                "2:7 error[Syntax]: principal variable Y may not occur inside a temporal term\n",
+            ),
+            (
+                "calendar 1..2.\n"
+                "h@Y : <Y = 1, [0.5], [0.5]> :- a@Y1 and b@Y2 : <Y1 = 1, [0.5], [0.5]>.\n",
+                "2:32 error[Syntax]: formula mixes temporal variables ['Y1', 'Y2']\n",
+            ),
+        ],
+        ids=["constants", "object-variable", "two-principals", "principal-in-term", "formula"],
+    )
+    def test_syntax_errors(self, tmp_path, capsys, text, stderr):
+        bad = tmp_path / "bad.tpl"
+        bad.write_text(text)
+        res = invoke("validate", str(bad))
+        count = stderr.count("\n")
+        assert (res.exit_code, res.payload) == (2, f"{count} error(s) (0 warning(s))")
+        assert capsys.readouterr().err == stderr
+
 
 class TestNonUtf8Input:
     """A file that is not UTF-8 is an input error that names the file."""
@@ -73,6 +111,29 @@ class TestNonUtf8Input:
         path.write_bytes((fixtures / "evolution_profile.csv").read_bytes() + b"\xff\n")
         argv = ["evolve", str(fixtures / "evolution_skeleton.tpl"), str(path)]
         self.check(capsys, argv, path, len((fixtures / "evolution_profile.csv").read_bytes()))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is skipped: a file answers exactly as
+    it does without one."""
+
+    def assert_same(self, capsys, argv, position, source):
+        bom = source.with_name("bom-" + source.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        plain = invoke(*argv), capsys.readouterr()
+        argv[position] = str(bom)
+        assert (invoke(*argv), capsys.readouterr()) == plain
+
+    def test_program(self, fixtures, tmp_path, capsys):
+        source = tmp_path / "p0.tpl"
+        source.write_bytes((fixtures / "p0.tpl").read_bytes())
+        self.assert_same(capsys, ["consistent", str(source), "--json"], 1, source)
+
+    def test_csv_profile(self, fixtures, tmp_path, capsys):
+        source = tmp_path / "profile.csv"
+        source.write_bytes((fixtures / "evolution_profile.csv").read_bytes())
+        argv = ["evolve", str(fixtures / "evolution_skeleton.tpl"), str(source)]
+        self.assert_same(capsys, argv, 2, source)
 
 
 class TestConsistent:
@@ -106,23 +167,21 @@ class TestConsistent:
         res = invoke("consistent", str(fixtures / "shipping.tpl"))
         assert res.exit_code == 3
 
-    def test_env_cap_override(self, fixtures, monkeypatch):
+    def test_program_with_validation_errors(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tpl"
+        bad.write_text("calendar 1..8. a@Y : <Y:3~5, [0.5,0.5], #>.")
+        res = invoke("consistent", str(bad))
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == (
+            "1:30 error[LengthMismatch]: lower weight list has 2 values but |sol| = 3\n"
+            "1:41 error[SharpCardinality]: # requires a singleton solution set, but |sol| = 3\n"
+            f"error: {bad}: 2 error(s)\n"
+        )
+
+    def test_env_cap_not_read(self, fixtures, monkeypatch):
+        # --max-world-atoms alone sets the cap; a cap of 1 would exit 3 here
         monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", "1")
         res = invoke("consistent", str(fixtures / "p0.tpl"))
-        assert res.exit_code == 3
-
-    # ARABIC-INDIC DIGITS ONE SIX, a sign and a separator: int() reads them
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "+1_6", "\u0661\u0666"])
-    def test_env_cap_invalid(self, fixtures, monkeypatch, capsys, value):
-        monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", value)
-        res = invoke("consistent", str(fixtures / "p0.tpl"))
-        assert res.exit_code == 2 and res.payload == ""
-        err = capsys.readouterr().err
-        assert "TPLP_MAX_WORLD_ATOMS" in err and repr(value) in err
-
-    def test_flag_beats_env(self, fixtures, monkeypatch):
-        monkeypatch.setenv("TPLP_MAX_WORLD_ATOMS", "1")
-        res = invoke("consistent", str(fixtures / "p0.tpl"), "--max-world-atoms", "16")
         assert res.exit_code == 0
 
 
@@ -249,6 +308,25 @@ class TestTighten:
         q.write_text("?tighten b@9.\n")
         res = invoke("tighten", str(fixtures / "p0.tpl"), str(q))
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "?tighten a@1 and b@2.",
+                "tighten atoms must share a single time point (or all use '*')",
+            ),
+            ("?tighten a@1 and b@*.", "tighten atoms must all carry '@<time>' or all carry '@*'"),
+        ],
+        ids=["two-points", "point-and-star"],
+    )
+    def test_atoms_at_different_times_rejected(self, fixtures, tmp_path, capsys, text, message):
+        q = tmp_path / "q.tpq"
+        q.write_text(text)
+        res = invoke("tighten", str(fixtures / "p0.tpl"), str(q))
+        assert (res.exit_code, res.payload) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"1:10 error[Syntax]: {message}\nerror: {q}: invalid query\n"
 
     def test_paris_subprogram_same_bounds(self, fixtures):
         res = invoke(
@@ -569,6 +647,26 @@ class TestEvolve:
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == f"error: {csv_file}:2: malformed rational 'abc'\n"
 
+    def test_csv_with_only_a_comment(self, fixtures, tmp_path, capsys):
+        csv_file = tmp_path / "comment.csv"
+        csv_file.write_text("# no rows yet\n")
+        res = invoke("evolve", str(fixtures / "evolution_skeleton.tpl"), str(csv_file))
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == f"error: {csv_file}: no annotation slices found\n"
+
+    def test_inconsistent_slice(self, tmp_path, capsys):
+        # two facts pin a at time 1 to 0.2 and to 0.8
+        skeleton = tmp_path / "twice.tpl"
+        skeleton.write_text("calendar 1..1.\na.\na.\n")
+        csv_file = tmp_path / "apart.csv"
+        csv_file.write_text("c0.head,1,0.2,0.2\nc1.head,1,0.8,0.8\n")
+        res = invoke("evolve", str(skeleton), str(csv_file), "--verify", "literal")
+        assert res.exit_code == 1 and capsys.readouterr().err == ""
+        assert jpayload(res) == {
+            "detail": "time slice 1 is INCONSISTENT; no per-time model exists",
+            "verdict": "INCONSISTENT_SLICE",
+        }
+
 
 class TestIalg:
     def test_interval_output(self):
@@ -586,6 +684,19 @@ class TestIalg:
 
     def test_bad_expression(self):
         assert invoke("ialg", "what(1,2)").exit_code == 2
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("join_k([0,1])", "join_k takes 2 arguments, got 1"),
+            ("join_k(leq_b([0,1],[0,1]),[0,1])", "join_k expects interval arguments"),
+        ],
+        ids=["arity", "boolean-argument"],
+    )
+    def test_operator_misuse(self, capsys, expr, message):
+        res = invoke("ialg", expr)
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_zero_denominator(self, capsys):
         res = invoke("ialg", "[1/0, 1]")
@@ -921,6 +1032,22 @@ class TestDeterminism:
         second = invoke(*cmd)
         assert first.payload == second.payload
         assert first.exit_code == second.exit_code
+
+
+class TestReadme:
+    def test_json_example_is_the_payload(self, fixtures):
+        readme = (fixtures.parent / "README.md").read_text()
+        section = readme.split("\n## JSON output\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        res = invoke(
+            "tighten",
+            str(fixtures / "shipping.tpl"),
+            str(fixtures / "arrival_tighten.tpq"),
+            "--grounding",
+            "relevant",
+            "--json",
+        )
+        assert (res.exit_code, res.payload + "\n") == (0, block)
 
 
 class TestConsoleScript:

@@ -12,9 +12,12 @@ import tplp.psat
 from conftest import load_program, load_unfolded
 from generators import (
     facts_last_pprogram,
+    head_formulas,
     rand_ground_formula,
     rand_pprogram,
     rand_tp_program,
+    recipe_a,
+    recipe_b,
     small_base,
 )
 from oracles import (
@@ -470,20 +473,31 @@ class TestBoxLeaves:
         assert systems >= 2000 and looser >= 300
 
     def test_recipe_leaves_share_box_lps(self, lp_systems):
-        # The 8-clause program of ROADMAP item 1's recipe at seed 405: its 60
-        # leaves carry 41 distinct per-component row unions but 29 box keys.
-        rng = random.Random(405)
-        cal = Calendar.from_range(1, rng.randint(2, 3))
-        preds = ["a", "b", "c"][: rng.randint(2, 3)]
-        pp = unfold(rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds))
-        heads = [BasicFormula.single(h) for h in dict.fromkeys(c.head for c in pp.clauses)]
-        res = tighten(pp, heads)
+        # The 8-clause program of recipe B at seed 405: its 60 leaves carry 41
+        # distinct per-component row unions but 29 box keys.
+        pp, _ = recipe_b(405)
+        res = tighten(pp, head_formulas(pp))
         assert res.branch_count == 60
         assert res.intervals == [
             ProbInterval(F(2, 5), F(19, 20)),
             ProbInterval(F(13, 20), F(3, 4)),
         ]
         assert len(lp_systems) == len(set(lp_systems)) == 29
+
+
+class TestRecipeA:
+    def test_verdicts_and_counts_pinned(self):
+        """check_consistency's verdict and branch_count at every seed the
+        golden file lists, and every CONSISTENT witness an exact model."""
+        answers = json.loads((GOLDEN / "recipe_a.json").read_text())["answers"]
+        got = {}
+        for seed in answers:
+            pp, _ = recipe_a(int(seed))
+            res = check_consistency(pp)
+            got[seed] = [res.verdict.value, res.branch_count]
+            if res.verdict is Verdict.CONSISTENT:
+                assert ki_satisfies(pp, res.witness), seed
+        assert got == answers
 
 
 class TestBoxDecided:
@@ -999,16 +1013,13 @@ class TestSettledFold:
         for seed in range(400, 431):
             if seed in (402, 409, 414, 421, 428):  # each takes over 0.3 s
                 continue
-            rng = random.Random(seed)
-            cal = Calendar.from_range(1, rng.randint(2, 3))
-            preds = ["a", "b", "c"][: rng.randint(2, 3)]
-            pp = unfold(rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds))
-            heads = dict.fromkeys(cl.head for cl in pp.clauses)
-            res = self.assert_tighten_matches(pp, [BasicFormula.single(a) for a in heads])
+            pp, cal = recipe_b(seed)
+            heads = head_formulas(pp)
+            res = self.assert_tighten_matches(pp, heads)
             if res is None:
                 continue
             sensitive += res.boundary_sensitive
-            formula = BasicFormula.single(TAtom(next(iter(heads)).predicate, (), TVar("Y")))
+            formula = BasicFormula.single(TAtom(heads[0].atoms[0].predicate, (), TVar("Y")))
             bounds = tighten(pp, [substitute_time(formula, t) for t in cal.points]).intervals
             window = list(zip(cal.points, bounds))
             query = Query(QueryKind.ENTAIL, formula, TPAnnotation.of_instant(window))
