@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .compression import (
     VerificationMode,
@@ -72,19 +72,60 @@ def _interval_json(iv: ProbInterval) -> list[str]:
 
 
 def _witness_json(dist) -> list[dict]:
-    names = [str(a) for a in dist.base.atoms]  # each atom named once
-    return [
-        {"world": [names[i] for i in set_bits(mask)], "p": _rat(p)}
-        for mask, p in dist.mask_items()
-    ]
+    items = dist.mask_items()
+    held = 0
+    for mask, _ in items:
+        held |= mask
+    atoms = dist.base.atoms
+    names = {i: str(atoms[i]) for i in set_bits(held)}  # each held atom named once
+    return [{"world": [names[i] for i in set_bits(mask)], "p": _rat(p)} for mask, p in items]
 
 
 def _witness_lines(witness: list[dict]) -> list[str]:
     return ["  {" + ", ".join(e["world"]) + "}: " + e["p"] for e in witness]
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+_INF = float("inf")
+
+
+def _dump(obj, newline: str = "\n") -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2) for a payload
+    (dict keys are strings).  json writes in pure Python whenever an indent is
+    given; here every string goes through its C escaper."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [_quote(k) + ": " + _dump(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        try:  # a list of strings, such as a witness world, in one join
+            items = list(map(_quote, obj))
+        except TypeError:
+            items = [_dump(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == _INF:
+            return "Infinity"
+        if obj == -_INF:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _read(path: str) -> str:
@@ -275,7 +316,9 @@ def _load_profile_csv(path: str):
     per_time: dict[str, dict[int, ProbInterval]] = {}
     lines: dict[tuple[str, int], int] = {}  # (slot, time) -> the line giving it
     rows = csv.reader(io.StringIO(_read(path), newline=""))
-    for lineno, row in enumerate(rows, start=1):
+    start = 1  # the physical line a record starts on; a quoted field may span lines
+    for row in rows:
+        lineno, start = start, rows.line_num + 1
         if not row or row[0].strip().startswith("#"):
             continue
         if lineno == 1 and row[0].strip().lower() in ("formula", "formula_id", "id"):

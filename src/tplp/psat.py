@@ -284,6 +284,29 @@ def _restore(boxes: _Boxes, fid: int, old: tuple) -> None:
         boxes[fid] = old
 
 
+def _limit_denominator(x: float, limit: int) -> Fraction:
+    """Fraction(x).limit_denominator(limit) in integer arithmetic: the same
+    continued fraction of x, with CPython 3.12's test of which of the last
+    convergent and the semiconvergent below the limit lies nearer (the
+    convergent on a tie)."""
+    n, d = x.as_integer_ratio()
+    if d <= limit:
+        return Fraction(n, d)
+    den = d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 class _BoxSolve:
     """solve_lp's answers for a one-atom component's box, whose bounds are
     integers over denominator.
@@ -741,9 +764,7 @@ class _Engine:
             masses[gmask] = masses.get(gmask, 0) + point - lo
             gmask ^= flips.get(point, 0)
             lo = point
-        return WorldDistribution(
-            self.base, {g: Fraction(n, denominator) for g, n in masses.items()}
-        )
+        return WorldDistribution(self.base, masses, denominator=denominator)
 
     def spread_product(self, comp_qs: dict[int, list[Fraction]]) -> WorldDistribution:
         """Product over components with class masses spread uniformly inside
@@ -766,9 +787,7 @@ class _Engine:
             # components hold disjoint atoms, so every product world is new
             masses = {g | a: n * share for g, n in masses.items() for a, share in expanded}
             denominator *= d
-        return WorldDistribution(
-            self.base, {g: Fraction(n, denominator) for g, n in masses.items()}
-        )
+        return WorldDistribution(self.base, masses, denominator=denominator)
 
     # -- entropy maximization --
 
@@ -819,14 +838,21 @@ class _Engine:
                 ln_n - math.log(max(float(qc), 1e-300)) - 1.0
                 for qc, ln_n in zip(q, log_counts)
             ]
-            objective = [Fraction(g).limit_denominator(10**9) for g in grad]
+            objective = [_limit_denominator(g, 10**9) for g in grad]
             vertex = start.optimum(objective, maximize=True).x
             direction = [sv - qv for sv, qv in zip(vertex, q)]
-            qf = [float(v) for v in q]
-            df = [float(v) for v in direction]
+            # entropy(q + gamma*d) in floats, term by term as entropy() sums it
+            terms = [
+                (float(qv), float(dv), ln_n) for qv, dv, ln_n in zip(q, direction, log_counts)
+            ]
 
             def on_segment(gamma: float) -> float:
-                return entropy([a + gamma * b for a, b in zip(qf, df)])
+                total = 0.0
+                for a, b, ln_n in terms:
+                    fq = a + gamma * b
+                    if fq > 0:
+                        total += fq * (ln_n - math.log(fq))
+                return total
 
             lo, hi = 0.0, 1.0
             for _ in range(80):
@@ -836,7 +862,7 @@ class _Engine:
                     lo = m1
                 else:
                     hi = m2
-            gamma = Fraction((lo + hi) / 2).limit_denominator(10**12)
+            gamma = _limit_denominator((lo + hi) / 2, 10**12)
             gamma = min(max(gamma, ZERO), ONE)
             candidate = [qv + gamma * dv for qv, dv in zip(q, direction)]
             gain = entropy(candidate) - current

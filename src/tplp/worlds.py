@@ -76,7 +76,9 @@ class WorldDistribution:
     """Sparse map from worlds to non-negative rational masses.
 
     Masses must sum to exactly one unless ``require_normalized`` is False
-    (partial evolution profiles produce subnormalized densities).
+    (partial evolution profiles produce subnormalized densities).  Given a
+    ``denominator``, ``masses`` maps world masks to integer numerators over
+    it, which must sum to it.
     """
 
     def __init__(
@@ -85,9 +87,25 @@ class WorldDistribution:
         masses: Mapping,
         *,
         require_normalized: bool = True,
+        denominator: int | None = None,
     ):
         self.base = base
         n = len(base)
+        if denominator is not None:
+            # checked in integers, then one Fraction per distinct mass
+            total = sum(masses.values())
+            if denominator < 1 or total != denominator:
+                raise ValueError(f"world masses sum to {total}/{denominator}, not 1")
+            least = min(masses.values())
+            if least < 0:
+                raise ValueError(f"negative mass {least}/{denominator}")
+            low, high = min(masses), max(masses)
+            if low < 0 or high >> n:
+                raise ValueError(f"world {low if low < 0 else high:#x} outside the {n}-atom base")
+            shared = {v: Fraction(v, denominator) for v in set(masses.values()) if v}
+            self._masses = {m: shared[v] for m, v in masses.items() if v}
+            self.total = ONE
+            return
         packed: dict[int, Fraction] = {}
         for key, value in masses.items():
             mask = _mask(key)
@@ -103,10 +121,9 @@ class WorldDistribution:
             packed[mask] = value if have is None else have + value
         self._masses = packed
         # one integer sum over the masses' common denominator
-        denominator = math.lcm(*(v.denominator for v in packed.values()))
+        common = math.lcm(*(v.denominator for v in packed.values()))
         self.total = Fraction(
-            sum(v.numerator * (denominator // v.denominator) for v in packed.values()),
-            denominator,
+            sum(v.numerator * (common // v.denominator) for v in packed.values()), common
         )
         if require_normalized and self.total != 1:
             raise ValueError(f"world masses sum to {self.total}, not 1")

@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tplp
 import tplp.cli
@@ -631,6 +633,21 @@ class TestEvolve:
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == f"error: {csv_file}:2: time 'x' is not an integer\n"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a quoted time spans lines 2 and 3, so the bad row is on line 4
+            ('"c0.\nhead",1,0.3,0.3\nc0.head,x,0.3,0.3\n', "4: time 'x' is not an integer"),
+            ('c0.head,1,"0.3\n",0.3\nc0.head,1,0.9,0.9\n', "4: c0.head at time 1 repeats line 2"),
+        ],
+    )
+    def test_csv_messages_name_physical_lines(self, fixtures, tmp_path, capsys, rows, message):
+        csv_file = tmp_path / "ml.csv"
+        csv_file.write_text("formula_id,time,lo,hi\n" + rows)
+        res = invoke("evolve", str(fixtures / "evolution_skeleton.tpl"), str(csv_file))
+        assert res.exit_code == 2 and res.payload == ""
+        assert capsys.readouterr().err == f"error: {csv_file}:{message}\n"
+
     @pytest.mark.parametrize("time", ["1_0", "+1", "\u0661"])
     def test_time_is_ascii_digits_in_csv(self, fixtures, tmp_path, capsys, time):
         csv_file = tmp_path / "time.csv"
@@ -1032,6 +1049,46 @@ class TestDeterminism:
         second = invoke(*cmd)
         assert first.payload == second.payload
         assert first.exit_code == second.exit_code
+
+
+# Strings with every kind of character json escapes: quotes, backslashes,
+# control characters, non-ASCII ones (escaped as \uXXXX, astral ones as
+# surrogate pairs) and lone surrogates.
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')
+)
+_JSON_LEAF = (
+    _JSON_TEXT
+    | st.sampled_from([True, False, None])
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 5e-324])
+)
+_JSON_VALUE = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(_JSON_TEXT)
+    | st.dictionaries(_JSON_TEXT, inner),
+    max_leaves=15,
+)
+
+
+class TestJsonWriter:
+    """tplp's writer gives the bytes of json.dumps(v, sort_keys=True, indent=2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_JSON_VALUE)
+    @example({"b": [], "a": {}, "c": ("x", 1), "\u00e9\ud800": [-0.0, 1e16, 5e-324, 2**65]})
+    @example([float("nan"), float("inf"), float("-inf"), True, False, None, -(2**70)])
+    def test_same_bytes_as_json(self, value):
+        assert tplp.cli._dump(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    def test_rejects_what_json_rejects(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            tplp.cli._dump({"a": [1, {2}]})
 
 
 class TestReadme:

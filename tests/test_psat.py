@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tplp.psat
 from conftest import load_program, load_unfolded
@@ -51,6 +53,7 @@ from tplp.psat import (
     SolveOptions,
     _BoxSolve,
     _Engine,
+    _limit_denominator,
     Verdict,
     check_consistency,
     entails,
@@ -1109,6 +1112,31 @@ class TestMaxEnt:
         res = max_entropy_model(pp)
         pr = atom_mass(res.distribution, TAtom("a", (), 1))
         assert abs(float(pr) - 0.2) < 1e-6
+
+
+LIMITS = [1, 7, 10**9, 10**12]
+
+
+class TestLimitDenominator:
+    """The ascent's integer rounding equals Fraction.limit_denominator."""
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    @pytest.mark.parametrize(
+        "x",
+        [0.5, 2.5, 1.5, -0.5, -2.5, 0.0, -0.0, 3.0, -7.0, 2.0**60, 0.1, -0.3, 1 / 3,
+         math.pi, -math.e, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-12, 1 - 2**-53],
+    )
+    def test_listed_values(self, x, limit):
+        got = _limit_denominator(x, limit)
+        assert type(got) is F and got == F(x).limit_denominator(limit)
+
+    def test_ties_go_to_the_convergent(self):
+        assert _limit_denominator(0.5, 1) == 0 and _limit_denominator(2.5, 1) == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(LIMITS))
+    def test_any_float(self, x, limit):
+        assert _limit_denominator(x, limit) == F(x).limit_denominator(limit)
 
 
 class TestWitnessAssembly:

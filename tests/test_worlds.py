@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_program, load_unfolded
 from tplp.errors import AtomNotInBase
@@ -93,6 +95,33 @@ class TestWorldDistribution:
     def test_negative_mass_offset_in_its_world_rejected(self):
         with pytest.raises(ValueError, match="negative mass -1/2"):
             WorldDistribution(BASE_AB, {World(0, BASE_AB): F(-1, 2), 0: F(3, 2)})
+
+    @settings(deadline=None)
+    @given(st.dictionaries(st.integers(0, 3), st.integers(0, 50)).filter(lambda m: any(m.values())))
+    def test_integer_masses_over_a_denominator(self, numerators):
+        denominator = sum(numerators.values())
+        d = WorldDistribution(BASE_AB, numerators, denominator=denominator)
+        fractions = {m: F(n, denominator) for m, n in numerators.items()}
+        assert d == WorldDistribution(BASE_AB, fractions) and d.total == 1
+        assert d.support_size() == sum(1 for n in numerators.values() if n)
+
+    def test_integer_masses_drop_zeros(self):
+        d = WorldDistribution(BASE_AB, {0: 0, 2: 3, 3: 0}, denominator=3)
+        assert d.mask_items() == [(2, F(1))] and type(d.mass(2)) is F
+
+    @pytest.mark.parametrize(
+        "numerators, denominator, message",
+        [
+            ({0: 1, 1: 1}, 3, "world masses sum to 2/3, not 1"),
+            ({0: -1, 1: 4}, 3, "negative mass -1/3"),
+            ({0: 1, 4: 1}, 2, "world 0x4 outside the 2-atom base"),
+            ({-1: 1}, 1, "world -0x1 outside the 2-atom base"),
+            ({}, 1, "world masses sum to 0/1, not 1"),
+        ],
+    )
+    def test_integer_masses_checked(self, numerators, denominator, message):
+        with pytest.raises(ValueError, match=message):
+            WorldDistribution(BASE_AB, numerators, denominator=denominator)
 
     def test_point_and_uniform(self):
         assert WorldDistribution.point(BASE_AB).mass(0) == 1
