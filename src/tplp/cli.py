@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import os
 import sys
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ from .psat import (
     max_entropy_model,
     tighten,
 )
-from .worlds import set_bits
 
 
 @dataclass
@@ -71,14 +71,35 @@ def _interval_json(iv: ProbInterval) -> list[str]:
     return [_rat(iv.lo), _rat(iv.hi)]
 
 
+# Per byte value, its bits from the lowest: a mask's bits, ascending, are its
+# little-endian bytes expanded through this table.
+_BYTE_BITS = [bits[::-1] for bits in itertools.product((0, 1), repeat=8)]
+
+
+def _bits(mask: int):
+    """Per atom index up to mask's highest set bit, 1 when the bit is set."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
+
+
 def _witness_json(dist) -> list[dict]:
+    """Per world of the support, by ascending mask, its atoms' names and its
+    mass.  Each held atom is named once, and each world picks its names by
+    its bits.  Each mass is formatted once per Fraction object: a
+    distribution built over one denominator shares one per distinct mass."""
     items = dist.mask_items()
     held = 0
     for mask, _ in items:
         held |= mask
-    atoms = dist.base.atoms
-    names = {i: str(atoms[i]) for i in set_bits(held)}  # each held atom named once
-    return [{"world": [names[i] for i in set_bits(mask)], "p": _rat(p)} for mask, p in items]
+    names = [str(a) if bit else None for a, bit in zip(dist.base.atoms, _bits(held))]
+    texts: dict[int, str] = {}  # id of a mass -> its text
+    out = []
+    for mask, p in items:
+        text = texts.get(id(p))
+        if text is None:
+            text = texts[id(p)] = _rat(p)
+        out.append({"world": list(itertools.compress(names, _bits(mask))), "p": text})
+    return out
 
 
 def _witness_lines(witness: list[dict]) -> list[str]:

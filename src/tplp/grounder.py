@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import AtomNotInBase, GroundingTooLarge, UniverseEmpty
 from .intervals import ProbInterval
@@ -31,7 +32,6 @@ from .model import (
     companion_groundings,
     substitute_annotation,
     substitute_objects,
-    substitute_time,
 )
 
 
@@ -55,23 +55,72 @@ class PClause:
         return head + " <- " + " and ".join(f"{f}:{iv}" for f, iv in self.body)
 
 
+# An atom's identity in a base: (predicate, args, time), time None for a
+# timeless atom.  unfold interns atoms by it, and ground t-atoms sort by it as
+# by key().  Looking atoms up by it never computes an atom's own hash.
+_ident = attrgetter("predicate", "args", "time")
+
+
 class HerbrandBase:
     """Ordered, duplicate-free list of ground atoms, time-extended (TAtom) or
     timeless (CAtom); index = world bit position."""
 
     def __init__(self, atoms: Iterable[TAtom | CAtom]):
-        seen = dict.fromkeys(atoms)
-        for a in seen:
+        seen: dict[tuple, TAtom | CAtom] = {}
+        for a in atoms:
+            seen.setdefault(_ident(a), a)
+        for a in seen.values():
             if not a.is_ground:
                 raise ValueError(f"non-ground atom {a} cannot enter a Herbrand base")
-        self.atoms: tuple[TAtom | CAtom, ...] = tuple(sorted(seen, key=lambda a: a.key()))
-        self._index = {a: i for i, a in enumerate(self.atoms)}
+        self.atoms: tuple[TAtom | CAtom, ...] = tuple(sorted(seen.values(), key=lambda a: a.key()))
+        self._index = {_ident(a): i for i, a in enumerate(self.atoms)}
+
+    @classmethod
+    def _of(cls, atoms: tuple, index: dict[tuple, int]) -> HerbrandBase:
+        """The base of distinct ground atoms in index order, index mapping
+        each one's identity to its position."""
+        base = cls.__new__(cls)
+        base.atoms = atoms
+        base._index = index
+        return base
+
+    def extended(self, atoms: Iterable[TAtom | CAtom]) -> HerbrandBase:
+        """This base followed by those of the atoms it lacks, in order of
+        first sight, so its own atoms keep their indices (self when it lacks
+        none)."""
+        index = self._index
+        added: dict[tuple, TAtom | CAtom] = {}
+        for a in atoms:
+            key = _ident(a)
+            if key not in index and key not in added:
+                if not a.is_ground:
+                    raise ValueError(f"non-ground atom {a} cannot enter a Herbrand base")
+                added[key] = a
+        if not added:
+            return self
+        n = len(self.atoms)
+        return HerbrandBase._of(
+            self.atoms + tuple(added.values()),
+            {**index, **dict(zip(added, range(n, n + len(added))))},
+        )
+
+    def lookup(self, atom: TAtom | CAtom) -> int | None:
+        """The atom's index, or None when it is not in the base."""
+        return self._index.get(_ident(atom))
 
     def index_of(self, atom: TAtom | CAtom) -> int:
+        i = self.lookup(atom)
+        if i is None:
+            raise AtomNotInBase(f"atom {atom} is not in the Herbrand base")
+        return i
+
+    def indices(self, atoms: Sequence[TAtom | CAtom]) -> list[int]:
+        """index_of of each atom, looked up in one pass."""
         try:
-            return self._index[atom]
+            return list(map(self._index.__getitem__, map(_ident, atoms)))
         except KeyError:
-            raise AtomNotInBase(f"atom {atom} is not in the Herbrand base") from None
+            self.mask(atoms)  # raises AtomNotInBase, naming the first atom outside
+            raise
 
     def mask(self, atoms: Iterable[TAtom | CAtom]) -> int:
         """The world bits of the atoms: bit index_of(a) set for each a."""
@@ -81,7 +130,7 @@ class HerbrandBase:
         return bits
 
     def __contains__(self, atom: TAtom | CAtom) -> bool:
-        return atom in self._index
+        return self.lookup(atom) is not None
 
     def __len__(self):
         return len(self.atoms)
@@ -256,8 +305,22 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
     (conjunct, solution point) pair of its own annotation.  Clause order is
     source order, then time order.  A clause whose head constraint has an
     empty solution set contributes nothing (reported through ``warn``).
+
+    Atoms are interned as they are emitted: each distinct (predicate, args,
+    time) is one TAtom, which keeps the span of its first occurrence.  When
+    every atom is ground, their identities sorted once are the program's
+    base, in key() order.
     """
     cal = p.calendar
+    table: dict[tuple, TAtom] = {}
+
+    def intern(a: TAtom, t: int) -> TAtom:
+        key = (a.predicate, a.args, t if isinstance(a.time, TVar) else a.time)
+        atom = table.get(key)
+        if atom is None:
+            atom = table[key] = TAtom(*key, a.span)
+        return atom
+
     clauses: list[PClause] = []
     for cl in p.clauses:
         heads = cl.head_annot.instant(cal)
@@ -266,16 +329,18 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
                 warn(f"clause head {cl.head} has an empty solution set; no clauses emitted")
             continue
         body = tuple(
-            (substitute_time(f, tj), iv) for f, ann in cl.body for tj, iv in ann.instant(cal)
+            (BasicFormula(f.connective, tuple(intern(a, tj) for a in f.atoms), f.span), iv)
+            for f, ann in cl.body
+            for tj, iv in ann.instant(cal)
         )
         for ti, iv in heads:
-            head = (
-                TAtom(cl.head.predicate, cl.head.args, ti, cl.head.span)
-                if isinstance(cl.head.time, TVar)
-                else cl.head
-            )
-            clauses.append(PClause(head, iv, body))
-    return PProgram(tuple(clauses))
+            clauses.append(PClause(intern(cl.head, ti), iv, body))
+    idents = list(table)
+    if any(not isinstance(x, str) for _, args, _ in idents for x in args):
+        return PProgram(tuple(clauses))  # an object variable is left: no base
+    idents.sort()
+    atoms = tuple(map(table.get, idents))
+    return PProgram(tuple(clauses), HerbrandBase._of(atoms, dict(zip(idents, range(len(atoms))))))
 
 
 def pprogram_to_ptprogram(pp: PProgram, cal: Calendar) -> PTProgram:

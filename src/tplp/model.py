@@ -143,6 +143,7 @@ class CAtom:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
     is_ground = True  # the arguments are constants by construction
+    time = None  # no temporal position: in a base it differs from every t-atom
 
     def key(self):
         return (self.predicate, self.args)

@@ -65,7 +65,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import BaseTooLarge, InconsistentProgram, InvalidAnnotation, NonConvergence
-from .grounder import HerbrandBase, PProgram
+from .grounder import PProgram
 from .intervals import ONE, ZERO, ProbInterval, and_ig, or_ig
 from .model import BasicFormula, Calendar, Connective, substitute_time, validate_annotation
 from .parser import Query
@@ -344,12 +344,12 @@ class _Engine:
     def __init__(self, pp: PProgram, opts: SolveOptions, extra_formulas=()):
         if pp.base is None:
             raise ValueError("the solver needs a ground program; ground it first")
-        # The world cap counts the program's own base.
-        self.base = pp.base
-        if len(self.base) > opts.max_world_atoms:
-            raise BaseTooLarge(len(self.base), opts.max_world_atoms)
-        if extra_formulas:
-            self.base = HerbrandBase([*pp.base, *(a for f in extra_formulas for a in f.atoms)])
+        # The world cap counts the program's own base.  Query atoms outside
+        # it take the indices after its atoms, whose indices stay the same.
+        n_base = len(pp.base)
+        if n_base > opts.max_world_atoms:
+            raise BaseTooLarge(n_base, opts.max_world_atoms)
+        self.base = pp.base.extended(a for f in extra_formulas for a in f.atoms)
 
         # Canonical formula registry, fids in order of first registration: a
         # formula over one atom by its base index, any other by (connective,
@@ -357,7 +357,6 @@ class _Engine:
         self._formula_atoms: list[tuple[Connective, frozenset[int]]] = []
         singles: dict[int, int] = {}
         multis: dict[tuple, int] = {}
-        index_of = self.base.index_of
 
         def register_single(a: int) -> int:
             fid = singles.get(a)
@@ -366,10 +365,12 @@ class _Engine:
                 self._formula_atoms.append((Connective.SINGLE, frozenset((a,))))
             return fid
 
-        def register(connective: Connective, atoms) -> int:
-            idxs = frozenset(map(index_of, atoms))
+        def register(connective: Connective, atoms: list[int]) -> int:
+            if len(atoms) == 1:
+                return register_single(atoms[0])
+            idxs = frozenset(atoms)
             if len(idxs) == 1:
-                return register_single(min(idxs))
+                return register_single(atoms[0])
             fid = multis.get((connective, idxs))
             if fid is None:
                 fid = multis[connective, idxs] = len(self._formula_atoms)
@@ -378,21 +379,28 @@ class _Engine:
 
         # A clause unfolded at several head points shares one body tuple, and
         # its clauses here share one body list, registered once; so do their
-        # intervals, each a distinct interval object of the program.
+        # intervals, each a distinct interval object of the program.  Atoms
+        # are named by their base indices, looked up by identity (indices).
         self.clauses: list[tuple[int, ProbInterval, list[tuple[int, ProbInterval]]]] = []
         bodies: dict[int, list[tuple[int, ProbInterval]]] = {}  # keyed by id(cl.body)
         intervals: dict[int, ProbInterval] = {}  # keyed by id
-        for cl in pp.clauses:
-            head_fid = register_single(index_of(cl.head))
+        indices = self.base.indices
+        heads = indices([cl.head for cl in pp.clauses])
+        for cl, head in zip(pp.clauses, heads):
+            head_fid = register_single(head)
             body = bodies.get(id(cl.body))
             if body is None:
-                body = [(register(f.connective, f.atoms), iv) for f, iv in cl.body]
-                bodies[id(cl.body)] = body
+                body = bodies[id(cl.body)] = [
+                    (register(f.connective, indices(f.atoms)), iv) for f, iv in cl.body
+                ]
                 intervals.update((id(iv), iv) for _, iv in body)
             intervals[id(cl.head_iv)] = cl.head_iv
             self.clauses.append((head_fid, cl.head_iv, body))
         n_program = len(self._formula_atoms)  # the fids below are the clauses'
-        self.extra_fids = [register(f.connective, f.atoms) for f in extra_formulas]
+        program_multis = list(multis.values())
+
+        self.extra_fids = [register(f.connective, indices(f.atoms)) for f in extra_formulas]
+        n_atoms = len(self.base)
 
         top = self.denominator = math.lcm(
             (opts.epsilon / 2).denominator,
@@ -411,28 +419,35 @@ class _Engine:
         # the clauses a change of its box can leave without a choice (a
         # HEAD_IN box of [0, 1] always fits), flattened: formula fid's are
         # _watch[_watch_start[fid]:_watch_start[fid + 1]].
+        # A body's distinct formulas are found once per body, not per clause.
         int_bodies = {
             key: [(fid, *scaled[id(iv)]) for fid, iv in body] for key, body in bodies.items()
         }
-        self._bodies = [int_bodies[id(cl.body)] for cl in pp.clauses]
+        body_fids = {
+            key: tuple(dict.fromkeys(fid for fid, _ in body)) for key, body in bodies.items()
+        }
+        self._bodies = []
         self._head_boxes = []
         watchers: list[list[int]] = [[] for _ in self._formula_atoms]
-        for j, ((head_fid, head_iv, _), body) in enumerate(zip(self.clauses, self._bodies)):
+        for j, ((head_fid, head_iv, _), cl) in enumerate(zip(self.clauses, pp.clauses)):
+            self._bodies.append(int_bodies[id(cl.body)])
             lo, hi = scaled[id(head_iv)]
             self._head_boxes.append(None if lo > hi else (head_fid, lo, hi))
             if lo == 0 and hi == top:
                 continue
-            fids = {fid for fid, _, _ in body}
-            if lo <= hi:
-                fids.add(head_fid)
+            fids = body_fids[id(cl.body)]
             for fid in fids:
                 watchers[fid].append(j)
-        self._watch_start = array("i", itertools.accumulate(map(len, watchers), initial=0))
-        self._watch = array("i", itertools.chain.from_iterable(watchers))
+            if lo <= hi and head_fid not in fids:
+                watchers[head_fid].append(j)
+        self._watch_start = array("i", list(itertools.accumulate(map(len, watchers), initial=0)))
+        self._watch = array("i", list(itertools.chain.from_iterable(watchers)))
 
         # Connected components over atoms, via the program's formulas of
-        # several atoms; a query atom outside the base is a component of its own.
-        parent = list(range(len(self.base)))
+        # several atoms, numbered in the order of their union-find roots.  An
+        # atom that no such formula links (a query atom outside the base
+        # among them) is a component, and its own root, with no find.
+        parent = list(range(n_atoms))
 
         def find(a):
             while parent[a] != a:
@@ -440,9 +455,10 @@ class _Engine:
                 a = parent[a]
             return a
 
-        for _, idxs in self._formula_atoms[:n_program]:
-            if len(idxs) == 1:
-                continue
+        linked: set[int] = set()
+        for fid in program_multis:
+            idxs = self._formula_atoms[fid][1]
+            linked.update(idxs)
             it = iter(sorted(idxs))
             first = find(next(it))
             for other in it:
@@ -450,27 +466,57 @@ class _Engine:
                 if r != first:
                     parent[r] = first
         groups: dict[int, list[int]] = {}
-        for a in range(len(parent)):
+        for a in sorted(linked):
             groups.setdefault(find(a), []).append(a)
-        self.components = [
-            _Component(cid, tuple(members))  # ascending, as appended
-            for cid, members in enumerate(groups[root] for root in sorted(groups))
-        ]
-        atom_comp = [0] * len(parent)
-        for comp in self.components:
-            for a in comp.atoms:
-                atom_comp[a] = comp.cid
 
         # Per program formula its component and its row coefficients over the
-        # component's signature classes.
-        self._fid_comp = [atom_comp[min(idxs)] for _, idxs in self._formula_atoms[:n_program]]
-        comp_fids: list[list[int]] = [[] for _ in self.components]
-        for fid, cid in enumerate(self._fid_comp):
-            comp_fids[cid].append(fid)
+        # component's signature classes.  A one-atom component takes the
+        # shared table of its shape (_ONE_ATOM_SHAPES) directly, and its
+        # formula, if it has one, the atom's, its one row; a component of
+        # several atoms is split over its formulas (_split).
+        self.components: list[_Component] = []
+        self._fid_comp: list[int] = [0] * n_program
         self._coeffs: list = [None] * n_program
-        self._local_fid: list = [None] * n_program  # position among its component's; see _split
+        self._local_fid: list = [0] * n_program  # position among its component's; see _split
         self._shapes: dict = {}  # see _split
-        for comp, fids in zip(self.components, comp_fids):
+        one_atom: list = [None, None]  # per shape, without and with a formula: its table
+        atom_comp = [0] * n_atoms
+        wide = []  # (component, its atoms' singles) per component of several atoms
+        for a in range(n_atoms):
+            members = groups.get(a)
+            cid = len(self.components)
+            if members is not None:
+                comp = _Component(cid, tuple(members))  # ascending, as appended
+                for m in members:
+                    atom_comp[m] = cid
+                wide.append(comp)
+            elif a in linked:
+                continue
+            else:
+                comp = _Component(cid, (a,))
+                atom_comp[a] = cid
+                fid = singles.get(a, n_program)
+                has = fid < n_program
+                table = one_atom[has]
+                if table is None:
+                    table = one_atom[has] = self._table(comp, _ONE_ATOM_SHAPES[has])
+                comp.shape, comp.classes, rows = table
+                comp.box_decided = has
+                if has:
+                    self._fid_comp[fid] = cid
+                    self._coeffs[fid] = rows[0]
+            self.components.append(comp)
+        comp_fids: dict[int, list[int]] = {comp.cid: [] for comp in wide}
+        for fid in program_multis:
+            comp_fids[atom_comp[min(self._formula_atoms[fid][1])]].append(fid)
+        for comp in wide:
+            fids = comp_fids[comp.cid]
+            fids.extend(
+                fid for fid in map(singles.get, comp.atoms) if fid is not None and fid < n_program
+            )
+            fids.sort()
+            for fid in fids:
+                self._fid_comp[fid] = comp.cid
             self._split(comp, fids)
 
         # Each extra formula is answered per component its atoms touch, by its
@@ -508,31 +554,32 @@ class _Engine:
         self.settled = False
 
     def _split(self, comp: _Component, fids: list[int]) -> None:
-        """Split comp's worlds into the signature classes of the program
-        formulas fids, all inside comp, and set their row coefficients.
+        """Split comp's worlds, comp of several atoms, into the signature
+        classes of the program formulas fids, all inside comp, and set their
+        row coefficients.
 
         Both depend only on comp's shape: its atom count and, per formula in
         fid order, the connective and local atom positions.  Components of
         one shape share one class table and one coefficient tuple per
-        formula, built by the first of them (_shapes) and numbered in order
+        formula, built by the first of them (_table) and numbered in order
         (comp.shape).  Each formula's row is also named by its position in
-        fids (_local_fid), the same in every component of the shape.  A
-        one-atom component has at most one formula, the atom itself."""
-        if comp.k == 1:
-            shape = _ONE_ATOM_SHAPES[len(fids)]
-        else:
-            shape = (comp.k, tuple(comp.local(*self._formula_atoms[fid]) for fid in fids))
+        fids (_local_fid), the same in every component of the shape."""
+        shape = (comp.k, tuple(comp.local(*self._formula_atoms[fid]) for fid in fids))
+        comp.shape, comp.classes, rows = self._table(comp, shape)
+        for position, (fid, row) in enumerate(zip(fids, rows)):
+            self._coeffs[fid] = row
+            self._local_fid[fid] = position
+
+    def _table(self, comp: _Component, shape: tuple) -> tuple:
+        """The (number, class table, rows) of a component shape, split from
+        comp the first time the engine meets the shape."""
         table = self._shapes.get(shape)
         if table is None:
             masks = [comp.formula_mask(*f) for f in shape[1]]
             comp.split_classes(list(dict.fromkeys(masks)))
             rows = [comp.coefficients(m) for m in masks]
             table = self._shapes[shape] = (len(self._shapes), comp.classes, rows)
-        comp.shape, comp.classes, rows = table
-        comp.box_decided = comp.k == 1 and len(comp.classes) == 2
-        for position, (fid, row) in enumerate(zip(fids, rows)):
-            self._coeffs[fid] = row
-            self._local_fid[fid] = position
+        return table
 
     # -- branch enumeration --
 

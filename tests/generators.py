@@ -115,23 +115,33 @@ def rand_tp_program(
     return PTProgram(cal, tuple(clauses))
 
 
-def recipe_a(seed: int) -> tuple[PProgram, Calendar]:
-    """ROADMAP's recipe A at seed: 3 to 5 clauses over a, b, c on the calendar
-    1..3, unfolded, and that calendar."""
+def recipe_a_program(seed: int) -> PTProgram:
+    """ROADMAP's recipe A at seed, before unfolding: 3 to 5 clauses over a, b,
+    c on the calendar 1..3."""
     rng = random.Random(seed)
     cal = Calendar.from_range(1, 3)
-    p = rand_tp_program(rng, cal, n_clauses=rng.randint(3, 5), preds=["a", "b", "c"])
-    return unfold(p), cal
+    return rand_tp_program(rng, cal, n_clauses=rng.randint(3, 5), preds=["a", "b", "c"])
 
 
-def recipe_b(seed: int) -> tuple[PProgram, Calendar]:
-    """ROADMAP's recipe B at seed: 1 to 3 clauses over two or three of a, b, c
-    on the calendar 1..2 or 1..3, unfolded, and that calendar."""
+def recipe_a(seed: int) -> tuple[PProgram, Calendar]:
+    """ROADMAP's recipe A at seed, unfolded, and its calendar."""
+    p = recipe_a_program(seed)
+    return unfold(p), p.calendar
+
+
+def recipe_b_program(seed: int) -> PTProgram:
+    """ROADMAP's recipe B at seed, before unfolding: 1 to 3 clauses over two
+    or three of a, b, c on the calendar 1..2 or 1..3."""
     rng = random.Random(seed)
     cal = Calendar.from_range(1, rng.randint(2, 3))
     preds = ["a", "b", "c"][: rng.randint(2, 3)]
-    p = rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds)
-    return unfold(p), cal
+    return rand_tp_program(rng, cal, n_clauses=rng.randint(1, 3), preds=preds)
+
+
+def recipe_b(seed: int) -> tuple[PProgram, Calendar]:
+    """ROADMAP's recipe B at seed, unfolded, and its calendar."""
+    p = recipe_b_program(seed)
+    return unfold(p), p.calendar
 
 
 def head_formulas(pp: PProgram) -> list[BasicFormula]:

@@ -3,9 +3,11 @@
 tests/golden/cli.json holds maxent only for the small fixtures, and leaves out
 its entropy.  These pins fix, by SHA-256 and length, every byte of the
 1,024-world maximum-entropy model of shipping.tpl (as JSON and as text,
-entropy included) and of shipping's full-grounding consistency witness, so
-the JSON writer, the witness naming, the integer-built distributions and the
-entropy ascent are all held to the output they gave before.
+entropy included), of shipping's full-grounding consistency witness and of
+the witness of a 20-constant shipping-style program at full grounding (2,464
+clauses over 2,820 atoms), so the JSON writer, the atom table that names the
+witness worlds, the integer-built distributions and the entropy ascent are all
+held to the output they gave before.
 """
 
 import hashlib
@@ -38,3 +40,30 @@ def test_answer_bytes(fixtures, capsys, argv):
     payload = result.payload.encode()
     assert (result.exit_code, capsys.readouterr().err) == (0, "")
     assert (len(payload), hashlib.sha256(payload).hexdigest()) == PINS[argv]
+
+
+# Shipping's rules over 20 constants, each item sent to the square of its
+# number modulo 20, and four items sent express.
+WIDE20 = "\n".join([
+    "calendar 1..8.",
+    "arrived(Item,Place)@Y : <Y:3~5, [0.04,0.25,0.08], [0.23,0.28,0.12]>"
+    " :- sent(Item,Place)@Y1 : <Y1=1, [0.88], #>.",
+    "arrived(Item,Place)@Y : <Y:6~8, [0.07,0.07,0.03], [0.22,0.2,0.07]>"
+    " :- sent(Item,Place)@Y1 : <Y1=1, [0.5], #>.",
+    "arrived(Item,c0)@Y : <Y:3~4, [0.19,0.25], [0.29,0.34]>"
+    " :- sent(Item,c0)@Y1 : <Y1=1, [0.94], #> and express_mail(Item)@Y2 : <Y2=1, #, #>.",
+    *(f"sent(c{i},c{i * i % 20})@Y : <Y=1, #, #>." for i in range(20)),
+    *(f"express_mail(c{i})@Y : <Y=1, #, #>." for i in range(0, 20, 5)),
+]) + "\n"
+
+
+def test_wide_witness_bytes(tmp_path, capsys):
+    path = tmp_path / "wide20.tpl"
+    path.write_text(WIDE20)
+    result = run(["consistent", str(path), "--json", "--max-world-atoms", "100000"])
+    payload = result.payload.encode()
+    assert (result.exit_code, capsys.readouterr().err) == (0, "")
+    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (
+        227050,
+        "d7d462393f39bbb63fd4ad526e76c0f532e2b73df7cc400e6e87ab6f74c7aa12",
+    )

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from generators import rand_program_ast, rand_tp_program
 from test_fuzz import PROGRAMS, SEEDS, mutate
-from tplp.diagnostics import DiagnosticKind
+from tplp.diagnostics import DiagnosticKind, SourceSpan
 from tplp.model import (
     BasicFormula,
     CAtom,
@@ -249,6 +249,40 @@ class TestSpans:
             "2:27 error[Syntax]: expected '>' closing the annotation, found '.'",
         ]
         assert res.diagnostics[1].span.start == len(text) - 1  # the final "."
+
+
+class TestSourceSpan:
+    """SourceSpan is a slotted class, not a frozen dataclass; these pin what
+    it kept: value equality and hashing, immutability, its text form and its
+    check of the offsets."""
+
+    def test_equality_and_hashing(self):
+        a, b = SourceSpan(2, 3, 10, 14), SourceSpan(2, 3, 10, 14)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b, SourceSpan(2, 3, 10, 15)}) == 2
+        for other in (SourceSpan(1, 3, 10, 14), SourceSpan(2, 4, 10, 14),
+                      SourceSpan(2, 3, 9, 14), SourceSpan(2, 3, 10, 13)):
+            assert a != other
+        assert a != (2, 3, 10, 14) and a != "2:3"
+        assert (a.line, a.column, a.start, a.end) == (2, 3, 10, 14)
+        assert repr(a) == "SourceSpan(line=2, column=3, start=10, end=14)"
+
+    def test_immutable(self):
+        span = SourceSpan(1, 1, 0, 1)
+        for name in ("line", "column", "start", "end"):
+            with pytest.raises(AttributeError):
+                setattr(span, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(span, name)
+        with pytest.raises(AttributeError):
+            span.other = 1
+        assert span == SourceSpan(1, 1, 0, 1)
+
+    def test_text_and_bad_offsets(self):
+        assert str(SourceSpan(7, 12, 40, 40)) == "7:12"
+        for start, end in ((-1, 3), (5, 4)):
+            with pytest.raises(ValueError, match=f"bad span: start={start} end={end}"):
+                SourceSpan(1, 1, start, end)
 
 
 class TestRoundTrip:
