@@ -130,7 +130,7 @@ class TAtom:
         return CAtom(self.predicate, tuple(str(a) for a in self.args))
 
     def __str__(self):
-        args = f"({','.join(str(a) for a in self.args)})" if self.args else ""
+        args = f"({','.join(map(str, self.args))})" if self.args else ""
         return f"{self.predicate}{args}@{self.time}"
 
 

@@ -366,8 +366,6 @@ class _Engine:
             return fid
 
         def register(connective: Connective, atoms: list[int]) -> int:
-            if len(atoms) == 1:
-                return register_single(atoms[0])
             idxs = frozenset(atoms)
             if len(idxs) == 1:
                 return register_single(atoms[0])
@@ -418,8 +416,8 @@ class _Engine:
         # (fid, lo, hi) per conjunct.  Per formula, the ascending indices of
         # the clauses a change of its box can leave without a choice (a
         # HEAD_IN box of [0, 1] always fits), flattened: formula fid's are
-        # _watch[_watch_start[fid]:_watch_start[fid + 1]].
-        # A body's distinct formulas are found once per body, not per clause.
+        # _watch[_watch_start[fid]:_watch_start[fid + 1]].  A body's distinct
+        # formulas are found once per body, not once per clause.
         int_bodies = {
             key: [(fid, *scaled[id(iv)]) for fid, iv in body] for key, body in bodies.items()
         }
@@ -481,7 +479,7 @@ class _Engine:
         self._shapes: dict = {}  # see _split
         one_atom: list = [None, None]  # per shape, without and with a formula: its table
         atom_comp = [0] * n_atoms
-        wide = []  # (component, its atoms' singles) per component of several atoms
+        wide = []  # the components of several atoms
         for a in range(n_atoms):
             members = groups.get(a)
             cid = len(self.components)

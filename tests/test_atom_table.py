@@ -105,8 +105,8 @@ def check_table(pp: PProgram):
 
 
 def outside_atom(pp: PProgram) -> TAtom:
-    t = pp.clauses[0].head.time if pp.clauses else 1
-    return TAtom("zz_outside", (), t)
+    """An atom the program lacks that sorts between its a and b atoms."""
+    return TAtom("ab", (), pp.clauses[0].head.time)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
