@@ -104,12 +104,8 @@ class HerbrandBase:
             {**index, **dict(zip(added, range(n, n + len(added))))},
         )
 
-    def lookup(self, atom: TAtom | CAtom) -> int | None:
-        """The atom's index, or None when it is not in the base."""
-        return self._index.get(_ident(atom))
-
     def index_of(self, atom: TAtom | CAtom) -> int:
-        i = self.lookup(atom)
+        i = self._index.get(_ident(atom))
         if i is None:
             raise AtomNotInBase(f"atom {atom} is not in the Herbrand base")
         return i
@@ -130,7 +126,7 @@ class HerbrandBase:
         return bits
 
     def __contains__(self, atom: TAtom | CAtom) -> bool:
-        return self.lookup(atom) is not None
+        return _ident(atom) in self._index
 
     def __len__(self):
         return len(self.atoms)
