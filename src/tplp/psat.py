@@ -9,13 +9,15 @@ infeasible with the shift but feasible at the boundary is reported as
 UNKNOWN_EPS rather than silently classified.  A complete choice (a leaf) is
 its boxes, the per-formula intersections, and exact linear programs whose
 rows are the boxes' sides decide it: rows looser than a box are redundant, so
-the boxes key every LP and memo.  The walk decides each leaf itself: it
-yields the box keys of the feasible leaves only and counts every
+the boxes key every LP and memo.  A walk (_Walk) decides each leaf itself:
+it yields the box keys of the feasible leaves only and counts every
 box-consistent leaf it reaches (a result's branch_count), so each operation
 is one fold over it: the first key for consistency, a running min and max for
 tightening and entailment, the best entropy for the maximum-entropy model.
-A fold whose bounds are all [0, 1] is settled, since every mass lies there:
-the walk then only counts the leaves left.  Tightening's probe at epsilon/2,
+A fold whose bounds are all [0, 1] settles its walk, since every mass lies
+there: the walk then only counts the leaves left.  Each walk owns its count,
+its settled flag and its epsilon's body boxes; walks of one engine share only
+the engine's tables and memos.  Tightening's probe at epsilon/2,
 whose boxes contain those at epsilon, only asks whether some leaf there
 leaves the bounds, and stops at the first that does.
 
@@ -224,31 +226,6 @@ class _Boxes(dict):
         self.unit = unit
 
 
-class _BodyBoxes(dict):
-    """Clause index -> the boxes of its body choices at one epsilon in choice
-    order (BODY_LOW, then BODY_HIGH per conjunct; None for a choice
-    impossible outright), built the first time a walk asks for them.  Bounds
-    and eps are integers over the engine's denominator top."""
-
-    __slots__ = ("bodies", "eps", "top")
-
-    def __init__(self, bodies, eps: int, top: int):
-        super().__init__()
-        self.bodies = bodies
-        self.eps = eps
-        self.top = top
-
-    def __missing__(self, j: int) -> tuple:
-        out = []
-        eps, top = self.eps, self.top
-        for fid, lo, hi in self.bodies[j]:
-            low, high = lo - eps, hi + eps
-            out.append(None if low < 0 else (fid, 0, low))
-            out.append(None if high > top else (fid, high, top))
-        boxes = self[j] = tuple(out)
-        return boxes
-
-
 def _fits(boxes: _Boxes, box: tuple | None) -> bool:
     """Whether a choice's box (None when impossible outright) meets its
     formula's box: the test _narrow makes, without narrowing."""
@@ -334,7 +311,8 @@ class _BoxSolve:
 
 
 class _Engine:
-    """Shared state for one solving session over a ground unfolded program.
+    """Shared state for one solving session over a ground unfolded program:
+    the tables and memos its walks (_Walk) read.
 
     Every box bound is an integer over the engine's denominator: the lcm of
     the denominators of the program's distinct clause intervals and of
@@ -545,11 +523,6 @@ class _Engine:
         self._solves: dict = {}
         self._ranges: dict = {}
         self._maxent_cache: dict = {}
-        # The box-consistent leaves that the latest walk has reached, and
-        # whether its fold is settled: no later leaf can change its answer,
-        # so the walk only counts them (each walk starts unsettled).
-        self.walked = 0
-        self.settled = False
 
     def _split(self, comp: _Component, fids: list[int]) -> None:
         """Split comp's worlds, comp of several atoms, into the signature
@@ -579,99 +552,7 @@ class _Engine:
             table = self._shapes[shape] = (len(self._shapes), comp.classes, rows)
         return table
 
-    # -- branch enumeration --
-
-    def leaves(self, eps: Fraction):
-        """Yield the box key per component {cid: key} of every feasible leaf,
-        depth first in clause and choice order, and count in walked every
-        box-consistent leaf reached, feasible or not.
-
-        Each choice pins one formula's mass to an interval box, and boxes
-        track the running intersection per formula, so a leaf is its boxes.
-        An empty box prunes the subtree, which subsumes fact-vs-body-violation
-        conflicts without an LP call.  The walk also checks ahead: a choice
-        whose narrowing leaves some later clause on the changed formula with
-        no choice that fits the boxes is pruned as if its own box were empty.
-        Boxes only shrink down a path, so no leaf below it was box-consistent
-        and the leaves reached are those of the walk without the check.  The
-        walk keeps its own stack, so the tree's depth (one level per clause)
-        has no recursion limit.
-
-        Once the fold sets settled, the walk decides no further leaf: it
-        counts the box-consistent leaves it still reaches and yields none.
-
-        eps must lie on the engine's grid, as epsilon, epsilon/2 and 0 do.
-        """
-        self.walked = 0
-        self.settled = False
-        if not self.clauses:
-            self.walked = 1
-            yield {}
-            return
-        head_boxes = self._head_boxes
-        body_boxes = _BodyBoxes(self._bodies, self._on_grid(eps), self.denominator)
-        # At the root every box is [0, 1], which every possible choice fits.
-        for j, head in enumerate(head_boxes):
-            if head is None and all(choice is None for choice in body_boxes[j]):
-                return
-        unit = self._unit
-        boxes = _Boxes(unit)
-        # Per clause with a choice in force: its formula and the box it replaced.
-        path: list[tuple[int, tuple]] = []
-        # Per open clause: the index of its next choice to try (0 is HEAD_IN,
-        # k > 0 the body choice k - 1).
-        tries = [0]
-        last = len(self.clauses) - 1
-        while tries:
-            depth = len(tries) - 1
-            if len(path) > depth:
-                _restore(boxes, *path.pop())
-            k = tries[-1]
-            if k:
-                body = body_boxes[depth]
-                if k > len(body):
-                    tries.pop()
-                    continue
-                box = body[k - 1]
-            else:
-                box = head_boxes[depth]
-            tries[-1] = k + 1
-            old = None if box is None else _narrow(boxes, box)
-            if old is None:
-                continue
-            fid = box[0]
-            if boxes.get(fid, unit) is not old and self._dead_end(boxes, body_boxes, fid, depth):
-                _restore(boxes, fid, old)
-                continue
-            path.append((fid, old))
-            if depth < last:
-                tries.append(0)
-                continue
-            self.walked += 1
-            if self.settled:
-                continue
-            keys = self.box_keys(boxes)
-            if self.feasible(keys):
-                yield keys
-
-    def _on_grid(self, q: Fraction) -> int:
-        """q as an integer over the engine's denominator."""
-        n, rest = divmod(q.numerator * self.denominator, q.denominator)
-        if rest:
-            raise ValueError(f"{q} is not a multiple of 1/{self.denominator}")
-        return n
-
-    def _dead_end(self, boxes: _Boxes, body_boxes: _BodyBoxes, fid: int, depth: int) -> bool:
-        """Whether some clause after depth that formula fid's box can leave
-        without a choice has no choice left that fits the boxes."""
-        watch, stop = self._watch, self._watch_start[fid + 1]
-        for i in range(bisect.bisect_right(watch, depth, self._watch_start[fid], stop), stop):
-            j = watch[i]
-            if not _fits(boxes, self._head_boxes[j]) and not any(
-                _fits(boxes, box) for box in body_boxes[j]
-            ):
-                return True
-        return False
+    # -- leaves --
 
     def box_keys(self, boxes: dict) -> dict[int, tuple]:
         """Group the narrowed boxes {fid: (lo, hi)} by component: per
@@ -923,6 +804,121 @@ class _Engine:
         return result
 
 
+# --- the leaf walk ------------------------------------------------------------------
+
+
+class _Walk(dict):
+    """One walk of an engine's clause-choice tree at eps, which must lie on
+    the engine's grid (as epsilon, epsilon/2 and 0 do).  Iterated once, it
+    yields the box key per component {cid: key} of every feasible leaf, depth
+    first in clause and choice order, and counts in walked every
+    box-consistent leaf reached, feasible or not.  Once its fold sets settled,
+    no later leaf can change the fold's answer: the walk decides no further
+    leaf, only counts those it still reaches.  Walks of one engine share its
+    tables and memos and nothing else, so they may interleave.
+
+    Each choice pins one formula's mass to an interval box, and boxes track
+    the running intersection per formula, so a leaf is its boxes.  An empty
+    box prunes the subtree, which subsumes fact-vs-body-violation conflicts
+    without an LP call.  The walk also checks ahead: a choice whose narrowing
+    leaves some later clause on the changed formula with no choice that fits
+    the boxes is pruned as if its own box were empty.  Boxes only shrink down
+    a path, so no leaf below it was box-consistent and the leaves reached are
+    those of the walk without the check.  The walk keeps its own stack, so
+    the tree's depth (one level per clause) has no recursion limit.
+
+    As a dict the walk maps a clause index to the boxes of its body choices
+    at eps in choice order (BODY_LOW, then BODY_HIGH per conjunct; None for a
+    choice impossible outright), built the first time the walk asks for them.
+    """
+
+    __slots__ = ("engine", "eps", "walked", "settled")
+
+    def __init__(self, engine: _Engine, eps: Fraction):
+        super().__init__()
+        n, rest = divmod(eps.numerator * engine.denominator, eps.denominator)
+        if rest:
+            raise ValueError(f"{eps} is not a multiple of 1/{engine.denominator}")
+        self.engine = engine
+        self.eps = n  # as an integer over the engine's denominator
+        self.walked = 0
+        self.settled = False
+
+    def __missing__(self, j: int) -> tuple:
+        out = []
+        eps, top = self.eps, self.engine.denominator
+        for fid, lo, hi in self.engine._bodies[j]:
+            low, high = lo - eps, hi + eps
+            out.append(None if low < 0 else (fid, 0, low))
+            out.append(None if high > top else (fid, high, top))
+        boxes = self[j] = tuple(out)
+        return boxes
+
+    def __iter__(self):
+        engine = self.engine
+        if not engine.clauses:
+            self.walked = 1
+            yield {}
+            return
+        head_boxes = engine._head_boxes
+        # At the root every box is [0, 1], which every possible choice fits.
+        for j, head in enumerate(head_boxes):
+            if head is None and all(choice is None for choice in self[j]):
+                return
+        unit = engine._unit
+        boxes = _Boxes(unit)
+        # Per clause with a choice in force: its formula and the box it replaced.
+        path: list[tuple[int, tuple]] = []
+        # Per open clause: the index of its next choice to try (0 is HEAD_IN,
+        # k > 0 the body choice k - 1).
+        tries = [0]
+        last = len(engine.clauses) - 1
+        while tries:
+            depth = len(tries) - 1
+            if len(path) > depth:
+                _restore(boxes, *path.pop())
+            k = tries[-1]
+            if k:
+                body = self[depth]
+                if k > len(body):
+                    tries.pop()
+                    continue
+                box = body[k - 1]
+            else:
+                box = head_boxes[depth]
+            tries[-1] = k + 1
+            old = None if box is None else _narrow(boxes, box)
+            if old is None:
+                continue
+            fid = box[0]
+            if boxes.get(fid, unit) is not old and self._dead_end(boxes, fid, depth):
+                _restore(boxes, fid, old)
+                continue
+            path.append((fid, old))
+            if depth < last:
+                tries.append(0)
+                continue
+            self.walked += 1
+            if self.settled:
+                continue
+            keys = engine.box_keys(boxes)
+            if engine.feasible(keys):
+                yield keys
+
+    def _dead_end(self, boxes: _Boxes, fid: int, depth: int) -> bool:
+        """Whether some clause after depth that formula fid's box can leave
+        without a choice has no choice left that fits the boxes."""
+        engine = self.engine
+        watch, stop = engine._watch, engine._watch_start[fid + 1]
+        for i in range(bisect.bisect_right(watch, depth, engine._watch_start[fid], stop), stop):
+            j = watch[i]
+            if not _fits(boxes, engine._head_boxes[j]) and not any(
+                _fits(boxes, box) for box in self[j]
+            ):
+                return True
+        return False
+
+
 # --- public operations --------------------------------------------------------------
 
 
@@ -932,20 +928,6 @@ def _saturated(bounds: dict) -> bool:
     return all(lo == 0 and hi == 1 for lo, hi in bounds.values())
 
 
-def _mass_bounds(engine: _Engine, eps: Fraction):
-    """Least and greatest mass per extra formula over every feasible leaf, or
-    None when no leaf is feasible.  Once every bound is saturated the fold is
-    settled, and the walk only counts the leaves left."""
-    bounds: dict[int, tuple[Fraction, Fraction]] | None = None
-    for keys in engine.leaves(eps):
-        ranges = engine.mass_ranges(keys)
-        bounds = ranges if bounds is None else {
-            f: (min(lo, bounds[f][0]), max(hi, bounds[f][1])) for f, (lo, hi) in ranges.items()
-        }
-        engine.settled = _saturated(bounds)
-    return bounds
-
-
 def _bound_moves(engine: _Engine, eps: Fraction, bounds: dict) -> bool:
     """Whether some feasible leaf at eps gives an extra formula a mass outside
     its bounds, asked leaf by leaf up to the first that does."""
@@ -953,30 +935,45 @@ def _bound_moves(engine: _Engine, eps: Fraction, bounds: dict) -> bool:
         return False
     return any(
         lo < bounds[f][0] or hi > bounds[f][1]
-        for keys in engine.leaves(eps)
+        for keys in _Walk(engine, eps)
         for f, (lo, hi) in engine.mass_ranges(keys).items()
     )
 
 
 def _instance_bounds(pp: PProgram, formulas, opts: SolveOptions, undefined: str):
     """One engine over every query instance and its one fold at epsilon:
-    (engine, bounds per extra formula); raises InconsistentProgram(undefined)
-    when no leaf is feasible."""
+    (engine, least and greatest mass per extra formula over every feasible
+    leaf, leaves walked); raises InconsistentProgram(undefined) when no leaf
+    is feasible.  Once every bound is saturated the fold settles its walk,
+    which then only counts the leaves left."""
     engine = _Engine(pp, opts, extra_formulas=formulas)
-    bounds = _mass_bounds(engine, opts.epsilon)
+    walk = _Walk(engine, opts.epsilon)
+    bounds: dict[int, tuple[Fraction, Fraction]] | None = None
+    for keys in walk:
+        ranges = engine.mass_ranges(keys)
+        bounds = ranges if bounds is None else {
+            f: (min(lo, bounds[f][0]), max(hi, bounds[f][1])) for f, (lo, hi) in ranges.items()
+        }
+        walk.settled = _saturated(bounds)
     if bounds is None:
         raise InconsistentProgram(undefined)
-    return engine, bounds
+    return engine, bounds, walk.walked
+
+
+def _first_leaf(pp: PProgram, opts: SolveOptions):
+    """One engine and its walk at epsilon up to the first feasible leaf:
+    (engine, that leaf's keys or None when none is, leaves walked)."""
+    engine = _Engine(pp, opts)
+    walk = _Walk(engine, opts.epsilon)
+    return engine, next(iter(walk), None), walk.walked
 
 
 def check_consistency(pp: PProgram, opts: SolveOptions = SolveOptions()) -> ConsistencyResult:
     """Search the clause branches for a feasible world distribution."""
-    engine = _Engine(pp, opts)
-    keys = next(engine.leaves(opts.epsilon), None)
-    count = engine.walked  # read before the walk at zero below resets it
+    engine, keys, count = _first_leaf(pp, opts)
     if keys is not None:
         return ConsistencyResult(Verdict.CONSISTENT, engine.couple(keys), count)
-    if next(engine.leaves(ZERO), None) is not None:
+    if next(iter(_Walk(engine, ZERO)), None) is not None:
         return ConsistencyResult(Verdict.UNKNOWN_EPS, None, count)
     return ConsistencyResult(Verdict.INCONSISTENT, None, count)
 
@@ -994,8 +991,9 @@ def tighten(
     only spread and the bounds at epsilon/2 contain those at epsilon: a bound
     moves exactly when some leaf at epsilon/2 leaves the bounds, and a
     saturated bound cannot."""
-    engine, bounds = _instance_bounds(pp, formulas, opts, "tighten requires a consistent program")
-    count = engine.walked  # read before the probe's walk resets it
+    engine, bounds, count = _instance_bounds(
+        pp, formulas, opts, "tighten requires a consistent program"
+    )
     moves = _bound_moves(engine, opts.epsilon / 2, bounds)
     intervals = [ProbInterval(*bounds[fid]) for fid in engine.extra_fids]
     return TightenResult(intervals, count, moves)
@@ -1018,18 +1016,18 @@ def entails(
     undefined = "entailment is undefined for an inconsistent program"
     window = query.annot.instant(calendar)
     if not window:
-        engine = _Engine(pp, opts)
-        if next(engine.leaves(opts.epsilon), None) is None:
+        _, keys, count = _first_leaf(pp, opts)
+        if keys is None:
             raise InconsistentProgram(undefined)
-        return EntailmentResult(True, True, [], engine.walked)
+        return EntailmentResult(True, True, [], count)
     instances = [substitute_time(query.formula, t) for t, _ in window]
-    engine, bounds = _instance_bounds(pp, instances, opts, undefined)
+    engine, bounds, count = _instance_bounds(pp, instances, opts, undefined)
     per_time: list[TimeVerdict] = []
     for (t, target), fid in zip(window, engine.extra_fids):
         bound = ProbInterval(*bounds[fid])
         per_time.append(TimeVerdict(t, bound, target, target.contains_interval(bound)))
     holds = all(v.holds for v in per_time)
-    return EntailmentResult(holds, False, per_time, engine.walked)
+    return EntailmentResult(holds, False, per_time, count)
 
 
 def strong_witness(pp: PProgram, opts: SolveOptions = SolveOptions()) -> WorldDistribution | None:
@@ -1056,7 +1054,8 @@ def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxE
     engine = _Engine(pp, opts)
     best_qs: dict[int, list[Fraction]] | None = None
     best_h = -1.0
-    for keys in engine.leaves(opts.epsilon):
+    walk = _Walk(engine, opts.epsilon)
+    for keys in walk:
         total = 0.0
         qs: dict[int, list[Fraction]] = {}
         for comp in engine.components:
@@ -1068,4 +1067,4 @@ def max_entropy_model(pp: PProgram, opts: SolveOptions = SolveOptions()) -> MaxE
     if best_qs is None:
         raise InconsistentProgram("no feasible branch to maximize entropy over")
     distribution = engine.spread_product(best_qs)
-    return MaxEntResult(distribution, best_h, engine.walked)
+    return MaxEntResult(distribution, best_h, walk.walked)

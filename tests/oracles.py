@@ -47,7 +47,7 @@ from tplp.model import (
     eval_texpr,
     substitute_time,
 )
-from tplp.psat import _Engine
+from tplp.psat import _Engine, _Walk
 from tplp.worlds import WorldDistribution, set_bits
 
 BIG_M = 1e7
@@ -407,8 +407,9 @@ def reference_leaves(engine, eps: Fraction):
     feasible, one-atom components included.  The boxes are Fractions until
     the keys are built, which moves them onto the engine's grid (grid_keys).
 
-    engine.leaves(eps) must yield the keys of the feasible leaves, in the same
-    order, and count every leaf in engine.walked, feasible or not.
+    A walk of the engine at eps, psat._Walk(engine, eps), must yield the keys
+    of the feasible leaves, in the same order, and count every leaf in its
+    own walked, feasible or not.
     """
     for rows in reference_leaf_rows(engine, eps):
         boxes = row_boxes(rows)
@@ -545,12 +546,13 @@ def reference_leaf_rows(engine, eps: Fraction):
 
 
 def reference_bounds(pp: PProgram, formulas, opts, eps: Fraction):
-    """Fold every feasible leaf of a fresh engine's walk at eps, with no
-    early exit: (extra fids, {fid: (least, greatest mass)} or None when no
-    leaf is feasible, leaves walked)."""
+    """Fold every feasible leaf of a fresh engine's walk at eps, never
+    settling it, so with no early exit: (extra fids, {fid: (least, greatest
+    mass)} or None when no leaf is feasible, the walk's own walked count)."""
     engine = _Engine(pp, opts, formulas)
+    walk = _Walk(engine, eps)
     bounds = None
-    for keys in engine.leaves(eps):
+    for keys in walk:
         ranges = engine.mass_ranges(keys)
         if bounds is None:
             bounds = dict(ranges)
@@ -558,7 +560,7 @@ def reference_bounds(pp: PProgram, formulas, opts, eps: Fraction):
         for fid, (lo, hi) in ranges.items():
             have_lo, have_hi = bounds[fid]
             bounds[fid] = (min(lo, have_lo), max(hi, have_hi))
-    return engine.extra_fids, bounds, engine.walked
+    return engine.extra_fids, bounds, walk.walked
 
 
 def reference_tighten(pp: PProgram, formulas, opts):
