@@ -204,7 +204,7 @@ def _options(args) -> SolveOptions:
 
 
 def _unfolded(program, args):
-    return unfold(ground_program(program, GroundingMode(args.grounding)), warn=_warn)
+    return unfold(program, warn=_warn, grounding=GroundingMode(args.grounding))
 
 
 # --- subcommand handlers -------------------------------------------------------------

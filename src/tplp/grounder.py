@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import AtomNotInBase, GroundingTooLarge, UniverseEmpty
 from .intervals import ProbInterval
@@ -40,8 +40,7 @@ class GroundingMode(Enum):
     RELEVANT = "relevant"
 
 
-@dataclass(frozen=True)
-class PClause:
+class PClause(NamedTuple):
     """Interval-annotated clause produced by unfolding."""
 
     head: TAtom
@@ -187,13 +186,15 @@ def herbrand_base(source) -> HerbrandBase:
 MAX_GROUND_INSTANCES = 100_000
 
 
+def _ground_args(a: TAtom, obj_env: dict[str, str]) -> tuple:
+    """a's arguments with obj_env's constants for its object variables."""
+    if not obj_env:
+        return a.args
+    return tuple([obj_env.get(x.name, x) if isinstance(x, ObjVar) else x for x in a.args])
+
+
 def _substitute_clause(cl: TPClause, obj_env: dict[str, str], t_env: dict[str, int]) -> TPClause:
-    head = TAtom(
-        cl.head.predicate,
-        tuple(obj_env.get(a.name, a) if isinstance(a, ObjVar) else a for a in cl.head.args),
-        cl.head.time,
-        cl.head.span,
-    )
+    head = TAtom(cl.head.predicate, _ground_args(cl.head, obj_env), cl.head.time, cl.head.span)
     body = tuple(
         (substitute_objects(f, obj_env), substitute_annotation(ann, t_env)) for f, ann in cl.body
     )
@@ -211,16 +212,15 @@ def _producible_body(cl: TPClause, obj_env: dict[str, str], sigs: set[tuple]) ->
 
 
 def _object_substitutions(cl: TPClause, constants: tuple[str, ...]):
+    """An iterator over each assignment of constants to cl's object variables
+    in product order: one, empty, for none.  UniverseEmpty, raised here, when
+    there are variables and no constants."""
     names = sorted(cl.object_vars)
-    if not names:
-        yield {}
-        return
-    if not constants:
+    if names and not constants:
         raise UniverseEmpty(
             f"clause with object variables {', '.join(names)} but the program has no constants"
         )
-    for combo in itertools.product(constants, repeat=len(names)):
-        yield dict(zip(names, combo))
+    return (dict(zip(names, combo)) for combo in itertools.product(constants, repeat=len(names)))
 
 
 def _producible_signatures(p: PTProgram, constants: tuple[str, ...]) -> set[tuple]:
@@ -249,16 +249,11 @@ def _producible_signatures(p: PTProgram, constants: tuple[str, ...]) -> set[tupl
     return sigs
 
 
-def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PTProgram:
-    """Instantiate object variables over the constants and independent temporal
-    variables over the calendar.
-
-    RELEVANT keeps only instances of object-variable clauses whose body
-    signatures are derivable from some head or fact; ground clauses pass
-    through untouched under both modes.  Under either mode, a program of
-    more than MAX_GROUND_INSTANCES instances at FULL raises
-    GroundingTooLarge before any is made.
-    """
+def _instances(p: PTProgram, mode: GroundingMode):
+    """Each ground instance of p's clauses as (clause, object substitution,
+    companion grounding): in clause order, then object substitution, then
+    companion grounding.  Every cap and UniverseEmpty is raised before the
+    first is yielded."""
     constants = tuple(sorted(p.constants))
     groundings = [companion_groundings(cl.companion_tvars, p.calendar) for cl in p.clauses]
     n = len(p.calendar)
@@ -271,14 +266,27 @@ def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PT
             f"{MAX_GROUND_INSTANCES}"
         )
     producible = _producible_signatures(p, constants) if mode is GroundingMode.RELEVANT else None
-    out: list[TPClause] = []
-    for cl, t_groundings in zip(p.clauses, groundings):
+    substitutions = [_object_substitutions(cl, constants) for cl in p.clauses]
+    for cl, t_groundings, obj_envs in zip(p.clauses, groundings, substitutions):
         checked = producible is not None and cl.object_vars
         t_envs = list(t_groundings)
-        for obj_env in _object_substitutions(cl, constants):
+        for obj_env in obj_envs:
             if not checked or _producible_body(cl, obj_env, producible):
-                out.extend(_substitute_clause(cl, obj_env, t_env) for t_env in t_envs)
-    return p._regrounded(out)
+                for t_env in t_envs:
+                    yield cl, obj_env, t_env
+
+
+def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PTProgram:
+    """Instantiate object variables over the constants and independent temporal
+    variables over the calendar.
+
+    RELEVANT keeps only instances of object-variable clauses whose body
+    signatures are derivable from some head or fact; ground clauses pass
+    through untouched under both modes.  Under either mode, a program of
+    more than MAX_GROUND_INSTANCES instances at FULL raises
+    GroundingTooLarge before any is made.
+    """
+    return p._regrounded(itertools.starmap(_substitute_clause, _instances(p, mode)))
 
 
 def ground_temporal_variables(p: PTProgram) -> PTProgram:
@@ -294,7 +302,9 @@ def ground_temporal_variables(p: PTProgram) -> PTProgram:
 # --- unfolding -------------------------------------------------------------------
 
 
-def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
+def unfold(
+    p: PTProgram, warn: Callable[[str], None] | None = None, grounding: GroundingMode | None = None
+) -> PProgram:
     """Expand each clause into one interval-annotated clause per head solution point.
 
     The head interval at t is [lower(t), upper(t)]; the body collects every
@@ -306,31 +316,47 @@ def unfold(p: PTProgram, warn: Callable[[str], None] | None = None) -> PProgram:
     time) is one TAtom, which keeps the span of its first occurrence.  When
     every atom is ground, their identities sorted once are the program's
     base, in key() order.
+
+    With a grounding mode, p is grounded as it is unfolded into the program of
+    unfold(ground_program(p, grounding), warn), but no ground clause is made:
+    atoms are interned from their source atom and substitution, and each
+    companion grounding's windows serve all its object substitutions.
     """
     cal = p.calendar
     table: dict[tuple, TAtom] = {}
 
-    def intern(a: TAtom, t: int) -> TAtom:
-        key = (a.predicate, a.args, t if isinstance(a.time, TVar) else a.time)
+    def intern(a: TAtom, env: dict[str, str], t: int) -> TAtom:
+        key = (a.predicate, _ground_args(a, env), t if isinstance(a.time, TVar) else a.time)
         atom = table.get(key)
         if atom is None:
             atom = table[key] = TAtom(*key, a.span)
         return atom
 
     clauses: list[PClause] = []
-    for cl in p.clauses:
-        heads = cl.head_annot.instant(cal)
+    source = None
+    instances = _instances(p, grounding) if grounding else ((cl, {}, {}) for cl in p.clauses)
+    for cl, env, t_env in instances:  # env: the object substitution
+        if cl is not source:
+            source, windows = cl, {}
+        key = tuple(t_env.values())
+        if key not in windows:  # a body's windows are read only under a head that has points
+            heads = substitute_annotation(cl.head_annot, t_env).instant(cal)
+            windows[key] = heads, heads and [
+                (f, substitute_annotation(ann, t_env).instant(cal)) for f, ann in cl.body
+            ]
+        heads, bodies = windows[key]
         if not heads:
             if warn is not None:
-                warn(f"clause head {cl.head} has an empty solution set; no clauses emitted")
+                head = TAtom(cl.head.predicate, _ground_args(cl.head, env), cl.head.time)
+                warn(f"clause head {head} has an empty solution set; no clauses emitted")
             continue
         body = tuple(
-            (BasicFormula(f.connective, tuple(intern(a, tj) for a in f.atoms), f.span), iv)
-            for f, ann in cl.body
-            for tj, iv in ann.instant(cal)
+            (BasicFormula(f.connective, tuple(intern(a, env, tj) for a in f.atoms), f.span), iv)
+            for f, window in bodies
+            for tj, iv in window
         )
         for ti, iv in heads:
-            clauses.append(PClause(intern(cl.head, ti), iv, body))
+            clauses.append(PClause(intern(cl.head, env, ti), iv, body))
     idents = list(table)
     if any(not isinstance(x, str) for _, args, _ in idents for x in args):
         return PProgram(tuple(clauses))  # an object variable is left: no base

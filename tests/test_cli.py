@@ -426,6 +426,31 @@ class TestMaxent:
         )
 
 
+class TestSolvingGroundsWhileUnfolding:
+    """The solving commands unfold the parsed program under their grounding
+    mode and never build the ground program; only `ground` does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["consistent", "shipping.tpl", "--max-world-atoms", "200"],
+            ["maxent", "p0.tpl"],
+            ["tighten", "shipping.tpl", "arrival_tighten.tpq", "--grounding", "relevant"],
+            ["entail", "shipping.tpl", "arrival_entail.tpq", "--grounding", "relevant"],
+        ],
+        ids=["consistent", "maxent", "tighten", "entail"],
+    )
+    def test_no_ground_program(self, fixtures, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("built the ground program")
+
+        argv = [str(fixtures / a) if a.endswith((".tpl", ".tpq")) else a for a in argv]
+        expected = invoke(*argv)
+        monkeypatch.setattr(tplp.cli, "ground_program", fail)
+        assert invoke(*argv) == expected
+        assert expected.exit_code in (0, 1) and expected.payload
+
+
 class TestChecksBeforeGrounding:
     """A solving command checks its options, then its query, and grounds the
     program only after both pass."""
@@ -435,7 +460,9 @@ class TestChecksBeforeGrounding:
         def fail(*args, **kwargs):
             raise AssertionError("grounded the program")
 
+        # the solving commands ground as they unfold
         monkeypatch.setattr(tplp.cli, "ground_program", fail)
+        monkeypatch.setattr(tplp.cli, "unfold", fail)
 
     @pytest.fixture
     def bad_query(self, tmp_path):

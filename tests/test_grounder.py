@@ -1,13 +1,16 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import tplp.cli
+import tplp.grounder
 import tplp.model
-from conftest import golden_file, load_program, load_unfolded
-from generators import rand_distribution, rand_tp_program
+from conftest import FIXTURES, golden_file, load_program, load_unfolded
+from generators import rand_distribution, rand_tp_program, recipe_a_program, recipe_b_program
 from tplp.diagnostics import SourceSpan
-from tplp.errors import AtomNotInBase, NonNormalConstraint, UniverseEmpty
+from tplp.errors import AtomNotInBase, GroundingTooLarge, NonNormalConstraint, UniverseEmpty
 from tplp.grounder import (
     GroundingMode,
     HerbrandBase,
@@ -22,6 +25,7 @@ from tplp.grounder import (
 from tplp.intervals import ProbInterval
 from tplp.model import (
     BasicFormula,
+    CAnd,
     CAtom,
     Calendar,
     Cmp,
@@ -34,6 +38,7 @@ from tplp.model import (
     TRef,
     TVar,
     WeightFunction,
+    constraint_principal,
     solve_constraint,
 )
 from tplp.parser import parse_program, render_program
@@ -482,3 +487,274 @@ class TestRelevantSoundness:
             v_full = check_consistency(full).verdict
             v_rel = check_consistency(relevant).verdict
             assert v_full == v_rel
+
+
+# --- grounding while unfolding ------------------------------------------------------
+#
+# unfold(p, warn, grounding=mode) grounds as it unfolds; each check below holds
+# it to unfold(ground_program(p, mode), warn), the two-pass form.
+
+FIXTURE_PROGRAMS = sorted(
+    p.name for p in FIXTURES.glob("*.tpl") if p.name != "evolution_skeleton.tpl"
+)
+
+
+def shipping_program(k: int) -> PTProgram:
+    """Shipping's rules over k constants, item i sent to i * i modulo k, every
+    third item sent express."""
+    return parse_program("\n".join([
+        "calendar 1..8.",
+        "arrived(Item,Place)@Y : <Y:3~5, [0.04,0.25,0.08], [0.23,0.28,0.12]>"
+        " :- sent(Item,Place)@Y1 : <Y1=1, [0.88], #>.",
+        "arrived(Item,Place)@Y : <Y:6~8, [0.07,0.07,0.03], [0.22,0.2,0.07]>"
+        " :- sent(Item,Place)@Y1 : <Y1=1, [0.5], #>.",
+        "arrived(Item,c0)@Y : <Y:3~4, [0.19,0.25], [0.29,0.34]>"
+        " :- sent(Item,c0)@Y1 : <Y1=1, [0.94], #> and express_mail(Item)@Y2 : <Y2=1, #, #>.",
+        *(f"sent(c{i},c{i * i % k})@Y : <Y=1, #, #>." for i in range(k)),
+        *(f"express_mail(c{i})@Y : <Y=1, #, #>." for i in range(0, k, 3)),
+    ])).program
+
+
+def lifted_program(rng: random.Random) -> PTProgram:
+    """A rand_tp_program draw with object arguments on its atoms (the variables
+    X and Z, the constants k and m) and, in about a third of its annotations, a
+    companion temporal variable Y8 or Y9 under uniform weights, so that some
+    groundings leave a window empty.  Some draws declare constants, some have
+    none, some repeat a clause."""
+    cal = Calendar.from_range(1, rng.randint(1, 4))
+    p = rand_tp_program(rng, cal, n_clauses=rng.randint(1, 4))
+    arity = {pred: rng.randint(0, 2) for pred in "abcde"}
+    terms = [ObjVar("X"), ObjVar("Z"), "k", "m"]
+
+    def atom(a):
+        return TAtom(a.predicate, tuple(rng.choice(terms) for _ in range(arity[a.predicate])), a.time)
+
+    def annotation(ann):
+        if rng.random() < 0.6:
+            return ann
+        companion = Cmp(constraint_principal(ann.constraint), rng.choice([">=", "<", "!="]),
+                        TRef(TVar(rng.choice(["Y8", "Y9"]))))
+        uniform = WeightFunction.uniform()
+        return TPAnnotation(CAnd(ann.constraint, companion), uniform, uniform)
+
+    clauses = [
+        TPClause(
+            atom(cl.head),
+            annotation(cl.head_annot),
+            tuple((BasicFormula(f.connective, tuple(map(atom, f.atoms))), annotation(ann))
+                  for f, ann in cl.body),
+        )
+        for cl in p.clauses
+    ]
+    if rng.random() < 0.2:
+        clauses.append(clauses[-1])
+    return PTProgram(cal, tuple(clauses), frozenset(rng.choice([(), ("k",), ("k", "n")])))
+
+
+def _unfolding(f):
+    """f(warn)'s program, or the class and message of its error; and its warnings."""
+    warnings = []
+    try:
+        return f(warnings.append), warnings
+    except Exception as exc:  # compared, by class and message, with the other path's
+        return (type(exc), str(exc)), warnings
+
+
+def _interned(pp: PProgram) -> dict:
+    """pp's atoms by (predicate, args, time), in order of first occurrence,
+    checking that each identity is one object."""
+    seen = {}
+    for cl in pp.clauses:
+        for a in (cl.head, *(a for f, _ in cl.body for a in f.atoms)):
+            assert seen.setdefault((a.predicate, a.args, a.time), a) is a
+    return seen
+
+
+def assert_fused_is_layered(p: PTProgram, mode: GroundingMode) -> None:
+    fused, fused_warnings = _unfolding(lambda warn: unfold(p, warn, grounding=mode))
+    layered, layered_warnings = _unfolding(lambda warn: unfold(ground_program(p, mode), warn))
+    assert fused_warnings == layered_warnings
+    if not isinstance(layered, PProgram):
+        assert fused == layered
+        return
+    assert fused.clauses == layered.clauses
+    assert [str(cl) for cl in fused.clauses] == [str(cl) for cl in layered.clauses]
+    atoms = _interned(fused)
+    assert [(k, a.span) for k, a in atoms.items()] == [
+        (k, a.span) for k, a in _interned(layered).items()
+    ]
+    if layered.base is None:
+        assert fused.base is None
+        return
+    # the base is sorted, not in the order of some dict or set
+    assert fused.base.atoms == layered.base.atoms == herbrand_base(layered).atoms
+    assert fused.base._index == layered.base._index
+    assert all(atoms[k] is a for k, a in zip(fused.base._index, fused.base.atoms))
+
+
+class TestGroundWhileUnfolding:
+    PROGRAMS = {
+        "fixtures": lambda: [load_program(name) for name in FIXTURE_PROGRAMS],
+        "recipe_a": lambda: [recipe_a_program(seed) for seed in range(1000, 1020)],
+        "recipe_b": lambda: [recipe_b_program(seed) for seed in range(400, 420)],
+        "shipping": lambda: [shipping_program(8), shipping_program(20)],
+        "lifted": lambda: [lifted_program(random.Random(seed)) for seed in range(200)],
+    }
+
+    @pytest.mark.parametrize("mode", list(GroundingMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("programs", list(PROGRAMS))
+    def test_equals_ground_then_unfold(self, programs, mode):
+        for p in self.PROGRAMS[programs]():
+            assert_fused_is_layered(p, mode)
+
+    def test_lifted_draws_cover_every_path(self):
+        draws = [lifted_program(random.Random(seed)) for seed in range(200)]
+        assert sum(any(cl.object_vars for cl in p.clauses) for p in draws) >= 120
+        assert sum(any(cl.companion_tvars for cl in p.clauses) for p in draws) >= 120
+        outcomes = [
+            _unfolding(lambda warn: unfold(p, warn, grounding=GroundingMode.FULL)) for p in draws
+        ]
+        assert sum(bool(warnings) for _, warnings in outcomes) >= 40
+        programs = [pp for pp, _ in outcomes if isinstance(pp, PProgram)]
+        assert sum(pp.base is not None and len(pp.base) > 0 for pp in programs) >= 150
+        assert {err[0] for err, _ in outcomes if not isinstance(err, PProgram)} == {UniverseEmpty}
+
+    PROGRAM = (
+        "calendar 1..3.\n"
+        "constants a, b.\n"
+        "p(X)@Y : <Y > Y9, uniform, uniform>.\n"
+        "q(X,Z)@Y : <Y < Y9, uniform, uniform> :- p(Z)@Y1 : <Y1 = Y9, #, #>.\n"
+    )
+
+    def test_empty_heads_warn_once_per_instance(self, monkeypatch, tmp_path, capsys):
+        p = parse_program(self.PROGRAM).program
+        solved = []
+
+        def counting(c, cal):
+            solved.append(c)
+            return solve_constraint(c, cal)
+
+        monkeypatch.setattr(tplp.model, "solve_constraint", counting)
+        warnings = []
+        pp = unfold(p, warnings.append, grounding=GroundingMode.FULL)
+        heads = ["p(a)@Y", "p(b)@Y", "q(a,a)@Y", "q(a,b)@Y", "q(b,a)@Y", "q(b,b)@Y"]
+        assert warnings == [
+            f"clause head {h} has an empty solution set; no clauses emitted" for h in heads
+        ]
+        # p's head at Y9 = 1, 2, 3, then q's head, and its body at Y9 = 2, 3
+        # (Y9 = 1 leaves q's head empty): each companion grounding is solved once
+        assert len(solved) == 3 + 3 + 2
+        solved.clear()
+        assert unfold(ground_program(p), warnings.append) == pp
+        # the two-pass form solves them once per instance
+        assert warnings[6:] == warnings[:6] and len(solved) == 2 * 3 + 4 * 3 + 4 * 2
+        path = tmp_path / "empty.tpl"
+        path.write_text(self.PROGRAM)
+        capsys.readouterr()
+        # the uniform weights of overlapping windows conflict
+        assert tplp.cli.run(["consistent", str(path)]).payload == "INCONSISTENT"
+        # after validation's own warnings
+        assert capsys.readouterr().err.endswith("".join(f"warning: {w}\n" for w in warnings[:6]))
+
+
+class TestGroundWhileUnfoldingErrors:
+    """The errors grounding raises, each raised by unfold(p, grounding=mode)
+    as by ground_program(p, mode), before any clause or warning, and exiting
+    the solving commands as the error's class does."""
+
+    FIVE_VARIABLES = (
+        "calendar 1..1.\n"
+        "constants " + ", ".join(f"c{i}" for i in range(30)) + ".\n"
+        "p(A,B,C,D,E)@Y : <Y=1, [0], [1]>.\n"
+    )
+    COMPANIONS = (
+        "calendar 1..101.\n"
+        "a@Y : <Y = 1, [0.5], [1]> :- b@Y1 : <Y1 >= Y3, uniform, uniform>"
+        " and c@Y2 : <Y2 >= Y4, uniform, uniform>.\n"
+    )
+    # an empty head first, then a clause that cannot ground: no warning
+    NO_CONSTANTS = "calendar 1..2.\nb@Y : <Y > 5, #, #>.\np(X)@Y : <Y = 1, #, #>.\n"
+    # RELEVANT reaches the fact's Z first, FULL the rule's X
+    RULE_THEN_FACT = (
+        "calendar 1..2.\n"
+        "r(X)@Y : <Y = 2, [0.5], [1]> :- s@Y1 : <Y1 = 1, #, #>.\n"
+        "q(Z)@Y : <Y = 1, #, #>.\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (FIVE_VARIABLES, GroundingTooLarge),
+            (COMPANIONS, GroundingTooLarge),
+            (NO_CONSTANTS, UniverseEmpty),
+            (RULE_THEN_FACT, UniverseEmpty),
+        ],
+        ids=["instance-cap", "companion-cap", "no-constants", "rule-then-fact"],
+    )
+    @pytest.mark.parametrize("mode", list(GroundingMode), ids=lambda m: m.value)
+    def test_same_error(self, monkeypatch, tmp_path, capsys, text, error, mode):
+        p = parse_program(text).program
+        with pytest.raises(error) as layered:
+            ground_program(p, mode)
+
+        def fail(*args):
+            raise AssertionError("built a clause")
+
+        monkeypatch.setattr(tplp.grounder, "PClause", fail)
+        monkeypatch.setattr(tplp.grounder, "_substitute_clause", fail)
+        warnings = []
+        with pytest.raises(error) as fused:
+            unfold(p, warnings.append, grounding=mode)
+        assert (type(fused.value), str(fused.value), warnings) == (error, str(layered.value), [])
+        path = tmp_path / "p.tpl"
+        path.write_text(text)
+        capsys.readouterr()
+        res = tplp.cli.run(["consistent", str(path), "--grounding", mode.value])
+        assert (res.exit_code, res.payload) == (error.exit_code, "")
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {layered.value}\n") and "warning: clause" not in err
+
+
+class TestPClause:
+    """PClause is a NamedTuple; it compares, hashes and prints as the frozen
+    dataclass it replaces."""
+
+    @staticmethod
+    def dataclass_str(self):
+        head = f"{self.head}:{self.head_iv}"
+        if not self.body:
+            return head
+        return head + " <- " + " and ".join(f"{f}:{iv}" for f, iv in self.body)
+
+    def clauses(self):
+        a, b, c = (TAtom(x, (), 1) for x in "abc")
+        single = BasicFormula.single
+        yield PClause(b, ProbInterval(F(3, 4), F(1, 4)), ((single(a), ProbInterval(0, 1)),))
+        yield PClause(a, ProbInterval(0, F(3, 4)), ())
+        yield PClause(a, ProbInterval(0, F(3, 4)))
+        yield PClause(c, ProbInterval(F(1, 2), 1), ((single(a), ProbInterval(F(1, 2), 1)),))
+        joined = BasicFormula.of(tplp.model.Connective.AND, (a, b))
+        yield PClause(c, ProbInterval(F(1, 2), F(7, 10)), ((joined, ProbInterval(F(1, 10), 1)),))
+        yield from load_unfolded("shipping.tpl").clauses[:12]
+
+    def test_matches_the_dataclass(self):
+        Old = dataclasses.make_dataclass(
+            "PClause",
+            [("head", TAtom), ("head_iv", ProbInterval), ("body", tuple, dataclasses.field(default=()))],
+            frozen=True,
+            namespace={"__str__": self.dataclass_str},
+        )
+        new = list(self.clauses())
+        old = [Old(*cl) for cl in new]
+        for n, o in zip(new, old):
+            assert (hash(n), repr(n), str(n)) == (hash(o), repr(o), str(o))
+        assert [[m == n for m in new] for n in new] == [[m == o for m in old] for o in old]
+        assert PClause(new[1].head, new[1].head_iv) == new[1] and new[1].body == ()
+
+    def test_is_immutable(self):
+        cl = next(self.clauses())
+        for name in PClause._fields:
+            with pytest.raises(AttributeError):
+                setattr(cl, name, None)
+        with pytest.raises(AttributeError):
+            cl.extra = 1
