@@ -6,7 +6,8 @@ symbolic.  Unfolding then expands every clause into one interval-annotated
 clause per solution point of its head constraint.  Unfolding tolerates object
 variables (the expansion is purely temporal), so schematic programs can be
 unfolded for display; the possible-world machinery requires ground clauses and
-a base.
+a base.  Given a grounding mode, unfold does both in one pass over the ground
+instances that ground_program enumerates, and builds no ground clause.
 """
 
 from __future__ import annotations

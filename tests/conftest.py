@@ -8,6 +8,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# every fixture that is a program (the skeleton is evolve's input)
+FIXTURE_PROGRAMS = sorted(
+    p.name for p in FIXTURES.glob("*.tpl") if p.name != "evolution_skeleton.tpl"
+)
 
 
 @pytest.fixture(scope="session")

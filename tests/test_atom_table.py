@@ -14,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import FIXTURES, load_program
+from conftest import FIXTURE_PROGRAMS, load_program
 from generators import rand_tp_program, recipe_a_program, recipe_b_program
 from tplp.errors import InconsistentProgram
 from tplp.grounder import (
@@ -31,9 +31,6 @@ from tplp.psat import SolveOptions, _Engine, tighten
 
 OPTS = SolveOptions(max_world_atoms=10_000)
 MODES = list(GroundingMode)
-FIXTURE_PROGRAMS = sorted(
-    p.name for p in FIXTURES.glob("*.tpl") if p.name != "evolution_skeleton.tpl"
-)
 
 
 def recipe_programs():

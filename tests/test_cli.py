@@ -1133,6 +1133,14 @@ class TestReadme:
         )
         assert (res.exit_code, res.payload + "\n") == (0, block)
 
+    def test_library_example_runs(self, fixtures, monkeypatch, capsys):
+        readme = (fixtures.parent / "README.md").read_text()
+        section = readme.split("\n## Library use\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(fixtures.parent)
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out == "Verdict.CONSISTENT\nTrue\n"
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, fixtures):

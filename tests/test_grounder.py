@@ -7,7 +7,7 @@ import pytest
 import tplp.cli
 import tplp.grounder
 import tplp.model
-from conftest import FIXTURES, golden_file, load_program, load_unfolded
+from conftest import FIXTURE_PROGRAMS, golden_file, load_program, load_unfolded
 from generators import rand_distribution, rand_tp_program, recipe_a_program, recipe_b_program
 from tplp.diagnostics import SourceSpan
 from tplp.errors import AtomNotInBase, GroundingTooLarge, NonNormalConstraint, UniverseEmpty
@@ -493,11 +493,6 @@ class TestRelevantSoundness:
 #
 # unfold(p, warn, grounding=mode) grounds as it unfolds; each check below holds
 # it to unfold(ground_program(p, mode), warn), the two-pass form.
-
-FIXTURE_PROGRAMS = sorted(
-    p.name for p in FIXTURES.glob("*.tpl") if p.name != "evolution_skeleton.tpl"
-)
-
 
 def shipping_program(k: int) -> PTProgram:
     """Shipping's rules over k constants, item i sent to i * i modulo k, every
