@@ -32,7 +32,6 @@ from .model import (
     TVar,
     companion_groundings,
     substitute_annotation,
-    substitute_objects,
 )
 
 
@@ -194,17 +193,24 @@ def _ground_args(a: TAtom, obj_env: dict[str, str]) -> tuple:
     return tuple([obj_env.get(x.name, x) if isinstance(x, ObjVar) else x for x in a.args])
 
 
+def _ground_atom(a: TAtom, obj_env: dict[str, str]) -> TAtom:
+    return TAtom(a.predicate, _ground_args(a, obj_env), a.time, a.span)
+
+
 def _substitute_clause(cl: TPClause, obj_env: dict[str, str], t_env: dict[str, int]) -> TPClause:
-    head = TAtom(cl.head.predicate, _ground_args(cl.head, obj_env), cl.head.time, cl.head.span)
+    head = _ground_atom(cl.head, obj_env)
     body = tuple(
-        (substitute_objects(f, obj_env), substitute_annotation(ann, t_env)) for f, ann in cl.body
+        (
+            BasicFormula(f.connective, tuple([_ground_atom(a, obj_env) for a in f.atoms]), f.span),
+            substitute_annotation(ann, t_env),
+        )
+        for f, ann in cl.body
     )
     return TPClause(head, substitute_annotation(cl.head_annot, t_env), body, cl.span)
 
 
 def _atom_signature(atom: TAtom, obj_env: dict[str, str]) -> tuple:
-    args = tuple(obj_env.get(a.name, a.name) if isinstance(a, ObjVar) else a for a in atom.args)
-    return (atom.predicate, args)
+    return (atom.predicate, _ground_args(atom, obj_env))
 
 
 def _producible_body(cl: TPClause, obj_env: dict[str, str], sigs: set[tuple]) -> bool:
@@ -348,7 +354,7 @@ def unfold(
         heads, bodies = windows[key]
         if not heads:
             if warn is not None:
-                head = TAtom(cl.head.predicate, _ground_args(cl.head, env), cl.head.time)
+                head = _ground_atom(cl.head, env)
                 warn(f"clause head {head} has an empty solution set; no clauses emitted")
             continue
         body = tuple(

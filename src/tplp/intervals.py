@@ -64,24 +64,14 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Shortest exact text form: decimal when the denominator divides 10^9, else n/d."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    d = q.denominator
-    # count factors of 2 and 5
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    digits = max(twos, fives)
-    if d != 1 or digits > 9:
-        return f"{q.numerator}/{q.denominator}"
-    scaled = abs(q.numerator) * 10 ** digits // q.denominator
-    text = str(scaled).rjust(digits + 1, "0")
-    sign = "-" if q < 0 else ""
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    n, d = q.numerator, q.denominator
+    if d == 1:
+        return str(n)
+    if 10**9 % d:
+        return f"{n}/{d}"
+    text = str(abs(n) * 10**9 // d).rjust(10, "0")
+    sign = "-" if n < 0 else ""
+    return f"{sign}{text[:-9]}.{text[-9:]}".rstrip("0")
 
 
 @dataclass(frozen=True)

@@ -637,19 +637,6 @@ def substitute_time(f: BasicFormula, t: TimePoint) -> BasicFormula:
     return BasicFormula(f.connective, atoms, f.span)
 
 
-def substitute_objects(f: BasicFormula, env: dict[str, str]) -> BasicFormula:
-    atoms = tuple(
-        TAtom(
-            a.predicate,
-            tuple(env.get(x.name, x) if isinstance(x, ObjVar) else x for x in a.args),
-            a.time,
-            a.span,
-        )
-        for a in f.atoms
-    )
-    return BasicFormula(f.connective, atoms, f.span)
-
-
 # --- clauses and programs --------------------------------------------------------
 
 

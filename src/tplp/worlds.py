@@ -78,7 +78,9 @@ class WorldDistribution:
     Masses must sum to exactly one unless ``require_normalized`` is False
     (partial evolution profiles produce subnormalized densities).  Given a
     ``denominator``, ``masses`` maps world masks to integer numerators over
-    it, which must sum to it.
+    it; otherwise rational masses (``Fraction`` or ``int``) become numerators
+    over the lcm of their denominators, and both forms pass the same integer
+    checks.  Every key, zero mass or not, must be a world of the base.
     """
 
     def __init__(
@@ -91,42 +93,29 @@ class WorldDistribution:
     ):
         self.base = base
         n = len(base)
-        if denominator is not None:
-            # checked in integers, then one Fraction per distinct mass
-            total = sum(masses.values())
-            if denominator < 1 or total != denominator:
-                raise ValueError(f"world masses sum to {total}/{denominator}, not 1")
-            least = min(masses.values())
-            if least < 0:
-                raise ValueError(f"negative mass {least}/{denominator}")
-            low, high = min(masses), max(masses)
-            if low < 0 or high >> n:
-                raise ValueError(f"world {low if low < 0 else high:#x} outside the {n}-atom base")
-            shared = {v: Fraction(v, denominator) for v in set(masses.values()) if v}
-            self._masses = {m: shared[v] for m, v in masses.items() if v}
-            self.total = ONE
-            return
-        packed: dict[int, Fraction] = {}
-        for key, value in masses.items():
-            mask = _mask(key)
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-            if value.numerator < 0:
-                raise ValueError(f"negative mass {value}")
-            if not value.numerator:
-                continue
-            if mask < 0 or mask >> n:
-                raise ValueError(f"world {mask:#x} outside the {n}-atom base")
-            have = packed.get(mask)
-            packed[mask] = value if have is None else have + value
-        self._masses = packed
-        # one integer sum over the masses' common denominator
-        common = math.lcm(*(v.denominator for v in packed.values()))
-        self.total = Fraction(
-            sum(v.numerator * (common // v.denominator) for v in packed.values()), common
-        )
-        if require_normalized and self.total != 1:
-            raise ValueError(f"world masses sum to {self.total}, not 1")
+        if denominator is None:
+            # integer numerators over the lcm of the denominators, each mass
+            # sign-checked before the masses of one world are summed
+            ratios = [(_mask(k), v.as_integer_ratio()) for k, v in masses.items()]
+            denominator = math.lcm(*(d for _, (_, d) in ratios))
+            masses = {}
+            for mask, (num, den) in ratios:
+                if num < 0:
+                    raise ValueError(f"negative mass {Fraction(num, den)}")
+                masses[mask] = masses.get(mask, 0) + num * (denominator // den)
+        # checked in integers, then one Fraction per distinct mass
+        total = sum(masses.values())
+        if denominator < 1 or require_normalized and total != denominator:
+            raise ValueError(f"world masses sum to {total}/{denominator}, not 1")
+        least = min(masses.values(), default=0)
+        if least < 0:
+            raise ValueError(f"negative mass {least}/{denominator}")
+        low, high = min(masses, default=0), max(masses, default=0)
+        if low < 0 or high >> n:
+            raise ValueError(f"world {low if low < 0 else high:#x} outside the {n}-atom base")
+        shared = {v: Fraction(v, denominator) for v in set(masses.values()) if v}
+        self._masses = {m: shared[v] for m, v in masses.items() if v}
+        self.total = Fraction(total, denominator)
 
     @classmethod
     def point(cls, base, world: World | int = 0) -> "WorldDistribution":

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -38,8 +39,10 @@ from tplp.model import (
     TRef,
     TVar,
     WeightFunction,
+    companion_groundings,
     constraint_principal,
     solve_constraint,
+    substitute_annotation,
 )
 from tplp.parser import parse_program, render_program
 from tplp.psat import Verdict, check_consistency
@@ -650,6 +653,69 @@ class TestGroundWhileUnfolding:
         assert tplp.cli.run(["consistent", str(path)]).payload == "INCONSISTENT"
         # after validation's own warnings
         assert capsys.readouterr().err.endswith("".join(f"warning: {w}\n" for w in warnings[:6]))
+
+
+def substituted_by_hand(p: PTProgram) -> list[TPClause] | None:
+    """p's FULL ground instances, built here rather than by the grounder: per
+    clause, each assignment of the sorted constants to its sorted object
+    variables in product order, then each companion grounding.  None when a
+    clause has object variables and the program no constants."""
+    constants = sorted(p.constants)
+
+    def atom(a: TAtom, env: dict) -> TAtom:
+        args = tuple(env[x.name] if isinstance(x, ObjVar) else x for x in a.args)
+        return TAtom(a.predicate, args, a.time, a.span)
+
+    out = []
+    for cl in p.clauses:
+        atoms = [cl.head, *(a for f, _ in cl.body for a in f.atoms)]
+        names = sorted({x.name for a in atoms for x in a.args if isinstance(x, ObjVar)})
+        if names and not constants:
+            return None
+        for combo in itertools.product(constants, repeat=len(names)):
+            env = dict(zip(names, combo))
+            for t_env in companion_groundings(cl.companion_tvars, p.calendar):
+                body = tuple(
+                    (
+                        BasicFormula(f.connective, tuple(atom(a, env) for a in f.atoms), f.span),
+                        substitute_annotation(ann, t_env),
+                    )
+                    for f, ann in cl.body
+                )
+                head_annot = substitute_annotation(cl.head_annot, t_env)
+                out.append(TPClause(atom(cl.head, env), head_annot, body, cl.span))
+    return out
+
+
+class TestObjectSubstitution:
+    """ground_program at FULL against substituted_by_hand, which shares no code
+    with the grounder's object substitution."""
+
+    @staticmethod
+    def atoms(clauses):
+        """Each atom of the clauses, head first, with its span."""
+        atoms = (a for cl in clauses for a in (cl.head, *(b for f, _ in cl.body for b in f.atoms)))
+        return [(a, a.span) for a in atoms]
+
+    def assert_substituted(self, p: PTProgram) -> bool:
+        expected = substituted_by_hand(p)
+        if expected is None:
+            with pytest.raises(UniverseEmpty):
+                ground_program(p, GroundingMode.FULL)
+            return False
+        clauses = ground_program(p, GroundingMode.FULL).clauses
+        assert list(clauses) == expected
+        assert [str(cl) for cl in clauses] == [str(cl) for cl in expected]
+        assert self.atoms(clauses) == self.atoms(expected)
+        assert all(cl.span is e.span for cl, e in zip(clauses, expected))
+        return any(cl.object_vars for cl in p.clauses)
+
+    def test_fixtures(self):
+        assert sum(self.assert_substituted(load_program(name)) for name in FIXTURE_PROGRAMS) >= 2
+
+    def test_lifted_draws(self):
+        draws = [lifted_program(random.Random(seed)) for seed in range(200)]
+        assert sum(self.assert_substituted(p) for p in draws) >= 120
 
 
 class TestGroundWhileUnfoldingErrors:

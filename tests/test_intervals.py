@@ -1,7 +1,10 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tplp.intervals import (
     ProbInterval,
@@ -65,6 +68,30 @@ class TestRationalText:
     def test_format_prefers_decimals(self):
         assert format_rational(F(1, 4)) == "0.25"
         assert format_rational(F(1, 3)) == "1/3"
+
+    @given(
+        st.integers(-(10**40), 10**40),
+        st.one_of(
+            st.integers(1, 10**6),
+            # 2^a 5^b, within 10^9's divisors and beyond them
+            st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 40), st.integers(0, 20)),
+            st.builds(lambda a, b, c: 2**a * 5**b * c, st.integers(0, 12), st.integers(0, 12),
+                      st.sampled_from([3, 7, 11])),
+        ),
+    )
+    @example(-7, 1)
+    @example(-1, 2**9 * 5**9)
+    @example(1, 2**10)
+    @example(3, 10**9)
+    def test_format_matches_its_docstring(self, n, d):
+        """n/d when the denominator does not divide 10^9, else the exact decimal."""
+        q = F(n, d)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            decimal = format(Decimal(q.numerator) / Decimal(q.denominator), "f")
+        assert format_rational(q) == (
+            f"{q.numerator}/{q.denominator}" if 10**9 % q.denominator else decimal
+        )
 
 
 class TestOrderings:

@@ -71,6 +71,7 @@ class TestWorldDistribution:
     def test_subnormal_allowed_when_asked(self):
         d = WorldDistribution(BASE_AB, {0: F(1, 2)}, require_normalized=False)
         assert d.total == F(1, 2) and not d.is_normalized
+        assert d == WorldDistribution(BASE_AB, {0: 1}, denominator=2, require_normalized=False)
 
     def test_zero_masses_dropped(self):
         d = WorldDistribution(BASE_AB, {0: F(1), 1: F(0)})
@@ -117,11 +118,17 @@ class TestWorldDistribution:
             ({0: 1, 4: 1}, 2, "world 0x4 outside the 2-atom base"),
             ({-1: 1}, 1, "world -0x1 outside the 2-atom base"),
             ({}, 1, "world masses sum to 0/1, not 1"),
+            # a zero mass is dropped, but only once its world is in the base
+            ({0: 1, 4: 0}, 1, "world 0x4 outside the 2-atom base"),
         ],
     )
     def test_integer_masses_checked(self, numerators, denominator, message):
+        """Refused alike as integers over the denominator and as fractions."""
         with pytest.raises(ValueError, match=message):
             WorldDistribution(BASE_AB, numerators, denominator=denominator)
+        fractions = {m: F(n, denominator) for m, n in numerators.items()}
+        with pytest.raises(ValueError, match=message):
+            WorldDistribution(BASE_AB, fractions)
 
     def test_point_and_uniform(self):
         assert WorldDistribution.point(BASE_AB).mass(0) == 1
