@@ -193,10 +193,10 @@ class _Component:
             (c, c.bit_count(), (c & -c).bit_length() - 1) for c in classes
         ]
 
-    def coefficients(self, mask: int, inside: bool = False) -> tuple[Fraction, ...]:
-        """Per class, ONE when some of its worlds lie in mask (inside: all)."""
+    def coefficients(self, mask: int, inside: bool = False) -> tuple[int, ...]:
+        """Per class, 1 when some of its worlds lie in mask (inside: all)."""
         return tuple(
-            ONE if (members & mask == members if inside else members & mask) else ZERO
+            1 if (members & mask == members if inside else members & mask) else 0
             for members, _, _ in self.classes
         )
 
@@ -308,6 +308,9 @@ class _BoxSolve:
         a, b = objective
         p = self.x[0] if a == b else self.hi if (a > b) == maximize else self.lo
         return LPResult(OPTIMAL, [p, ONE - p], a * p + b * (ONE - p))
+
+    def bound(self, objective, maximize: bool = False) -> Fraction:
+        return self.optimum(objective, maximize).value
 
 
 class _Engine:
@@ -577,8 +580,9 @@ class _Engine:
     def mass_ranges(self, keys) -> dict[int, tuple[Fraction, Fraction]]:
         """Least and greatest mass of every extra formula under one feasible
         leaf.  A part's are [0, 1] when the leaf leaves its component
-        unnarrowed, else the optima of its boxes' solve; a formula of several
-        parts folds theirs."""
+        unnarrowed, else the optimal values of its boxes' solve, asked for
+        as values only (bound: phase two over the solve's distinct columns,
+        no vertex); a formula of several parts folds theirs."""
         out = {}
         for cid, parts in self._parts.items():
             key = keys.get(cid, ())
@@ -593,7 +597,7 @@ class _Engine:
                 else:
                     start = self._solved(self.components[cid], key)
                     ranges = {
-                        name: (start.optimum(least).value, start.optimum(most, True).value)
+                        name: (start.bound(least), start.bound(most, True))
                         for name, least, most in parts
                     }
                 self._ranges[memo] = ranges
@@ -610,7 +614,7 @@ class _Engine:
         ascending fid order "<= hi" when hi < 1 and ">= lo" when lo > 0, each
         bound the exact Fraction of its integer over the denominator."""
         top = self.denominator
-        out = [([ONE] * len(comp.classes), "=", ONE)]
+        out = [([1] * len(comp.classes), "=", 1)]
         for fid, lo, hi in key:
             if hi < top:
                 out.append((list(self._coeffs[fid]), "<=", Fraction(hi, top)))
@@ -620,8 +624,8 @@ class _Engine:
 
     def _solved(self, comp: _Component, key: tuple) -> LPResult | _BoxSolve:
         """The feasibility solve of comp's boxes, whose x is the vertex a
-        witness takes and whose optimum() gives every least and greatest mass
-        and every Frank-Wolfe direction under them.  A one-atom component's comes
+        witness takes, whose bound() gives every least and greatest mass and
+        whose optimum() every Frank-Wolfe direction.  A one-atom component's comes
         from its one box, with no LP and no memo; any other's is solved the
         first time a consumer asks for it and memoized for the engine's life,
         so each box key runs phase one once."""

@@ -14,9 +14,21 @@ tolerance and 1e-6.
 
 Phase one (a first feasible basis) does not depend on the objective, so
 solve_lp only decides feasibility: it returns the basic solution phase one
-reaches and keeps the tableau phase one left.  LPResult.optimum, the one
-optimizer, starts phase two for any objective from a copy of it, so a row
+reaches and keeps the tableau phase one left.  LPResult.optimum and
+LPResult.bound start phase two for any objective from a copy of it, so a row
 system's phase one runs once however many objectives it is optimized for.
+
+Phase one runs over the distinct columns: once rows are scaled to integers,
+a structural column equal to an earlier one is left out (col_of names each
+variable's kept column).  Row operations keep equal columns equal and phase
+one costs them alike, so Bland's rule, which tries the earlier column first,
+never enters a copy, nor does the drive-out of artificials: the pivots, the
+basis and the vertex (0 on every copy) are the full tableau's.  optimum
+widens the tableau back to one column per variable, which gives the tableau
+phase one over every column leaves.  bound, for values only, runs phase two
+over the kept columns, each costed by the least (when maximizing, greatest)
+cost of its variables: the optimal values agree, as mass on copies can move
+onto the cheapest one.
 """
 
 from __future__ import annotations
@@ -49,13 +61,31 @@ class LPResult:
 
     def optimum(self, objective: Sequence, maximize: bool = False) -> LPResult:
         """The min (max) of objective . x over this solve's rows, by phase two
-        alone from a copy of the phase-one tableau.  The start is left as it
-        was, so it serves any number of objectives."""
+        alone from the phase-one tableau widened to every column.  The start
+        is left as it was, so it serves any number of objectives."""
         if self.status == INFEASIBLE:
             return LPResult(INFEASIBLE)
         if self._start is None:
             raise ValueError("optimum() starts from a solve_lp result")
-        return _phase_two(self._start.copy(), objective, maximize)
+        t = self._start.widened()
+        value = _phase_two(t, *_numerators(objective, t.exact), maximize)
+        if value is None:
+            return LPResult(UNBOUNDED)
+        return LPResult(OPTIMAL, t.vertex(), value)
+
+    def bound(self, objective: Sequence, maximize: bool = False):
+        """optimum(objective, maximize).value, None when infeasible or
+        unbounded, by phase two over the kept columns alone, each costed by
+        the least (greatest) cost of the variables that share it."""
+        if self.status == INFEASIBLE:
+            return None
+        if self._start is None:
+            raise ValueError("bound() starts from a solve_lp result")
+        t = self._start.copy()
+        costs, den = _numerators(objective, t.exact)
+        # the last pair per column wins: its least (greatest) cost
+        best = dict(sorted(zip(t.col_of, costs), reverse=not maximize))
+        return _phase_two(t, [best[c] for c in range(t.num_vars)], den, maximize)
 
 
 _FLOAT_TOL = 1e-9
@@ -79,18 +109,20 @@ def _numerators(values, exact: bool) -> tuple[list, int | float]:
 class _Tableau:
     __slots__ = (
         "rows", "dens", "basis", "ncols", "num_vars", "art_start", "exact", "tol",
-        "obj", "obj_den",
+        "col_of", "firsts", "obj", "obj_den",
     )
 
-    def __init__(self, rows, dens, basis, ncols, num_vars, art_start, exact, tol):
+    def __init__(self, rows, dens, basis, ncols, num_vars, art_start, exact, tol, col_of, firsts):
         self.rows = rows  # numerators per row, last entry is the rhs
         self.dens = dens  # positive denominator per row; 1 in FLOAT mode
         self.basis = basis  # basic variable per row
         self.ncols = ncols  # number of structural+slack+artificial columns
-        self.num_vars = num_vars  # structural columns come first
+        self.num_vars = num_vars  # structural (kept) columns come first
         self.art_start = art_start  # artificial columns come last
         self.exact = exact  # int numerators, else floats
         self.tol = tol
+        self.col_of = col_of  # per variable, the structural column holding it
+        self.firsts = firsts  # per structural column, its first variable
         self.obj: list | None = None  # reduced cost numerators, last entry is -value
         self.obj_den = 1
 
@@ -100,7 +132,23 @@ class _Tableau:
         # its own.
         return _Tableau(
             list(self.rows), list(self.dens), list(self.basis), self.ncols,
-            self.num_vars, self.art_start, self.exact, self.tol,
+            self.num_vars, self.art_start, self.exact, self.tol, self.col_of, self.firsts,
+        )
+
+    def widened(self) -> _Tableau:
+        """A copy with one structural column per variable, each copy holding
+        its kept column's entries and nonbasic."""
+        col_of, k = self.col_of, self.num_vars
+        n = len(col_of)
+        if n == k:
+            return self.copy()
+        shift, firsts = n - k, self.firsts
+        return _Tableau(
+            [[row[c] for c in col_of] + row[k:] for row in self.rows],
+            list(self.dens),
+            [firsts[b] if b < k else b + shift for b in self.basis],
+            self.ncols + shift, n, self.art_start + shift, self.exact, self.tol,
+            range(n), range(n),
         )
 
     def value(self, num, den):
@@ -130,11 +178,11 @@ class _Tableau:
         self.obj, self.obj_den = obj, den
 
     def vertex(self) -> list:
-        """The basic solution of the structural columns."""
-        x = [self.value(0 if self.exact else 0.0, 1)] * self.num_vars
+        """The basic solution per variable, 0 on each copy of a column."""
+        x = [self.value(0 if self.exact else 0.0, 1)] * len(self.col_of)
         for i, bv in enumerate(self.basis):
             if bv < self.num_vars:
-                x[bv] = self.value(self.rows[i][self.ncols], self.dens[i])
+                x[self.firsts[bv]] = self.value(self.rows[i][self.ncols], self.dens[i])
         return x
 
     @property
@@ -200,8 +248,8 @@ def solve_lp(
     """Decide whether rows (coeffs, sense, rhs) and x >= 0 have a solution.
 
     A feasible result's x is the basic solution phase one reaches, and its
-    optimum() optimizes objectives over the same rows without repeating
-    phase one.
+    optimum() and bound() optimize objectives over the same rows without
+    repeating phase one.
     """
     exact = mode is LPMode.EXACT
     tol = 0 if exact else _FLOAT_TOL
@@ -221,46 +269,43 @@ def solve_lp(
         work_rows.append((nums, den))
         senses.append(sense)
 
+    # Each variable's column, numbered in order of first appearance; a column
+    # equal to an earlier one is left out (see the module docstring).
+    columns = list(zip(*(nums[:-1] for nums, _ in work_rows))) or [()] * num_vars
+    index: dict = {}
+    col_of = [index.setdefault(column, len(index)) for column in columns]
+    firsts = [columns.index(column) for column in index]
+    kept = len(firsts)
+
     n_slack = sum(1 for s in senses if s in ("<=", ">="))
     n_art = sum(1 for s in senses if s in (">=", "="))
-    ncols = num_vars + n_slack + n_art
-    art_start = num_vars + n_slack
+    ncols = kept + n_slack + n_art
+    art_start = kept + n_slack
 
     tableau_rows: list[list] = []
     dens: list = []
     basis: list[int] = []
     slack_i = art_i = 0
-    artificials: list[int] = []
     for (nums, den), sense in zip(work_rows, senses):
         # slack and artificial entries are +-1, numerators +-den
         extra = [zero] * (n_slack + n_art)
-        if sense == "<=":
-            extra[slack_i] = den
-            basic = num_vars + slack_i
+        if sense != "=":
+            extra[slack_i] = den if sense == "<=" else -den
+            basic = kept + slack_i
             slack_i += 1
-        elif sense == ">=":
-            extra[slack_i] = -den
-            slack_i += 1
+        if sense != "<=":
             extra[n_slack + art_i] = den
             basic = art_start + art_i
-            artificials.append(basic)
             art_i += 1
-        else:
-            extra[n_slack + art_i] = den
-            basic = art_start + art_i
-            artificials.append(basic)
-            art_i += 1
-        tableau_rows.append(nums[:-1] + extra + nums[-1:])
+        structural = nums[:-1] if kept == num_vars else [nums[v] for v in firsts]
+        tableau_rows.append(structural + extra + nums[-1:])
         dens.append(den)
         basis.append(basic)
 
-    t = _Tableau(tableau_rows, dens, basis, ncols, num_vars, art_start, exact, tol)
+    t = _Tableau(tableau_rows, dens, basis, ncols, kept, art_start, exact, tol, col_of, firsts)
 
-    if artificials:
-        phase1 = [zero] * ncols
-        for j in artificials:
-            phase1[j] = one
-        t.set_objective(phase1)
+    if n_art:
+        t.set_objective([zero] * art_start + [one] * n_art)
         status = t.optimize(range(ncols))
         if status != OPTIMAL:
             raise LPNumericalFailure("phase one reported an unbounded objective")
@@ -271,33 +316,26 @@ def solve_lp(
                     f"phase-one residual {residual!r} is inside the ambiguous band"
                 )
             return LPResult(INFEASIBLE)
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        art_set = set(artificials)
-        for i in list(range(len(t.basis)))[::-1]:
-            if t.basis[i] not in art_set:
-                continue
-            pivot_col = -1
-            for j in range(art_start):
-                if abs(t.rows[i][j]) > tol:
-                    pivot_col = j
-                    break
-            if pivot_col >= 0:
-                t.pivot(i, pivot_col)
-            else:
-                del t.rows[i]
-                del t.dens[i]
-                del t.basis[i]
+        # Drive leftover artificials out of the basis, last row first; drop
+        # redundant rows.
+        for i in reversed(range(len(t.basis))):
+            if t.basis[i] >= art_start:
+                j = next((j for j in range(art_start) if abs(t.rows[i][j]) > tol), None)
+                if j is None:
+                    del t.rows[i], t.dens[i], t.basis[i]
+                else:
+                    t.pivot(i, j)
 
     return LPResult(OPTIMAL, t.vertex(), _start=t)
 
 
-def _phase_two(t: _Tableau, objective: Sequence, maximize: bool) -> LPResult:
-    """Optimize objective from the feasible basis phase one left in t."""
-    costs, den = _numerators(objective, t.exact)
+def _phase_two(t: _Tableau, costs: list, den, maximize: bool):
+    """The min (max) of the structural columns' costs over den, from phase
+    one's feasible basis in t, which ends at an optimal one; None if unbounded."""
     if maximize:
         costs = [-c for c in costs]
     t.set_objective(costs + [0 if t.exact else 0.0] * (t.ncols - t.num_vars), den)
     if t.optimize(range(t.art_start)) == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+        return None
     value = t.objective_value
-    return LPResult(OPTIMAL, t.vertex(), -value if maximize else value)
+    return -value if maximize else value

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -703,6 +704,67 @@ class TestRowlessComponents:
                 assert ranges[fid] == (want.lo, want.hi)
                 joined += len(parts) > 1
         assert checked >= 100 and joined >= 40
+
+
+class TestRangesByBound:
+    """mass_ranges asks each solve for optimal values only (LPResult.bound,
+    phase two over the distinct columns); the ranges are those optimum()
+    gives over every column."""
+
+    @staticmethod
+    def ranges_by_optimum(engine, keys) -> dict:
+        out = {}
+        for cid, parts in engine._parts.items():
+            key = keys.get(cid, ())
+            for name, least, most in parts:
+                if not key:
+                    out[name] = (F(0), F(1))
+                    continue
+                start = engine._solved(engine.components[cid], key)
+                out[name] = (start.optimum(least).value, start.optimum(most, True).value)
+        for fid, fold, names in engine._folds:
+            iv = functools.reduce(fold, (ProbInterval(*out.pop(name)) for name in names))
+            out[fid] = (iv.lo, iv.hi)
+        return out
+
+    def test_multicolumn_programs(self):
+        # each program's head formulas, and the conjunction and disjunction
+        # of each two consecutive base atoms, whose least and greatest masses
+        # may differ and whose parts may lie in two components
+        files = json.loads((GOLDEN / "multicolumn.json").read_text())["files"]
+        leaves = copies = boxes = spread = folded = 0
+        for name, text in sorted(files.items()):
+            if not name.endswith(".tpl"):
+                continue
+            pp = unfold(ground_program(parse_program(text).program, GroundingMode.FULL))
+            atoms = list(pp.base.atoms)
+            pairs = [
+                BasicFormula.of(conn, pair)
+                for conn in (Connective.AND, Connective.OR)
+                for pair in zip(atoms, atoms[1:])
+            ]
+            engine = _Engine(pp, SolveOptions(), head_formulas(pp) + pairs)
+            if all(comp.k == 1 for comp in engine.components):
+                continue
+            parts = [part for parts in engine._parts.values() for part in parts]
+            spread += sum(least != most for _, least, most in parts)
+            folded += len(engine._folds)
+            for keys in _Walk(engine, SolveOptions().epsilon):
+                leaves += 1
+                assert engine.mass_ranges(keys) == self.ranges_by_optimum(engine, keys), name
+                for cid, parts in engine._parts.items():
+                    if cid not in keys:
+                        continue
+                    start = engine._solved(engine.components[cid], keys[cid])
+                    if isinstance(start, _BoxSolve):
+                        boxes += 1
+                        for _, least, most in parts:
+                            assert start.bound(least) == start.optimum(least).value
+                            assert start.bound(most, True) == start.optimum(most, True).value
+                    else:
+                        copies += len(start._start.col_of) > start._start.num_vars
+        counts = (leaves, copies, boxes, spread, folded)
+        assert all(n >= least for n, least in zip(counts, (50, 50, 90, 15, 28))), counts
 
 
 class TestGridOracle:

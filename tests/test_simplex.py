@@ -244,10 +244,13 @@ class TestFloatAgreesWithExact:
 
 
 def _tableau(start):
-    """The rationals a start's tableau stands for, row by row."""
+    """The rationals a start's tableau stands for, row by row, and its basis,
+    in the full column numbering: solve_lp's start is widened back to one
+    column per variable, as optimum() widens it."""
     if hasattr(start, "dens"):
-        return [[F(v, d) for v in row] for row, d in zip(start.rows, start.dens)]
-    return [list(row) for row in start.rows]
+        start = start.widened()
+        return [[F(v, d) for v in row] for row, d in zip(start.rows, start.dens)], start.basis
+    return [list(row) for row in start.rows], start.basis
 
 
 def _same_answer(got, want):
@@ -257,8 +260,9 @@ def _same_answer(got, want):
 def assert_matches_reference(n, rows, objective):
     """solve_lp and reference_solve_lp agree on every answer: the optima of
     a fresh solve against the reference's one-shot solves, the feasibility
-    solve's vertex, basis and tableau, and min, max and min again from its
-    start, which the optima leave as it was."""
+    solve's vertex, its widened basis and tableau, and min, max and min
+    again from its start, which the optima leave as it was; bound gives
+    each optimum's value."""
     for maximize in (False, True):
         _same_answer(
             solve_lp(n, rows).optimum(objective, maximize),
@@ -267,15 +271,16 @@ def assert_matches_reference(n, rows, objective):
     start, ref = solve_lp(n, rows), reference_solve_lp(n, rows)
     _same_answer(start, ref)
     if start.status == INFEASIBLE:
+        assert start.bound(objective) is None
         return
-    assert start._start.basis == ref._start.basis
     tableau = _tableau(start._start)
     assert tableau == _tableau(ref._start)
     x = list(start.x)
     for maximize in (False, True, False):
-        _same_answer(start.optimum(objective, maximize), ref.optimum(objective, maximize))
-    assert start.x == x and start._start.basis == ref._start.basis
-    assert _tableau(start._start) == tableau
+        want = ref.optimum(objective, maximize)
+        _same_answer(start.optimum(objective, maximize), want)
+        assert start.bound(objective, maximize) == want.value
+    assert start.x == x and _tableau(start._start) == tableau
 
 
 BEALE = (
@@ -325,3 +330,73 @@ class TestMatchesFractionReference:
     )
     def test_named_lps(self, lp):
         assert_matches_reference(*lp)
+
+
+# --- repeated columns: phase one over the distinct columns ---------------------------
+
+
+@st.composite
+def repeated_column_lps(draw):
+    """(n, rows, objective) whose n <= 8 variables are each a copy of one of
+    k distinct columns, with rational entries, mixed senses and right-hand
+    sides, and costs drawn per variable, so they differ inside a copy group."""
+    m = draw(st.integers(1, 4))
+    value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12))
+    column = st.lists(value, min_size=m, max_size=m).map(tuple)
+    columns = draw(st.lists(column, min_size=1, max_size=4, unique=True))
+    copy_of = draw(st.lists(st.integers(0, len(columns) - 1), min_size=1, max_size=8))
+    rows = [
+        ([columns[c][i] for c in copy_of], draw(st.sampled_from(_SENSES)), draw(value))
+        for i in range(m)
+    ]
+    return len(copy_of), rows, draw(st.lists(value, min_size=len(copy_of), max_size=len(copy_of)))
+
+
+class TestRepeatedColumns:
+    """solve_lp leaves out each column equal to an earlier one; Bland's rule
+    would never enter it, so every pivot, vertex and optimum is the full
+    tableau's, and bound gives each optimum's value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(repeated_column_lps())
+    def test_random_lps(self, lp):
+        assert_matches_reference(*lp)
+        n, rows, _ = lp
+        assert solve_lp(n, rows, mode=LPMode.FLOAT).status == solve_lp(n, rows).status
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            pytest.param((3, [], [1, -1, 0]), id="no-rows"),
+            pytest.param((3, [], [2, 0, 1]), id="no-rows-bounded"),
+            pytest.param(
+                (3, [([0, 0, 0], "=", 0), ([0, 0, 0], "<=", 1)], [1, -2, 3]), id="zero-columns"
+            ),
+            pytest.param(
+                (4, [([1] * 4, "=", 1), ([F(1, 3)] * 4, ">=", F(1, 6))], [3, 1, 2, 1]),
+                id="one-column",
+            ),
+        ],
+    )
+    def test_named_lps(self, lp):
+        assert_matches_reference(*lp)
+
+    def test_no_rows(self):
+        start = solve_lp(3, [])
+        assert (start.status, start.x) == (OPTIMAL, [0, 0, 0])
+        assert start._start.num_vars == 1
+        assert start.bound([1, 2, 0]) == 0
+        assert start.bound([1, 2, 0], True) is None
+        assert start.optimum([1, 2, 0], True).status == UNBOUNDED
+
+    def test_bound_takes_the_better_cost_of_a_later_copy(self):
+        # columns 0 and 2 are copies; the later one is cheaper to minimize
+        # and dearer to maximize over
+        rows = [([1, 1, 1], "=", 1), ([1, 0, 1], "<=", F(3, 4))]
+        start = solve_lp(3, rows)
+        assert (start._start.col_of, start._start.num_vars) == ([0, 1, 0], 2)
+        objective = [2, 1, -1]
+        low, high = start.optimum(objective), start.optimum(objective, True)
+        assert (low.x, low.value) == ([0, F(1, 4), F(3, 4)], F(-1, 2))
+        assert (high.x, high.value) == ([F(3, 4), F(1, 4), 0], F(7, 4))
+        assert (start.bound(objective), start.bound(objective, True)) == (F(-1, 2), F(7, 4))
