@@ -82,28 +82,59 @@ def _bits(mask: int):
     return itertools.chain.from_iterable(map(_BYTE_BITS.__getitem__, data))
 
 
-def _witness_json(dist) -> list[dict]:
-    """Per world of the support, by ascending mask, its atoms' names and its
-    mass.  Each held atom is named once, and each world picks its names by
-    its bits.  Each mass is formatted once per Fraction object: a
-    distribution built over one denominator shares one per distinct mass."""
-    items = dist.mask_items()
-    held = 0
-    for mask, _ in items:
-        held |= mask
-    names = [str(a) if bit else None for a, bit in zip(dist.base.atoms, _bits(held))]
-    texts: dict[int, str] = {}  # id of a mass -> its text
-    out = []
-    for mask, p in items:
-        text = texts.get(id(p))
-        if text is None:
-            text = texts[id(p)] = _rat(p)
-        out.append({"world": list(itertools.compress(names, _bits(mask))), "p": text})
-    return out
+class _Witness:
+    """A distribution's support worlds, by ascending mask, as the payload
+    writes them: per world its held atoms' names and its mass.
 
+    Each held atom is named once, and each world picks its names by its
+    bits.  Each mass is formatted once per Fraction object: a distribution
+    built over one denominator shares one per distinct mass.  _dump writes it
+    as the list of {"p": ..., "world": [...]} objects json.dumps would;
+    lines() gives the text form.
+    """
 
-def _witness_lines(witness: list[dict]) -> list[str]:
-    return ["  {" + ", ".join(e["world"]) + "}: " + e["p"] for e in witness]
+    __slots__ = ("names", "worlds")
+
+    def __init__(self, dist):
+        items = dist.mask_items()
+        held = 0
+        for mask, _ in items:
+            held |= mask
+        # per atom index, its name if some world holds it
+        self.names = [str(a) if bit else None for a, bit in zip(dist.base.atoms, _bits(held))]
+        texts: dict[int, str] = {}  # id of a mass -> its text
+        self.worlds = []  # (mask, mass text) per world
+        for mask, p in items:
+            text = texts.get(id(p))
+            if text is None:
+                text = texts[id(p)] = _rat(p)
+            self.worlds.append((mask, text))
+
+    def json(self, newline: str) -> str:
+        """The bytes of json.dumps at the depth whose line break is newline.
+        Each held atom's quoted line is made once; a world is one join of
+        its atoms' lines."""
+        if not self.worlds:
+            return "[]"
+        inner = newline + "  "  # a world's braces
+        field = inner + "  "  # a world's keys
+        atom = field + "  "  # a world's atoms
+        lines = [None if n is None else atom + _quote(n) for n in self.names]
+        # a mass's text, digits and a slash, needs no escaping
+        head, key, close = "{" + field + '"p": "', '",' + field + '"world": ', field + "]"
+        items = []
+        for m, p in self.worlds:
+            world = "[" + ",".join(itertools.compress(lines, _bits(m))) + close if m else "[]"
+            items.append(head + p + key + world + inner + "}")
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+
+    def lines(self) -> list[str]:
+        """Per world, '  {a@1, b@1}: 2/5'."""
+        names = self.names
+        return [
+            "  {" + ", ".join(itertools.compress(names, _bits(m))) + "}: " + p
+            for m, p in self.worlds
+        ]
 
 
 _INF = float("inf")
@@ -125,11 +156,10 @@ def _dump(obj, newline: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        try:  # a list of strings, such as a witness world, in one join
-            items = list(map(_quote, obj))
-        except TypeError:
-            items = [_dump(v, inner) for v in obj]
+        items = [_dump(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, _Witness):
+        return obj.json(newline)
     if obj is None:
         return "null"
     if obj is True:
@@ -209,11 +239,12 @@ def _unfolded(program, args):
 
 # --- subcommand handlers -------------------------------------------------------------
 #
-# Each handler returns (exit code, JSON body, text form); run() picks the form.
-# A text form of None makes the answer JSON-only.  A solving command checks its
-# options first, then reads its query, then parses the program and checks the
-# query against its calendar, and only then grounds and unfolds it: a bad
-# option or query costs no grounding.
+# Each handler returns (exit code, JSON body, text form).  The text form is a
+# function of no arguments, which run() calls only when --json is absent, or
+# None for a JSON-only answer.  A solving command checks its options first,
+# then reads its query, then parses the program and checks the query against
+# its calendar, and only then grounds and unfolds it: a bad option or query
+# costs no grounding.
 
 
 def _diagnostics_json(diags) -> list[dict]:
@@ -230,12 +261,12 @@ def _cmd_validate(args):
         "warnings": _diagnostics_json(warnings),
     }
     verdict = "ok" if not errors else f"{len(errors)} error(s)"
-    return 0 if not errors else 2, body, f"{verdict} ({len(warnings)} warning(s))"
+    return 0 if not errors else 2, body, lambda: f"{verdict} ({len(warnings)} warning(s))"
 
 
 def _program_answer(program):
     text = render_program(program)
-    return 0, {"program": text}, text.rstrip("\n")
+    return 0, {"program": text}, lambda: text.rstrip("\n")
 
 
 def _cmd_ground(args):
@@ -252,14 +283,17 @@ def _cmd_unfold(args):
 def _cmd_consistent(args):
     opts = _options(args)
     outcome = check_consistency(_unfolded(_load_program(args.file), args), opts)
-    witness = _witness_json(outcome.witness) if outcome.witness else None
+    witness = _Witness(outcome.witness) if outcome.witness else None
     body = {
         "verdict": outcome.verdict.value,
         "branch_count": outcome.branch_count,
         "eps": _rat(opts.epsilon),
         "witness": witness,
     }
-    text = "\n".join([outcome.verdict.value, *_witness_lines(witness or [])])
+
+    def text():
+        return "\n".join([outcome.verdict.value, *(witness.lines() if witness else ())])
+
     return 0 if outcome.verdict is Verdict.CONSISTENT else 1, body, text
 
 
@@ -292,10 +326,14 @@ def _cmd_entail(args):
             for v in outcome.per_time
         ],
     }
-    lines = [verdict]
-    for v in outcome.per_time:
-        lines.append(f"  t={v.time}: tightened {v.bounds} target {v.target} -> {v.holds}")
-    return 0 if outcome.entailed else 1, body, "\n".join(lines)
+
+    def text():
+        lines = [verdict]
+        for v in outcome.per_time:
+            lines.append(f"  t={v.time}: tightened {v.bounds} target {v.target} -> {v.holds}")
+        return "\n".join(lines)
+
+    return 0 if outcome.entailed else 1, body, text
 
 
 def _cmd_tighten(args):
@@ -315,13 +353,13 @@ def _cmd_tighten(args):
         "eps": _rat(opts.epsilon),
         "boundary_sensitive": outcome.boundary_sensitive,
     }
-    return 0, body, "\n".join(f"{k}: {iv}" for k, iv in intervals.items())
+    return 0, body, lambda: "\n".join(f"{k}: {iv}" for k, iv in intervals.items())
 
 
 def _cmd_maxent(args):
     opts = _options(args)
     outcome = max_entropy_model(_unfolded(_load_program(args.file), args), opts)
-    witness = _witness_json(outcome.distribution)
+    witness = _Witness(outcome.distribution)
     body = {
         "verdict": "OK",
         "entropy": outcome.entropy,
@@ -329,7 +367,10 @@ def _cmd_maxent(args):
         "eps": _rat(opts.epsilon),
         "witness": witness,
     }
-    text = "\n".join([f"entropy {outcome.entropy:.6f} nats", *_witness_lines(witness)])
+
+    def text():
+        return "\n".join([f"entropy {outcome.entropy:.6f} nats", *witness.lines()])
+
     return 0, body, text
 
 
@@ -405,10 +446,10 @@ def _cmd_evolve(args):
 def _cmd_ialg(args):
     result = eval_interval_expr(args.expr)
     if isinstance(result, bool):
-        return 0, {"value": result}, str(result).lower()
+        return 0, {"value": result}, lambda: str(result).lower()
     consistent = is_consistent(result)
     body = {"interval": _interval_json(result), "consistent": consistent}
-    return 0, body, f"{result}{'' if consistent else ' (inconsistent)'}"
+    return 0, body, lambda: f"{result}{'' if consistent else ' (inconsistent)'}"
 
 
 # --- argument wiring -----------------------------------------------------------------
@@ -494,14 +535,14 @@ def run(argv) -> CommandResult:
     try:
         code, body, text = args.handler(args)
     except InconsistentProgram:
-        code, body, text = 1, {"verdict": "INCONSISTENT_PROGRAM"}, "INCONSISTENT_PROGRAM"
+        code, body, text = 1, {"verdict": "INCONSISTENT_PROGRAM"}, lambda: "INCONSISTENT_PROGRAM"
     except TplpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(exc.exit_code, "")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult(2, "")
-    return CommandResult(code, _dump(body) if args.json or text is None else text)
+    return CommandResult(code, _dump(body) if args.json or text is None else text())
 
 
 def main():

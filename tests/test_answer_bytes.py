@@ -2,12 +2,13 @@
 
 tests/golden/cli.json holds maxent only for the small fixtures, and leaves out
 its entropy.  These pins fix, by SHA-256 and length, every byte of the
-1,024-world maximum-entropy model of shipping.tpl (as JSON and as text,
-entropy included), of shipping's full-grounding consistency witness and of
-the witness of a 20-constant shipping-style program at full grounding (2,464
-clauses over 2,820 atoms), so the JSON writer, the atom table that names the
-witness worlds, the integer-built distributions and the entropy ascent are all
-held to the output they gave before.
+1,024-world maximum-entropy model of shipping.tpl, of shipping's
+full-grounding consistency witness and of the witness of a 20-constant
+shipping-style program at full grounding (2,464 clauses over 2,820 atoms),
+each as JSON and as text (the maxent model's entropy included), so the JSON
+writer, the text form, the atom table that names the witness worlds, the
+integer-built distributions and the entropy ascent are all held to the output
+they gave before.
 """
 
 import hashlib
@@ -29,6 +30,10 @@ PINS = {
     ("consistent", "shipping.tpl", "--max-world-atoms", "200", "--json"): (
         9043,
         "24e1939c45b18cb0cf8cb9f929bbf3d7cf48542ae65db4f340c881e97b1c7874",
+    ),
+    ("consistent", "shipping.tpl", "--max-world-atoms", "200"): (
+        6103,
+        "fec7815095d017cb830bfaa9e5a853b0a92175e56a995c73be528e1411068266",
     ),
 }
 
@@ -57,13 +62,25 @@ WIDE20 = "\n".join([
 ]) + "\n"
 
 
-def test_wide_witness_bytes(tmp_path, capsys):
+def wide_witness(tmp_path, capsys, *options) -> tuple[int, str]:
+    """Length and SHA-256 of WIDE20's consistency witness under `options`."""
     path = tmp_path / "wide20.tpl"
     path.write_text(WIDE20)
-    result = run(["consistent", str(path), "--json", "--max-world-atoms", "100000"])
+    result = run(["consistent", str(path), *options, "--max-world-atoms", "100000"])
     payload = result.payload.encode()
     assert (result.exit_code, capsys.readouterr().err) == (0, "")
-    assert (len(payload), hashlib.sha256(payload).hexdigest()) == (
+    return len(payload), hashlib.sha256(payload).hexdigest()
+
+
+def test_wide_witness_bytes(tmp_path, capsys):
+    assert wide_witness(tmp_path, capsys, "--json") == (
         227050,
         "d7d462393f39bbb63fd4ad526e76c0f532e2b73df7cc400e6e87ab6f74c7aa12",
+    )
+
+
+def test_wide_witness_text_bytes(tmp_path, capsys):
+    assert wide_witness(tmp_path, capsys) == (
+        148360,
+        "f024639c217726a89dfd4cbcdcb60b2b794f0a4338099099ac88698071100b87",
     )

@@ -16,7 +16,10 @@ import tplp.model
 import tplp.psat
 from tplp import errors
 from tplp.cli import run
+from tplp.grounder import HerbrandBase
+from tplp.model import TAtom
 from tplp.parser import parse_program, render_program
+from tplp.worlds import WorldDistribution
 
 
 def invoke(*argv):
@@ -1118,6 +1121,56 @@ class TestJsonWriter:
             tplp.cli._dump({"a": [1, {2}]})
 
 
+def _witness_base(n: int) -> HerbrandBase:
+    """n atoms whose names json escapes (a quote, a non-ASCII letter)."""
+    return HerbrandBase(TAtom(("a", 'q"', "b\u00e9")[i % 3], (f"c{i}",), i % 4) for i in range(n))
+
+
+@st.composite
+def _witness_distributions(draw) -> WorldDistribution:
+    """Distributions over bases of 0-20 atoms, so that worlds cross the byte
+    boundaries of the writer's bit expansion (8/9 and 16/17 atoms), with the
+    empty world among the draws and masses that worlds share."""
+    n = draw(st.integers(0, 20))
+    masks = draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        masks.add(0)
+    weights = {m: draw(st.integers(1, 3)) for m in sorted(masks)}
+    return WorldDistribution(_witness_base(n), weights, denominator=sum(weights.values()))
+
+
+def _reference_witness(dist: WorldDistribution) -> list[dict]:
+    """The witness payload as a list of {"world": [...], "p": "n/d"} per world
+    of the support, by ascending mask."""
+    return [
+        {"world": [str(a) for a in w.atoms()], "p": f"{p.numerator}/{p.denominator}"}
+        for w, p in dist.items()
+    ]
+
+
+class TestWitnessWriter:
+    """A witness is written from the distribution's masks in one pass: the
+    same bytes as json.dumps of the list of world objects, at top level and
+    nested in a payload, and the same text lines."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_witness_distributions())
+    @example(
+        WorldDistribution(_witness_base(17), {0: 1, 1 << 16: 1, (1 << 17) - 1: 2}, denominator=4)
+    )
+    @example(WorldDistribution(_witness_base(0), {0: 1}, denominator=1))
+    def test_same_as_reference(self, dist):
+        reference = _reference_witness(dist)
+        witness = tplp.cli._Witness(dist)
+        assert tplp.cli._dump(witness) == json.dumps(reference, sort_keys=True, indent=2)
+        nested = {"verdict": "OK", "witness": witness}
+        expected = json.dumps({"verdict": "OK", "witness": reference}, sort_keys=True, indent=2)
+        assert tplp.cli._dump(nested) == expected
+        assert witness.lines() == [
+            "  {" + ", ".join(e["world"]) + "}: " + e["p"] for e in reference
+        ]
+
+
 class TestReadme:
     def test_json_example_is_the_payload(self, fixtures):
         readme = (fixtures.parent / "README.md").read_text()
@@ -1132,6 +1185,15 @@ class TestReadme:
             "--json",
         )
         assert (res.exit_code, res.payload + "\n") == (0, block)
+
+    def test_witness_examples_are_the_payloads(self, fixtures):
+        readme = (fixtures.parent / "README.md").read_text()
+        section = readme.split("\n## JSON output\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```json\n")[2].split("```", 1)[0]
+        text = section.split("```text\n", 1)[1].split("```", 1)[0]
+        program = str(fixtures / "p0.tpl")
+        assert (invoke("consistent", program, "--json").payload + "\n") == block
+        assert (invoke("consistent", program).payload + "\n") == text
 
     def test_library_example_runs(self, fixtures, monkeypatch, capsys):
         readme = (fixtures.parent / "README.md").read_text()
