@@ -359,17 +359,15 @@ def _wrap(c: TemporalConstraint) -> str:
 def constraint_principal(c: TemporalConstraint) -> TVar:
     """The single variable appearing on the left of every leaf."""
     leaves = set()
-
-    def walk(node):
+    stack = [c]
+    while stack:
+        node = stack.pop()
         if isinstance(node, (Cmp, TimeRange)):
             leaves.add(node.var)
         elif isinstance(node, CNot):
-            walk(node.child)
+            stack.append(node.child)
         else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(c)
+            stack += (node.left, node.right)
     if len(leaves) != 1:
         raise ValueError(f"constraint must bind exactly one principal variable, got {sorted(v.name for v in leaves)}")
     return next(iter(leaves))
@@ -415,23 +413,24 @@ def solve_constraint(c: TemporalConstraint, cal: Calendar) -> list[TimePoint]:
             f"ground them first"
         )
     universe = cal.points
-
-    def sols(node) -> set[int]:
-        if isinstance(node, Cmp):
-            bound = eval_texpr(node.rhs)
-            op = _OPS[node.op]
-            return {t for t in universe if op(t, bound)}
-        if isinstance(node, TimeRange):
-            lo, hi = eval_texpr(node.lo), eval_texpr(node.hi)
-            return {t for t in universe if lo <= t <= hi}
-        if isinstance(node, CNot):
-            return set(universe) - sols(node.child)
-        if isinstance(node, CAnd):
-            return sols(node.left) & sols(node.right)
-        return sols(node.left) | sols(node.right)
-
-    solution = sols(c)
+    solution = _solutions(c, universe)
     return [t for t in universe if t in solution]
+
+
+def _solutions(node: TemporalConstraint, universe: tuple[TimePoint, ...]) -> set[int]:
+    """The points of universe that satisfy a normal constraint."""
+    if isinstance(node, Cmp):
+        bound = eval_texpr(node.rhs)
+        op = _OPS[node.op]
+        return {t for t in universe if op(t, bound)}
+    if isinstance(node, TimeRange):
+        lo, hi = eval_texpr(node.lo), eval_texpr(node.hi)
+        return {t for t in universe if lo <= t <= hi}
+    if isinstance(node, CNot):
+        return set(universe) - _solutions(node.child, universe)
+    if isinstance(node, CAnd):
+        return _solutions(node.left, universe) & _solutions(node.right, universe)
+    return _solutions(node.left, universe) | _solutions(node.right, universe)
 
 
 # --- weight functions and annotations -------------------------------------------

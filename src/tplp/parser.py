@@ -68,7 +68,6 @@ from .model import (
     arity_errors,
     companion_vars,
     constraint_principal,
-    occurring_constants,
 )
 
 # --- lexer ----------------------------------------------------------------------
@@ -815,29 +814,51 @@ def eval_interval_expr(text: str):
     to the next "," or "]", read as NUM.  Returns a ProbInterval or a bool; a
     malformed expression raises ValueError.
     """
-    cur = _Cursor(text)
-    bounds: list[tuple[int, int]] = []  # source ranges read as NUM
+    reader = _IntervalExprReader(text)
+    cur = reader.cur
+    try:
+        result = reader.expr()
+        cur.expect("EOF", "end of input")
+    except _Unexpected as exc:
+        raise ValueError(f"{exc.message} at offset {exc.span.start}") from None
+    for d in cur.diags:
+        if not any(start <= d.span.start < end for start, end in reader.bounds):
+            raise ValueError(f"{d.message} at offset {d.span.start}")
+    return result
 
-    def bound(after: Token) -> Fraction:
+
+class _IntervalExprReader:
+    """The recursive descent of eval_interval_expr.  A class, not nested
+    functions: a function nested in its caller that calls itself holds its
+    own closure cell, a cycle that only the garbage collector frees."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.cur = _Cursor(text)
+        self.bounds: list[tuple[int, int]] = []  # source ranges read as NUM
+
+    def bound(self, after: Token) -> Fraction:
+        cur = self.cur
         while cur.peek().type not in ("COMMA", "RBRACK", "EOF"):
             cur.advance()
         start, end = after.end, cur.peek().start
-        bounds.append((start, end))
-        return parse_rational(text[start:end])
+        self.bounds.append((start, end))
+        return parse_rational(self.text[start:end])
 
-    def expr(depth=1):
+    def expr(self, depth=1):
+        cur = self.cur
         if bracket := cur.accept("LBRACK"):
-            lo = bound(bracket)
-            hi = bound(cur.expect("COMMA", "','"))
+            lo = self.bound(bracket)
+            hi = self.bound(cur.expect("COMMA", "','"))
             cur.expect("RBRACK", "']'")
             return ProbInterval(lo, hi)
         name = cur.expect("IDENT", "an interval or operator").text
         paren = cur.expect("LPAREN", "'('")
         if depth > MAX_NESTING:
             raise _Unexpected(f"expression {_TOO_DEEP}", cur.span(paren))
-        args = [expr(depth + 1)]
+        args = [self.expr(depth + 1)]
         while cur.accept("COMMA"):
-            args.append(expr(depth + 1))
+            args.append(self.expr(depth + 1))
         cur.expect("RPAREN", "')'")
         if name not in OPERATORS:
             raise ValueError(f"unknown operator {name!r}")
@@ -848,16 +869,6 @@ def eval_interval_expr(text: str):
         if not all(isinstance(a, ProbInterval) for a in args):
             raise ValueError(f"{name} expects interval arguments")
         return fn(*args)
-
-    try:
-        result = expr()
-        cur.expect("EOF", "end of input")
-    except _Unexpected as exc:
-        raise ValueError(f"{exc.message} at offset {exc.span.start}") from None
-    for d in cur.diags:
-        if not any(start <= d.span.start < end for start, end in bounds):
-            raise ValueError(f"{d.message} at offset {d.span.start}")
-    return result
 
 
 # --- rendering --------------------------------------------------------------------
@@ -873,9 +884,16 @@ def render_program(p: PTProgram) -> str:
         # the grammar's time points are unsigned
         raise ValueError("only calendars starting at 0 or later have a textual form")
     lines = [f"calendar {p.calendar.first}..{p.calendar.last}."]
-    extra = sorted(p.constants - occurring_constants(p.clauses))
-    if extra:
-        lines.append(f"constants {', '.join(extra)}.")
+    # The constants no clause mentions.  Every constant a clause mentions is
+    # one of p.constants, so the scan stops once each has been seen.
+    unused = set(p.constants)
+    for cl in p.clauses:
+        if not unused:
+            break
+        for a in (cl.head, *(atom for f, _ in cl.body for atom in f.atoms)):
+            unused.difference_update(a.args)
+    if unused:
+        lines.append(f"constants {', '.join(sorted(unused))}.")
     # Keyed by identity, which p keeps stable for the call: hashing an
     # annotation by value costs about as much as rendering it.
     texts: dict[int, str] = {}

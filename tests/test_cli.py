@@ -1,3 +1,5 @@
+import collections
+import gc
 import hashlib
 import json
 import subprocess
@@ -14,6 +16,7 @@ import tplp.cli
 import tplp.grounder
 import tplp.model
 import tplp.psat
+from conftest import FIXTURE_PROGRAMS, golden_file
 from tplp import errors
 from tplp.cli import run
 from tplp.grounder import HerbrandBase
@@ -1606,3 +1609,151 @@ class TestInstantDiagnostics:
             "the annotated formula is vacuous\n"
             "warning: the query constraint has an empty solution set\n"
         )
+
+
+def cyclic_garbage() -> collections.Counter:
+    """Type name -> count of the unreachable objects that only the cyclic
+    garbage collector frees, which it then frees."""
+    debug = gc.get_debug()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        found = collections.Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    gc.collect()
+    return found
+
+
+class _Stop(BaseException):
+    """Escapes run() the way a signal handler's exception would."""
+
+
+# Every fixture program and query under every command that reads it
+_EVOLVE = ("evolve", "evolution_skeleton.tpl", "evolution_profile.csv")
+_ANSWERS = [
+    *(
+        (command, name, *json)
+        for name in FIXTURE_PROGRAMS
+        for command in ("validate", "ground", "unfold", "consistent", "maxent")
+        for json in ((), ("--json",))
+    ),
+    ("tighten", "p0.tpl", "p0_tighten_all.tpq"),
+    *(
+        (command, "shipping.tpl", query, *grounding)
+        for command, query in (
+            ("tighten", "arrival_tighten.tpq"),
+            ("entail", "arrival_entail.tpq"),
+            ("entail", "arrival_entail_tight.tpq"),
+        )
+        for grounding in ((), ("--grounding", "relevant"))
+    ),
+    _EVOLVE,
+    *(_EVOLVE + ("--verify", mode) for mode in ("literal", "conditional")),
+]
+_IALG = [
+    "join_k([0,0.3],[0.7,1])",
+    "leq_b([0,0],[1,1])",
+    # errors: an arity, a truncated expression, a malformed bound, an unknown name
+    "meet_k([0.1,0.2])",
+    "[0.1,",
+    "[1/2/3,1]",
+    "what(1,2)",
+]
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic garbage collector for one command and leaves it
+    as it found it; no answer leaves garbage that only the collector frees."""
+
+    @pytest.fixture(autouse=True)
+    def restore(self):
+        # The first run() in a process builds the argument parser, and argparse
+        # leaves a HelpFormatter cycle for each argument it adds: build it here.
+        run(["ialg", "[0,1]"])
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_paused_inside_the_handler(self, fixtures, monkeypatch):
+        seen, check = [], tplp.cli.check_consistency
+
+        def probe(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(tplp.cli, "check_consistency", probe)
+        gc.enable()
+        assert invoke("consistent", str(fixtures / "p0.tpl")).exit_code == 0
+        assert seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("consistent", "p0.tpl"), 0),
+            # shipping's full grounding is over the default world-atom cap
+            (("consistent", "shipping.tpl"), 3),
+            # argparse's usage error leaves a 6-object HelpFormatter/_Section
+            # cycle, inside the standard library: only the state is checked
+            (("bogus",), 2),
+        ],
+        ids=["answer", "base-too-large", "usage-error"],
+    )
+    def test_state_restored(self, fixtures, enabled, argv, code):
+        (gc.enable if enabled else gc.disable)()
+        command, *rest = argv
+        assert invoke(command, *(str(fixtures / a) for a in rest)).exit_code == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored_when_a_base_exception_escapes(self, fixtures, monkeypatch, enabled):
+        def stop(*args, **kwargs):
+            raise _Stop
+
+        monkeypatch.setattr(tplp.cli, "check_consistency", stop)
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(_Stop):
+            invoke("consistent", str(fixtures / "p0.tpl"))
+        assert gc.isenabled() is enabled
+
+    def assert_acyclic(self, *argv):
+        cyclic_garbage()
+        res = invoke(*argv)
+        assert cyclic_garbage() == {}, argv
+        return res
+
+    @pytest.mark.parametrize("argv", _ANSWERS, ids=" ".join)
+    def test_answers_leave_no_cyclic_garbage(self, fixtures, capsys, argv):
+        command, *rest = argv
+        res = self.assert_acyclic(command, *(str(fixtures / a) if "." in a else a for a in rest))
+        assert res.exit_code != 2, capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr", _IALG)
+    def test_ialg_leaves_no_cyclic_garbage(self, expr):
+        self.assert_acyclic("ialg", expr)
+
+    def test_wide_program_leaves_no_cyclic_garbage(self, tmp_path):
+        program = tmp_path / "shipping8.tpl"
+        program.write_text(golden_file("shipping8.tpl"))
+        for command in ("validate", "ground", "unfold"):
+            assert self.assert_acyclic(command, str(program)).exit_code == 0
+        res = self.assert_acyclic("consistent", str(program), "--max-world-atoms", "100000")
+        assert res.exit_code == 0
+
+    def test_verdicts_and_caps_leave_no_cyclic_garbage(self, fixtures):
+        res = self.assert_acyclic("consistent", str(fixtures / "boundary.tpl"))
+        assert (res.exit_code, res.payload) == (1, "UNKNOWN_EPS")
+        assert self.assert_acyclic("consistent", str(fixtures / "shipping.tpl")).exit_code == 3
+
+    def test_input_errors_leave_no_cyclic_garbage(self, fixtures, tmp_path):
+        latin = tmp_path / "latin.tpl"
+        latin.write_bytes(b"calendar 1..1.\n% \xff\n")
+        for argv in (
+            ("validate", str(tmp_path / "missing.tpl")),
+            ("validate", str(latin)),
+            ("consistent", str(fixtures / "p0.tpl"), "--epsilon", "abc"),
+            ("consistent", str(fixtures / "p0.tpl"), "--epsilon", "0"),
+        ):
+            assert self.assert_acyclic(*argv).exit_code == 2

@@ -167,6 +167,54 @@ class TestGroundProgram:
         assert scans == []
 
 
+class TestRenderedConstants:
+    """render_program's "constants" line names each constant of the program
+    that no clause mentions, sorted, and only those."""
+
+    @staticmethod
+    def constants_line(p):
+        extra = sorted(p.constants - tplp.model.occurring_constants(p.clauses))
+        return f"constants {', '.join(extra)}." if extra else None
+
+    @staticmethod
+    def rendered_line(text):
+        return next((line for line in text.splitlines() if line.startswith("constants ")), None)
+
+    def test_declared_constants_no_clause_mentions(self):
+        p = parse_program("calendar 1..2.\nconstants b, c, a.\nr(c)@Y : <Y=1, #, #>.\n").program
+        text = render_program(p)
+        assert text.splitlines()[1] == "constants a, b."
+        assert parse_program(text).program == p
+
+    def test_relevant_grounding_drops_every_instance_of_a_constant(self, tmp_path):
+        text = "calendar 1..1.\nr@Y : <Y=1, #, #>.\np(X)@Y : <Y=1, #, #> :- q(X,k)@Y1 : <Y1=1, #, #>.\n"
+        p = parse_program(text).program
+        # no clause has head q, so RELEVANT keeps no instance of p(X), the
+        # only clause that mentions k
+        relevant = ground_program(p, GroundingMode.RELEVANT)
+        assert render_program(relevant) == "calendar 1..1.\nconstants k.\nr@Y : <Y = 1, #, #>.\n"
+        assert "constants" not in render_program(ground_program(p, GroundingMode.FULL))
+        path = tmp_path / "p.tpl"
+        path.write_text(text)
+        res = tplp.cli.run(["ground", str(path), "--grounding", "relevant"])
+        assert (res.exit_code, res.payload + "\n") == (0, render_program(relevant))
+
+    @pytest.mark.parametrize("name", FIXTURE_PROGRAMS)
+    def test_fixtures_and_their_groundings(self, name):
+        p = load_program(name)
+        for q in (p, *(ground_program(p, mode) for mode in GroundingMode)):
+            assert self.rendered_line(render_program(q)) == self.constants_line(q)
+
+    def test_wide_program_with_unused_constants(self):
+        p = parse_program(golden_file("shipping8.tpl") + "constants z, unused.\n").program
+        # FULL grounding instantiates Item and Place over every constant
+        full = ground_program(p, GroundingMode.FULL)
+        assert self.rendered_line(render_program(full)) is self.constants_line(full) is None
+        for q in (p, ground_program(p, GroundingMode.RELEVANT)):
+            assert self.rendered_line(render_program(q)) == "constants unused, z."
+            assert self.constants_line(q) == "constants unused, z."
+
+
 class TestUnfold:
     def test_one_instant_per_annotation(self, monkeypatch):
         # every ground instance of a clause carries its source annotations, so
