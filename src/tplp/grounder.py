@@ -362,8 +362,17 @@ def unfold(
             for f, window in bodies
             for tj, iv in window
         )
-        for ti, iv in heads:
-            clauses.append(PClause(intern(cl.head, env, ti), iv, body))
+        head = cl.head
+        if isinstance(head.time, TVar):  # its arguments are ground once, not once per point
+            stem = (head.predicate, _ground_args(head, env))
+            for ti, iv in heads:
+                atom = table.get(key := (*stem, ti))
+                if atom is None:
+                    atom = table[key] = TAtom(*key, head.span)
+                clauses.append(PClause(atom, iv, body))
+        else:
+            atom = intern(head, env, None)
+            clauses.extend(PClause(atom, iv, body) for _, iv in heads)
     idents = list(table)
     if any(not isinstance(x, str) for _, args, _ in idents for x in args):
         return PProgram(tuple(clauses))  # an object variable is left: no base

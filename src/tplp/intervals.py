@@ -9,13 +9,15 @@ job.  ``is_consistent`` is the advisory predicate.
 ``parse_rational`` reads NUM, the one numeric literal of programs, queries,
 flags, CSV profiles and ``ialg``, and ``parse_int`` reads INT, the one integer
 literal; ``OPERATORS`` names the operations that ``ialg`` expressions
-(``parser.eval_interval_expr``) may call.
+(``parser.eval_interval_expr``) may call.  ``frozen_slots`` completes the
+value classes built once per ground atom or time point, ``ProbInterval`` here
+and the atoms, formulas, clauses and annotations of ``model``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -74,7 +76,32 @@ def format_rational(q: Fraction) -> str:
     return f"{sign}{text[:-9]}.{text[-9:]}".rstrip("0")
 
 
-@dataclass(frozen=True)
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_slots(cls) -> tuple:
+    """Complete cls, a class declared @dataclass(frozen=True, slots=True,
+    init=False), and return the __set__ of each field's slot descriptor, in
+    field order.
+
+    cls's own __init__ stores each field through its setter, which writes
+    the slot directly.  The __init__ a frozen dataclass generates sets each
+    field through object.__setattr__ instead, which made a TAtom take 0.81
+    against 0.47 us (CPython 3.11).  cls refuses every attribute assignment
+    and deletion with FrozenInstanceError, as a frozen dataclass without
+    slots does: the guards the decorator generates name the class it had
+    before slots were added, so adding an attribute would raise TypeError."""
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ProbInterval:
     """A closed interval with both endpoints in [0, 1].
 
@@ -84,11 +111,13 @@ class ProbInterval:
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        lo = self.lo if type(self.lo) is Fraction else Fraction(self.lo)
-        hi = self.hi if type(self.hi) is Fraction else Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+        _set_lo(self, lo)
+        _set_hi(self, hi)
         # each in [0, 1], compared on integers
         if not (0 <= lo.numerator <= lo.denominator and 0 <= hi.numerator <= hi.denominator):
             raise ValueError(f"interval endpoints must lie in [0,1]: [{lo}, {hi}]")
@@ -108,6 +137,7 @@ class ProbInterval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
+_set_lo, _set_hi = frozen_slots(ProbInterval)
 FULL = ProbInterval(ZERO, ONE)
 
 

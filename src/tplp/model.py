@@ -9,6 +9,20 @@ TPAnnotation.of_instant writes a contiguous window back as an annotation.
 Every value here is immutable after construction, so programs can be shared
 freely across solver tasks.  Source spans ride along on AST nodes but are
 excluded from equality, which keeps round-trip comparisons structural.
+
+Each class is a frozen dataclass, which refuses assignment and deletion.  The
+classes built once per ground atom, formula, clause or annotation (TAtom,
+BasicFormula, TPClause, TPAnnotation, WeightFunction, and ProbInterval in
+intervals) have slots as well, and an __init__ of their own that stores each
+field through its slot's setter (intervals.frozen_slots) and runs the checks
+a __post_init__ would: a frozen dataclass's generated __init__ sets each field
+through object.__setattr__, about twice as slow per object.  They stay
+dataclasses, so dataclasses.fields, replace and the generated repr, eq and
+hash keep working on them.  SourceSpan (diagnostics) is a plain slotted class
+with read-only properties, faster to build still; the constraint and temporal
+term nodes keep the plain frozen form, since the parser's depth check reads
+them through vars() and they are built per annotation, not per ground atom;
+CAtom is built for skeletons only.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from typing import Union
 
 from .diagnostics import Diagnostic, DiagnosticKind, SourceSpan, error, warning
 from .errors import CalendarTooLarge, GroundingTooLarge, NonNormalConstraint
-from .intervals import ONE, ProbInterval, format_rational
+from .intervals import ONE, ProbInterval, format_rational, frozen_slots
 
 TimePoint = int
 
@@ -102,7 +116,7 @@ ObjTerm = Union[str, ObjVar]
 TimeTerm = Union[int, TVar]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TAtom:
     """Atom with one dedicated temporal position."""
 
@@ -110,6 +124,18 @@ class TAtom:
     args: tuple[ObjTerm, ...]
     time: TimeTerm
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
+
+    def __init__(
+        self,
+        predicate: str,
+        args: tuple[ObjTerm, ...],
+        time: TimeTerm,
+        span: SourceSpan | None = None,
+    ):
+        _set_atom_predicate(self, predicate)
+        _set_atom_args(self, args)
+        _set_atom_time(self, time)
+        _set_atom_span(self, span)
 
     @property
     def is_ground(self) -> bool:
@@ -132,6 +158,9 @@ class TAtom:
     def __str__(self):
         args = f"({','.join(map(str, self.args))})" if self.args else ""
         return f"{self.predicate}{args}@{self.time}"
+
+
+_set_atom_predicate, _set_atom_args, _set_atom_time, _set_atom_span = frozen_slots(TAtom)
 
 
 @dataclass(frozen=True)
@@ -171,7 +200,7 @@ class Connective(Enum):
     OR = "or"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BasicFormula:
     """Homogeneous conjunction or disjunction of t-atoms (or one atom); a
     skeleton formula has timeless atoms instead."""
@@ -180,11 +209,19 @@ class BasicFormula:
     atoms: tuple[TAtom | CAtom, ...]
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(
+        self,
+        connective: Connective,
+        atoms: tuple[TAtom | CAtom, ...],
+        span: SourceSpan | None = None,
+    ):
+        if not atoms:
             raise ValueError("a basic formula needs at least one atom")
-        if (len(self.atoms) == 1) != (self.connective is Connective.SINGLE):
+        if (len(atoms) == 1) != (connective is Connective.SINGLE):
             raise ValueError("SINGLE is for exactly one atom; AND/OR need two or more")
+        _set_formula_connective(self, connective)
+        _set_formula_atoms(self, atoms)
+        _set_formula_span(self, span)
 
     @classmethod
     def of(cls, connective: Connective, atoms, span=None) -> "BasicFormula":
@@ -210,6 +247,9 @@ class BasicFormula:
             return str(self.atoms[0])
         sep = f" {self.connective.value} "
         return sep.join(str(a) for a in self.atoms)
+
+
+_set_formula_connective, _set_formula_atoms, _set_formula_span = frozen_slots(BasicFormula)
 
 
 # --- temporal arithmetic terms -------------------------------------------------
@@ -442,7 +482,7 @@ class WeightKind(Enum):
     UNIFORM = "uniform"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WeightFunction:
     """Per-time-point weights over a constraint's solution set.
 
@@ -454,14 +494,18 @@ class WeightFunction:
     values: tuple[Fraction, ...] = ()
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if self.kind is not WeightKind.LIST and vals:
-            raise ValueError(f"{self.kind.value} weight functions carry no value list")
+    def __init__(
+        self, kind: WeightKind, values: tuple[Fraction, ...] = (), span: SourceSpan | None = None
+    ):
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        if kind is not WeightKind.LIST and vals:
+            raise ValueError(f"{kind.value} weight functions carry no value list")
         for v in vals:
             if not 0 <= v.numerator <= v.denominator:  # in [0, 1], on integers
                 raise ValueError(f"weight {v} outside [0,1]")
+        _set_weights_kind(self, kind)
+        _set_weights_values(self, vals)
+        _set_weights_span(self, span)
 
     @classmethod
     def sharp(cls) -> "WeightFunction":
@@ -491,7 +535,10 @@ class WeightFunction:
         return "[" + ",".join(format_rational(v) for v in self.values) + "]"
 
 
-@dataclass(frozen=True)
+_set_weights_kind, _set_weights_values, _set_weights_span = frozen_slots(WeightFunction)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class TPAnnotation:
     """An indeterminate instant: a constraint's solution points, each carrying
     the interval [lower(t), upper(t)] of the two weight functions."""
@@ -502,6 +549,19 @@ class TPAnnotation:
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
     # calendar -> instant, for this object's life; see instant
     _instants: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __init__(
+        self,
+        constraint: TemporalConstraint,
+        lower: WeightFunction,
+        upper: WeightFunction,
+        span: SourceSpan | None = None,
+    ):
+        _set_annot_constraint(self, constraint)
+        _set_annot_lower(self, lower)
+        _set_annot_upper(self, upper)
+        _set_annot_span(self, span)
+        _set_annot_instants(self, {})
 
     def instant(self, cal: Calendar) -> list[tuple[TimePoint, ProbInterval]]:
         """Each solution point, in time order, with its interval.  An empty
@@ -536,6 +596,15 @@ class TPAnnotation:
             constraint = TimeRange(y, TConst(times[0]), TConst(times[-1]))
         lower = WeightFunction.list_of(iv.lo for iv in ivs)
         return cls(constraint, lower, WeightFunction.list_of(iv.hi for iv in ivs))
+
+
+(
+    _set_annot_constraint,
+    _set_annot_lower,
+    _set_annot_upper,
+    _set_annot_span,
+    _set_annot_instants,
+) = frozen_slots(TPAnnotation)
 
 
 def substitute_annotation(a: TPAnnotation, env: dict[str, int]) -> TPAnnotation:
@@ -639,12 +708,24 @@ def substitute_time(f: BasicFormula, t: TimePoint) -> BasicFormula:
 # --- clauses and programs --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TPClause:
     head: TAtom
     head_annot: TPAnnotation
     body: tuple[tuple[BasicFormula, TPAnnotation], ...] = ()
     span: SourceSpan | None = field(default=None, compare=False, repr=False)
+
+    def __init__(
+        self,
+        head: TAtom,
+        head_annot: TPAnnotation,
+        body: tuple[tuple[BasicFormula, TPAnnotation], ...] = (),
+        span: SourceSpan | None = None,
+    ):
+        _set_clause_head(self, head)
+        _set_clause_head_annot(self, head_annot)
+        _set_clause_body(self, body)
+        _set_clause_span(self, span)
 
     @property
     def object_vars(self) -> frozenset[str]:
@@ -664,6 +745,11 @@ class TPClause:
     @property
     def is_fact(self) -> bool:
         return not self.body
+
+
+_set_clause_head, _set_clause_head_annot, _set_clause_body, _set_clause_span = frozen_slots(
+    TPClause
+)
 
 
 @dataclass(frozen=True)

@@ -335,38 +335,40 @@ class _Engine:
         # Canonical formula registry, fids in order of first registration: a
         # formula over one atom by its base index, any other by (connective,
         # atom index set).
-        self._formula_atoms: list[tuple[Connective, frozenset[int]]] = []
+        formula_atoms: list[tuple[Connective, frozenset[int]]] = []
+        self._formula_atoms = formula_atoms
         singles: dict[int, int] = {}
         multis: dict[tuple, int] = {}
-
-        def register_single(a: int) -> int:
-            fid = singles.get(a)
-            if fid is None:
-                fid = singles[a] = len(self._formula_atoms)
-                self._formula_atoms.append((Connective.SINGLE, frozenset((a,))))
-            return fid
 
         def register(connective: Connective, atoms: list[int]) -> int:
             idxs = frozenset(atoms)
             if len(idxs) == 1:
-                return register_single(atoms[0])
+                fid = singles.get(atoms[0])
+                if fid is None:
+                    fid = singles[atoms[0]] = len(formula_atoms)
+                    formula_atoms.append((Connective.SINGLE, idxs))
+                return fid
             fid = multis.get((connective, idxs))
             if fid is None:
-                fid = multis[connective, idxs] = len(self._formula_atoms)
-                self._formula_atoms.append((connective, idxs))
+                fid = multis[connective, idxs] = len(formula_atoms)
+                formula_atoms.append((connective, idxs))
             return fid
 
         # A clause unfolded at several head points shares one body tuple, and
         # its clauses here share one body list, registered once; so do their
         # intervals, each a distinct interval object of the program.  Atoms
         # are named by their base indices, looked up by identity (indices).
+        # A head is a formula over one atom, registered inline.
         self.clauses: list[tuple[int, ProbInterval, list[tuple[int, ProbInterval]]]] = []
         bodies: dict[int, list[tuple[int, ProbInterval]]] = {}  # keyed by id(cl.body)
         intervals: dict[int, ProbInterval] = {}  # keyed by id
         indices = self.base.indices
         heads = indices([cl.head for cl in pp.clauses])
         for cl, head in zip(pp.clauses, heads):
-            head_fid = register_single(head)
+            head_fid = singles.get(head)
+            if head_fid is None:
+                head_fid = singles[head] = len(formula_atoms)
+                formula_atoms.append((Connective.SINGLE, frozenset((head,))))
             body = bodies.get(id(cl.body))
             if body is None:
                 body = bodies[id(cl.body)] = [
@@ -375,7 +377,7 @@ class _Engine:
                 intervals.update((id(iv), iv) for _, iv in body)
             intervals[id(cl.head_iv)] = cl.head_iv
             self.clauses.append((head_fid, cl.head_iv, body))
-        n_program = len(self._formula_atoms)  # the fids below are the clauses'
+        n_program = len(formula_atoms)  # the fids below are the clauses'
         program_multis = list(multis.values())
 
         self.extra_fids = [register(f.connective, indices(f.atoms)) for f in extra_formulas]
@@ -392,29 +394,31 @@ class _Engine:
             for key, iv in intervals.items()
         }
 
-        # The leaf walk's epsilon-free tables.  Per clause, the box of its
-        # HEAD_IN choice (None when the head interval is empty) and its body
-        # (fid, lo, hi) per conjunct.  Per formula, the ascending indices of
-        # the clauses a change of its box can leave without a choice (a
-        # HEAD_IN box of [0, 1] always fits), flattened: formula fid's are
-        # _watch[_watch_start[fid]:_watch_start[fid + 1]].  A body's distinct
-        # formulas are found once per body, not once per clause.
-        int_bodies = {
-            key: [(fid, *scaled[id(iv)]) for fid, iv in body] for key, body in bodies.items()
-        }
-        body_fids = {
-            key: tuple(dict.fromkeys(fid for fid, _ in body)) for key, body in bodies.items()
-        }
+        # The leaf walk's epsilon-free tables, filled in one pass over the
+        # clauses.  Per clause, the box of its HEAD_IN choice (None when the
+        # head interval is empty) and its body (fid, lo, hi) per conjunct.
+        # Per formula, the ascending indices of the clauses a change of its
+        # box can leave without a choice (a HEAD_IN box of [0, 1] always
+        # fits), flattened: formula fid's are
+        # _watch[_watch_start[fid]:_watch_start[fid + 1]].  A body's rows and
+        # distinct formulas are found once per body, not once per clause.
         self._bodies = []
         self._head_boxes = []
-        watchers: list[list[int]] = [[] for _ in self._formula_atoms]
-        for j, ((head_fid, head_iv, _), cl) in enumerate(zip(self.clauses, pp.clauses)):
-            self._bodies.append(int_bodies[id(cl.body)])
+        watchers: list[list[int]] = [[] for _ in formula_atoms]
+        per_body: dict[int, tuple[list, tuple[int, ...]]] = {}  # id(body) -> rows, fids
+        for j, (head_fid, head_iv, body) in enumerate(self.clauses):
+            entry = per_body.get(id(body))
+            if entry is None:
+                entry = per_body[id(body)] = (
+                    [(fid, *scaled[id(iv)]) for fid, iv in body],
+                    tuple(dict.fromkeys(fid for fid, _ in body)),
+                )
+            rows, fids = entry
+            self._bodies.append(rows)
             lo, hi = scaled[id(head_iv)]
             self._head_boxes.append(None if lo > hi else (head_fid, lo, hi))
             if lo == 0 and hi == top:
                 continue
-            fids = body_fids[id(cl.body)]
             for fid in fids:
                 watchers[fid].append(j)
             if lo <= hi and head_fid not in fids:

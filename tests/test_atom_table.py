@@ -4,11 +4,15 @@ unfold interns each ground atom once and hands its program the sorted table
 as the base; the engine names atoms by their indices in it, read in one pass
 (HerbrandBase.indices).  Each check here recomputes the same facts the slow
 way: the base from scratch (herbrand_base, which sorts by key()), every index
-by index_of, the components by a fresh union-find over sets.  CI runs this
-file under two fixed PYTHONHASHSEED values, so no order may come from
-hashing.
+by index_of, the components by a fresh union-find over sets.  The engine's
+walk tables (formula ids, clauses, integer bodies, HEAD_IN boxes, watchers
+and denominator) are pinned by length and SHA-256 for two programs at full
+grounding.  CI runs this file under two fixed PYTHONHASHSEED values, so no
+order may come from hashing.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -27,7 +31,9 @@ from tplp.grounder import (
 )
 from tplp.intervals import ProbInterval
 from tplp.model import BasicFormula, Calendar, Connective, TAtom
+from tplp.parser import parse_program
 from tplp.psat import SolveOptions, _Engine, tighten
+from test_answer_bytes import WIDE20
 
 OPTS = SolveOptions(max_world_atoms=10_000)
 MODES = list(GroundingMode)
@@ -167,3 +173,43 @@ def test_query_atom_outside_the_base():
         assert got[len(heads)] == ProbInterval(F(0), F(1))
         checked += 1
     assert checked >= 40
+
+
+def engine_tables(pp: PProgram) -> bytes:
+    """The engine's walk tables as JSON: fids and clause order, each body's
+    integer rows, the HEAD_IN boxes, the watcher arrays and the denominator.
+    Frozensets become sorted lists and intervals their endpoint texts, so the
+    bytes depend on no hash order."""
+    engine = _Engine(pp, OPTS)
+
+    def iv(x):
+        return [str(x.lo), str(x.hi)]
+
+    tables = {
+        "formula_atoms": [[c.value, sorted(idxs)] for c, idxs in engine._formula_atoms],
+        "clauses": [
+            [head, iv(head_iv), [[fid, iv(body_iv)] for fid, body_iv in body]]
+            for head, head_iv, body in engine.clauses
+        ],
+        "bodies": engine._bodies,
+        "head_boxes": engine._head_boxes,
+        "watch": list(engine._watch),
+        "watch_start": list(engine._watch_start),
+        "denominator": engine.denominator,
+    }
+    return json.dumps(tables, separators=(",", ":")).encode()
+
+
+# program -> (length, SHA-256) of engine_tables at full grounding; wide20.tpl
+# is test_answer_bytes.WIDE20
+TABLE_PINS = {
+    "wide20.tpl": (306791, "64cadf2495f43a08866d55ad121b7ef8d0d5c6bdcfa17ebc6939141c5e8cb82c"),
+    "shipping.tpl": (11796, "3ddccf0e3ca37c6a1a8ea791518b85511cf40e46775253faa049807d9f6fbd50"),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_PINS))
+def test_engine_table_bytes(name):
+    program = parse_program(WIDE20).program if name == "wide20.tpl" else load_program(name)
+    dump = engine_tables(unfold(program, grounding=GroundingMode.FULL))
+    assert (len(dump), hashlib.sha256(dump).hexdigest()) == TABLE_PINS[name]

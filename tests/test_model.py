@@ -1,11 +1,15 @@
+import copy
+import dataclasses
+import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from generators import rand_constraint
 from oracles import constraint_holds_at, weight_at
-from tplp.diagnostics import DiagnosticKind, Severity
+from tplp.diagnostics import DiagnosticKind, Severity, SourceSpan
 from tplp.intervals import ProbInterval
 from tplp.errors import CalendarTooLarge, NonNormalConstraint
 from tplp.model import (
@@ -23,6 +27,7 @@ from tplp.model import (
     TConst,
     TimeRange,
     TPAnnotation,
+    TPClause,
     TRef,
     TVar,
     WeightFunction,
@@ -301,3 +306,133 @@ class TestFormulaInvariants:
         )
         with pytest.raises(ValueError):
             f.temporal_var
+
+
+# The six value classes built per ground atom or time point: per class, the
+# keyword arguments of an instance (every field a distinct value), its pinned
+# repr, and the bad arguments each check refuses, with its message.
+SPAN = SourceSpan(2, 3, 10, 14)
+ATOM_P = TAtom("p", ("c", ObjVar("X")), 3)
+ATOM_Q = TAtom("q", (), Y)
+HALF = WeightFunction(WeightKind.LIST, (F(1, 2),))
+SLOTTED = {
+    TAtom: (
+        dict(predicate="p", args=("c", ObjVar("X")), time=3, span=SPAN),
+        "TAtom(predicate='p', args=('c', ObjVar(name='X')), time=3)",
+        [],
+    ),
+    BasicFormula: (
+        dict(connective=Connective.AND, atoms=(ATOM_P, ATOM_Q), span=SPAN),
+        "BasicFormula(connective=<Connective.AND: 'and'>, atoms=(TAtom(predicate='p', "
+        "args=('c', ObjVar(name='X')), time=3), TAtom(predicate='q', args=(), "
+        "time=TVar(name='Y'))))",
+        [
+            (dict(connective=Connective.AND, atoms=()), "a basic formula needs at least one atom"),
+            (
+                dict(connective=Connective.OR, atoms=(ATOM_P,)),
+                "SINGLE is for exactly one atom; AND/OR need two or more",
+            ),
+        ],
+    ),
+    TPClause: (
+        dict(
+            head=ATOM_Q,
+            head_annot=TPAnnotation(Cmp(Y, "=", TConst(1)), HALF, HALF),
+            body=((BasicFormula.single(ATOM_P), TPAnnotation(rng_range(1, 1), HALF, HALF)),),
+            span=SPAN,
+        ),
+        "TPClause(head=TAtom(predicate='q', args=(), time=TVar(name='Y')), "
+        "head_annot=TPAnnotation(constraint=Cmp(var=TVar(name='Y'), op='=', "
+        "rhs=TConst(value=1)), lower=WeightFunction(kind=<WeightKind.LIST: 'list'>, "
+        "values=(Fraction(1, 2),)), upper=WeightFunction(kind=<WeightKind.LIST: 'list'>, "
+        "values=(Fraction(1, 2),))), body=((BasicFormula(connective=<Connective.SINGLE: "
+        "'single'>, atoms=(TAtom(predicate='p', args=('c', ObjVar(name='X')), time=3),)), "
+        "TPAnnotation(constraint=TimeRange(var=TVar(name='Y'), lo=TConst(value=1), "
+        "hi=TConst(value=1)), lower=WeightFunction(kind=<WeightKind.LIST: 'list'>, "
+        "values=(Fraction(1, 2),)), upper=WeightFunction(kind=<WeightKind.LIST: 'list'>, "
+        "values=(Fraction(1, 2),)))),))",
+        [],
+    ),
+    TPAnnotation: (
+        dict(
+            constraint=rng_range(2, 3),
+            lower=WeightFunction.uniform(),
+            upper=WeightFunction(WeightKind.LIST, (F(1, 2), F(5, 8))),
+            span=SPAN,
+        ),
+        "TPAnnotation(constraint=TimeRange(var=TVar(name='Y'), lo=TConst(value=2), "
+        "hi=TConst(value=3)), lower=WeightFunction(kind=<WeightKind.UNIFORM: 'uniform'>, "
+        "values=()), upper=WeightFunction(kind=<WeightKind.LIST: 'list'>, "
+        "values=(Fraction(1, 2), Fraction(5, 8))))",
+        [],
+    ),
+    WeightFunction: (
+        dict(kind=WeightKind.LIST, values=(F(1, 3), F(2, 3)), span=SPAN),
+        "WeightFunction(kind=<WeightKind.LIST: 'list'>, values=(Fraction(1, 3), Fraction(2, 3)))",
+        [
+            (
+                dict(kind=WeightKind.SHARP, values=(1,)),
+                "sharp weight functions carry no value list",
+            ),
+            (dict(kind=WeightKind.LIST, values=(F(1, 2), F(3, 2))), "weight 3/2 outside [0,1]"),
+        ],
+    ),
+    ProbInterval: (
+        dict(lo=F(1, 4), hi=F(3, 4)),
+        "ProbInterval(lo=Fraction(1, 4), hi=Fraction(3, 4))",
+        [(dict(lo=F(1, 2), hi=2), "interval endpoints must lie in [0,1]: [1/2, 2]")],
+    ),
+}
+FIELDS = {
+    TAtom: ("predicate", "args", "time", "span"),
+    BasicFormula: ("connective", "atoms", "span"),
+    TPClause: ("head", "head_annot", "body", "span"),
+    TPAnnotation: ("constraint", "lower", "upper", "span", "_instants"),
+    WeightFunction: ("kind", "values", "span"),
+    ProbInterval: ("lo", "hi"),
+}
+
+
+class TestSlottedValueClasses:
+    """The value classes are frozen dataclasses with slots whose __init__
+    stores each field through its slot; these pin what a frozen dataclass
+    gave them: fields, immutability, value equality without spans, repr,
+    keyword construction, replace, copies and pickles, and the checks."""
+
+    @pytest.mark.parametrize("cls", list(SLOTTED), ids=lambda c: c.__name__)
+    def test_contract(self, cls):
+        kwargs, text, refused = SLOTTED[cls]
+        assert tuple(f.name for f in dataclasses.fields(cls)) == FIELDS[cls]
+        obj = cls(**kwargs)
+        # every field stored by __init__, in its slot; no instance dict
+        assert {name: getattr(obj, name) for name in kwargs} == kwargs
+        assert "__slots__" in vars(cls) and not hasattr(obj, "__dict__")
+        # frozen: no field set or deleted, no attribute added
+        for name in FIELDS[cls]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.other = 1
+        assert obj == cls(**kwargs)
+        # equality and hashing ignore the span and the computed instants
+        assert dataclasses.replace(obj) == obj
+        bare = dataclasses.replace(obj, **({"span": None} if "span" in kwargs else {}))
+        assert getattr(bare, "span", None) is None
+        if cls is TPAnnotation:
+            assert obj.instant(CAL8) and obj._instants and not bare._instants
+        assert bare == obj and hash(bare) == hash(obj)
+        assert repr(obj) == repr(bare) == text
+        for copied in (copy.copy(obj), pickle.loads(pickle.dumps(obj))):
+            assert copied == obj and type(copied) is cls
+            assert all(getattr(copied, name) == value for name, value in kwargs.items())
+        for bad, message in refused:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cls(**bad)
+
+    def test_coercions(self):
+        assert WeightFunction(WeightKind.LIST, (1, 0.5)).values == (F(1), F(1, 2))
+        assert all(type(v) is F for v in WeightFunction(WeightKind.LIST, (1, 0.5)).values)
+        iv = ProbInterval(0, 1)
+        assert (type(iv.lo), type(iv.hi)) == (F, F) and iv == ProbInterval(F(0), F(1))
