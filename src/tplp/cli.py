@@ -85,7 +85,8 @@ def _bits(mask: int):
 
 class _Witness:
     """A distribution's support worlds, by ascending mask, as the payload
-    writes them: per world its held atoms' names and its mass.
+    writes them: per world its held atoms' names and its mass.  Its masses
+    sum to one, so there is at least one world.
 
     Each held atom is named once, and each world picks its names by its
     bits.  Each mass is formatted once per Fraction object: a distribution
@@ -115,8 +116,6 @@ class _Witness:
         """The bytes of json.dumps at the depth whose line break is newline.
         Each held atom's quoted line is made once; a world is one join of
         its atoms' lines."""
-        if not self.worlds:
-            return "[]"
         inner = newline + "  "  # a world's braces
         field = inner + "  "  # a world's keys
         atom = field + "  "  # a world's atoms

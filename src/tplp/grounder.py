@@ -256,24 +256,23 @@ def _producible_signatures(p: PTProgram, constants: tuple[str, ...]) -> set[tupl
     return sigs
 
 
-def _instances(p: PTProgram, mode: GroundingMode):
+def _instances(p: PTProgram, mode: GroundingMode | None):
     """Each ground instance of p's clauses as (clause, object substitution,
     companion grounding): in clause order, then object substitution, then
-    companion grounding.  Every cap and UniverseEmpty is raised before the
-    first is yielded."""
+    companion grounding.  Without a mode only the companion temporal
+    variables are grounded, under the one empty object substitution.  Every
+    cap and UniverseEmpty is raised before the first is yielded."""
     constants = tuple(sorted(p.constants))
     groundings = [companion_groundings(cl.companion_tvars, p.calendar) for cl in p.clauses]
-    n = len(p.calendar)
-    count = sum(
-        len(constants) ** len(cl.object_vars) * n ** len(cl.companion_tvars) for cl in p.clauses
-    )
+    n, k = len(p.calendar), len(constants) if mode else 1
+    count = sum(k ** len(cl.object_vars) * n ** len(cl.companion_tvars) for cl in p.clauses)
     if count > MAX_GROUND_INSTANCES:
         raise GroundingTooLarge(
             f"grounding would make {count} clause instances, above the cap of "
             f"{MAX_GROUND_INSTANCES}"
         )
     producible = _producible_signatures(p, constants) if mode is GroundingMode.RELEVANT else None
-    substitutions = [_object_substitutions(cl, constants) for cl in p.clauses]
+    substitutions = [_object_substitutions(cl, constants) if mode else ({},) for cl in p.clauses]
     for cl, t_groundings, obj_envs in zip(p.clauses, groundings, substitutions):
         checked = producible is not None and cl.object_vars
         t_envs = list(t_groundings)
@@ -297,13 +296,10 @@ def ground_program(p: PTProgram, mode: GroundingMode = GroundingMode.FULL) -> PT
 
 
 def ground_temporal_variables(p: PTProgram) -> PTProgram:
-    """Ground only the independent temporal variables, leaving object terms alone."""
-    out = [
-        _substitute_clause(cl, {}, t_env)
-        for cl in p.clauses
-        for t_env in companion_groundings(cl.companion_tvars, p.calendar)
-    ]
-    return p._regrounded(out)
+    """Ground only the independent temporal variables, leaving object terms
+    alone.  A program of more than MAX_GROUND_INSTANCES companion groundings
+    raises GroundingTooLarge before any instance is made."""
+    return p._regrounded(itertools.starmap(_substitute_clause, _instances(p, None)))
 
 
 # --- unfolding -------------------------------------------------------------------
@@ -384,14 +380,16 @@ def unfold(
 def pprogram_to_ptprogram(pp: PProgram, cal: Calendar) -> PTProgram:
     """Re-express an unfolded program in clause syntax with Y=t annotations."""
 
-    clauses = []
+    clauses, bodies = [], {}  # id of an unfolded body, which its head points share -> its form
     for cl in pp.clauses:
         head_time = cl.head.time
         if not isinstance(head_time, int):
             raise ValueError(f"unfolded head {cl.head} should be time-ground")
-        body = tuple(
-            (f, TPAnnotation.of_instant([(_formula_time(f, cal), iv)])) for f, iv in cl.body
-        )
+        body = bodies.get(id(cl.body))
+        if body is None:
+            body = bodies[id(cl.body)] = tuple(
+                (f, TPAnnotation.of_instant([(_formula_time(f, cal), iv)])) for f, iv in cl.body
+            )
         clauses.append(TPClause(cl.head, TPAnnotation.of_instant([(head_time, cl.head_iv)]), body))
     return PTProgram(cal, tuple(clauses))
 

@@ -761,6 +761,11 @@ class TestIalg:
         assert res.exit_code == 2 and res.payload == ""
         assert capsys.readouterr().err == f"error: malformed rational '{number}'\n"
 
+    def test_unexpected_character(self, capsys):
+        res = invoke("ialg", "join_k([0,1],[0,1])$")
+        assert (res.exit_code, res.payload) == (2, "")
+        assert capsys.readouterr().err == "error: unexpected character '$' at offset 19\n"
+
 
 class TestMalformedNumbers:
     """Every number a user types is read as NUM by one reader, so a program
@@ -1352,6 +1357,35 @@ class TestGroundInstanceCap:
         program = tmp_path / "wide.tpl"
         program.write_text(self.PROGRAM.replace("A,B,C,D,E", "A,B"))
         assert invoke("ground", str(program)).exit_code == code
+
+
+class TestUnfoldInstanceCap:
+    """unfold counts its companion groundings against the same cap, and exits
+    3 with ground's message before it makes any clause."""
+
+    PROGRAM = "calendar 1..3.\na@Y : <Y >= Y1, uniform, uniform>.\n"  # 3 instances
+
+    def test_at_the_cap(self, monkeypatch, tmp_path):
+        program = tmp_path / "companions.tpl"
+        program.write_text(self.PROGRAM)
+        uncapped = invoke("unfold", str(program))
+        monkeypatch.setattr(tplp.grounder, "MAX_GROUND_INSTANCES", 3)
+        assert invoke("unfold", str(program)) == uncapped and uncapped.exit_code == 0
+
+    def test_above_the_cap(self, monkeypatch, tmp_path, capsys):
+        program = tmp_path / "companions.tpl"
+        program.write_text(self.PROGRAM)
+
+        def fail(*args):
+            raise AssertionError("a clause instance was made")
+
+        monkeypatch.setattr(tplp.grounder, "MAX_GROUND_INSTANCES", 2)
+        monkeypatch.setattr(tplp.grounder, "_substitute_clause", fail)
+        for command in ("unfold", "ground"):
+            assert (invoke(command, str(program)).exit_code, capsys.readouterr().err) == (
+                3,
+                "error: grounding would make 3 clause instances, above the cap of 2\n",
+            )
 
 
 class TestErrorExitCodes:

@@ -87,6 +87,11 @@ class TestCompressFlatten:
         with pytest.raises(TimePointOutsideCalendar):
             flatten(th, CAL2)
 
+    def test_compress_rejects_atom_outside_calendar(self):
+        base = HerbrandBase([TAtom("a", (), 9)])
+        with pytest.raises(TimePointOutsideCalendar, match="atom a@9 lies outside"):
+            compress(World.empty(base), base, CAL2)
+
 
 class TestThreadProb:
     def test_point_mass_hit(self):
@@ -183,6 +188,42 @@ class TestEvolutionDistribution:
             pi = EvolutionProfile(cal.points, dists)
             assert evolution_distribution(pi, cal).is_normalized
 
+    def test_profile_time_outside_calendar(self):
+        cbase = HerbrandBase([CA])
+        pi = EvolutionProfile((9,), ((9, WorldDistribution.point(cbase)),))
+        with pytest.raises(TimePointOutsideCalendar, match="profile time 9 outside"):
+            evolution_distribution(pi, CAL2)
+
+
+class TestEvolutionProfile:
+    """A profile checks its interval and distributions when it is made."""
+
+    @pytest.mark.parametrize(
+        "interval, dists, message",
+        [
+            ((2, 1), ((2, 0), (1, 0)), "strictly increasing"),
+            ((1, 2), ((1, 0),), "cover exactly the interval"),
+            ((1, 2), ((1, 0), (2, 1)), "share one compressed base"),
+            ((1,), ((1, 2),), "distribution at time 1 is not normalized"),
+        ],
+        ids=["order", "cover", "base", "normalized"],
+    )
+    def test_rejected(self, interval, dists, message):
+        a, ab = HerbrandBase([CA]), HerbrandBase([CA, CB])
+        made = {
+            0: WorldDistribution.point(a),
+            1: WorldDistribution.point(ab),
+            2: WorldDistribution(a, {0: F(1, 2)}, require_normalized=False),
+        }
+        with pytest.raises(ValueError, match=message):
+            EvolutionProfile(interval, tuple((t, made[d]) for t, d in dists))
+
+    def test_dist_at_a_missing_time(self):
+        pi = two_slice_profile()
+        assert pi.dist_at(2) is pi.dists[1][1]
+        with pytest.raises(MissingTimeSlice, match="no distribution at time 3"):
+            pi.dist_at(3)
+
 
 class TestBuildEvolutionProgram:
     def test_two_slice_fact(self):
@@ -222,6 +263,11 @@ class TestBuildEvolutionProgram:
             build_evolution_program(sk, per_time, (1,))
         with pytest.raises(UnknownFormulaSlot, match="c9.head"):
             solve_profile(sk, per_time, (1,))
+
+    def test_empty_interval_rejected(self):
+        sk, _ = parse_skeleton("calendar 1..2.\na.\n")
+        with pytest.raises(ValueError, match="the evolution interval is empty"):
+            build_evolution_program(sk, {}, ())
 
     def test_non_contiguous_interval_rejected(self):
         sk, _ = parse_skeleton("calendar 1..3.\na.\n")

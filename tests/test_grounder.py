@@ -167,6 +167,30 @@ class TestGroundProgram:
         assert scans == []
 
 
+class TestGroundTemporalVariables:
+    """ground_temporal_variables grounds companion variables alone, through
+    the grounder's instance enumeration and under its instance cap: the
+    clauses of a substitution per companion grounding, in the same order."""
+
+    THREE = "calendar 1..3.\na@Y : <Y >= Y1, uniform, uniform>.\n"  # 3 instances
+
+    @pytest.mark.parametrize("name", [*FIXTURE_PROGRAMS, "three"])
+    def test_each_companion_grounding_in_order(self, monkeypatch, name):
+        p = parse_program(self.THREE).program if name == "three" else load_program(name)
+        expected = [
+            tplp.grounder._substitute_clause(cl, {}, t_env)
+            for cl in p.clauses
+            for t_env in companion_groundings(cl.companion_tvars, p.calendar)
+        ]
+        g = ground_temporal_variables(p)
+        assert list(g.clauses) == expected
+        assert [str(cl) for cl in g.clauses] == [str(cl) for cl in expected]
+        assert (g.calendar, g.constants) == (p.calendar, p.constants)
+        monkeypatch.setattr(tplp.grounder, "MAX_GROUND_INSTANCES", len(expected) - 1)
+        with pytest.raises(GroundingTooLarge, match=f"make {len(expected)} clause instances"):
+            ground_temporal_variables(p)
+
+
 class TestRenderedConstants:
     """render_program's "constants" line names each constant of the program
     that no clause mentions, sorted, and only those."""
@@ -442,6 +466,16 @@ class TestHerbrandBase:
     def test_rejects_non_ground(self):
         with pytest.raises(ValueError):
             HerbrandBase([TAtom("a", (ObjVar("X"),), 1)])
+
+    def test_extended_rejects_non_ground(self):
+        with pytest.raises(ValueError, match="non-ground atom a\\(X\\)@1"):
+            HerbrandBase([TAtom("b", (), 1)]).extended([TAtom("a", (ObjVar("X"),), 1)])
+
+    def test_indices_name_the_atom_outside(self):
+        base = HerbrandBase([TAtom("a", (), 1), TAtom("b", (), 1)])
+        assert base.indices([TAtom("b", (), 1), TAtom("a", (), 1)]) == [1, 0]
+        with pytest.raises(AtomNotInBase, match="atom c@1 is not in the Herbrand base"):
+            base.indices([TAtom("a", (), 1), TAtom("c", (), 1)])
 
     def test_timeless_atoms(self):
         base = HerbrandBase([CAtom("b"), CAtom("a", ("x",)), CAtom("b")])
